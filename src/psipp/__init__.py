@@ -12,11 +12,11 @@ from .objects import KindedType, ObjectDescriptor, Registry
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
 from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
-                     InstanceV, IntegerV, RegisterV, ThunkV, Value)
+                     IntegerV, RegisterV, ThunkV, Value)
 
 __all__ = [
     "FAIL", "ComplexV", "Environment", "FreeVarV", "FunctionalObject",
-    "InstanceV", "IntegerV", "Interpreter", "KindedType", "MonomialRegister",
+    "IntegerV", "Interpreter", "KindedType", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
     "Token", "Value", "classify_binding", "complex_method_mul", "complex_mul",
     "distribute", "format_monomial", "install_prelude", "make_interpreter",

@@ -2,10 +2,10 @@
 
 The prelude ships as source in the surface language and is loaded through
 the ordinary parser, so the hierarchy and the Complex multiplication body
-are genuinely interpreted. Two pieces are native kernels: distributivity
-for ``Algebra.infix*`` (one layer per call, returning the product terms
-unfolded so rewrite chains stay observable) and the concrete complex /
-monomial arithmetic.
+are genuinely interpreted. Natives implement the abstract ``Algebra.infix*``
+(distributivity, one layer per call), Complex ``+``/``-`` and the monomial
+register product. Concrete arithmetic is the one kernel in ``values``, and
+distributivity is one tree rule shared by ``distribute`` and the rewriter.
 
 ``simplify`` runs bottom-up rewriting to a fixed point: distribute
 products over sums, fold all-concrete applications, promote integers that
@@ -17,13 +17,13 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import ast
-from .errors import RewriteLimitExceeded
-from .evaluator import (Interpreter, as_repr, free_idents, type_name_of,
-                        _join_types)
+from .errors import EvalError, RewriteLimitExceeded
+from .evaluator import Interpreter, as_repr, free_idents, operator_thunk
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
-from .values import (FAIL, ComplexV, FreeVarV, FunctionalObject, IntegerV,
-                     RegisterV, ThunkV, Value)
+from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
+                     Value, arith, complex_mul, join_types, promote, thunk,
+                     type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 
@@ -37,18 +37,6 @@ end; { Group }
 Algebra = Object(Group);
   function infix *(A, B : Algebra) : Algebra;
 end; { Algebra }
-
-function Algebra.infix* (A, B : Algebra) : Algebra;
-par
-  C, D, E, F : Algebra;
-begin
-  if A = C + D then { i.e. A is record (+, C, D) }
-    Return := C * B + D * B
-  else
-    if B = E + F then
-      Return := A * E + A * F
-    else Return := fail
-end;
 
 Complex = Object(Algebra);
   Re, Im : integer;
@@ -66,70 +54,34 @@ end; { Monomial }
 """
 
 
-# --- native kernels ---
+# --- distributivity ---
 
-def promote(n) -> ComplexV:
-    """Integer to complex conversion: n becomes (Re: n, Im: 0)."""
-    if isinstance(n, IntegerV):
-        n = n.n
-    return ComplexV(n, 0)
-
-
-def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
-    return ComplexV(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
-
-
-def complex_add(a: ComplexV, b: ComplexV) -> ComplexV:
-    return ComplexV(a.re + b.re, a.im + b.im)
-
-
-def complex_neg(a: ComplexV) -> ComplexV:
-    return ComplexV(-a.re, -a.im)
-
-
-def _is_sum_thunk(v: Value) -> Optional[ast.Infix]:
-    if isinstance(v, ThunkV) and isinstance(v.fo.body, ast.Infix) \
-            and v.fo.body.op == "+":
-        return v.fo.body
+def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
+    """One layer of distributivity on trees: (C + D) * B -> C*B + D*B, or
+    A * (E + F) -> A*E + A*F; None when neither factor is a sum. Factor
+    order is preserved (noncommutative-safe)."""
+    if isinstance(lhs, ast.Infix) and lhs.op == "+":
+        return ast.Infix("+", ast.Infix("*", lhs.lhs, rhs),
+                         ast.Infix("*", lhs.rhs, rhs))
+    if isinstance(rhs, ast.Infix) and rhs.op == "+":
+        return ast.Infix("+", ast.Infix("*", lhs, rhs.lhs),
+                         ast.Infix("*", lhs, rhs.rhs))
     return None
 
 
-def _product_thunk(parts: list[tuple[ast.Expr, dict]], shape) -> ThunkV:
-    captures: dict[str, Value] = {}
-    for _, caps in parts:
-        captures.update(caps)
-    body = shape(*(expr for expr, _ in parts))
-    return ThunkV(FunctionalObject(body, tuple(sorted(captures.items())),
-                                   "Algebra"))
-
-
 def distribute(a: Value, b: Value) -> Value:
-    """One layer of distributivity: (C + D) * b -> C*b + D*b, or
-    a * (E + F) -> a*E + a*F. Neither operand sum-rooted -> fail.
-    Factor order is preserved (noncommutative-safe)."""
-    a_sum = _is_sum_thunk(a)
-    if a_sum is not None:
-        b_expr, b_caps = as_repr(b)
-        captures = dict(a.fo.capture_map())
-        captures.update(b_caps)
-        body = ast.Infix("+", ast.Infix("*", a_sum.lhs, b_expr),
-                         ast.Infix("*", a_sum.rhs, b_expr))
-        return ThunkV(FunctionalObject(body, tuple(sorted(captures.items())),
-                                       _result_type(a, b)))
-    b_sum = _is_sum_thunk(b)
-    if b_sum is not None:
-        a_expr, a_caps = as_repr(a)
-        captures = dict(b.fo.capture_map())
-        captures.update(a_caps)
-        body = ast.Infix("+", ast.Infix("*", a_expr, b_sum.lhs),
-                         ast.Infix("*", a_expr, b_sum.rhs))
-        return ThunkV(FunctionalObject(body, tuple(sorted(captures.items())),
-                                       _result_type(a, b)))
-    return FAIL
-
-
-def _result_type(a: Value, b: Value) -> str:
-    return _join_types([type_name_of(a), type_name_of(b)])
+    """One layer of distributivity on values, or fail when neither operand
+    is a sum-rooted thunk. The factor that is not a sum wins a capture
+    clash."""
+    if not (isinstance(a, ThunkV) or isinstance(b, ThunkV)):
+        return FAIL  # only a thunk can be a sum
+    (a_expr, a_caps), (b_expr, b_caps) = as_repr(a), as_repr(b)
+    body = distribute_expr(a_expr, b_expr)
+    if body is None:
+        return FAIL
+    a_is_sum = body.lhs.rhs is b_expr  # (C + D) * B -> C*B + ...
+    return thunk(body, join_types([type_name_of(a), type_name_of(b)]),
+                 *((a_caps, b_caps) if a_is_sum else (b_caps, a_caps)))
 
 
 def complex_method_mul(a: Value, b: Value) -> Value:
@@ -142,47 +94,19 @@ def complex_method_mul(a: Value, b: Value) -> Value:
         return complex_mul(promote(a) if isinstance(a, IntegerV) else a,
                            promote(b) if isinstance(b, IntegerV) else b)
     if isinstance(a, (FreeVarV, ThunkV)) or isinstance(b, (FreeVarV, ThunkV)):
-        a_expr, a_caps = as_repr(a)
-        b_expr, b_caps = as_repr(b)
-        captures = {**a_caps, **b_caps}
-        return ThunkV(FunctionalObject(
-            ast.Infix("*", a_expr, b_expr),
-            tuple(sorted(captures.items())), _result_type(a, b)))
+        return operator_thunk("*", "infix", [a, b])
     return FAIL
 
 
 # --- the rewriter ---
 
-def _fold(op: str, fixity: str, args: list[Value]) -> Optional[Value]:
-    """Concrete evaluation of one application, or None if no kernel."""
-    if any(a is FAIL for a in args):
-        return FAIL
-    if all(isinstance(a, IntegerV) for a in args):
-        if fixity == "prefix" and op == "-":
-            return IntegerV(-args[0].n)
-        a, b = args[0].n, args[1].n if len(args) > 1 else None
-        if op == "+":
-            return IntegerV(a + b)
-        if op == "-":
-            return IntegerV(a - b)
-        if op == "*":
-            return IntegerV(a * b)
-        return None
-    if all(isinstance(a, (IntegerV, ComplexV)) for a in args):
-        cx = [promote(a) if isinstance(a, IntegerV) else a for a in args]
-        if fixity == "prefix" and op == "-":
-            return complex_neg(cx[0])
-        if op == "+":
-            return complex_add(cx[0], cx[1])
-        if op == "-":
-            return complex_add(cx[0], complex_neg(cx[1]))
-        if op == "*":
-            return complex_mul(cx[0], cx[1])
-        return None
-    if all(isinstance(a, RegisterV) for a in args) and op == "*" \
-            and fixity == "infix":
+def _fold(op: str, args: list[Value]) -> Optional[Value]:
+    """Concrete evaluation of one application, or None if no kernel. The
+    register product folds here only: without the prelude, evaluating
+    ``mono(..) * mono(..)`` stays a dispatch error."""
+    if op == "*" and all(isinstance(a, RegisterV) for a in args):
         return RegisterV(register_mul(args[0].register, args[1].register))
-    return None
+    return arith(op, args)
 
 
 def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
@@ -204,18 +128,11 @@ def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
         left = _concrete_leaf(e.lhs)
         right = _concrete_leaf(e.rhs)
         if left is not None and right is not None:
-            folded = _fold(e.op, "infix", [left, right])
+            folded = _fold(e.op, [left, right])
             if folded is not None:
                 return ast.ValueLeaf(folded)
         if e.op == "*":
-            if isinstance(e.lhs, ast.Infix) and e.lhs.op == "+":
-                return ast.Infix("+",
-                                 ast.Infix("*", e.lhs.lhs, e.rhs),
-                                 ast.Infix("*", e.lhs.rhs, e.rhs))
-            if isinstance(e.rhs, ast.Infix) and e.rhs.op == "+":
-                return ast.Infix("+",
-                                 ast.Infix("*", e.lhs, e.rhs.lhs),
-                                 ast.Infix("*", e.lhs, e.rhs.rhs))
+            return distribute_expr(e.lhs, e.rhs)
         return None
     if isinstance(e, ast.Prefix):
         inner = _rewrite_once(e.operand)
@@ -223,7 +140,7 @@ def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
             return ast.Prefix(e.op, inner)
         operand = _concrete_leaf(e.operand)
         if operand is not None:
-            folded = _fold(e.op, "prefix", [operand])
+            folded = _fold(e.op, [operand])
             if folded is not None:
                 return ast.ValueLeaf(folded)
         return None
@@ -275,43 +192,27 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     leaf = _concrete_leaf(body)
     if leaf is not None:
         return leaf
-    remaining = free_idents(body)
-    kept = {name: captures.get(name, FreeVarV(name)) for name in remaining}
-    return ThunkV(FunctionalObject(body, tuple(sorted(kept.items())),
-                                   v.fo.result_type))
+    return thunk(body, v.fo.result_type,
+                 {name: captures.get(name, FreeVarV(name))
+                  for name in free_idents(body)})
 
 
 # --- prelude installation ---
 
 def _native_distribute(args, interp):
+    """``Algebra.infix*``. Native because an interpreted body would
+    evaluate ``C * B`` eagerly and fold products a rewrite chain must show."""
     return distribute(args[0], args[1])
 
 
-def _concrete_complex(args) -> Optional[list[ComplexV]]:
-    if all(isinstance(a, (IntegerV, ComplexV)) for a in args):
-        return [promote(a) if isinstance(a, IntegerV) else a for a in args]
-    return None
-
-
-def _native_complex_add(args, interp):
-    cx = _concrete_complex(args)
-    if cx is not None:
-        return complex_add(cx[0], cx[1])
-    return interp.make_thunk("+", "infix", args)
-
-
-def _native_complex_sub(args, interp):
-    cx = _concrete_complex(args)
-    if cx is not None:
-        return complex_add(cx[0], complex_neg(cx[1]))
-    return interp.make_thunk("-", "infix", args)
-
-
-def _native_complex_neg(args, interp):
-    cx = _concrete_complex(args)
-    if cx is not None:
-        return complex_neg(cx[0])
-    return interp.make_thunk("-", "prefix", args)
+def _complex_native(op: str, fixity: str):
+    """Complex ``op``: the kernel on promoted operands, else a thunk."""
+    def native(args, interp):
+        result = arith(op, [promote(a) if isinstance(a, IntegerV) else a
+                            for a in args])
+        return result if result is not None \
+            else interp.make_thunk(op, fixity, args)
+    return native
 
 
 def _native_register_mul(args, interp):
@@ -321,31 +222,44 @@ def _native_register_mul(args, interp):
     return distribute(a, b)
 
 
+def builtin_args(name: str, args: list[Value], arities: tuple[int, ...],
+                 kind: type = Value, what: str = "") -> list[Value]:
+    """Arity and argument type check of a builtin call; the interpreter
+    adds the call's span to the error."""
+    if len(args) not in arities:
+        plural = "s" if arities[-1] > 1 else ""
+        raise EvalError(f"{name} takes {' or '.join(map(str, arities))} "
+                        f"argument{plural}, got {len(args)}")
+    if not all(isinstance(a, kind) for a in args):
+        raise EvalError(f"{name} expects {what}")
+    return args
+
+
 def _builtin_mono(args, interp, env):
-    components = [a.n if isinstance(a, IntegerV) else a for a in args]
-    return RegisterV(MonomialRegister(*components))
+    ints = builtin_args("mono", args, (4,), IntegerV, "integer components")
+    return RegisterV(MonomialRegister(*(a.n for a in ints)))
 
 
 def _builtin_complex(args, interp, env):
-    ints = [a.n if isinstance(a, IntegerV) else a for a in args]
-    if len(ints) == 1:
-        return promote(ints[0])
-    return ComplexV(ints[0], ints[1])
+    ints = [a.n for a in builtin_args("Complex", args, (1, 2), IntegerV,
+                                      "integer components")]
+    return ComplexV(ints[0], ints[1] if len(ints) == 2 else 0)
 
 
 def _builtin_conjugate(args, interp, env):
-    (arg,) = args
-    if isinstance(arg, RegisterV):
-        return RegisterV(register_conjugate(arg.register))
-    raise TypeError("conjugate expects a monomial register")
+    (arg,) = builtin_args("conjugate", args, (1,), RegisterV,
+                          "a monomial register")
+    return RegisterV(register_conjugate(arg.register))
 
 
 def _builtin_eval(args, interp, env):
-    return interp.force(args[0], env)
+    (arg,) = builtin_args("EVAL", args, (1,))
+    return interp.force(arg, env)
 
 
 def _builtin_simplify(args, interp, env):
-    return simplify(args[0])
+    (arg,) = builtin_args("simplify", args, (1,))
+    return simplify(arg)
 
 
 def install_prelude(interp: Interpreter):
@@ -353,10 +267,10 @@ def install_prelude(interp: Interpreter):
     constant i = Complex(0, 1)."""
     interp.run_program(parse_program(PRELUDE_SOURCE))
     interp.registry.set_native("Algebra", "*", "infix", _native_distribute, 2)
-    interp.registry.set_native("Complex", "+", "infix", _native_complex_add, 2)
-    interp.registry.set_native("Complex", "-", "infix", _native_complex_sub, 2)
-    interp.registry.set_native("Complex", "-", "prefix",
-                               _native_complex_neg, 1)
+    for op, fixity, arity in (("+", "infix", 2), ("-", "infix", 2),
+                              ("-", "prefix", 1)):
+        interp.registry.set_native("Complex", op, fixity,
+                                   _complex_native(op, fixity), arity)
     interp.registry.set_native("Monomial", "*", "infix",
                                _native_register_mul, 2)
     interp.globals.define("i", ComplexV(0, 1), "Complex")

@@ -12,12 +12,12 @@ import argparse
 import sys
 from typing import Optional
 
-from .algebra import DEFAULT_REWRITE_LIMIT, make_interpreter, simplify
+from .algebra import (DEFAULT_REWRITE_LIMIT, builtin_args, make_interpreter,
+                      simplify)
 from .errors import LexError, ParseError, PsiError, RegistryError
-from .evaluator import type_name_of
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
-from .values import FreeVarV, ThunkV, classify_binding
+from .values import FreeVarV, ThunkV, classify_binding, type_name_of
 
 
 class Session:
@@ -32,7 +32,8 @@ class Session:
         self._emitted = 0
 
     def _builtin_simplify(self, args, interp, env):
-        return self.simplify(args[0])
+        (arg,) = builtin_args("simplify", args, (1,))
+        return self.simplify(arg)
 
     def simplify(self, value):
         hook = self.interp.output.append if self.trace else None

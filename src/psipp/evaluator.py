@@ -15,27 +15,9 @@ from . import ast
 from .errors import (EvalError, NoSuchMethod, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
 from .objects import INTEGER, KindedType, NativeMethod, Registry, UserMethod
-from .values import (FAIL, ComplexV, Environment, FreeVarV,
-                     FunctionalObject, InstanceV, IntegerV, RegisterV, ThunkV,
-                     Value, classify_binding)
-
-_FIXITY_OF = {ast.Infix: "infix", ast.Prefix: "prefix"}
-
-
-def type_name_of(v: Value) -> str:
-    if isinstance(v, IntegerV):
-        return INTEGER
-    if isinstance(v, ComplexV):
-        return "Complex"
-    if isinstance(v, RegisterV):
-        return "Monomial"
-    if isinstance(v, InstanceV):
-        return v.type_name
-    if isinstance(v, FreeVarV):
-        return v.type_name
-    if isinstance(v, ThunkV):
-        return v.fo.result_type
-    return "Algebra"  # fail
+from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
+                     IntegerV, ThunkV, Value, arith, classify_binding,
+                     int_arith, join_types, promote, thunk, type_name_of)
 
 
 def is_concrete(v: Value) -> bool:
@@ -58,12 +40,21 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
         return expr.value
     if isinstance(expr, ast.Ident) and expr.name in captures:
         return captures[expr.name]
-    free = free_idents(expr)
-    return ThunkV(FunctionalObject(
-        expr,
-        tuple((name, captures.get(name, FreeVarV(name)))
-              for name in sorted(free)),
-        _join_types([_repr_type(expr, captures)])))
+    return thunk(expr, join_types([_repr_type(expr, captures)]),
+                 {name: captures.get(name, FreeVarV(name))
+                  for name in free_idents(expr)})
+
+
+def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
+    """The symbolic application ``op(args)``; on a capture clash the
+    right operand wins."""
+    reprs = [as_repr(a) for a in args]
+    if fixity == "infix":
+        body: ast.Expr = ast.Infix(op, reprs[0][0], reprs[1][0])
+    else:
+        body = ast.Prefix(op, reprs[0][0])
+    return thunk(body, join_types([type_name_of(a) for a in args]),
+                 *(caps for _, caps in reprs))
 
 
 def free_idents(expr: ast.Expr) -> set[str]:
@@ -101,22 +92,10 @@ def _repr_type(expr: ast.Expr, captures: dict[str, Value]) -> str:
     if isinstance(expr, ast.IntLit):
         return INTEGER
     if isinstance(expr, ast.Infix):
-        return _join_types([_repr_type(expr.lhs, captures),
-                            _repr_type(expr.rhs, captures)])
+        return join_types([_repr_type(expr.lhs, captures),
+                           _repr_type(expr.rhs, captures)])
     if isinstance(expr, ast.Prefix):
         return _repr_type(expr.operand, captures)
-    return "Algebra"
-
-
-def _join_types(names: list[str]) -> str:
-    """Least informative common result type for mixed operands."""
-    if names and all(n == INTEGER for n in names):
-        return INTEGER
-    if all(n in (INTEGER, "Complex") for n in names):
-        return "Complex"
-    if all(n in (INTEGER, "Complex", "Monomial") for n in names) \
-            and "Monomial" in names:
-        return "Monomial"
     return "Algebra"
 
 
@@ -135,9 +114,9 @@ def value_equal(a: Value, b: Value) -> bool:
     if a is FAIL or b is FAIL:
         return a is b
     if isinstance(a, IntegerV) and isinstance(b, ComplexV):
-        a = ComplexV(a.n, 0)
+        a = promote(a)
     elif isinstance(a, ComplexV) and isinstance(b, IntegerV):
-        b = ComplexV(b.n, 0)
+        b = promote(b)
     return a == b
 
 
@@ -269,13 +248,9 @@ class Interpreter:
                 return IntegerV(obj.im)
             raise UnknownIdentifier(f"Complex has no field {field!r}",
                                     expr.span)
-        if isinstance(obj, InstanceV):
-            return obj.field_value(field)
         if isinstance(obj, (ThunkV, FreeVarV)):
             body, captures = as_repr(obj)
-            return ThunkV(FunctionalObject(
-                ast.FieldAccess(body, field),
-                tuple(sorted(captures.items())), INTEGER))
+            return thunk(ast.FieldAccess(body, field), INTEGER, captures)
         raise EvalError(f"no field {field!r} on this value", expr.span)
 
     def eval_pair(self, expr: ast.PairLit, env: Environment) -> Value:
@@ -308,14 +283,19 @@ class Interpreter:
                             expr.span)
         if any(a is FAIL for a in args):
             return FAIL
-        impl = self.registry.resolve_method(expr.ancestor, symbol, fixity)
+        impl = self.registry.resolve_method(expr.ancestor, symbol, fixity,
+                                            span=expr.span)
         return self.invoke_method(impl, args, env)
 
     def eval_call(self, expr: ast.Call, env: Environment) -> Value:
         builtin = self.builtins.get(expr.name)
         if builtin is not None:
             args = [self.eval_expr(a, env) for a in expr.args]
-            return builtin(args, self, env)
+            try:
+                return builtin(args, self, env)
+            except EvalError as err:
+                err.span = err.span or expr.span
+                raise
         method = self.functions.get(expr.name)
         if method is not None:
             args = [self.eval_expr(a, env) for a in expr.args]
@@ -331,40 +311,8 @@ class Interpreter:
         if not all(is_concrete(a) for a in args):
             return self.make_thunk(op, fixity, args)
         if all(isinstance(a, IntegerV) for a in args):
-            return self._int_arith(op, fixity, args, expr)
+            return int_arith(op, args)
         return self.dispatch(op, fixity, args, expr)
-
-    def _int_arith(self, op, fixity, args, expr) -> Value:
-        if fixity == "prefix":
-            if op == "-":
-                return IntegerV(-args[0].n)
-            raise NoSuchMethod(f"no prefix {op!r} on integers",
-                               getattr(expr, "span", None))
-        a, b = args[0].n, args[1].n
-        if op == "+":
-            return IntegerV(a + b)
-        if op == "-":
-            return IntegerV(a - b)
-        if op == "*":
-            return IntegerV(a * b)
-        raise NoSuchMethod(f"no infix {op!r} on integers",
-                           getattr(expr, "span", None))
-
-    def _native_complex(self, op, fixity, args) -> Optional[Value]:
-        if not all(isinstance(a, (IntegerV, ComplexV)) for a in args):
-            return None
-        cx = [a if isinstance(a, ComplexV) else ComplexV(a.n, 0) for a in args]
-        if fixity == "prefix" and op == "-":
-            return ComplexV(-cx[0].re, -cx[0].im)
-        if fixity == "infix" and op == "+":
-            return ComplexV(cx[0].re + cx[1].re, cx[0].im + cx[1].im)
-        if fixity == "infix" and op == "-":
-            return ComplexV(cx[0].re - cx[1].re, cx[0].im - cx[1].im)
-        if fixity == "infix" and op == "*":
-            a, b = cx
-            return ComplexV(a.re * b.re - a.im * b.im,
-                            a.re * b.im + a.im * b.re)
-        return None
 
     def dispatch(self, op: str, fixity: str, args: list[Value],
                  expr: ast.Expr) -> Value:
@@ -374,32 +322,21 @@ class Interpreter:
             others = [type_name_of(a) for a in args[1:]]
             receiver = others[0] if others else INTEGER
             if receiver == "Complex":
-                args = [ComplexV(a.n, 0) if isinstance(a, IntegerV) else a
+                args = [promote(a) if isinstance(a, IntegerV) else a
                         for a in args]
+        span = getattr(expr, "span", None)
         if receiver not in self.registry.types:
-            native = self._native_complex(op, fixity, args)
+            native = arith(op, args)
             if native is not None:
                 return native
-            raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}",
-                               getattr(expr, "span", None))
-        impl = self._resolve_compatible(receiver, op, fixity, args, expr)
+            raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
+        impl = self.registry.resolve_method(
+            receiver, op, fixity, lambda m: self._args_fit(m, args), span)
         return self.invoke_method(impl, args, None)
 
-    def _resolve_compatible(self, receiver: str, op: str, fixity: str,
-                            args: list[Value], expr):
-        """Nearest method up the chain whose parameter types accept the
-        actual arguments (after integer promotion)."""
-        chain = receiver
-        while chain is not None:
-            desc = self.registry.descriptor(chain)
-            impl = desc.methods.get((op, fixity))
-            if impl is not None and self._args_fit(impl, args):
-                return impl
-            chain = desc.ancestor
-        raise NoSuchMethod(f"no applicable {fixity} {op!r} on {receiver}",
-                           getattr(expr, "span", None))
-
     def _args_fit(self, impl, args) -> bool:
+        """Whether the parameter types of ``impl`` accept the actual
+        arguments (after integer promotion)."""
         if isinstance(impl, NativeMethod):
             return impl.arity == len(args)
         params = impl.decl.params
@@ -412,17 +349,7 @@ class Interpreter:
         return True
 
     def make_thunk(self, op: str, fixity: str, args: list[Value]) -> Value:
-        reprs = [as_repr(a) for a in args]
-        captures: dict[str, Value] = {}
-        for _, caps in reprs:
-            captures.update(caps)
-        if fixity == "infix":
-            body: ast.Expr = ast.Infix(op, reprs[0][0], reprs[1][0])
-        else:
-            body = ast.Prefix(op, reprs[0][0])
-        result_type = _join_types([type_name_of(a) for a in args])
-        return ThunkV(FunctionalObject(body, tuple(sorted(captures.items())),
-                                       result_type))
+        return operator_thunk(op, fixity, args)
 
     # --- method invocation ---
 
@@ -437,7 +364,7 @@ class Interpreter:
         frame = Environment(parent=self.globals)
         for (name, slot_type), arg in zip(decl.params, args):
             if slot_type == "Complex" and isinstance(arg, IntegerV):
-                arg = ComplexV(arg.n, 0)
+                arg = promote(arg)
             frame.define(name, arg, slot_type)
         par_frame = Environment(parent=frame, is_par=True)
         for name, type_name in decl.par_decls:

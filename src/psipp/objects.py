@@ -27,10 +27,6 @@ class KindedType:
 class UserMethod:
     decl: ast.FunctionDecl
 
-    @property
-    def arity(self) -> int:
-        return len(self.decl.params)
-
 
 @dataclass
 class NativeMethod:
@@ -91,17 +87,23 @@ class Registry:
         self.attach_method(owner, symbol, fixity,
                            NativeMethod(f"{owner}.{fixity}{symbol}", fn, arity))
 
-    def resolve_method(self, receiver: str, symbol: str,
-                       fixity: str) -> MethodImpl:
+    def resolve_method(self, receiver: str, symbol: str, fixity: str,
+                       fits: Optional[Callable[[MethodImpl], bool]] = None,
+                       span=None) -> MethodImpl:
+        """Nearest method up the receiver's chain; with ``fits``, the
+        nearest one that the predicate accepts for the actual arguments."""
         chain: Optional[str] = receiver
         while chain is not None:
             desc = self.descriptor(chain)
             impl = desc.methods.get((symbol, fixity))
-            if impl is not None:
+            if impl is not None and (fits is None or fits(impl)):
                 return impl
             chain = desc.ancestor
+        if fits is not None:
+            raise NoSuchMethod(f"no applicable {fixity} {symbol!r} on "
+                               f"{receiver}", span)
         raise NoSuchMethod(f"no {fixity} {symbol!r} on {receiver} "
-                           f"or its ancestors")
+                           f"or its ancestors", span)
 
     def is_descendant(self, a: str, b: str) -> bool:
         """True iff ``b`` lies on ``a``'s ancestor chain (reflexively)."""
@@ -112,19 +114,6 @@ class Registry:
                 return True
             chain = self.descriptor(chain).ancestor
         return False
-
-    def all_fields(self, name: str) -> list[tuple[str, str]]:
-        """Fields of a type, ancestor fields first."""
-        chain: list[ObjectDescriptor] = []
-        current: Optional[str] = name
-        while current is not None:
-            desc = self.descriptor(current)
-            chain.append(desc)
-            current = desc.ancestor
-        fields: list[tuple[str, str]] = []
-        for desc in reversed(chain):
-            fields.extend(desc.fields)
-        return fields
 
     def kind_compatible(self, slot: KindedType, datum) -> bool:
         """Assignment compatibility. ``fail`` fits every slot; kinds track

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from . import ast
 from .monomials import format_monomial
-from .values import (FAIL, ComplexV, FreeVarV, InstanceV, IntegerV, RegisterV,
-                     ThunkV, Value)
+from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
+                     Value)
 
 _LEVEL_EQ = 0
 _LEVEL_ADD = 1
@@ -46,10 +46,6 @@ def _value_text(v: Value) -> tuple[str, int]:
         return text, _LEVEL_ATOM if " " not in text else _LEVEL_MUL
     if isinstance(v, FreeVarV):
         return v.name, _LEVEL_ATOM
-    if isinstance(v, InstanceV):
-        inner = ", ".join(f"{name}: {render_value(val)}"
-                          for name, val in v.fields)
-        return f"{v.type_name}({inner})", _LEVEL_ATOM
     if v is FAIL:
         return "fail", _LEVEL_ATOM
     if isinstance(v, ThunkV):

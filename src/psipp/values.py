@@ -1,8 +1,11 @@
-"""Runtime values, functional objects, and environments.
+"""Runtime values, functional objects, environments, and the kernel below
+both the evaluator and the rewriter.
 
 Every runtime datum is one of: integer, complex value, monomial register,
-object instance, free variable, thunk (lazy functional object), or the
-universal ``fail`` sentinel. Values are immutable and may be shared.
+free variable, thunk (lazy functional object), or the universal ``fail``
+sentinel. Values are immutable and may be shared. The kernel holds the one
+definition of concrete Gaussian-integer arithmetic, of the result type of
+mixed operands, and of thunk construction.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Optional
 from . import ast
 from .errors import UnknownIdentifier
 from .monomials import MonomialRegister
+from .objects import INTEGER
 
 # binding kinds
 KIND_VALUE = "value"
@@ -38,18 +42,6 @@ class ComplexV(Value):
 @dataclass(frozen=True)
 class RegisterV(Value):
     register: MonomialRegister
-
-
-@dataclass(frozen=True)
-class InstanceV(Value):
-    type_name: str
-    fields: tuple[tuple[str, Value], ...]
-
-    def field_value(self, name: str) -> Value:
-        for key, value in self.fields:
-            if key == name:
-                return value
-        raise UnknownIdentifier(f"no field {name!r} on {self.type_name}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +96,92 @@ def classify_binding(v: Value) -> str:
     if isinstance(v, FreeVarV):
         return KIND_VARIABLE
     return KIND_VALUE
+
+
+# --- the kernel: result types, thunk construction, arithmetic ---
+
+def type_name_of(v: Value) -> str:
+    if isinstance(v, IntegerV):
+        return INTEGER
+    if isinstance(v, ComplexV):
+        return "Complex"
+    if isinstance(v, RegisterV):
+        return "Monomial"
+    if isinstance(v, FreeVarV):
+        return v.type_name
+    if isinstance(v, ThunkV):
+        return v.fo.result_type
+    return "Algebra"  # fail
+
+
+def join_types(names: list[str]) -> str:
+    """Least informative common result type for mixed operands."""
+    if names and all(n == INTEGER for n in names):
+        return INTEGER
+    if all(n in (INTEGER, "Complex") for n in names):
+        return "Complex"
+    if all(n in (INTEGER, "Complex", "Monomial") for n in names) \
+            and "Monomial" in names:
+        return "Monomial"
+    return "Algebra"
+
+
+def thunk(body: ast.Expr, result_type: str,
+          *captures: dict[str, Value]) -> ThunkV:
+    """Build a lazy functional object over the merged capture maps; on a
+    name clash the later map wins."""
+    merged: dict[str, Value] = {}
+    for caps in captures:
+        merged.update(caps)
+    return ThunkV(FunctionalObject(body, tuple(sorted(merged.items())),
+                                   result_type))
+
+
+def promote(n) -> ComplexV:
+    """Integer to complex conversion: n becomes (Re: n, Im: 0)."""
+    if isinstance(n, IntegerV):
+        n = n.n
+    return ComplexV(n, 0)
+
+
+def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
+    return ComplexV(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def int_arith(op: str, args: list[IntegerV]) -> Optional[IntegerV]:
+    """``op`` on integer operands: prefix on one, infix on two."""
+    if len(args) == 1:
+        return IntegerV(-args[0].n) if op == "-" else None
+    a, b = args[0].n, args[1].n
+    if op == "+":
+        return IntegerV(a + b)
+    if op == "-":
+        return IntegerV(a - b)
+    if op == "*":
+        return IntegerV(a * b)
+    return None
+
+
+def arith(op: str, args: list[Value]) -> Optional[Value]:
+    """Concrete Gaussian-integer arithmetic, prefix on one operand and
+    infix on two. Integers stay integers among themselves and promote when
+    they meet a complex value; ``fail`` is absorbing. None when no operand
+    combination or operator applies."""
+    if all(isinstance(a, IntegerV) for a in args):
+        return int_arith(op, args)
+    if not all(isinstance(a, (IntegerV, ComplexV)) for a in args):
+        return FAIL if any(a is FAIL for a in args) else None
+    cx = [promote(a) if isinstance(a, IntegerV) else a for a in args]
+    if len(cx) == 1:
+        return ComplexV(-cx[0].re, -cx[0].im) if op == "-" else None
+    a, b = cx
+    if op == "+":
+        return ComplexV(a.re + b.re, a.im + b.im)
+    if op == "-":
+        return ComplexV(a.re - b.re, a.im - b.im)
+    if op == "*":
+        return complex_mul(a, b)
+    return None
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,29 @@ def test_runtime_error_exit_3(tmp_path):
     code, _, err = run_to_strings(script)
     assert code == 3
     assert "nosuchname" in err
+
+
+def test_inherited_call_diagnostic_has_span(tmp_path):
+    script = tmp_path / "inherited.psi"
+    script.write_text("var x : Algebra;\nprint(Group.(x * x));\n")
+    code, _, err = run_to_strings(script)
+    assert code == 2
+    assert err.startswith("error: 2:12: no infix '*' on Group")
+
+
+@pytest.mark.parametrize("call", [
+    "conjugate(1)", "conjugate()", "mono(1,2,3)", "mono(1,2,0,1,5)",
+    "mono(1,2,0,i)", "mono(2,1,0,0)", "Complex()", "Complex(1,2,3)",
+    "Complex(i)", "simplify()", "simplify(1, 2)"])
+def test_builtin_misuse_is_a_runtime_error(tmp_path, call):
+    script = tmp_path / "builtin.psi"
+    script.write_text(f"x := 1;\nprint({call});\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", str(script)],
+        capture_output=True, text=True)
+    assert result.returncode == 3
+    assert re.match(r"error: 2:\d+: ", result.stderr), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_no_prelude_flag(tmp_path):
