@@ -147,25 +147,28 @@ def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
     return None
 
 
-def _inline(e: ast.Expr, captures: dict[str, Value]) -> ast.Expr:
+def _inline(e: ast.Expr, captures: dict[str, Value],
+            free: set[str]) -> ast.Expr:
     """Splice capture-bound concrete values and nested thunks into the
-    tree so the rewriter sees them."""
+    tree so the rewriter sees them; add the names left free to ``free``."""
     if isinstance(e, ast.Ident):
         bound = captures.get(e.name)
         if isinstance(bound, ThunkV):
-            return _inline(bound.fo.body, bound.fo.capture_map())
+            return _inline(bound.fo.body, bound.fo.capture_map(), free)
         if bound is not None and not isinstance(bound, FreeVarV):
             return ast.ValueLeaf(bound)
+        free.add(e.name)
         return e
     if isinstance(e, ast.ValueLeaf):
         if isinstance(e.value, ThunkV):
-            return _inline(e.value.fo.body, e.value.fo.capture_map())
+            return _inline(e.value.fo.body, e.value.fo.capture_map(), free)
         return e
     if isinstance(e, ast.Infix):
-        return ast.Infix(e.op, _inline(e.lhs, captures),
-                         _inline(e.rhs, captures))
+        return ast.Infix(e.op, _inline(e.lhs, captures, free),
+                         _inline(e.rhs, captures, free))
     if isinstance(e, ast.Prefix):
-        return ast.Prefix(e.op, _inline(e.operand, captures))
+        return ast.Prefix(e.op, _inline(e.operand, captures, free))
+    free.update(free_idents(e))
     return e
 
 
@@ -177,7 +180,10 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
         return v
     from .pretty import render_expr
     captures = v.fo.capture_map()
-    body = _inline(v.fo.body, captures)
+    # rewriting neither adds nor drops an identifier, so the names free
+    # after inlining are those of the normal form
+    free: set[str] = set()
+    body = _inline(v.fo.body, captures, free)
     steps = 0
     while True:
         rewritten = _rewrite_once(body)
@@ -193,8 +199,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     if leaf is not None:
         return leaf
     return thunk(body, v.fo.result_type,
-                 {name: captures.get(name, FreeVarV(name))
-                  for name in free_idents(body)})
+                 {name: captures.get(name, FreeVarV(name)) for name in free})
 
 
 # --- prelude installation ---

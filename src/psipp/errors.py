@@ -89,3 +89,7 @@ class RewriteLimitExceeded(EvalError):
 
 class InvariantViolation(EvalError):
     pass
+
+
+class RegisterOverflow(InvariantViolation, OverflowError):
+    """A monomial register component past its 31-bit bound."""

@@ -57,33 +57,45 @@ def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
                  *(caps for _, caps in reprs))
 
 
-def free_idents(expr: ast.Expr) -> set[str]:
-    out: set[str] = set()
+def _children(e: ast.Expr) -> tuple[ast.Expr, ...]:
+    if isinstance(e, ast.Infix):
+        return e.lhs, e.rhs
+    if isinstance(e, ast.Prefix):
+        return (e.operand,)
+    if isinstance(e, ast.InheritedCall):
+        return (e.expr,)
+    if isinstance(e, ast.Call):
+        return e.args
+    if isinstance(e, ast.FieldAccess):
+        return (e.obj,)
+    if isinstance(e, ast.PairLit):
+        return e.first, e.second
+    return ()
 
-    def walk(e: ast.Expr):
+
+def free_idents(expr: ast.Expr) -> set[str]:
+    """Names of the identifiers in ``expr``. A subtree shared by several
+    parents is visited once; nodes are told apart by ``id``, because
+    hashing a frozen node walks it as a tree."""
+    out: set[str] = set()
+    seen: set[int] = set()
+    pending = [expr]
+    while pending:
+        e = pending.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
         if isinstance(e, ast.Ident):
             out.add(e.name)
-        elif isinstance(e, ast.Infix):
-            walk(e.lhs)
-            walk(e.rhs)
-        elif isinstance(e, ast.Prefix):
-            walk(e.operand)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, ast.FieldAccess):
-            walk(e.obj)
-        elif isinstance(e, ast.PairLit):
-            walk(e.first)
-            walk(e.second)
-        elif isinstance(e, ast.InheritedCall):
-            walk(e.expr)
-
-    walk(expr)
+        else:
+            pending.extend(_children(e))
     return out
 
 
-def _repr_type(expr: ast.Expr, captures: dict[str, Value]) -> str:
+def _repr_type(expr: ast.Expr, captures: dict[str, Value],
+               memo: Optional[dict[int, str]] = None) -> str:
+    """Result type of an operand subtree; ``memo`` holds the type of each
+    operator node already visited, by ``id``."""
     if isinstance(expr, ast.ValueLeaf):
         return type_name_of(expr.value)
     if isinstance(expr, ast.Ident):
@@ -91,12 +103,18 @@ def _repr_type(expr: ast.Expr, captures: dict[str, Value]) -> str:
         return type_name_of(v) if v is not None else "Algebra"
     if isinstance(expr, ast.IntLit):
         return INTEGER
-    if isinstance(expr, ast.Infix):
-        return join_types([_repr_type(expr.lhs, captures),
-                           _repr_type(expr.rhs, captures)])
-    if isinstance(expr, ast.Prefix):
-        return _repr_type(expr.operand, captures)
-    return "Algebra"
+    if not isinstance(expr, (ast.Infix, ast.Prefix)):
+        return "Algebra"
+    memo = {} if memo is None else memo
+    known = memo.get(id(expr))
+    if known is None:
+        if isinstance(expr, ast.Infix):
+            known = join_types([_repr_type(expr.lhs, captures, memo),
+                                _repr_type(expr.rhs, captures, memo)])
+        else:
+            known = _repr_type(expr.operand, captures, memo)
+        memo[id(expr)] = known
+    return known
 
 
 def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
@@ -130,6 +148,14 @@ class Interpreter:
         self.functions: dict[str, UserMethod] = {}
         self.output: list[str] = []
         self.builtins: dict[str, Callable] = {}
+        # user method bodies run so far; a node whose evaluation ran one
+        # (a print, a global assignment) is not memoised
+        self.method_runs = 0
+        # the innermost force's overlay and its values of operator nodes,
+        # keyed by id: every key is a node of the forced body, which
+        # outlives the memo, so no id is reused while it is live
+        self._memo_env: Optional[Environment] = None
+        self._memo: dict[int, Value] = {}
 
     # --- program execution ---
 
@@ -188,7 +214,12 @@ class Interpreter:
         if stmt.name == "print":
             if len(stmt.args) != 1:
                 raise EvalError("print takes exactly one argument", stmt.span)
-            self.output.append(render_value(self.eval_expr(stmt.args[0], env)))
+            value = self.eval_expr(stmt.args[0], env)
+            try:
+                self.output.append(render_value(value))
+            except EvalError as err:
+                err.span = err.span or stmt.span
+                raise
             return
         if stmt.name == "kind":
             if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
@@ -218,12 +249,16 @@ class Interpreter:
                                         expr.span)
             return binding.value
         if isinstance(expr, ast.Prefix):
+            if env is self._memo_env:
+                return self._eval_shared(expr, env)
             operand = self.eval_expr(expr.operand, env)
             return self.apply_operator(expr.op, "prefix", [operand], expr)
         if isinstance(expr, ast.Infix):
             if expr.op == "=":
                 raise EvalError("'=' is only valid in an if condition",
                                 expr.span)
+            if env is self._memo_env:
+                return self._eval_shared(expr, env)
             lhs = self.eval_expr(expr.lhs, env)
             rhs = self.eval_expr(expr.rhs, env)
             return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
@@ -237,6 +272,25 @@ class Interpreter:
         if isinstance(expr, ast.Call):
             return self.eval_call(expr, env)
         raise EvalError(f"cannot evaluate {type(expr).__name__}")
+
+    def _eval_shared(self, expr: ast.Expr, env: Environment) -> Value:
+        """An operator node of the body being forced, evaluated once per
+        force. The value is not kept when its evaluation ran a user method
+        body, so that body runs again at the node's next occurrence."""
+        value = self._memo.get(id(expr))
+        if value is not None:
+            return value
+        runs = self.method_runs
+        if isinstance(expr, ast.Prefix):
+            value = self.apply_operator(
+                expr.op, "prefix", [self.eval_expr(expr.operand, env)], expr)
+        else:
+            value = self.apply_operator(
+                expr.op, "infix", [self.eval_expr(expr.lhs, env),
+                                   self.eval_expr(expr.rhs, env)], expr)
+        if runs == self.method_runs:
+            self._memo[id(expr)] = value
+        return value
 
     def eval_field(self, obj: Value, field: str, expr: ast.Expr) -> Value:
         if obj is FAIL:
@@ -285,7 +339,7 @@ class Interpreter:
             return FAIL
         impl = self.registry.resolve_method(expr.ancestor, symbol, fixity,
                                             span=expr.span)
-        return self.invoke_method(impl, args, env)
+        return self.invoke_method(impl, args, env, expr.span)
 
     def eval_call(self, expr: ast.Call, env: Environment) -> Value:
         builtin = self.builtins.get(expr.name)
@@ -332,7 +386,7 @@ class Interpreter:
             raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
         impl = self.registry.resolve_method(
             receiver, op, fixity, lambda m: self._args_fit(m, args), span)
-        return self.invoke_method(impl, args, None)
+        return self.invoke_method(impl, args, None, span)
 
     def _args_fit(self, impl, args) -> bool:
         """Whether the parameter types of ``impl`` accept the actual
@@ -354,13 +408,20 @@ class Interpreter:
     # --- method invocation ---
 
     def invoke_method(self, impl, args: list[Value],
-                      env: Optional[Environment]) -> Value:
+                      env: Optional[Environment], span=None) -> Value:
+        """Run ``impl`` on ``args``; ``span`` is that of the application,
+        given to a native's error that has none."""
         if isinstance(impl, NativeMethod):
-            return impl.fn(args, self)
+            try:
+                return impl.fn(args, self)
+            except EvalError as err:
+                err.span = err.span or span
+                raise
         decl = impl.decl
         if decl.body is None:
             # abstract signature: the application stays symbolic
             return self.make_thunk(decl.symbol, decl.fixity, args)
+        self.method_runs += 1
         frame = Environment(parent=self.globals)
         for (name, slot_type), arg in zip(decl.params, args):
             if slot_type == "Complex" and isinstance(arg, IntegerV):
@@ -452,7 +513,12 @@ class Interpreter:
         """Re-evaluate a thunk with current bindings overlaid on its
         captures. Thunks with remaining free variables come back as
         residual thunks; non-thunks are returned unchanged. A free
-        variable that has since been assigned yields its current value."""
+        variable that has since been assigned yields its current value.
+
+        A subterm shared by several parents is evaluated once per force,
+        so the cost is linear in the body's DAG. A subterm whose
+        evaluation ran a user method body is evaluated again at each
+        occurrence, so its effects happen once per occurrence."""
         env = env if env is not None else self.globals
         if isinstance(v, FreeVarV):
             binding = env.find(v.name)
@@ -469,4 +535,9 @@ class Interpreter:
                                binding.declared_type)
             else:
                 overlay.define(name, captured)
-        return self.eval_expr(v.fo.body, overlay)
+        outer = self._memo_env, self._memo
+        self._memo_env, self._memo = overlay, {}
+        try:
+            return self.eval_expr(v.fo.body, overlay)
+        finally:
+            self._memo_env, self._memo = outer

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, RegisterOverflow
 
 COMPONENT_MAX = 2**31 - 1
 
@@ -30,7 +30,8 @@ class MonomialRegister:
                 raise InvariantViolation(f"component {name} must be a "
                                          f"nonnegative integer, got {value!r}")
             if value > COMPONENT_MAX:
-                raise OverflowError(f"component {name} exceeds {COMPONENT_MAX}")
+                raise RegisterOverflow(f"component {name} exceeds "
+                                       f"{COMPONENT_MAX}")
         if self.k > self.l:
             raise InvariantViolation(f"k={self.k} exceeds l={self.l}")
         if self.m > self.n:
@@ -54,8 +55,8 @@ def register_mul(a: MonomialRegister, b: MonomialRegister) -> MonomialRegister:
     components = (a.k + b.k, a.l + b.l, a.m + b.m, a.n + b.n)
     for value in components:
         if value > COMPONENT_MAX:
-            raise OverflowError(f"register component {value} exceeds "
-                                f"{COMPONENT_MAX}")
+            raise RegisterOverflow(f"register component {value} exceeds "
+                                   f"{COMPONENT_MAX}")
     return MonomialRegister(*components)
 
 

@@ -331,7 +331,12 @@ class _Parser:
             raise self.error("expected expression")
         if tok.kind == INT:
             self.pos += 1
-            return ast.IntLit(int(tok.lexeme), tok.span)
+            try:
+                value = int(tok.lexeme)
+            except ValueError:  # past Python's limit on int-from-str digits
+                raise ParseError(f"integer literal of {len(tok.lexeme)} "
+                                 f"digits is too long", tok.span) from None
+            return ast.IntLit(value, tok.span)
         if tok.kind == KEYWORD and tok.lexeme == "fail":
             self.pos += 1
             return ast.FailLit(tok.span)

@@ -10,6 +10,7 @@ precedence: prefix minus tightest, then ``*``, then ``+``/``-``, then
 from __future__ import annotations
 
 from . import ast
+from .errors import EvalError
 from .monomials import format_monomial
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
                      Value)
@@ -21,24 +22,34 @@ _LEVEL_PREFIX = 3
 _LEVEL_ATOM = 4
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of an integer. Python refuses to convert an integer of
+    more digits than its limit (4300 by default); that stays a runtime
+    error, which the caller gives a span."""
+    try:
+        return str(n)
+    except ValueError:
+        raise EvalError("integer has too many digits to print") from None
+
+
 def _complex_text(re: int, im: int) -> tuple[str, int]:
     if im == 0:
-        return str(re), _LEVEL_ATOM if re >= 0 else _LEVEL_PREFIX
+        return _int_text(re), _LEVEL_ATOM if re >= 0 else _LEVEL_PREFIX
     if re == 0:
         if im == 1:
             return "i", _LEVEL_ATOM
         if im == -1:
             return "-i", _LEVEL_PREFIX
-        return f"{im}*i", _LEVEL_MUL
+        return f"{_int_text(im)}*i", _LEVEL_MUL
     sign = "+" if im >= 0 else "-"
     mag = abs(im)
-    tail = "i" if mag == 1 else f"{mag}*i"
-    return f"{re} {sign} {tail}", _LEVEL_ADD
+    tail = "i" if mag == 1 else f"{_int_text(mag)}*i"
+    return f"{_int_text(re)} {sign} {tail}", _LEVEL_ADD
 
 
 def _value_text(v: Value) -> tuple[str, int]:
     if isinstance(v, IntegerV):
-        return str(v.n), _LEVEL_ATOM if v.n >= 0 else _LEVEL_PREFIX
+        return _int_text(v.n), _LEVEL_ATOM if v.n >= 0 else _LEVEL_PREFIX
     if isinstance(v, ComplexV):
         return _complex_text(v.re, v.im)
     if isinstance(v, RegisterV):
@@ -69,7 +80,7 @@ def _expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
     if isinstance(e, ast.ValueLeaf):
         return _value_text(e.value)
     if isinstance(e, ast.IntLit):
-        return str(e.value), _LEVEL_ATOM
+        return _int_text(e.value), _LEVEL_ATOM
     if isinstance(e, ast.Ident):
         return e.name, _LEVEL_ATOM
     if isinstance(e, ast.FailLit):

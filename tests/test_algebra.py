@@ -8,6 +8,7 @@ from psipp import ast
 from psipp.algebra import (complex_method_mul, complex_mul, distribute,
                            make_interpreter, promote, simplify)
 from psipp.errors import RewriteLimitExceeded
+from psipp.evaluator import free_idents
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
 from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
@@ -271,6 +272,20 @@ def test_simplify_noncommutative_safety(interp):
                       "i": ring["scalar"](complex(0, 1)), "__ring__": ring}
         assert value_in_ring(original, assignment) \
             == value_in_ring(simplified, assignment)
+
+
+def test_simplify_captures_exactly_its_free_identifiers(interp):
+    # simplify collects the free names while inlining, before rewriting:
+    # no rewrite may add or drop an identifier
+    interp.run_program(parse_program("var z : Complex;"))
+    rng = random.Random(5)
+    sources = [f"{random_source(rng, rng.randrange(1, 6))} * "
+               f"{rng.choice(['z.Re', 'x', '2'])}" for _ in range(200)]
+    for source in ["(z.Re + y) * (y + 2)", *sources]:
+        simplified = simplify(ev(interp, source))
+        if isinstance(simplified, ThunkV):
+            assert {name for name, _ in simplified.fo.captures} \
+                == free_idents(simplified.fo.body)
 
 
 def test_simplify_reaches_fixed_point(interp):

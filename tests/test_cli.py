@@ -81,17 +81,26 @@ def test_inherited_call_diagnostic_has_span(tmp_path):
     assert err.startswith("error: 2:12: no infix '*' on Group")
 
 
-@pytest.mark.parametrize("call", [
-    "conjugate(1)", "conjugate()", "mono(1,2,3)", "mono(1,2,0,1,5)",
-    "mono(1,2,0,i)", "mono(2,1,0,0)", "Complex()", "Complex(1,2,3)",
-    "Complex(i)", "simplify()", "simplify(1, 2)"])
-def test_builtin_misuse_is_a_runtime_error(tmp_path, call):
+@pytest.mark.parametrize("call, code", [
+    *(pytest.param(call, 3, id=call) for call in [
+        "conjugate(1)", "conjugate()", "mono(1,2,3)", "mono(1,2,0,1,5)",
+        "mono(1,2,0,i)", "mono(2,1,0,0)", "Complex()", "Complex(1,2,3)",
+        "Complex(i)", "simplify()", "simplify(1, 2)"]),
+    pytest.param("mono(3000000000, 3000000000, 0, 0)", 3,
+                 id="mono-component-overflow"),
+    pytest.param("mono(2147483647, 2147483647, 0, 0) * mono(1, 1, 0, 0)", 3,
+                 id="register-product-overflow"),
+    # past Python's 4300-digit limit on int/str conversion
+    pytest.param("9" * 4301, 1, id="literal-4301-digits"),
+    pytest.param(f"{'9' * 3000} * {'9' * 3000}", 3, id="print-6000-digits"),
+])
+def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     script = tmp_path / "builtin.psi"
     script.write_text(f"x := 1;\nprint({call});\n")
     result = subprocess.run(
         [sys.executable, "-m", "psipp.cli", "run", str(script)],
         capture_output=True, text=True)
-    assert result.returncode == 3
+    assert result.returncode == code
     assert re.match(r"error: 2:\d+: ", result.stderr), result.stderr
     assert "Traceback" not in result.stderr
 

@@ -1,0 +1,170 @@
+"""Forcing shared functional objects: one evaluation per shared subterm,
+user method bodies once per occurrence, and agreement with an unmemoised
+tree walk."""
+
+from hypothesis import given, settings, strategies as st
+
+from psipp import ast, evaluator
+from psipp.algebra import make_interpreter
+from psipp.evaluator import Interpreter, is_concrete
+from psipp.parser import parse_program
+from psipp.values import Environment, FreeVarV, IntegerV, ThunkV
+
+
+def run(source: str) -> Interpreter:
+    interp = make_interpreter()
+    interp.run_program(parse_program(source))
+    return interp
+
+
+def doubling_chain(depth: int) -> str:
+    """``a{j+1} := a{j} * a{j}``: a DAG of depth + 1 operator nodes whose
+    tree unfolding has 2**depth leaves."""
+    lines = ["var x : integer;", "a0 := x * 1;"]
+    lines += [f"a{j + 1} := a{j} * a{j};" for j in range(depth)]
+    return "\n".join(lines)
+
+
+# --- the unmemoised reference ---
+
+def tree_force(interp: Interpreter, v):
+    """Force ``v`` by walking its body as a tree: every occurrence of a
+    shared node is evaluated again, as forcing did before memoisation."""
+    if isinstance(v, FreeVarV):
+        binding = interp.globals.find(v.name)
+        return binding.value if is_concrete(binding.value) else v
+    if not isinstance(v, ThunkV):
+        return v
+    overlay = Environment()
+    for name, captured in v.fo.captures:
+        binding = interp.globals.find(name)
+        if binding is not None and not isinstance(binding.value, FreeVarV):
+            overlay.define(name, tree_force(interp, binding.value),
+                           binding.declared_type)
+        else:
+            overlay.define(name, captured)
+
+    def walk(e: ast.Expr):
+        if isinstance(e, ast.Infix):
+            return interp.apply_operator(e.op, "infix",
+                                         [walk(e.lhs), walk(e.rhs)], e)
+        if isinstance(e, ast.Prefix):
+            return interp.apply_operator(e.op, "prefix", [walk(e.operand)], e)
+        return interp.eval_expr(e, overlay)
+
+    return walk(v.fo.body)
+
+
+# --- differential test ---
+
+INT_VARS = ("x0", "x1")
+COMPLEX_VARS = ("z0", "z1")
+
+
+@st.composite
+def shared_programs(draw):
+    """Statements that build temporaries over earlier names (so later
+    temporaries share earlier ones), interleaved with assignments to the
+    free variables. Returns the statements and the temporaries' names."""
+    names = [*INT_VARS, *COMPLEX_VARS]
+    lines = [f"var {', '.join(INT_VARS)} : integer;",
+             f"var {', '.join(COMPLEX_VARS)} : Complex;"]
+    temps = []
+    small = st.integers(-3, 3)
+    for k in range(draw(st.integers(1, 9))):
+        if draw(st.integers(0, 4)) == 0:
+            var = draw(st.sampled_from([*INT_VARS, *COMPLEX_VARS]))
+            if var in COMPLEX_VARS and draw(st.booleans()):
+                lines.append(f"{var} := ({draw(small)}, {draw(small)});")
+            else:
+                lines.append(f"{var} := {draw(small)};")
+        operand = st.one_of(st.just(names[-1]), st.sampled_from(names))
+        op = draw(st.sampled_from(["+", "-", "*", "neg"]))
+        if op == "neg":
+            expr = f"-{draw(operand)}"
+        else:
+            expr = f"{draw(operand)} {op} {draw(operand)}"
+        name = f"t{k}"
+        lines.append(f"{name} := {expr};")
+        names.append(name)
+        temps.append(name)
+    rebinds = [f"{var} := {draw(small)};"
+               for var in INT_VARS if draw(st.booleans())]
+    rebinds += [f"{var} := ({draw(small)}, {draw(small)});"
+                for var in COMPLEX_VARS if draw(st.booleans())]
+    return "\n".join(lines), rebinds, temps
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_programs())
+def test_memoised_force_matches_tree_walk(program):
+    source, rebinds, temps = program
+    interp = run(source)
+    thunks = [interp.globals.lookup(name) for name in temps]
+    for rebind in ["", *rebinds]:
+        interp.run_program(parse_program(rebind))
+        for value in thunks:
+            assert interp.force(value) == tree_force(interp, value)
+    assert interp.output == []
+
+
+# --- pinned behaviour ---
+
+def test_user_operator_prints_once_per_occurrence():
+    interp = run("""\
+function Complex.infix* (A, B : Complex) : Complex;
+begin
+  print(A);
+  Return := (A.Re * B.Re - A.Im * B.Im, A.Re * B.Im + A.Im * B.Re)
+end;
+var z : Complex;
+a := z * z;
+b := a * a;
+z := (1, 1);
+print(EVAL(b));
+""")
+    # a occurs twice in b: its body runs twice, then b's once
+    assert interp.output == ["1 + i", "1 + i", "2*i", "-4"]
+
+
+def budget(limit: int, fn):
+    """``fn``, failing the test on call ``limit + 1``: a walk that unfolds
+    the DAG into a tree fails at once instead of running for hours."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= limit, f"more than {limit} calls"
+        return fn(*args)
+
+    return counted
+
+
+def test_shared_chain_forces_in_linear_eval_calls():
+    depth = 40
+    interp = run(doubling_chain(depth) + "\nx := 1;")
+    interp.eval_expr = budget(10 * depth, interp.eval_expr)
+    interp.run_program(parse_program(f"print(EVAL(a{depth}));"))
+    assert interp.output == ["1"]
+
+
+def test_match_against_shared_chain(monkeypatch):
+    depth = 40
+    monkeypatch.setattr(evaluator, "_repr_type",
+                        budget(10 * depth, evaluator._repr_type))
+    interp = run(doubling_chain(depth) + f"""
+function left(A : Algebra) : Algebra;
+par
+  P, Q : Algebra;
+begin
+  if A = P * Q then Return := P else Return := fail
+end;
+b := left(a{depth});
+kind(b);
+""")
+    assert interp.output == ["b: functional object"]
+    assert interp.globals.lookup("b").fo.body is \
+        interp.globals.lookup(f"a{depth - 1}").fo.body
+    interp.run_program(parse_program("x := 1;"))
+    assert interp.force(interp.globals.lookup("b")) == IntegerV(1)
