@@ -8,7 +8,7 @@ from .lexer import Token, tokenize
 from .monomials import (MonomialRegister, RepLabel, format_monomial,
                         parse_monomial, register_conjugate, register_mul,
                         rep_label)
-from .objects import KindedType, ObjectDescriptor, Registry
+from .objects import ObjectDescriptor, Registry
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
 from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
@@ -16,7 +16,7 @@ from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
 
 __all__ = [
     "FAIL", "ComplexV", "Environment", "FreeVarV", "FunctionalObject",
-    "IntegerV", "Interpreter", "KindedType", "MonomialRegister",
+    "IntegerV", "Interpreter", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
     "Token", "Value", "classify_binding", "complex_method_mul", "complex_mul",
     "distribute", "format_monomial", "install_prelude", "make_interpreter",

@@ -278,7 +278,7 @@ def install_prelude(interp: Interpreter):
                                    _complex_native(op, fixity), arity)
     interp.registry.set_native("Monomial", "*", "infix",
                                _native_register_mul, 2)
-    interp.globals.define("i", ComplexV(0, 1), "Complex")
+    interp.globals.define("i", ComplexV(0, 1))
 
 
 def install_builtins(interp: Interpreter):

@@ -14,10 +14,10 @@ from typing import Optional
 
 from .algebra import (DEFAULT_REWRITE_LIMIT, builtin_args, make_interpreter,
                       simplify)
-from .errors import LexError, ParseError, PsiError, RegistryError
+from .errors import EvalError, LexError, ParseError, PsiError, RegistryError
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
-from .values import FreeVarV, ThunkV, classify_binding, type_name_of
+from .values import classify_binding, type_name_of
 
 
 class Session:
@@ -53,21 +53,24 @@ class Session:
 
     def repl_step(self, line: str) -> Optional[list[str]]:
         """Process one REPL input; returns output lines, or None on
-        ``:quit``."""
+        ``:quit``. Nesting too deep for the Python stack is an error."""
         line = line.strip()
         if not line:
             return []
-        if line.startswith(":"):
-            return self._command(line)
         try:
-            expr = parse_expression(line.rstrip(";"))
-        except (LexError, ParseError):
-            expr = None
-        if expr is not None:
-            value = self.interp.eval_expr(expr, self.interp.globals)
-            return self.drain_output() + [render_value(value)]
-        self.run_source(line if line.endswith(";") else line + ";")
-        return self.drain_output()
+            if line.startswith(":"):
+                return self._command(line)
+            try:
+                expr = parse_expression(line.rstrip(";"))
+            except (LexError, ParseError):
+                expr = None
+            if expr is not None:
+                value = self.interp.eval_expr(expr, self.interp.globals)
+                return self.drain_output() + [render_value(value)]
+            self.run_source(line if line.endswith(";") else line + ";")
+            return self.drain_output()
+        except RecursionError:
+            raise EvalError("expression nested too deeply") from None
 
     def _command(self, line: str) -> Optional[list[str]]:
         cmd, _, rest = line.partition(" ")
@@ -84,12 +87,7 @@ class Session:
             expr = parse_expression(rest)
             value = self.interp.eval_expr(expr, self.interp.globals)
             if cmd == ":type":
-                kind = classify_binding(value)
-                if isinstance(value, ThunkV):
-                    return [f"{value.fo.result_type} {kind}"]
-                if isinstance(value, FreeVarV):
-                    return [f"{value.type_name} {kind}"]
-                return [f"{type_name_of(value)} {kind}"]
+                return [f"{type_name_of(value)} {classify_binding(value)}"]
             if cmd == ":show":
                 return [show_tree(value)]
             value = self.interp.force(value)

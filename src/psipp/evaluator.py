@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import ast
-from .errors import (EvalError, NoSuchMethod, ReboundParVariable,
+from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
-from .objects import INTEGER, KindedType, NativeMethod, Registry, UserMethod
+from .objects import INTEGER, NativeMethod, Registry, UserMethod
 from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
                      IntegerV, ThunkV, Value, arith, classify_binding,
                      int_arith, join_types, promote, thunk, type_name_of)
@@ -164,17 +164,26 @@ class Interpreter:
             self.run_item(item)
 
     def run_item(self, item: ast.Item):
-        if isinstance(item, ast.ObjectDecl):
-            self.registry.define_object(item)
-        elif isinstance(item, ast.FunctionDecl):
-            self.define_function(item)
-        elif isinstance(item, ast.VarBlock):
-            for name, type_name in item.decls:
-                self.globals.define(name, FreeVarV(name, type_name), type_name)
-        elif isinstance(item, ast.Stmt):
-            self.exec_stmt(item, self.globals)
-        else:
-            raise EvalError(f"cannot execute {type(item).__name__}")
+        """Run one top-level item. An error raised without a span gets the
+        item's; so does nesting too deep for the Python stack."""
+        try:
+            if isinstance(item, ast.ObjectDecl):
+                self.registry.define_object(item)
+            elif isinstance(item, ast.FunctionDecl):
+                self.define_function(item)
+            elif isinstance(item, ast.VarBlock):
+                for name, type_name in item.decls:
+                    self.globals.define(name, FreeVarV(name, type_name))
+            elif isinstance(item, ast.Stmt):
+                self.exec_stmt(item, self.globals)
+            else:
+                raise EvalError(f"cannot execute {type(item).__name__}")
+        except PsiError as err:
+            err.span = err.span or item.span
+            raise
+        except RecursionError:
+            raise EvalError("expression nested too deeply",
+                            item.span) from None
 
     def define_function(self, decl: ast.FunctionDecl):
         method = UserMethod(decl)
@@ -224,9 +233,9 @@ class Interpreter:
         if stmt.name == "kind":
             if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
                 raise EvalError("kind takes one identifier", stmt.span)
-            name = stmt.args[0].name
-            value = env.lookup(name)
-            self.output.append(f"{name}: {classify_binding(value)}")
+            value = self.eval_expr(stmt.args[0], env)
+            self.output.append(f"{stmt.args[0].name}: "
+                               f"{classify_binding(value)}")
             return
         self.eval_expr(ast.Call(stmt.name, stmt.args, stmt.span), env)
 
@@ -240,14 +249,14 @@ class Interpreter:
         if isinstance(expr, ast.ValueLeaf):
             return expr.value
         if isinstance(expr, ast.Ident):
-            binding = env.find(expr.name)
-            if binding is None:
+            value = env.find(expr.name)
+            if value is None:
                 if expr.name == "Return":
                     raise UnassignedReturn("Return read before assignment",
                                            expr.span)
                 raise UnknownIdentifier(f"unknown identifier {expr.name!r}",
                                         expr.span)
-            return binding.value
+            return value
         if isinstance(expr, ast.Prefix):
             if env is self._memo_env:
                 return self._eval_shared(expr, env)
@@ -385,22 +394,8 @@ class Interpreter:
                 return native
             raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
         impl = self.registry.resolve_method(
-            receiver, op, fixity, lambda m: self._args_fit(m, args), span)
+            receiver, op, fixity, [type_name_of(a) for a in args], span)
         return self.invoke_method(impl, args, None, span)
-
-    def _args_fit(self, impl, args) -> bool:
-        """Whether the parameter types of ``impl`` accept the actual
-        arguments (after integer promotion)."""
-        if isinstance(impl, NativeMethod):
-            return impl.arity == len(args)
-        params = impl.decl.params
-        if len(params) != len(args):
-            return False
-        for (_, slot_type), arg in zip(params, args):
-            if not self.registry.kind_compatible(KindedType(slot_type),
-                                                 KindedType(type_name_of(arg))):
-                return False
-        return True
 
     def make_thunk(self, op: str, fixity: str, args: list[Value]) -> Value:
         return operator_thunk(op, fixity, args)
@@ -426,16 +421,14 @@ class Interpreter:
         for (name, slot_type), arg in zip(decl.params, args):
             if slot_type == "Complex" and isinstance(arg, IntegerV):
                 arg = promote(arg)
-            frame.define(name, arg, slot_type)
-        par_frame = Environment(parent=frame, is_par=True)
-        for name, type_name in decl.par_decls:
-            par_frame.declare_par(name, type_name)
+            frame.define(name, arg)
+        par_frame = Environment(frame, frozenset(n for n, _ in decl.par_decls))
         self.exec_stmt(decl.body, par_frame)
         result = par_frame.find("Return")
         if result is None:
             raise UnassignedReturn(f"{decl.symbol!r} never assigned Return",
                                    decl.span)
-        return result.value
+        return result
 
     # --- conditions and pattern matching ---
 
@@ -463,8 +456,7 @@ class Interpreter:
         trial: dict[str, Value] = {}
         if self._match(subject, pattern, env, trial):
             for name, value in trial.items():
-                frame = env.par_frame_declaring(name)
-                frame.define(name, value, frame.par_types[name])
+                env.par_frame_declaring(name).define(name, value)
             return True
         return False
 
@@ -521,18 +513,17 @@ class Interpreter:
         occurrence, so its effects happen once per occurrence."""
         env = env if env is not None else self.globals
         if isinstance(v, FreeVarV):
-            binding = env.find(v.name)
-            if binding is not None and not isinstance(binding.value, FreeVarV):
-                return self.force(binding.value, env)
+            bound = env.find(v.name)
+            if bound is not None and not isinstance(bound, FreeVarV):
+                return self.force(bound, env)
             return v
         if not isinstance(v, ThunkV):
             return v
         overlay = Environment()
         for name, captured in v.fo.captures:
-            binding = env.find(name)
-            if binding is not None and not isinstance(binding.value, FreeVarV):
-                overlay.define(name, self.force(binding.value, env),
-                               binding.declared_type)
+            bound = env.find(name)
+            if bound is not None and not isinstance(bound, FreeVarV):
+                overlay.define(name, self.force(bound, env))
             else:
                 overlay.define(name, captured)
         outer = self._memo_env, self._memo

@@ -28,7 +28,7 @@ class MonomialRegister:
                             ("m", self.m), ("n", self.n)):
             if not isinstance(value, int) or value < 0:
                 raise InvariantViolation(f"component {name} must be a "
-                                         f"nonnegative integer, got {value!r}")
+                                         f"nonnegative integer")
             if value > COMPONENT_MAX:
                 raise RegisterOverflow(f"component {name} exceeds "
                                        f"{COMPONENT_MAX}")

@@ -1,26 +1,21 @@
-"""Object-type registry: ancestor chains, field lists, and method tables.
+"""Object-type registry: ancestor chains, field names, and method tables.
 
-Method resolution walks the receiver's ancestor chain; an explicitly
-qualified call (``Ancestor.(A * B)``) starts the walk at the named
-ancestor instead. Implementations are either user bodies (parsed
-declarations) or native Python callables.
+Everything here is resolved by type name. Method resolution walks the
+receiver's ancestor chain; an explicitly qualified call
+(``Ancestor.(A * B)``) starts the walk at the named ancestor instead.
+Implementations are either user bodies (parsed declarations) or native
+Python callables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import ast
 from .errors import DuplicateType, FieldShadowing, NoSuchMethod, UnknownAncestor
 
 INTEGER = "integer"
-
-
-@dataclass(frozen=True)
-class KindedType:
-    base: str
-    kind: str = "value"  # value | variable | functional-object
 
 
 @dataclass
@@ -30,7 +25,6 @@ class UserMethod:
 
 @dataclass
 class NativeMethod:
-    name: str
     fn: Callable  # (args: list[Value], interp) -> Value
     arity: int
 
@@ -42,7 +36,7 @@ MethodImpl = object  # UserMethod | NativeMethod
 class ObjectDescriptor:
     name: str
     ancestor: Optional[str]
-    fields: list[tuple[str, str]] = field(default_factory=list)
+    fields: list[str] = field(default_factory=list)
     methods: dict[tuple[str, str], MethodImpl] = field(default_factory=dict)
 
 
@@ -50,33 +44,37 @@ class Registry:
     def __init__(self):
         self.types: dict[str, ObjectDescriptor] = {}
 
+    def _chain(self, name: Optional[str],
+               span=None) -> Iterator[ObjectDescriptor]:
+        """The descriptor of ``name``, then of each of its ancestors."""
+        while name is not None:
+            desc = self.types.get(name)
+            if desc is None:
+                raise UnknownAncestor(f"unknown type {name!r}", span)
+            yield desc
+            name = desc.ancestor
+
     def define_object(self, decl: ast.ObjectDecl) -> str:
         if decl.name in self.types:
             raise DuplicateType(f"type {decl.name!r} already defined", decl.span)
         if decl.ancestor is not None and decl.ancestor not in self.types:
             raise UnknownAncestor(f"unknown ancestor {decl.ancestor!r}",
                                   decl.span)
-        inherited = set()
-        chain = decl.ancestor
-        while chain is not None:
-            desc = self.types[chain]
-            inherited.update(name for name, _ in desc.fields)
-            chain = desc.ancestor
+        inherited = {name for desc in self._chain(decl.ancestor)
+                     for name in desc.fields}
         for name, _ in decl.fields:
             if name in inherited:
                 raise FieldShadowing(f"field {name!r} shadows an inherited "
                                      f"field", decl.span)
         descriptor = ObjectDescriptor(decl.name, decl.ancestor,
-                                      list(decl.fields))
+                                      [name for name, _ in decl.fields])
         for sig in decl.method_sigs:
             descriptor.methods[(sig.symbol, sig.fixity)] = UserMethod(sig)
         self.types[decl.name] = descriptor
         return decl.name
 
     def descriptor(self, name: str) -> ObjectDescriptor:
-        if name not in self.types:
-            raise UnknownAncestor(f"unknown type {name!r}")
-        return self.types[name]
+        return next(self._chain(name))
 
     def attach_method(self, owner: str, symbol: str, fixity: str,
                       impl: MethodImpl):
@@ -84,51 +82,51 @@ class Registry:
 
     def set_native(self, owner: str, symbol: str, fixity: str,
                    fn: Callable, arity: int):
-        self.attach_method(owner, symbol, fixity,
-                           NativeMethod(f"{owner}.{fixity}{symbol}", fn, arity))
+        self.attach_method(owner, symbol, fixity, NativeMethod(fn, arity))
 
     def resolve_method(self, receiver: str, symbol: str, fixity: str,
-                       fits: Optional[Callable[[MethodImpl], bool]] = None,
+                       arg_types: Optional[list[str]] = None,
                        span=None) -> MethodImpl:
-        """Nearest method up the receiver's chain; with ``fits``, the
-        nearest one that the predicate accepts for the actual arguments."""
-        chain: Optional[str] = receiver
-        while chain is not None:
-            desc = self.descriptor(chain)
+        """Nearest method up the receiver's chain; with ``arg_types``, the
+        nearest one whose parameters accept arguments of those types."""
+        for desc in self._chain(receiver, span):
             impl = desc.methods.get((symbol, fixity))
-            if impl is not None and (fits is None or fits(impl)):
+            if impl is not None and (arg_types is None
+                                     or self._accepts(impl, arg_types)):
                 return impl
-            chain = desc.ancestor
-        if fits is not None:
+        if arg_types is not None:
             raise NoSuchMethod(f"no applicable {fixity} {symbol!r} on "
                                f"{receiver}", span)
         raise NoSuchMethod(f"no {fixity} {symbol!r} on {receiver} "
                            f"or its ancestors", span)
 
+    def _accepts(self, impl: MethodImpl, arg_types: list[str]) -> bool:
+        """Whether ``impl`` takes arguments of ``arg_types``: a native by
+        its arity, a user method by its parameter slots."""
+        if isinstance(impl, NativeMethod):
+            return impl.arity == len(arg_types)
+        params = impl.decl.params
+        return len(params) == len(arg_types) and all(
+            self.kind_compatible(slot, arg)
+            for (_, slot), arg in zip(params, arg_types))
+
     def is_descendant(self, a: str, b: str) -> bool:
         """True iff ``b`` lies on ``a``'s ancestor chain (reflexively)."""
         self.descriptor(b)
-        chain: Optional[str] = a
-        while chain is not None:
-            if chain == b:
-                return True
-            chain = self.descriptor(chain).ancestor
-        return False
+        return any(desc.name == b for desc in self._chain(a))
 
-    def kind_compatible(self, slot: KindedType, datum) -> bool:
-        """Assignment compatibility. ``fail`` fits every slot; kinds track
-        but never restrict; integers promote into the Complex chain."""
+    def kind_compatible(self, slot: str, datum) -> bool:
+        """Whether a slot of type ``slot`` accepts a datum of type
+        ``datum``. Every slot accepts ``fail``; integers promote into the
+        Complex chain."""
         from .values import FAIL
-        if datum is FAIL:
+        if datum is FAIL or datum == slot:
             return True
-        base = datum.base if isinstance(datum, KindedType) else datum
-        if base == slot.base:
-            return True
-        if base == INTEGER:
+        if datum == INTEGER:
             return ("Complex" in self.types
-                    and self.is_descendant("Complex", slot.base))
-        if slot.base == INTEGER:
+                    and self.is_descendant("Complex", slot))
+        if slot == INTEGER:
             return False
-        if base in self.types and slot.base in self.types:
-            return self.is_descendant(base, slot.base)
+        if datum in self.types and slot in self.types:
+            return self.is_descendant(datum, slot)
         return False

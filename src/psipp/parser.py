@@ -86,7 +86,7 @@ class _Parser:
 
     def item(self):
         if self.check(KEYWORD, "var"):
-            return self.var_block("var")
+            return self.var_block()
         if self.check(KEYWORD, "function"):
             return self.function_def()
         if self.check(IDENT) and self.check(OP, "=", offset=1):
@@ -113,6 +113,7 @@ class _Parser:
                     self.expect(PUNCT, ";")
                 elif self.check(IDENT):
                     fields.extend(self.decl_group())
+                    self.expect(PUNCT, ";")
                 else:
                     raise self.error("expected field, method, or 'end'",
                                      {"end", "function"})
@@ -122,24 +123,32 @@ class _Parser:
                               tuple(sigs), name_tok.span)
 
     def _object_body_follows(self) -> bool:
-        if self.check(KEYWORD, "end"):
-            return True
         if self.check(KEYWORD, "function"):
             # a qualified definition (function Owner.xxx) is top level, not a member
             return not (self.check(IDENT, offset=1)
                         and self.check(PUNCT, ".", offset=2))
-        if self.check(IDENT):
-            return self.check(PUNCT, ",", offset=1) or self.check(PUNCT, ":", offset=1)
-        return False
+        return self.check(KEYWORD, "end") or self._decl_group_follows()
+
+    def _decl_group_follows(self) -> bool:
+        return self.check(IDENT) and (self.check(PUNCT, ",", offset=1)
+                                      or self.check(PUNCT, ":", offset=1))
 
     def decl_group(self) -> list[tuple[str, str]]:
+        """``a, b : T``: fields, variables, par variables, parameters."""
         names = [self.expect(IDENT).lexeme]
         while self.accept(PUNCT, ","):
             names.append(self.expect(IDENT).lexeme)
         self.expect(PUNCT, ":")
         type_name = self.type_name()
-        self.expect(PUNCT, ";")
         return [(n, type_name) for n in names]
+
+    def decl_groups(self) -> list[tuple[str, str]]:
+        """Declaration groups, each ended by ``;``, while one follows."""
+        decls: list[tuple[str, str]] = []
+        while self._decl_group_follows():
+            decls.extend(self.decl_group())
+            self.expect(PUNCT, ";")
+        return decls
 
     def type_name(self) -> str:
         tok = self.peek()
@@ -148,14 +157,11 @@ class _Parser:
             return tok.lexeme
         raise self.error("expected type name", {"identifier"})
 
-    def var_block(self, kw: str) -> ast.VarBlock:
-        start = self.expect(KEYWORD, kw)
-        decls: list[tuple[str, str]] = []
-        while self.check(IDENT) and (self.check(PUNCT, ",", offset=1)
-                                     or self.check(PUNCT, ":", offset=1)):
-            decls.extend(self.decl_group())
+    def var_block(self) -> ast.VarBlock:
+        start = self.expect(KEYWORD, "var")
+        decls = self.decl_groups()
         if not decls:
-            raise self.error(f"empty {kw} block", {"identifier"})
+            raise self.error("empty var block", {"identifier"})
         return ast.VarBlock(tuple(decls), start.span)
 
     # --- functions ---
@@ -175,9 +181,9 @@ class _Parser:
         params: list[tuple[str, str]] = []
         if self.accept(PUNCT, "("):
             if not self.check(PUNCT, ")"):
-                params.extend(self.param_group())
+                params.extend(self.decl_group())
                 while self.accept(PUNCT, ";"):
-                    params.extend(self.param_group())
+                    params.extend(self.decl_group())
             self.expect(PUNCT, ")")
         self.expect(PUNCT, ":")
         result_type = self.type_name()
@@ -205,22 +211,10 @@ class _Parser:
             return tok.lexeme
         raise self.error("expected function name", {"identifier"})
 
-    def param_group(self) -> list[tuple[str, str]]:
-        names = [self.expect(IDENT).lexeme]
-        while self.accept(PUNCT, ","):
-            names.append(self.expect(IDENT).lexeme)
-        self.expect(PUNCT, ":")
-        type_name = self.type_name()
-        return [(n, type_name) for n in names]
-
     def function_def(self) -> ast.FunctionDecl:
         sig = self.function_signature()
         self.expect(PUNCT, ";")
-        par_decls: list[tuple[str, str]] = []
-        if self.accept(KEYWORD, "par"):
-            while self.check(IDENT) and (self.check(PUNCT, ",", offset=1)
-                                         or self.check(PUNCT, ":", offset=1)):
-                par_decls.extend(self.decl_group())
+        par_decls = self.decl_groups() if self.accept(KEYWORD, "par") else []
         body = self.compound()
         self.expect(PUNCT, ";")
         return ast.FunctionDecl(sig.symbol, sig.fixity, sig.owner, sig.params,
@@ -272,6 +266,12 @@ class _Parser:
         return ast.If(cond, then, els, tok.span)
 
     # --- expressions ---
+
+    def sole_expression(self) -> ast.Expr:
+        expr = self.expression()
+        if not self.at_end():
+            raise self.error("trailing input after expression")
+        return expr
 
     def expression(self) -> ast.Expr:
         lhs = self.additive()
@@ -376,22 +376,26 @@ class _Parser:
         return args
 
 
-def parse_program(tokens) -> ast.Program:
-    """Parse a full token sequence into a program."""
+def _parse(tokens, rule):
+    """Apply ``rule`` to a parser over ``tokens``. Nesting too deep for
+    the Python stack is a syntax error at the token reached."""
     if isinstance(tokens, str):
         tokens = tokenize(tokens)
-    return _Parser(list(tokens)).program()
+    parser = _Parser(list(tokens))
+    try:
+        return rule(parser)
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
+
+
+def parse_program(tokens) -> ast.Program:
+    """Parse a full token sequence into a program."""
+    return _parse(tokens, _Parser.program)
 
 
 def parse_expression(tokens) -> ast.Expr:
     """Parse a token sequence that forms exactly one expression."""
-    if isinstance(tokens, str):
-        tokens = tokenize(tokens)
-    parser = _Parser(list(tokens))
-    expr = parser.expression()
-    if not parser.at_end():
-        raise parser.error("trailing input after expression")
-    return expr
+    return _parse(tokens, _Parser.sole_expression)
 
 
 def parse_juxtaposition(word: str, op_name: str) -> ast.Expr:

@@ -184,41 +184,34 @@ def arith(op: str, args: list[Value]) -> Optional[Value]:
     return None
 
 
-@dataclass
-class Binding:
-    value: Value
-    declared_type: str
-
-
 class Environment:
-    """Stack of frames; lookup is innermost-first. ``par`` frames are
-    flagged so pattern matching can tell pattern variables apart."""
+    """Stack of frames mapping names to values; lookup is innermost-first.
+    A ``par`` frame carries the names it declares, so pattern matching can
+    tell pattern variables apart."""
 
-    def __init__(self, parent: Optional["Environment"] = None, is_par: bool = False):
+    def __init__(self, parent: Optional["Environment"] = None,
+                 par_names: frozenset[str] = frozenset()):
         self.parent = parent
-        self.is_par = is_par
-        self.bindings: dict[str, Binding] = {}
-        self.par_types: dict[str, str] = {}
-
-    def declare_par(self, name: str, declared_type: str):
-        self.par_types[name] = declared_type
+        self.par_names = par_names
+        self.bindings: dict[str, Value] = {}
 
     def par_frame_declaring(self, name: str) -> Optional["Environment"]:
         """Innermost par frame declaring ``name``, or None. Stops at the
         first ordinary binding of the name, which shadows par scopes."""
         env: Optional[Environment] = self
         while env is not None:
-            if env.is_par and name in env.par_types:
+            if name in env.par_names:
                 return env
             if name in env.bindings:
                 return None
             env = env.parent
         return None
 
-    def define(self, name: str, value: Value, declared_type: str = "Algebra"):
-        self.bindings[name] = Binding(value, declared_type)
+    def define(self, name: str, value: Value):
+        self.bindings[name] = value
 
-    def find(self, name: str) -> Optional[Binding]:
+    def find(self, name: str) -> Optional[Value]:
+        """The innermost value bound to ``name``, or None if unbound."""
         env: Optional[Environment] = self
         while env is not None:
             if name in env.bindings:
@@ -227,22 +220,22 @@ class Environment:
         return None
 
     def lookup(self, name: str) -> Value:
-        binding = self.find(name)
-        if binding is None:
+        value = self.find(name)
+        if value is None:
             raise UnknownIdentifier(f"unknown identifier {name!r}")
-        return binding.value
+        return value
 
     def assign(self, name: str, value: Value):
         """Rebind the innermost existing binding, or create a global one."""
         env: Optional[Environment] = self
         while env is not None:
             if name in env.bindings:
-                env.bindings[name].value = value
+                env.bindings[name] = value
                 return
             env = env.parent
         self.define(name, value)
 
-    def snapshot(self) -> dict[str, tuple[Value, str]]:
+    def snapshot(self) -> dict[str, Value]:
         """Flattened view, innermost bindings winning. Used by tests to
         check that failed matches leave the environment untouched."""
         frames = []
@@ -250,8 +243,7 @@ class Environment:
         while env is not None:
             frames.append(env.bindings)
             env = env.parent
-        merged: dict[str, tuple[Value, str]] = {}
+        merged: dict[str, Value] = {}
         for frame in reversed(frames):
-            for name, binding in frame.items():
-                merged[name] = (binding.value, binding.declared_type)
+            merged.update(frame)
         return merged

@@ -93,6 +93,11 @@ def test_inherited_call_diagnostic_has_span(tmp_path):
     # past Python's 4300-digit limit on int/str conversion
     pytest.param("9" * 4301, 1, id="literal-4301-digits"),
     pytest.param(f"{'9' * 3000} * {'9' * 3000}", 3, id="print-6000-digits"),
+    pytest.param(f"mono(0 - {'9' * 3000} * {'9' * 3000}, 0, 0, 0)", 3,
+                 id="mono-negative-6000-digits"),
+    # nesting past the Python stack: at evaluation, then at parsing
+    pytest.param(" + ".join(["x"] * 1200), 3, id="sum-of-1200-terms"),
+    pytest.param("(" * 300 + "1" + ")" * 300, 1, id="parentheses-300-deep"),
 ])
 def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     script = tmp_path / "builtin.psi"
@@ -133,8 +138,15 @@ def test_golden_demos(name):
 
 def test_repl_type_command():
     _, out, _ = repl_to_strings("var c, d : integer;\n"
-                                "b := c + d;\n:type b\n:quit\n")
-    assert out == "integer functional object\n"
+                                "b := c + d;\n:type b\n:type c\n:quit\n")
+    assert out == "integer functional object\ninteger variable\n"
+
+
+def test_repl_deep_nesting_is_an_error():
+    text = "x := 1;\n" + " + ".join(["x"] * 1200) + "\nx + 1\n:quit\n"
+    code, out, err = repl_to_strings(text)
+    assert (code, out) == (0, "2\n")
+    assert err == "error: expression nested too deeply\n"
 
 
 def test_repl_eval_worked_example():

@@ -92,11 +92,8 @@ b := c + d;
 # --- match_pattern ---
 
 def par_env(interp, names, parent=None):
-    env = Environment(parent=parent if parent is not None else interp.globals,
-                      is_par=True)
-    for name in names:
-        env.declare_par(name, "Algebra")
-    return env
+    return Environment(parent if parent is not None else interp.globals,
+                       frozenset(names))
 
 
 def test_match_binds_operands(interp):
@@ -278,7 +275,7 @@ def test_substitute_then_force_equals_force_in_env(expr, u, v):
             fo = substitute(fo, name, IntegerV(bound))
     via_substitute = interp.force(ThunkV(fo), Environment())
     env = Environment()
-    env.define("u", IntegerV(u), "integer")
-    env.define("v", IntegerV(v), "integer")
+    env.define("u", IntegerV(u))
+    env.define("v", IntegerV(v))
     via_env = interp.force(value, env)
     assert value_equal(via_substitute, via_env)

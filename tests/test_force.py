@@ -31,16 +31,15 @@ def tree_force(interp: Interpreter, v):
     """Force ``v`` by walking its body as a tree: every occurrence of a
     shared node is evaluated again, as forcing did before memoisation."""
     if isinstance(v, FreeVarV):
-        binding = interp.globals.find(v.name)
-        return binding.value if is_concrete(binding.value) else v
+        bound = interp.globals.find(v.name)
+        return bound if is_concrete(bound) else v
     if not isinstance(v, ThunkV):
         return v
     overlay = Environment()
     for name, captured in v.fo.captures:
-        binding = interp.globals.find(name)
-        if binding is not None and not isinstance(binding.value, FreeVarV):
-            overlay.define(name, tree_force(interp, binding.value),
-                           binding.declared_type)
+        bound = interp.globals.find(name)
+        if bound is not None and not isinstance(bound, FreeVarV):
+            overlay.define(name, tree_force(interp, bound))
         else:
             overlay.define(name, captured)
 

@@ -5,7 +5,7 @@ import pytest
 from psipp.algebra import make_interpreter
 from psipp.errors import (DuplicateType, FieldShadowing, NoSuchMethod,
                           UnknownAncestor)
-from psipp.objects import KindedType, NativeMethod, Registry, UserMethod
+from psipp.objects import NativeMethod, Registry, UserMethod
 from psipp.parser import parse_program
 from psipp.values import FAIL
 
@@ -67,6 +67,20 @@ def test_resolve_no_such_method(prelude):
         prelude.resolve_method("Group", "*", "infix")
 
 
+def test_resolution_skips_methods_whose_slots_reject_the_arguments(prelude):
+    user = prelude.resolve_method("Complex", "*", "infix",
+                                  ["Complex", "integer"])
+    assert isinstance(user, UserMethod)  # the integer promotes
+    # a Monomial does not fit a Complex slot: Algebra's native takes it
+    assert prelude.resolve_method("Complex", "*", "infix",
+                                  ["Complex", "Monomial"]) \
+        is prelude.resolve_method("Algebra", "*", "infix")
+    # neither the Complex native nor Group's signature takes two operands
+    with pytest.raises(NoSuchMethod, match="no applicable"):
+        prelude.resolve_method("Complex", "-", "prefix",
+                               ["Complex", "Complex"])
+
+
 def test_is_descendant_examples(prelude):
     assert prelude.is_descendant("Complex", "Group")
     assert not prelude.is_descendant("Group", "Complex")
@@ -102,25 +116,16 @@ def test_resolution_defers_to_ancestor(prelude):
             assert prelude.resolve_method(name, symbol, fixity) is expected
 
 
-def test_kind_compatible_functional_object(prelude):
-    slot = KindedType("Complex", "value")
-    assert prelude.kind_compatible(slot, KindedType("Complex",
-                                                    "functional-object"))
-
-
 def test_fail_compatible_with_all_types(prelude):
     for name in list(prelude.types) + ["integer"]:
-        assert prelude.kind_compatible(KindedType(name, "value"), FAIL)
+        assert prelude.kind_compatible(name, FAIL)
 
 
 def test_ancestor_not_compatible_with_descendant_slot(prelude):
-    assert not prelude.kind_compatible(KindedType("Complex"),
-                                       KindedType("Group"))
-    assert prelude.kind_compatible(KindedType("Group"), KindedType("Complex"))
+    assert not prelude.kind_compatible("Complex", "Group")
+    assert prelude.kind_compatible("Group", "Complex")
 
 
 def test_integer_promotes_into_complex_chain(prelude):
-    assert prelude.kind_compatible(KindedType("Complex"),
-                                   KindedType("integer"))
-    assert prelude.kind_compatible(KindedType("Algebra"),
-                                   KindedType("integer"))
+    assert prelude.kind_compatible("Complex", "integer")
+    assert prelude.kind_compatible("Algebra", "integer")
