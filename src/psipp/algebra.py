@@ -18,14 +18,13 @@ from typing import Callable, Optional
 
 from . import ast
 from .errors import EvalError, RewriteLimitExceeded
-from .evaluator import Interpreter, as_repr, free_idents, operator_thunk
+from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, as_repr,
+                        operator_thunk)
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
                      Value, arith, complex_mul, join_types, promote, thunk,
                      type_name_of)
-
-DEFAULT_REWRITE_LIMIT = 10_000
 
 PRELUDE_SOURCE = """\
 Group = Object;
@@ -91,8 +90,7 @@ def complex_method_mul(a: Value, b: Value) -> Value:
     if distributed is not FAIL:
         return distributed
     if isinstance(a, (IntegerV, ComplexV)) and isinstance(b, (IntegerV, ComplexV)):
-        return complex_mul(promote(a) if isinstance(a, IntegerV) else a,
-                           promote(b) if isinstance(b, IntegerV) else b)
+        return complex_mul(promote(a), promote(b))
     if isinstance(a, (FreeVarV, ThunkV)) or isinstance(b, (FreeVarV, ThunkV)):
         return operator_thunk("*", "infix", [a, b])
     return FAIL
@@ -110,10 +108,8 @@ def _fold(op: str, args: list[Value]) -> Optional[Value]:
 
 
 def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
-    if isinstance(e, ast.ValueLeaf) and not isinstance(e.value,
-                                                       (ThunkV, FreeVarV)):
-        return e.value
-    return None
+    """The value of a value leaf, which is always concrete, or None."""
+    return e.value if isinstance(e, ast.ValueLeaf) else None
 
 
 def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
@@ -147,43 +143,17 @@ def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
     return None
 
 
-def _inline(e: ast.Expr, captures: dict[str, Value],
-            free: set[str]) -> ast.Expr:
-    """Splice capture-bound concrete values and nested thunks into the
-    tree so the rewriter sees them; add the names left free to ``free``."""
-    if isinstance(e, ast.Ident):
-        bound = captures.get(e.name)
-        if isinstance(bound, ThunkV):
-            return _inline(bound.fo.body, bound.fo.capture_map(), free)
-        if bound is not None and not isinstance(bound, FreeVarV):
-            return ast.ValueLeaf(bound)
-        free.add(e.name)
-        return e
-    if isinstance(e, ast.ValueLeaf):
-        if isinstance(e.value, ThunkV):
-            return _inline(e.value.fo.body, e.value.fo.capture_map(), free)
-        return e
-    if isinstance(e, ast.Infix):
-        return ast.Infix(e.op, _inline(e.lhs, captures, free),
-                         _inline(e.rhs, captures, free))
-    if isinstance(e, ast.Prefix):
-        return ast.Prefix(e.op, _inline(e.operand, captures, free))
-    free.update(free_idents(e))
-    return e
-
-
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
              trace: Optional[Callable[[str], None]] = None) -> Value:
     """Fixed-point normalization of a value. Values other than thunks are
-    already normal forms."""
+    already normal forms. A thunk's body is rewritten as built: its leaves
+    are concrete values and its own free variables, and rewriting neither
+    adds nor drops an identifier, so the normal form keeps the thunk's
+    captures and result type."""
     if not isinstance(v, ThunkV):
         return v
     from .pretty import render_expr
-    captures = v.fo.capture_map()
-    # rewriting neither adds nor drops an identifier, so the names free
-    # after inlining are those of the normal form
-    free: set[str] = set()
-    body = _inline(v.fo.body, captures, free)
+    body = v.fo.body
     steps = 0
     while True:
         rewritten = _rewrite_once(body)
@@ -198,8 +168,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     leaf = _concrete_leaf(body)
     if leaf is not None:
         return leaf
-    return thunk(body, v.fo.result_type,
-                 {name: captures.get(name, FreeVarV(name)) for name in free})
+    return thunk(body, v.fo.result_type, v.fo.capture_map())
 
 
 # --- prelude installation ---
@@ -213,8 +182,7 @@ def _native_distribute(args, interp):
 def _complex_native(op: str, fixity: str):
     """Complex ``op``: the kernel on promoted operands, else a thunk."""
     def native(args, interp):
-        result = arith(op, [promote(a) if isinstance(a, IntegerV) else a
-                            for a in args])
+        result = arith(op, [promote(a) for a in args])
         return result if result is not None \
             else interp.make_thunk(op, fixity, args)
     return native
@@ -264,7 +232,7 @@ def _builtin_eval(args, interp, env):
 
 def _builtin_simplify(args, interp, env):
     (arg,) = builtin_args("simplify", args, (1,))
-    return simplify(arg)
+    return simplify(arg, interp.max_rewrites, interp.trace)
 
 
 def install_prelude(interp: Interpreter):

@@ -12,32 +12,25 @@ import argparse
 import sys
 from typing import Optional
 
-from .algebra import (DEFAULT_REWRITE_LIMIT, builtin_args, make_interpreter,
-                      simplify)
+from . import ast
+from .algebra import DEFAULT_REWRITE_LIMIT, make_interpreter, simplify
 from .errors import EvalError, LexError, ParseError, PsiError, RegistryError
+from .evaluator import STATEMENT_CALLS
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
 from .values import classify_binding, type_name_of
 
 
 class Session:
-    """One REPL or script-run session: a fresh interpreter plus flags."""
+    """One REPL or script-run session: a fresh interpreter, given the
+    ``simplify`` settings from the command-line flags."""
 
     def __init__(self, prelude: bool = True, trace: bool = False,
                  max_rewrites: int = DEFAULT_REWRITE_LIMIT):
-        self.trace = trace
-        self.max_rewrites = max_rewrites
         self.interp = make_interpreter(prelude=prelude)
-        self.interp.builtins["simplify"] = self._builtin_simplify
+        self.interp.max_rewrites = max_rewrites
+        self.interp.trace = self.interp.output.append if trace else None
         self._emitted = 0
-
-    def _builtin_simplify(self, args, interp, env):
-        (arg,) = builtin_args("simplify", args, (1,))
-        return self.simplify(arg)
-
-    def simplify(self, value):
-        hook = self.interp.output.append if self.trace else None
-        return simplify(value, max_steps=self.max_rewrites, trace=hook)
 
     def drain_output(self) -> list[str]:
         new = self.interp.output[self._emitted:]
@@ -64,7 +57,8 @@ class Session:
                 expr = parse_expression(line.rstrip(";"))
             except (LexError, ParseError):
                 expr = None
-            if expr is not None:
+            if expr is not None and not (isinstance(expr, ast.Call) and
+                                         expr.name in STATEMENT_CALLS):
                 value = self.interp.eval_expr(expr, self.interp.globals)
                 return self.drain_output() + [render_value(value)]
             self.run_source(line if line.endswith(";") else line + ";")
@@ -90,8 +84,8 @@ class Session:
                 return [f"{type_name_of(value)} {classify_binding(value)}"]
             if cmd == ":show":
                 return [show_tree(value)]
-            value = self.interp.force(value)
-            value = self.simplify(value)
+            value = simplify(self.interp.force(value),
+                             self.interp.max_rewrites, self.interp.trace)
             return self.drain_output() + [render_value(value)]
         raise ParseError(f"unknown command {cmd!r}")
 

@@ -19,6 +19,10 @@ from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
                      IntegerV, ThunkV, Value, arith, classify_binding,
                      int_arith, join_types, promote, thunk, type_name_of)
 
+DEFAULT_REWRITE_LIMIT = 10_000
+# calls that are statements writing to the output, never expressions
+STATEMENT_CALLS = ("print", "kind")
+
 
 def is_concrete(v: Value) -> bool:
     return not isinstance(v, (ThunkV, FreeVarV))
@@ -41,8 +45,7 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
     if isinstance(expr, ast.Ident) and expr.name in captures:
         return captures[expr.name]
     return thunk(expr, join_types([_repr_type(expr, captures)]),
-                 {name: captures.get(name, FreeVarV(name))
-                  for name in free_idents(expr)})
+                 {name: captures[name] for name in free_idents(expr)})
 
 
 def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
@@ -118,29 +121,53 @@ def _repr_type(expr: ast.Expr, captures: dict[str, Value],
 
 
 def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
-    """Rebind one capture; the original functional object is unchanged."""
+    """Splice ``v`` into the body for the free variable ``name``, as the
+    evaluator would have done had ``name`` been bound to ``v`` when the
+    object was made, but leave the body unevaluated and keep its result
+    type. A shared node is rebuilt once, and a subterm without ``name`` is
+    kept as is; the original is unchanged."""
     captures = fo.capture_map()
-    if name not in captures:
+    if captures.pop(name, None) is None:
         raise UnknownIdentifier(f"{name!r} is not captured by this "
                                 f"functional object")
-    captures[name] = v
-    return FunctionalObject(fo.body, tuple(sorted(captures.items())),
-                            fo.result_type)
+    leaf, v_captures = as_repr(v)
+    done: dict[int, ast.Expr] = {}
+
+    def splice(e: ast.Expr) -> ast.Expr:
+        if isinstance(e, ast.Ident):
+            return leaf if e.name == name else e
+        if not isinstance(e, (ast.Infix, ast.Prefix, ast.FieldAccess)):
+            return e  # a value leaf
+        new = done.get(id(e))
+        if new is None:
+            children = _children(e)
+            parts = list(map(splice, children))
+            if all(p is c for p, c in zip(parts, children)):
+                new = e
+            elif isinstance(e, ast.Infix):
+                new = ast.Infix(e.op, *parts)
+            elif isinstance(e, ast.Prefix):
+                new = ast.Prefix(e.op, *parts)
+            else:
+                new = ast.FieldAccess(*parts, e.field)
+            done[id(e)] = new
+        return new
+
+    return thunk(splice(fo.body), fo.result_type, captures, v_captures).fo
 
 
 def value_equal(a: Value, b: Value) -> bool:
     if a is FAIL or b is FAIL:
         return a is b
-    if isinstance(a, IntegerV) and isinstance(b, ComplexV):
-        a = promote(a)
-    elif isinstance(a, ComplexV) and isinstance(b, IntegerV):
-        b = promote(b)
+    if isinstance(a, ComplexV) or isinstance(b, ComplexV):
+        a, b = promote(a), promote(b)
     return a == b
 
 
 class Interpreter:
-    """One evaluation session: a type registry, a global environment, and
-    the output stream produced by ``print``/``kind`` statements."""
+    """One evaluation session: a type registry, a global environment, the
+    output stream produced by ``print``/``kind`` statements, and the
+    settings of ``simplify``: its step limit and its trace hook."""
 
     def __init__(self, registry: Optional[Registry] = None):
         self.registry = registry if registry is not None else Registry()
@@ -148,6 +175,8 @@ class Interpreter:
         self.functions: dict[str, UserMethod] = {}
         self.output: list[str] = []
         self.builtins: dict[str, Callable] = {}
+        self.max_rewrites = DEFAULT_REWRITE_LIMIT
+        self.trace: Optional[Callable[[str], None]] = None
         # user method bodies run so far; a node whose evaluation ran one
         # (a print, a global assignment) is not memoised
         self.method_runs = 0
@@ -220,7 +249,9 @@ class Interpreter:
 
     def exec_call_stmt(self, stmt: ast.CallStmt, env: Environment):
         from .pretty import render_value
-        if stmt.name == "print":
+        if stmt.name not in STATEMENT_CALLS:
+            self.eval_expr(ast.Call(stmt.name, stmt.args, stmt.span), env)
+        elif stmt.name == "print":
             if len(stmt.args) != 1:
                 raise EvalError("print takes exactly one argument", stmt.span)
             value = self.eval_expr(stmt.args[0], env)
@@ -229,15 +260,12 @@ class Interpreter:
             except EvalError as err:
                 err.span = err.span or stmt.span
                 raise
-            return
-        if stmt.name == "kind":
+        else:  # kind
             if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
                 raise EvalError("kind takes one identifier", stmt.span)
             value = self.eval_expr(stmt.args[0], env)
             self.output.append(f"{stmt.args[0].name}: "
                                f"{classify_binding(value)}")
-            return
-        self.eval_expr(ast.Call(stmt.name, stmt.args, stmt.span), env)
 
     # --- expressions ---
 
@@ -385,8 +413,7 @@ class Interpreter:
             others = [type_name_of(a) for a in args[1:]]
             receiver = others[0] if others else INTEGER
             if receiver == "Complex":
-                args = [promote(a) if isinstance(a, IntegerV) else a
-                        for a in args]
+                args = [promote(a) for a in args]
         span = getattr(expr, "span", None)
         if receiver not in self.registry.types:
             native = arith(op, args)
@@ -419,7 +446,7 @@ class Interpreter:
         self.method_runs += 1
         frame = Environment(parent=self.globals)
         for (name, slot_type), arg in zip(decl.params, args):
-            if slot_type == "Complex" and isinstance(arg, IntegerV):
+            if slot_type == "Complex":
                 arg = promote(arg)
             frame.define(name, arg)
         par_frame = Environment(frame, frozenset(n for n, _ in decl.par_decls))

@@ -69,10 +69,13 @@ FAIL = _Fail()
 
 @dataclass(frozen=True)
 class FunctionalObject:
-    """An unevaluated expression tree plus the environment it captured.
+    """An unevaluated expression over its free variables.
 
-    ``body`` leaves are either ``ValueLeaf`` (already computed) or
-    ``Ident`` (still free); every free identifier appears in ``captures``.
+    ``body`` leaves are either ``ValueLeaf`` (a concrete value, never a
+    thunk or a free variable) or ``Ident`` (a free variable). ``captures``
+    holds exactly the free identifiers, each bound to the ``FreeVarV`` of
+    its own name, which carries its declared type; forcing binds them by
+    name. Shared subterms stay shared: the body is a DAG.
     """
 
     body: ast.Expr
@@ -137,11 +140,10 @@ def thunk(body: ast.Expr, result_type: str,
                                    result_type))
 
 
-def promote(n) -> ComplexV:
-    """Integer to complex conversion: n becomes (Re: n, Im: 0)."""
-    if isinstance(n, IntegerV):
-        n = n.n
-    return ComplexV(n, 0)
+def promote(v: Value) -> Value:
+    """Integer to complex conversion: n becomes (Re: n, Im: 0). Any other
+    value is returned unchanged."""
+    return ComplexV(v.n, 0) if isinstance(v, IntegerV) else v
 
 
 def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
@@ -171,7 +173,7 @@ def arith(op: str, args: list[Value]) -> Optional[Value]:
         return int_arith(op, args)
     if not all(isinstance(a, (IntegerV, ComplexV)) for a in args):
         return FAIL if any(a is FAIL for a in args) else None
-    cx = [promote(a) if isinstance(a, IntegerV) else a for a in args]
+    cx = [promote(a) for a in args]
     if len(cx) == 1:
         return ComplexV(-cx[0].re, -cx[0].im) if op == "-" else None
     a, b = cx

@@ -176,6 +176,12 @@ def test_repl_expression_printing():
     assert out == "3\n2 + 4*i\n"
 
 
+def test_repl_runs_print_and_kind_as_statements():
+    _, out, err = repl_to_strings("var x : Algebra;\nprint(1);\nkind(x);\n"
+                                  "print(1 + 2)\n:quit\n")
+    assert (out, err) == ("1\nx: variable\n3\n", "")
+
+
 def test_repl_eval_builtin():
     _, out, _ = repl_to_strings("var c, d : integer;\nb := c + d;\n"
                                 "c := 1;\nd := 2;\nEVAL(b)\n:quit\n")

@@ -208,8 +208,13 @@ def test_substitute_rebinds_capture():
     interp.run_program(parse_program("var c, d : integer;"))
     thunk = ev(interp, "c + d")
     fo = substitute(thunk.fo, "c", IntegerV(1))
-    assert dict(fo.captures)["c"] == IntegerV(1)
-    assert dict(thunk.fo.captures)["c"] == FreeVarV("c", "integer")
+    # the value is spliced into the body and c is no longer captured
+    assert fo.body == ast.Infix("+", ast.ValueLeaf(IntegerV(1)),
+                                ast.Ident("d"))
+    assert dict(fo.captures) == {"d": FreeVarV("d", "integer")}
+    assert thunk.fo.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
+    assert dict(thunk.fo.captures) == {"c": FreeVarV("c", "integer"),
+                                       "d": FreeVarV("d", "integer")}
 
 
 def test_substitute_unknown_name():
