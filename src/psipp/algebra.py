@@ -7,9 +7,12 @@ are genuinely interpreted. Natives implement the abstract ``Algebra.infix*``
 register product. Concrete arithmetic is the one kernel in ``values``, and
 distributivity is one tree rule shared by ``distribute`` and the rewriter.
 
-``simplify`` runs bottom-up rewriting to a fixed point: distribute
-products over sums, fold all-concrete applications, promote integers that
-meet complex values. Factor and summand order are never changed.
+``simplify`` rewrites to a normal form innermost-leftmost, in one pass
+over the term: distribute products over sums, fold all-concrete
+applications, promote integers that meet complex values. Factor and
+summand order are never changed. The pass visits O(size + steps) nodes;
+traced, each step also renders the rebuilt path from the root, so its cost
+is bounded by the text it prints.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from typing import Callable, Optional
 
 from . import ast
 from .errors import EvalError, RewriteLimitExceeded
-from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, as_repr,
-                        operator_thunk)
+from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, _children,
+                        as_repr, operator_thunk)
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
+from .pretty import render_expr
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
                      Value, arith, complex_mul, join_types, promote, thunk,
                      type_name_of)
@@ -112,63 +116,110 @@ def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
     return e.value if isinstance(e, ast.ValueLeaf) else None
 
 
-def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
-    """Apply one rewrite at the first redex in post-order, or None."""
+def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
+    """One rewrite at the root of an operator node whose operands are
+    normal: fold concrete operands, else distribute a product over a sum.
+    None when the root is no redex."""
     if isinstance(e, ast.Infix):
-        lhs = _rewrite_once(e.lhs)
-        if lhs is not None:
-            return ast.Infix(e.op, lhs, e.rhs)
-        rhs = _rewrite_once(e.rhs)
-        if rhs is not None:
-            return ast.Infix(e.op, e.lhs, rhs)
         left = _concrete_leaf(e.lhs)
         right = _concrete_leaf(e.rhs)
         if left is not None and right is not None:
             folded = _fold(e.op, [left, right])
             if folded is not None:
                 return ast.ValueLeaf(folded)
-        if e.op == "*":
-            return distribute_expr(e.lhs, e.rhs)
-        return None
-    if isinstance(e, ast.Prefix):
-        inner = _rewrite_once(e.operand)
-        if inner is not None:
-            return ast.Prefix(e.op, inner)
-        operand = _concrete_leaf(e.operand)
-        if operand is not None:
-            folded = _fold(e.op, [operand])
-            if folded is not None:
-                return ast.ValueLeaf(folded)
-        return None
+        return distribute_expr(e.lhs, e.rhs) if e.op == "*" else None
+    operand = _concrete_leaf(e.operand)
+    if operand is not None:
+        folded = _fold(e.op, [operand])
+        if folded is not None:
+            return ast.ValueLeaf(folded)
     return None
+
+
+def _with_operand(e: ast.Expr, slot: int, operand: ast.Expr) -> ast.Expr:
+    """``e`` rebuilt with ``operand`` in place of its operand ``slot``."""
+    if isinstance(e, ast.Prefix):
+        return ast.Prefix(e.op, operand)
+    if slot == 0:
+        return ast.Infix(e.op, operand, e.rhs)
+    return ast.Infix(e.op, e.lhs, operand)
+
+
+def _traced_root(path: list[list], old: ast.Expr, new: ast.Expr,
+                 memo: dict) -> ast.Expr:
+    """The whole term after ``old`` was rewritten to ``new``: the frames
+    on ``path`` get their nodes rebuilt around ``new``. The render memo
+    drops ``old``, its operands and the old path, so it never holds a past
+    term; an operand still in the term is rendered again."""
+    for dead in (old, *_children(old)):
+        memo.pop(id(dead), None)
+    for frame in reversed(path):
+        memo.pop(id(frame[0]), None)
+        new = frame[0] = _with_operand(frame[0], frame[1], new)
+    return new
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
              trace: Optional[Callable[[str], None]] = None) -> Value:
-    """Fixed-point normalization of a value. Values other than thunks are
-    already normal forms. A thunk's body is rewritten as built: its leaves
-    are concrete values and its own free variables, and rewriting neither
-    adds nor drops an identifier, so the normal form keeps the thunk's
-    captures and result type."""
+    """Normal form of a value. Values other than thunks are already normal
+    forms. A thunk's body is rewritten as built: its leaves are concrete
+    values and its own free variables, and rewriting neither adds nor
+    drops an identifier, so the normal form keeps the thunk's captures and
+    result type.
+
+    Each step rewrites the first redex in post-order, but the walk resumes
+    at the node just rewritten, since everything before it is normal. A
+    distribution ``C*B + D*B`` fires only on normal operands, so only its
+    new products' roots are tried and ``B`` is not walked again: O(size +
+    steps) node visits, on an explicit stack. ``trace`` gets the whole term
+    after each step, rendered through a memo that renders only the path
+    rebuilt from the root again."""
     if not isinstance(v, ThunkV):
         return v
-    from .pretty import render_expr
-    body = v.fo.body
+    memo: dict = {}  # trace rendering, by node id (see pretty)
     steps = 0
+    # the ancestors of ``e``: frames [node, operand slot, operands normal]
+    path: list[list] = []
+    e, operands_normal = v.fo.body, False
     while True:
-        rewritten = _rewrite_once(body)
-        if rewritten is None:
+        if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
+            path.append([e, 0, False])
+            e = _children(e)[0]
+            continue
+        if operands_normal:
+            new = _root_rewrite(e)
+            if new is not None:
+                steps += 1
+                if trace is not None:
+                    trace(render_expr(_traced_root(path, e, new, memo),
+                                      spaced=True, memo=memo))
+                if steps > max_steps:
+                    raise RewriteLimitExceeded(
+                        f"more than {max_steps} rewrite steps")
+                if isinstance(new, ast.Infix):
+                    # C*B + D*B: the products' operands are normal
+                    path.append([new, 0, True])
+                    e = new.lhs
+                    continue
+                e = new  # a folded leaf
+        # e is normal: hand it to its parent
+        if not path:
             break
-        body = rewritten
-        steps += 1
-        if trace is not None:
-            trace(render_expr(body, spaced=True))
-        if steps > max_steps:
-            raise RewriteLimitExceeded(f"more than {max_steps} rewrite steps")
-    leaf = _concrete_leaf(body)
+        frame = path[-1]
+        parent, slot, operands_normal = frame
+        operands = _children(parent)
+        if e is not operands[slot]:
+            parent = frame[0] = _with_operand(parent, slot, e)
+        if slot + 1 < len(operands):
+            frame[1] = slot + 1
+            e = operands[slot + 1]
+        else:
+            path.pop()
+            e, operands_normal = parent, True
+    leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf
-    return thunk(body, v.fo.result_type, v.fo.capture_map())
+    return thunk(e, v.fo.result_type, v.fo.capture_map())
 
 
 # --- prelude installation ---

@@ -104,8 +104,8 @@ def _repr_type(expr: ast.Expr, captures: dict[str, Value],
     if isinstance(expr, ast.Ident):
         v = captures.get(expr.name)
         return type_name_of(v) if v is not None else "Algebra"
-    if isinstance(expr, ast.IntLit):
-        return INTEGER
+    if isinstance(expr, (ast.IntLit, ast.FieldAccess)):
+        return INTEGER  # a field is an integer component, as in eval_field
     if not isinstance(expr, (ast.Infix, ast.Prefix)):
         return "Algebra"
     memo = {} if memo is None else memo
@@ -123,9 +123,10 @@ def _repr_type(expr: ast.Expr, captures: dict[str, Value],
 def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
     """Splice ``v`` into the body for the free variable ``name``, as the
     evaluator would have done had ``name`` been bound to ``v`` when the
-    object was made, but leave the body unevaluated and keep its result
-    type. A shared node is rebuilt once, and a subterm without ``name`` is
-    kept as is; the original is unchanged."""
+    object was made, but leave the body unevaluated. The result is typed
+    from the new body over the merged captures, as the evaluator types it.
+    A shared node is rebuilt and typed once, and a subterm without
+    ``name`` is kept as is; the original is unchanged."""
     captures = fo.capture_map()
     if captures.pop(name, None) is None:
         raise UnknownIdentifier(f"{name!r} is not captured by this "
@@ -153,7 +154,10 @@ def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
             done[id(e)] = new
         return new
 
-    return thunk(splice(fo.body), fo.result_type, captures, v_captures).fo
+    captures.update(v_captures)
+    body = splice(fo.body)
+    return thunk(body, join_types([_repr_type(body, captures)]),
+                 captures).fo
 
 
 def value_equal(a: Value, b: Value) -> bool:

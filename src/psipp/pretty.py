@@ -9,6 +9,8 @@ precedence: prefix minus tightest, then ``*``, then ``+``/``-``, then
 
 from __future__ import annotations
 
+from typing import Optional
+
 from . import ast
 from .errors import EvalError
 from .monomials import format_monomial
@@ -76,7 +78,21 @@ def _wrap(child: tuple[str, int], min_level: int) -> str:
     return f"({text})" if level < min_level else text
 
 
-def _expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
+def _expr_text(e: ast.Expr, spaced: bool,
+               memo: Optional[dict] = None) -> tuple[str, int]:
+    """Text and precedence level of ``e``. ``memo`` maps ``id(node)`` to
+    ``(node, text, level)`` for the nodes rendered before in this style:
+    a text does not depend on the parent, and holding the node keeps its
+    id from being reused while the entry lives."""
+    if memo is None:
+        return _node_text(e, spaced, None)
+    if id(e) not in memo:
+        memo[id(e)] = (e, *_node_text(e, spaced, memo))
+    return memo[id(e)][1:]
+
+
+def _node_text(e: ast.Expr, spaced: bool,
+               memo: Optional[dict]) -> tuple[str, int]:
     if isinstance(e, ast.ValueLeaf):
         return _value_text(e.value)
     if isinstance(e, ast.IntLit):
@@ -86,7 +102,7 @@ def _expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
     if isinstance(e, ast.FailLit):
         return "fail", _LEVEL_ATOM
     if isinstance(e, ast.Prefix):
-        inner = _wrap(_expr_text(e.operand, spaced), _LEVEL_PREFIX)
+        inner = _wrap(_expr_text(e.operand, spaced, memo), _LEVEL_PREFIX)
         return f"-{inner}", _LEVEL_PREFIX
     if isinstance(e, ast.Infix):
         if e.op == "*":
@@ -96,29 +112,29 @@ def _expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
             # itself keeps true factor order
             if _is_scalar_leaf(right) and not _is_scalar_leaf(left):
                 left, right = right, left
-            lhs = _wrap(_expr_text(left, spaced), _LEVEL_MUL)
-            rhs = _wrap(_expr_text(right, spaced), _LEVEL_MUL + 1)
+            lhs = _wrap(_expr_text(left, spaced, memo), _LEVEL_MUL)
+            rhs = _wrap(_expr_text(right, spaced, memo), _LEVEL_MUL + 1)
             sep = " * " if spaced else "*"
             return f"{lhs}{sep}{rhs}", _LEVEL_MUL
         if e.op in {"+", "-"}:
-            lhs = _wrap(_expr_text(e.lhs, spaced), _LEVEL_ADD)
-            rhs = _wrap(_expr_text(e.rhs, spaced), _LEVEL_ADD + 1)
+            lhs = _wrap(_expr_text(e.lhs, spaced, memo), _LEVEL_ADD)
+            rhs = _wrap(_expr_text(e.rhs, spaced, memo), _LEVEL_ADD + 1)
             return f"{lhs} {e.op} {rhs}", _LEVEL_ADD
-        lhs = _wrap(_expr_text(e.lhs, spaced), _LEVEL_EQ + 1)
-        rhs = _wrap(_expr_text(e.rhs, spaced), _LEVEL_EQ + 1)
+        lhs = _wrap(_expr_text(e.lhs, spaced, memo), _LEVEL_EQ + 1)
+        rhs = _wrap(_expr_text(e.rhs, spaced, memo), _LEVEL_EQ + 1)
         return f"{lhs} = {rhs}", _LEVEL_EQ
     if isinstance(e, ast.Call):
-        args = ", ".join(_expr_text(a, spaced)[0] for a in e.args)
+        args = ", ".join(_expr_text(a, spaced, memo)[0] for a in e.args)
         return f"{e.name}({args})", _LEVEL_ATOM
     if isinstance(e, ast.FieldAccess):
-        obj = _wrap(_expr_text(e.obj, spaced), _LEVEL_ATOM)
+        obj = _wrap(_expr_text(e.obj, spaced, memo), _LEVEL_ATOM)
         return f"{obj}.{e.field}", _LEVEL_ATOM
     if isinstance(e, ast.InheritedCall):
-        inner = _expr_text(e.expr, spaced)[0]
+        inner = _expr_text(e.expr, spaced, memo)[0]
         return f"{e.ancestor}.({inner})", _LEVEL_ATOM
     if isinstance(e, ast.PairLit):
-        first = _expr_text(e.first, spaced)[0]
-        second = _expr_text(e.second, spaced)[0]
+        first = _expr_text(e.first, spaced, memo)[0]
+        second = _expr_text(e.second, spaced, memo)[0]
         return f"({first}, {second})", _LEVEL_ATOM
     return repr(e), _LEVEL_ATOM
 
@@ -129,8 +145,9 @@ def render_value(v: Value, spaced: bool = False) -> str:
     return _value_text(v)[0]
 
 
-def render_expr(e: ast.Expr, spaced: bool = False) -> str:
-    return _expr_text(e, spaced)[0]
+def render_expr(e: ast.Expr, spaced: bool = False,
+                memo: Optional[dict] = None) -> str:
+    return _expr_text(e, spaced, memo)[0]
 
 
 def show_tree(v: Value) -> str:

@@ -275,8 +275,8 @@ def test_simplify_noncommutative_safety(interp):
 
 
 def test_simplify_captures_exactly_its_free_identifiers(interp):
-    # simplify collects the free names while inlining, before rewriting:
-    # no rewrite may add or drop an identifier
+    # simplify keeps the thunk's captures as they are: no rewrite may add
+    # or drop an identifier
     interp.run_program(parse_program("var z : Complex;"))
     rng = random.Random(5)
     sources = [f"{random_source(rng, rng.randrange(1, 6))} * "

@@ -129,9 +129,10 @@ def test_determinism(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.psi")))
 def test_golden_demos(name):
-    code, out, err = run_to_strings(DEMOS / f"{name}.psi")
-    assert code == 0, err
-    assert out == (DEMOS / f"{name}.expected").read_text()
+    for trace, golden in ((False, ".expected"), (True, ".trace.expected")):
+        code, out, err = run_to_strings(DEMOS / f"{name}.psi", trace=trace)
+        assert code == 0, err
+        assert out == (DEMOS / f"{name}{golden}").read_text()
 
 
 # --- REPL ---
@@ -140,6 +141,17 @@ def test_repl_type_command():
     _, out, _ = repl_to_strings("var c, d : integer;\n"
                                 "b := c + d;\n:type b\n:type c\n:quit\n")
     assert out == "integer functional object\ninteger variable\n"
+
+
+def test_repl_types_a_field_subterm_integer():
+    # par matching extracts z.Re from z.Re * y; a field is an integer
+    _, out, err = repl_to_strings(
+        "var z : Complex;\nvar y : Algebra;\n"
+        "function left(A : Algebra) : Algebra; par P, Q : Algebra; "
+        "begin if A = P * Q then Return := P else Return := A end;\n"
+        "b := left(z.Re * y);\n:type b\n:type z.Re\n:quit\n")
+    assert (out, err) == ("integer functional object\n"
+                          "integer functional object\n", "")
 
 
 def test_repl_deep_nesting_is_an_error():

@@ -217,6 +217,15 @@ def test_substitute_rebinds_capture():
                                        "d": FreeVarV("d", "integer")}
 
 
+def test_substitute_types_the_spliced_body():
+    interp = make_interpreter()
+    interp.run_program(parse_program("var c, d : integer;"))
+    thunk = ev(interp, "c + d")
+    fo = substitute(thunk.fo, "c", ComplexV(1, 2))
+    assert fo.result_type == "Complex"
+    assert substitute(thunk.fo, "c", IntegerV(1)).result_type == "integer"
+
+
 def test_substitute_unknown_name():
     interp = make_interpreter()
     interp.run_program(parse_program("var c, d : integer;"))

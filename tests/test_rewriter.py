@@ -1,0 +1,204 @@
+"""The one-pass normaliser in ``algebra.simplify`` against the rewriter it
+replaced: ``_rewrite_once`` below applies one rewrite at the first redex
+in post-order, and the oracle restarts it from the root after every step.
+Both must take the same steps, print the same trace, reach the same normal
+form and fail at the same step."""
+
+import io
+from typing import Optional
+
+from hypothesis import example, given, settings, strategies as st
+
+from psipp import algebra, ast
+from psipp.algebra import _concrete_leaf, _fold, distribute_expr, simplify
+from psipp.cli import run_file
+from psipp.errors import PsiError, RegisterOverflow, RewriteLimitExceeded
+from psipp.evaluator import free_idents
+from psipp.monomials import MonomialRegister
+from psipp.pretty import render_expr
+from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
+                          ThunkV, thunk)
+
+from test_force import budget
+
+
+def _rewrite_once(e: ast.Expr) -> Optional[ast.Expr]:
+    """Apply one rewrite at the first redex in post-order, or None."""
+    if isinstance(e, ast.Infix):
+        lhs = _rewrite_once(e.lhs)
+        if lhs is not None:
+            return ast.Infix(e.op, lhs, e.rhs)
+        rhs = _rewrite_once(e.rhs)
+        if rhs is not None:
+            return ast.Infix(e.op, e.lhs, rhs)
+        left = _concrete_leaf(e.lhs)
+        right = _concrete_leaf(e.rhs)
+        if left is not None and right is not None:
+            folded = _fold(e.op, [left, right])
+            if folded is not None:
+                return ast.ValueLeaf(folded)
+        if e.op == "*":
+            return distribute_expr(e.lhs, e.rhs)
+        return None
+    if isinstance(e, ast.Prefix):
+        inner = _rewrite_once(e.operand)
+        if inner is not None:
+            return ast.Prefix(e.op, inner)
+        operand = _concrete_leaf(e.operand)
+        if operand is not None:
+            folded = _fold(e.op, [operand])
+            if folded is not None:
+                return ast.ValueLeaf(folded)
+        return None
+    return None
+
+
+def oracle_simplify(v, max_steps, trace=None):
+    """Rewrite to a fixed point, restarting from the root after each step
+    and rendering the whole term from scratch."""
+    if not isinstance(v, ThunkV):
+        return v
+    body = v.fo.body
+    steps = 0
+    while True:
+        rewritten = _rewrite_once(body)
+        if rewritten is None:
+            break
+        body = rewritten
+        steps += 1
+        if trace is not None:
+            trace(render_expr(body, spaced=True))
+        if steps > max_steps:
+            raise RewriteLimitExceeded(f"more than {max_steps} rewrite steps")
+    leaf = _concrete_leaf(body)
+    if leaf is not None:
+        return leaf
+    return thunk(body, v.fo.result_type, v.fo.capture_map())
+
+
+def outcome(normalise, v, max_steps, traced):
+    """The trace lines, then the result or the error raised."""
+    lines = []
+    try:
+        result = normalise(v, max_steps, lines.append if traced else None)
+    except PsiError as err:
+        return lines, type(err), str(err)
+    return lines, result
+
+
+# --- random terms over shared subterms ---
+
+BIG = MonomialRegister(0, 2**30, 0, 1)  # its square overflows a register
+LEAVES = st.one_of(
+    st.integers(-3, 3).map(lambda n: ast.ValueLeaf(IntegerV(n))),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda c: ast.ValueLeaf(ComplexV(*c))),
+    st.sampled_from([BIG, MonomialRegister(1, 2, 0, 1)]).map(
+        lambda r: ast.ValueLeaf(RegisterV(r))),
+    st.just(ast.ValueLeaf(FAIL)),
+    st.sampled_from(["x", "y"]).map(ast.Ident),
+    st.just(ast.FieldAccess(ast.Ident("z"), "Re")),
+)
+
+
+def tree_leaves(e: ast.Expr) -> int:
+    """Leaves of the tree a DAG unfolds to, counted once per shared node."""
+    counts: dict[int, int] = {}
+
+    def count(e):
+        if id(e) not in counts:
+            if isinstance(e, ast.Infix):
+                counts[id(e)] = count(e.lhs) + count(e.rhs)
+            elif isinstance(e, ast.Prefix):
+                counts[id(e)] = count(e.operand)
+            else:
+                counts[id(e)] = 1
+        return counts[id(e)]
+
+    return count(e)
+
+
+@st.composite
+def terms(draw):
+    """A thunk whose body is built from a pool of earlier nodes, so that
+    an operand may be shared by several parents. The tree it unfolds to
+    has at most 32 leaves, which keeps the restarting oracle quick."""
+    pool = [draw(LEAVES)]
+    for _ in range(draw(st.integers(3, 16))):
+        kind = draw(st.sampled_from(["*", "+", "leaf", "-", "neg"]))
+        picks = [pool[-1 - draw(st.integers(0, len(pool) - 1))]
+                 for _ in range(1 if kind == "neg" else 2)]
+        if kind == "leaf":
+            node = draw(LEAVES)
+        elif kind == "neg":
+            node = ast.Prefix("-", *picks)
+        else:
+            node = ast.Infix(kind, *picks)
+        if tree_leaves(node) <= 32:
+            pool.append(node)
+    body = max(pool, key=tree_leaves)
+    return thunk(body, "Algebra", {name: FreeVarV(name)
+                                   for name in free_idents(body)})
+
+
+def worked_example():
+    i, x = ast.ValueLeaf(ComplexV(0, 1)), ast.Ident("x")
+    return thunk(ast.Infix("*", ast.Infix("+", i, x), i), "Algebra",
+                 {"x": FreeVarV("x")})
+
+
+def overflow_after_a_step():
+    # (x + 1) * 2 distributes, 1 * 2 folds, then BIG * BIG overflows
+    x, big = ast.Ident("x"), ast.ValueLeaf(RegisterV(BIG))
+    distributed = ast.Infix("*", ast.Infix("+", x, ast.ValueLeaf(IntegerV(1))),
+                            ast.ValueLeaf(IntegerV(2)))
+    return thunk(ast.Infix("+", distributed, ast.Infix("*", big, big)),
+                 "Algebra", {"x": FreeVarV("x")})
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms(), st.sampled_from([5, 20, 10_000]), st.booleans())
+@example(worked_example(), 10_000, True)
+@example(worked_example(), 1, True)
+@example(overflow_after_a_step(), 10_000, True)
+def test_simplify_matches_restarting_oracle(v, max_steps, traced):
+    expected = outcome(oracle_simplify, v, max_steps, traced)
+    assert outcome(simplify, v, max_steps, traced) == expected
+
+
+def test_overflow_example_fails_after_two_steps():
+    lines, error, _ = outcome(simplify, overflow_after_a_step(), 10_000, True)
+    assert error is RegisterOverflow
+    assert [line.split(" + x2")[0] for line in lines] \
+        == ["2 * x + 1 * 2", "2 * x + 2"]
+
+
+# --- cost and depth ---
+
+def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
+    # n*n - 1 steps, each trying the roots of the 3 nodes a distribution
+    # makes (2 calls apiece), plus 2 calls per node of the input; a walk
+    # that visits B again after C*B + D*B takes 8 calls per step
+    n = 32
+    xs = [f"x{k}" for k in range(n)]
+    ys = [f"y{k}" for k in range(n)]
+    script = tmp_path / "expand.psi"
+    script.write_text(f"var {', '.join(xs + ys)} : Algebra;\n"
+                      f"print(simplify(({' + '.join(xs)}) * "
+                      f"({' + '.join(ys)})));\n")
+    monkeypatch.setattr(algebra, "_concrete_leaf",
+                        budget(7 * n * n, algebra._concrete_leaf))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
+    printed = out.getvalue().strip().replace("(", "").replace(")", "")
+    assert printed.split(" + ") == [f"{x}*{y}" for x in xs for y in ys]
+
+
+def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
+    script = tmp_path / "deep.psi"
+    script.write_text("var x, y : Algebra;\na := x;\n"
+                      + "a := a + x;\n" * 1500
+                      + "b := simplify(a * y); print(1);\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
+    assert out.getvalue() == "1\n"
