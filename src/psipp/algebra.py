@@ -27,8 +27,7 @@ from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .pretty import render_expr
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
-                     Value, arith, complex_mul, join_types, promote, thunk,
-                     type_name_of)
+                     Value, arith, complex_mul, promote, thunk)
 
 PRELUDE_SOURCE = """\
 Group = Object;
@@ -83,8 +82,7 @@ def distribute(a: Value, b: Value) -> Value:
     if body is None:
         return FAIL
     a_is_sum = body.lhs.rhs is b_expr  # (C + D) * B -> C*B + ...
-    return thunk(body, join_types([type_name_of(a), type_name_of(b)]),
-                 *((a_caps, b_caps) if a_is_sum else (b_caps, a_caps)))
+    return thunk(body, *((a_caps, b_caps) if a_is_sum else (b_caps, a_caps)))
 
 
 def complex_method_mul(a: Value, b: Value) -> Value:
@@ -164,8 +162,8 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     """Normal form of a value. Values other than thunks are already normal
     forms. A thunk's body is rewritten as built: its leaves are concrete
     values and its own free variables, and rewriting neither adds nor
-    drops an identifier, so the normal form keeps the thunk's captures and
-    result type.
+    drops an identifier, so the normal form keeps the thunk's captures. A
+    fold gives a value of its operands' joined type, so it keeps the type.
 
     Each step rewrites the first redex in post-order, but the walk resumes
     at the node just rewritten, since everything before it is normal. A
@@ -219,7 +217,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf
-    return thunk(e, v.fo.result_type, v.fo.capture_map())
+    return thunk(e, v.fo.capture_map())
 
 
 # --- prelude installation ---

@@ -17,7 +17,7 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
 from .objects import INTEGER, NativeMethod, Registry, UserMethod
 from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
                      IntegerV, ThunkV, Value, arith, classify_binding,
-                     int_arith, join_types, promote, thunk, type_name_of)
+                     int_arith, promote, thunk, type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the output, never expressions
@@ -44,8 +44,7 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
         return expr.value
     if isinstance(expr, ast.Ident) and expr.name in captures:
         return captures[expr.name]
-    return thunk(expr, join_types([_repr_type(expr, captures)]),
-                 {name: captures[name] for name in free_idents(expr)})
+    return thunk(expr, {name: captures[name] for name in free_idents(expr)})
 
 
 def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
@@ -56,8 +55,7 @@ def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
         body: ast.Expr = ast.Infix(op, reprs[0][0], reprs[1][0])
     else:
         body = ast.Prefix(op, reprs[0][0])
-    return thunk(body, join_types([type_name_of(a) for a in args]),
-                 *(caps for _, caps in reprs))
+    return thunk(body, *(caps for _, caps in reprs))
 
 
 def _children(e: ast.Expr) -> tuple[ast.Expr, ...]:
@@ -95,38 +93,12 @@ def free_idents(expr: ast.Expr) -> set[str]:
     return out
 
 
-def _repr_type(expr: ast.Expr, captures: dict[str, Value],
-               memo: Optional[dict[int, str]] = None) -> str:
-    """Result type of an operand subtree; ``memo`` holds the type of each
-    operator node already visited, by ``id``."""
-    if isinstance(expr, ast.ValueLeaf):
-        return type_name_of(expr.value)
-    if isinstance(expr, ast.Ident):
-        v = captures.get(expr.name)
-        return type_name_of(v) if v is not None else "Algebra"
-    if isinstance(expr, (ast.IntLit, ast.FieldAccess)):
-        return INTEGER  # a field is an integer component, as in eval_field
-    if not isinstance(expr, (ast.Infix, ast.Prefix)):
-        return "Algebra"
-    memo = {} if memo is None else memo
-    known = memo.get(id(expr))
-    if known is None:
-        if isinstance(expr, ast.Infix):
-            known = join_types([_repr_type(expr.lhs, captures, memo),
-                                _repr_type(expr.rhs, captures, memo)])
-        else:
-            known = _repr_type(expr.operand, captures, memo)
-        memo[id(expr)] = known
-    return known
-
-
 def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
     """Splice ``v`` into the body for the free variable ``name``, as the
     evaluator would have done had ``name`` been bound to ``v`` when the
-    object was made, but leave the body unevaluated. The result is typed
-    from the new body over the merged captures, as the evaluator types it.
-    A shared node is rebuilt and typed once, and a subterm without
-    ``name`` is kept as is; the original is unchanged."""
+    object was made, but leave the body unevaluated. A shared node is
+    rebuilt once, and a subterm without ``name`` is kept as is; the
+    original is unchanged."""
     captures = fo.capture_map()
     if captures.pop(name, None) is None:
         raise UnknownIdentifier(f"{name!r} is not captured by this "
@@ -155,9 +127,7 @@ def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
         return new
 
     captures.update(v_captures)
-    body = splice(fo.body)
-    return thunk(body, join_types([_repr_type(body, captures)]),
-                 captures).fo
+    return thunk(splice(fo.body), captures).fo
 
 
 def value_equal(a: Value, b: Value) -> bool:
@@ -345,7 +315,7 @@ class Interpreter:
                                     expr.span)
         if isinstance(obj, (ThunkV, FreeVarV)):
             body, captures = as_repr(obj)
-            return thunk(ast.FieldAccess(body, field), INTEGER, captures)
+            return thunk(ast.FieldAccess(body, field), captures)
         raise EvalError(f"no field {field!r} on this value", expr.span)
 
     def eval_pair(self, expr: ast.PairLit, env: Environment) -> Value:

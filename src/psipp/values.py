@@ -4,8 +4,8 @@ both the evaluator and the rewriter.
 Every runtime datum is one of: integer, complex value, monomial register,
 free variable, thunk (lazy functional object), or the universal ``fail``
 sentinel. Values are immutable and may be shared. The kernel holds the one
-definition of concrete Gaussian-integer arithmetic, of the result type of
-mixed operands, and of thunk construction.
+definition of concrete Gaussian-integer arithmetic, of thunk construction,
+and of a functional object's type, which is read off its body when asked.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ class FunctionalObject:
     thunk or a free variable) or ``Ident`` (a free variable). ``captures``
     holds exactly the free identifiers, each bound to the ``FreeVarV`` of
     its own name, which carries its declared type; forcing binds them by
-    name. Shared subterms stay shared: the body is a DAG.
+    name. Shared subterms stay shared: the body is a DAG. Its type is not
+    stored: ``type_name_of`` computes it from the body and the captures.
     """
 
     body: ast.Expr
     captures: tuple[tuple[str, Value], ...]
-    result_type: str = "Algebra"
 
     def capture_map(self) -> dict[str, Value]:
         return dict(self.captures)
@@ -101,7 +101,7 @@ def classify_binding(v: Value) -> str:
     return KIND_VALUE
 
 
-# --- the kernel: result types, thunk construction, arithmetic ---
+# --- the kernel: types, thunk construction, arithmetic ---
 
 def type_name_of(v: Value) -> str:
     if isinstance(v, IntegerV):
@@ -113,12 +113,12 @@ def type_name_of(v: Value) -> str:
     if isinstance(v, FreeVarV):
         return v.type_name
     if isinstance(v, ThunkV):
-        return v.fo.result_type
+        return type_of_body(v.fo.body, v.fo.capture_map())
     return "Algebra"  # fail
 
 
-def join_types(names: list[str]) -> str:
-    """Least informative common result type for mixed operands."""
+def join_types(names: set[str]) -> str:
+    """Least informative common type of a body's leaf types."""
     if names and all(n == INTEGER for n in names):
         return INTEGER
     if all(n in (INTEGER, "Complex") for n in names):
@@ -129,15 +129,43 @@ def join_types(names: list[str]) -> str:
     return "Algebra"
 
 
-def thunk(body: ast.Expr, result_type: str,
-          *captures: dict[str, Value]) -> ThunkV:
+def type_of_body(body: ast.Expr, captures: dict[str, Value]) -> str:
+    """The type of a functional object: the join of its body's leaf types.
+    A value leaf is typed by its value and an identifier by its capture;
+    an integer literal and a field, an integer component as ``eval_field``
+    makes it, are ``integer``; any other leaf is ``Algebra``. A subtree
+    shared by several parents is visited once, on an explicit stack, so
+    any depth is typed."""
+    leaf_types: set[str] = set()
+    seen: set[int] = set()
+    pending = [body]
+    while pending:
+        e = pending.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, ast.Infix):
+            pending += (e.lhs, e.rhs)
+        elif isinstance(e, ast.Prefix):
+            pending.append(e.operand)
+        elif isinstance(e, ast.ValueLeaf):
+            leaf_types.add(type_name_of(e.value))
+        elif isinstance(e, ast.Ident) and e.name in captures:
+            leaf_types.add(type_name_of(captures[e.name]))
+        elif isinstance(e, (ast.IntLit, ast.FieldAccess)):
+            leaf_types.add(INTEGER)
+        else:
+            leaf_types.add("Algebra")
+    return join_types(leaf_types)
+
+
+def thunk(body: ast.Expr, *captures: dict[str, Value]) -> ThunkV:
     """Build a lazy functional object over the merged capture maps; on a
     name clash the later map wins."""
     merged: dict[str, Value] = {}
     for caps in captures:
         merged.update(caps)
-    return ThunkV(FunctionalObject(body, tuple(sorted(merged.items())),
-                                   result_type))
+    return ThunkV(FunctionalObject(body, tuple(sorted(merged.items()))))
 
 
 def promote(v: Value) -> Value:

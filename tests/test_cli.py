@@ -154,6 +154,20 @@ def test_repl_types_a_field_subterm_integer():
                           "integer functional object\n", "")
 
 
+def test_repl_types_an_object_by_its_captures():
+    # a captures x : Algebra, b the redeclared x : Complex, which wins
+    _, out, err = repl_to_strings(
+        "var x : Algebra;\na := x + 1;\nvar x : Complex;\nb := a * x;\n"
+        ":type b\nx := (1, 2);\n:type EVAL(b)\n:quit\n")
+    assert (out, err) == ("Complex functional object\nComplex value\n", "")
+
+
+def test_repl_types_a_deep_object():
+    text = "var x : Algebra;\na := x;\n" + "a := a + x;\n" * 1500
+    _, out, err = repl_to_strings(text + ":type a\n:quit\n")
+    assert (out, err) == ("Algebra functional object\n", "")
+
+
 def test_repl_deep_nesting_is_an_error():
     text = "x := 1;\n" + " + ".join(["x"] * 1200) + "\nx + 1\n:quit\n"
     code, out, err = repl_to_strings(text)

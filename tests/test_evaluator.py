@@ -8,7 +8,7 @@ from psipp.evaluator import substitute, value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
 from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, IntegerV,
-                          ThunkV, classify_binding)
+                          ThunkV, classify_binding, type_name_of)
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def test_unbound_operands_build_thunk():
     assert value.fo.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
     assert dict(value.fo.captures) == {"c": FreeVarV("c", "integer"),
                                        "d": FreeVarV("d", "integer")}
-    assert value.fo.result_type == "integer"
+    assert type_name_of(value) == "integer"
 
 
 def test_thunk_built_without_invoking_user_code(interp):
@@ -222,8 +222,9 @@ def test_substitute_types_the_spliced_body():
     interp.run_program(parse_program("var c, d : integer;"))
     thunk = ev(interp, "c + d")
     fo = substitute(thunk.fo, "c", ComplexV(1, 2))
-    assert fo.result_type == "Complex"
-    assert substitute(thunk.fo, "c", IntegerV(1)).result_type == "integer"
+    assert type_name_of(ThunkV(fo)) == "Complex"
+    assert type_name_of(ThunkV(substitute(thunk.fo, "c", IntegerV(1)))) \
+        == "integer"
 
 
 def test_substitute_unknown_name():

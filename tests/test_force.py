@@ -5,10 +5,11 @@ tree walk."""
 from hypothesis import given, settings, strategies as st
 
 from psipp import ast, evaluator
-from psipp.algebra import make_interpreter
+from psipp.algebra import make_interpreter, simplify
 from psipp.evaluator import Interpreter, is_concrete
 from psipp.parser import parse_program
-from psipp.values import Environment, FreeVarV, IntegerV, ThunkV
+from psipp.values import (Environment, FreeVarV, IntegerV, ThunkV,
+                          type_name_of)
 
 
 def run(source: str) -> Interpreter:
@@ -107,6 +108,24 @@ def test_memoised_force_matches_tree_walk(program):
     assert interp.output == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(shared_programs(), st.data())
+def test_type_predicts_simplify_and_force(program, data):
+    """A temporary's type is the type of its normal form, and of the value
+    it forces to once every integer and Complex variable is bound."""
+    source, _, temps = program
+    interp = run(source)
+    values = [interp.globals.lookup(name) for name in temps]
+    types = [type_name_of(v) for v in values]
+    assert [type_name_of(simplify(v)) for v in values] == types
+    small = st.integers(-3, 3)
+    binds = [f"{var} := {data.draw(small)};" for var in INT_VARS]
+    binds += [f"{var} := ({data.draw(small)}, {data.draw(small)});"
+              for var in COMPLEX_VARS]
+    interp.run_program(parse_program("\n".join(binds)))
+    assert [type_name_of(interp.force(v)) for v in values] == types
+
+
 # --- pinned behaviour ---
 
 def test_user_operator_prints_once_per_occurrence():
@@ -150,8 +169,8 @@ def test_shared_chain_forces_in_linear_eval_calls():
 
 def test_match_against_shared_chain(monkeypatch):
     depth = 40
-    monkeypatch.setattr(evaluator, "_repr_type",
-                        budget(10 * depth, evaluator._repr_type))
+    monkeypatch.setattr(evaluator, "_children",
+                        budget(10 * depth, evaluator._children))
     interp = run(doubling_chain(depth) + f"""
 function left(A : Algebra) : Algebra;
 par

@@ -73,7 +73,7 @@ def oracle_simplify(v, max_steps, trace=None):
     leaf = _concrete_leaf(body)
     if leaf is not None:
         return leaf
-    return thunk(body, v.fo.result_type, v.fo.capture_map())
+    return thunk(body, v.fo.capture_map())
 
 
 def outcome(normalise, v, max_steps, traced):
@@ -137,14 +137,12 @@ def terms(draw):
         if tree_leaves(node) <= 32:
             pool.append(node)
     body = max(pool, key=tree_leaves)
-    return thunk(body, "Algebra", {name: FreeVarV(name)
-                                   for name in free_idents(body)})
+    return thunk(body, {name: FreeVarV(name) for name in free_idents(body)})
 
 
 def worked_example():
     i, x = ast.ValueLeaf(ComplexV(0, 1)), ast.Ident("x")
-    return thunk(ast.Infix("*", ast.Infix("+", i, x), i), "Algebra",
-                 {"x": FreeVarV("x")})
+    return thunk(ast.Infix("*", ast.Infix("+", i, x), i), {"x": FreeVarV("x")})
 
 
 def overflow_after_a_step():
@@ -153,7 +151,7 @@ def overflow_after_a_step():
     distributed = ast.Infix("*", ast.Infix("+", x, ast.ValueLeaf(IntegerV(1))),
                             ast.ValueLeaf(IntegerV(2)))
     return thunk(ast.Infix("+", distributed, ast.Infix("*", big, big)),
-                 "Algebra", {"x": FreeVarV("x")})
+                 {"x": FreeVarV("x")})
 
 
 @settings(max_examples=400, deadline=None)
