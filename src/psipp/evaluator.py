@@ -24,10 +24,6 @@ DEFAULT_REWRITE_LIMIT = 10_000
 STATEMENT_CALLS = ("print", "kind")
 
 
-def is_concrete(v: Value) -> bool:
-    return not isinstance(v, (ThunkV, FreeVarV))
-
-
 def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
     """Operand representation for thunk bodies: sub-thunks inline their
     body, free variables stay identifier leaves, values become leaves."""
@@ -205,21 +201,23 @@ class Interpreter:
     # --- statements ---
 
     def exec_stmt(self, stmt: ast.Stmt, env: Environment):
-        if isinstance(stmt, ast.Assign):
-            value = self.eval_expr(stmt.expr, env)
-            env.assign(stmt.target, value)
-        elif isinstance(stmt, ast.If):
-            if self.eval_condition(stmt.cond, env):
-                self.exec_stmt(stmt.then, env)
-            elif stmt.els is not None:
-                self.exec_stmt(stmt.els, env)
-        elif isinstance(stmt, ast.Compound):
-            for inner in stmt.body:
-                self.exec_stmt(inner, env)
-        elif isinstance(stmt, ast.CallStmt):
-            self.exec_call_stmt(stmt, env)
-        else:
+        handler = _EXEC.get(type(stmt))
+        if handler is None:
             raise EvalError(f"cannot execute {type(stmt).__name__}", stmt.span)
+        handler(self, stmt, env)
+
+    def exec_assign(self, stmt: ast.Assign, env: Environment):
+        env.assign(stmt.target, self.eval_expr(stmt.expr, env))
+
+    def exec_if(self, stmt: ast.If, env: Environment):
+        if self.eval_condition(stmt.cond, env):
+            self.exec_stmt(stmt.then, env)
+        elif stmt.els is not None:
+            self.exec_stmt(stmt.els, env)
+
+    def exec_compound(self, stmt: ast.Compound, env: Environment):
+        for inner in stmt.body:
+            self.exec_stmt(inner, env)
 
     def exec_call_stmt(self, stmt: ast.CallStmt, env: Environment):
         from .pretty import render_value
@@ -244,45 +242,38 @@ class Interpreter:
     # --- expressions ---
 
     def eval_expr(self, expr: ast.Expr, env: Environment) -> Value:
-        if isinstance(expr, ast.IntLit):
-            return IntegerV(expr.value)
-        if isinstance(expr, ast.FailLit):
-            return FAIL
-        if isinstance(expr, ast.ValueLeaf):
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            value = env.find(expr.name)
-            if value is None:
-                if expr.name == "Return":
-                    raise UnassignedReturn("Return read before assignment",
-                                           expr.span)
-                raise UnknownIdentifier(f"unknown identifier {expr.name!r}",
-                                        expr.span)
-            return value
-        if isinstance(expr, ast.Prefix):
-            if env is self._memo_env:
-                return self._eval_shared(expr, env)
-            operand = self.eval_expr(expr.operand, env)
-            return self.apply_operator(expr.op, "prefix", [operand], expr)
-        if isinstance(expr, ast.Infix):
-            if expr.op == "=":
-                raise EvalError("'=' is only valid in an if condition",
-                                expr.span)
-            if env is self._memo_env:
-                return self._eval_shared(expr, env)
-            lhs = self.eval_expr(expr.lhs, env)
-            rhs = self.eval_expr(expr.rhs, env)
-            return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
-        if isinstance(expr, ast.FieldAccess):
-            obj = self.eval_expr(expr.obj, env)
-            return self.eval_field(obj, expr.field, expr)
-        if isinstance(expr, ast.PairLit):
-            return self.eval_pair(expr, env)
-        if isinstance(expr, ast.InheritedCall):
-            return self.eval_inherited(expr, env)
-        if isinstance(expr, ast.Call):
-            return self.eval_call(expr, env)
-        raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        """The value of ``expr``, by the handler of its node type; each
+        handler evaluates an operand through ``eval_expr`` again."""
+        handler = _EVAL.get(type(expr))
+        if handler is None:
+            raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        return handler(self, expr, env)
+
+    def eval_ident(self, expr: ast.Ident, env: Environment) -> Value:
+        value = env.find(expr.name)
+        if value is None:
+            if expr.name == "Return":
+                raise UnassignedReturn("Return read before assignment",
+                                       expr.span)
+            raise UnknownIdentifier(f"unknown identifier {expr.name!r}",
+                                    expr.span)
+        return value
+
+    def eval_prefix(self, expr: ast.Prefix, env: Environment) -> Value:
+        if env is self._memo_env:
+            return self._eval_shared(expr, env)
+        operand = self.eval_expr(expr.operand, env)
+        return self.apply_operator(expr.op, "prefix", [operand], expr)
+
+    def eval_infix(self, expr: ast.Infix, env: Environment) -> Value:
+        if expr.op == "=":
+            raise EvalError("'=' is only valid in an if condition",
+                            expr.span)
+        if env is self._memo_env:
+            return self._eval_shared(expr, env)
+        lhs = self.eval_expr(expr.lhs, env)
+        rhs = self.eval_expr(expr.rhs, env)
+        return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
 
     def _eval_shared(self, expr: ast.Expr, env: Environment) -> Value:
         """An operator node of the body being forced, evaluated once per
@@ -303,7 +294,9 @@ class Interpreter:
             self._memo[id(expr)] = value
         return value
 
-    def eval_field(self, obj: Value, field: str, expr: ast.Expr) -> Value:
+    def eval_field(self, expr: ast.FieldAccess, env: Environment) -> Value:
+        obj = self.eval_expr(expr.obj, env)
+        field = expr.field
         if obj is FAIL:
             return FAIL
         if isinstance(obj, ComplexV):
@@ -346,7 +339,7 @@ class Interpreter:
         else:
             raise EvalError("inherited call requires an operator application",
                             expr.span)
-        if any(a is FAIL for a in args):
+        if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
             return FAIL
         impl = self.registry.resolve_method(expr.ancestor, symbol, fixity,
                                             span=expr.span)
@@ -371,31 +364,38 @@ class Interpreter:
 
     def apply_operator(self, op: str, fixity: str, args: list[Value],
                        expr: ast.Expr) -> Value:
-        if any(a is FAIL for a in args):
-            return FAIL
-        if not all(is_concrete(a) for a in args):
+        concrete = integers = True
+        for a in args:
+            if a is FAIL:
+                return FAIL
+            kind = type(a)
+            if kind is ThunkV or kind is FreeVarV:
+                concrete = False
+            elif kind is not IntegerV:
+                integers = False
+        if not concrete:
             return self.make_thunk(op, fixity, args)
-        if all(isinstance(a, IntegerV) for a in args):
+        if integers:
             return int_arith(op, args)
         return self.dispatch(op, fixity, args, expr)
 
     def dispatch(self, op: str, fixity: str, args: list[Value],
                  expr: ast.Expr) -> Value:
-        receiver = type_name_of(args[0])
+        types = [type_name_of(a) for a in args]
+        receiver = types[0]
         if receiver == INTEGER:
             # mixed integer/object operands dispatch on the promoted type
-            others = [type_name_of(a) for a in args[1:]]
-            receiver = others[0] if others else INTEGER
+            receiver = types[1] if len(types) > 1 else INTEGER
             if receiver == "Complex":
                 args = [promote(a) for a in args]
+                types = ["Complex"] * len(args)
         span = getattr(expr, "span", None)
         if receiver not in self.registry.types:
             native = arith(op, args)
             if native is not None:
                 return native
             raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
-        impl = self.registry.resolve_method(
-            receiver, op, fixity, [type_name_of(a) for a in args], span)
+        impl = self.registry.resolve_method(receiver, op, fixity, types, span)
         return self.invoke_method(impl, args, None, span)
 
     def make_thunk(self, op: str, fixity: str, args: list[Value]) -> Value:
@@ -423,7 +423,7 @@ class Interpreter:
             if slot_type == "Complex":
                 arg = promote(arg)
             frame.define(name, arg)
-        par_frame = Environment(frame, frozenset(n for n, _ in decl.par_decls))
+        par_frame = Environment(frame, impl.par_names)
         self.exec_stmt(decl.body, par_frame)
         result = par_frame.find("Return")
         if result is None:
@@ -533,3 +533,24 @@ class Interpreter:
             return self.eval_expr(v.fo.body, overlay)
         finally:
             self._memo_env, self._memo = outer
+
+
+# handlers by node type, read by exec_stmt and eval_expr
+_EXEC = {
+    ast.Assign: Interpreter.exec_assign,
+    ast.If: Interpreter.exec_if,
+    ast.Compound: Interpreter.exec_compound,
+    ast.CallStmt: Interpreter.exec_call_stmt,
+}
+_EVAL = {
+    ast.IntLit: lambda interp, expr, env: IntegerV(expr.value),
+    ast.FailLit: lambda interp, expr, env: FAIL,
+    ast.ValueLeaf: lambda interp, expr, env: expr.value,
+    ast.Ident: Interpreter.eval_ident,
+    ast.Prefix: Interpreter.eval_prefix,
+    ast.Infix: Interpreter.eval_infix,
+    ast.FieldAccess: Interpreter.eval_field,
+    ast.PairLit: Interpreter.eval_pair,
+    ast.InheritedCall: Interpreter.eval_inherited,
+    ast.Call: Interpreter.eval_call,
+}

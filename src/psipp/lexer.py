@@ -1,12 +1,11 @@
 """Lexer for the Pascal-like surface language.
 
 Comments are ``{ ... }`` and do not nest. The typographic minus sign
-(U+2212) is accepted and normalized to ASCII ``-``.
+(U+2212) is accepted and normalized to ASCII ``-``. Integer literals are
+ASCII digits; identifiers continue with any letter or digit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import LexError
 
@@ -22,87 +21,77 @@ INT = "integer-literal"
 OP = "operator-symbol"
 PUNCT = "punctuation"
 
-_OPERATOR_CHARS = {"+", "-", "*", "="}
-_PUNCT_CHARS = {";", ",", "(", ")", ".", ":"}
+# single-character tokens; ":" is checked for ":=" first
+_SINGLE = {**dict.fromkeys("+-*=−", OP), **dict.fromkeys(";,().:", PUNCT)}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    lexeme: str
-    span: tuple[int, int, int]  # (line, column, length)
+    """One token: its kind, its text, and its span (line, column, length)."""
+
+    __slots__ = ("kind", "lexeme", "span")
+
+    def __init__(self, kind: str, lexeme: str, span: tuple[int, int, int]):
+        self.kind = kind
+        self.lexeme = lexeme
+        self.span = span
 
     def __repr__(self):
         return f"Token({self.kind}, {self.lexeme!r})"
 
 
 def tokenize(source: str) -> list[Token]:
-    """Split source text into tokens, skipping whitespace and comments."""
+    """Split source text into tokens, skipping whitespace and comments.
+    A column counts characters from the last newline before the token."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    append = tokens.append
+    line, line_start = 1, 0  # line_start: index of the line's first char
     i = 0
     n = len(source)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
     while i < n:
         ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
+        if ch in " \t\r":
             i += 1
             continue
+        if ch == "\n":
+            i += 1
+            line, line_start = line + 1, i
+            continue
+        col = i - line_start + 1
         if ch == "{":
             end = source.find("}", i + 1)
             if end < 0:
                 raise LexError("unterminated comment", (line, col, 1))
-            advance(source[i:end + 1])
+            newlines = source.count("\n", i, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", i, end) + 1
             i = end + 1
             continue
-        start = (line, col)
-        if ch == "−":  # typographic minus; parser treats it as "-"
-            tokens.append(Token(OP, ch, (line, col, 1)))
-            advance(ch)
-            i += 1
-            continue
         if ch.isalpha() or ch == "_":
-            j = i
+            j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             lexeme = source[i:j]
-            kind = KEYWORD if lexeme in KEYWORDS else IDENT
-            tokens.append(Token(kind, lexeme, (*start, j - i)))
-            advance(lexeme)
+            append(Token(KEYWORD if lexeme in KEYWORDS else IDENT, lexeme,
+                         (line, col, j - i)))
             i = j
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
+        # ASCII only: isdigit() also takes "²", which int() refuses, and
+        # "٣", which int() reads as 3
+        if "0" <= ch <= "9":
+            j = i + 1
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
-            tokens.append(Token(INT, source[i:j], (*start, j - i)))
-            advance(source[i:j])
+            append(Token(INT, source[i:j], (line, col, j - i)))
             i = j
             continue
-        if ch == ":" and i + 1 < n and source[i + 1] == "=":
-            tokens.append(Token(OP, ":=", (*start, 2)))
-            advance(":=")
+        if ch == ":" and source.startswith("=", i + 1):
+            append(Token(OP, ":=", (line, col, 2)))
             i += 2
             continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append(Token(OP, ch, (*start, 1)))
-            advance(ch)
-            i += 1
-            continue
-        if ch in _PUNCT_CHARS:
-            tokens.append(Token(PUNCT, ch, (*start, 1)))
-            advance(ch)
-            i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", (line, col, 1))
+        kind = _SINGLE.get(ch)
+        if kind is None:
+            raise LexError(f"unexpected character {ch!r}", (line, col, 1))
+        append(Token(kind, ch, (line, col, 1)))  # "−" is "-" to the parser
+        i += 1
     return tokens

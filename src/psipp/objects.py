@@ -10,6 +10,7 @@ Python callables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from . import ast
@@ -21,6 +22,11 @@ INTEGER = "integer"
 @dataclass
 class UserMethod:
     decl: ast.FunctionDecl
+
+    @cached_property
+    def par_names(self) -> frozenset[str]:
+        """The names the body's ``par`` block declares."""
+        return frozenset(name for name, _ in self.decl.par_decls)
 
 
 @dataclass
@@ -43,6 +49,9 @@ class ObjectDescriptor:
 class Registry:
     def __init__(self):
         self.types: dict[str, ObjectDescriptor] = {}
+        # resolve_method's results by (receiver, symbol, fixity, argument
+        # types); defining a type or attaching a method clears it
+        self._resolved: dict[tuple, MethodImpl] = {}
 
     def _chain(self, name: Optional[str],
                span=None) -> Iterator[ObjectDescriptor]:
@@ -71,6 +80,7 @@ class Registry:
         for sig in decl.method_sigs:
             descriptor.methods[(sig.symbol, sig.fixity)] = UserMethod(sig)
         self.types[decl.name] = descriptor
+        self._resolved.clear()
         return decl.name
 
     def descriptor(self, name: str) -> ObjectDescriptor:
@@ -79,6 +89,7 @@ class Registry:
     def attach_method(self, owner: str, symbol: str, fixity: str,
                       impl: MethodImpl):
         self.descriptor(owner).methods[(symbol, fixity)] = impl
+        self._resolved.clear()
 
     def set_native(self, owner: str, symbol: str, fixity: str,
                    fn: Callable, arity: int):
@@ -88,11 +99,18 @@ class Registry:
                        arg_types: Optional[list[str]] = None,
                        span=None) -> MethodImpl:
         """Nearest method up the receiver's chain; with ``arg_types``, the
-        nearest one whose parameters accept arguments of those types."""
+        nearest one whose parameters accept arguments of those types. A
+        found method is remembered until the registry changes."""
+        key = (receiver, symbol, fixity,
+               None if arg_types is None else tuple(arg_types))
+        found = self._resolved.get(key)
+        if found is not None:
+            return found
         for desc in self._chain(receiver, span):
             impl = desc.methods.get((symbol, fixity))
             if impl is not None and (arg_types is None
                                      or self._accepts(impl, arg_types)):
+                self._resolved[key] = impl
                 return impl
         if arg_types is not None:
             raise NoSuchMethod(f"no applicable {fixity} {symbol!r} on "

@@ -53,17 +53,20 @@ class _Parser:
         return ParseError(message, self.span(), expected)
 
     def check(self, kind: str, lexeme: Optional[str] = None, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        if tok is None or tok.kind != kind:
+        i = self.pos + offset
+        if i >= len(self.tokens):
             return False
-        return lexeme is None or tok.lexeme == lexeme
+        tok = self.tokens[i]
+        return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
 
     def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, lexeme):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            return tok
-        return None
+        if self.pos >= len(self.tokens):
+            return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, kind: str, lexeme: Optional[str] = None) -> Token:
         tok = self.accept(kind, lexeme)

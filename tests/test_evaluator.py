@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psipp import ast
+from psipp import ast, evaluator
 from psipp.algebra import make_interpreter
-from psipp.errors import UnassignedReturn, UnknownIdentifier
+from psipp.errors import EvalError, UnassignedReturn, UnknownIdentifier
 from psipp.evaluator import substitute, value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
@@ -27,6 +27,25 @@ def ev(interp, source):
 def test_literal(interp):
     assert ev(interp, "1") == IntegerV(1)
     assert classify_binding(ev(interp, "1")) == "value"
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_node_type_has_a_handler():
+    assert set(evaluator._EVAL) == set(subclasses(ast.Expr))
+    assert set(evaluator._EXEC) == set(subclasses(ast.Stmt))
+
+
+def test_a_node_without_a_handler_is_an_eval_error(interp):
+    with pytest.raises(EvalError, match="^cannot evaluate Assign$"):
+        interp.eval_expr(ast.Assign("x", ast.IntLit(1)), interp.globals)
+    block = ast.VarBlock((("x", "Algebra"),), (1, 1, 3))
+    with pytest.raises(EvalError, match="^1:1: cannot execute VarBlock$"):
+        interp.exec_stmt(block, interp.globals)
 
 
 def test_unbound_operands_build_thunk():

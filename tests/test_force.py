@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from psipp import ast, evaluator
 from psipp.algebra import make_interpreter, simplify
-from psipp.evaluator import Interpreter, is_concrete
+from psipp.evaluator import Interpreter
 from psipp.parser import parse_program
 from psipp.values import (Environment, FreeVarV, IntegerV, ThunkV,
                           type_name_of)
@@ -33,7 +33,7 @@ def tree_force(interp: Interpreter, v):
     shared node is evaluated again, as forcing did before memoisation."""
     if isinstance(v, FreeVarV):
         bound = interp.globals.find(v.name)
-        return bound if is_concrete(bound) else v
+        return v if isinstance(bound, (ThunkV, FreeVarV)) else bound
     if not isinstance(v, ThunkV):
         return v
     overlay = Environment()

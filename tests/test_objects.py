@@ -1,8 +1,10 @@
+import io
 import itertools
 
 import pytest
 
 from psipp.algebra import make_interpreter
+from psipp.cli import run_file, run_repl
 from psipp.errors import (DuplicateType, FieldShadowing, NoSuchMethod,
                           UnknownAncestor)
 from psipp.objects import NativeMethod, Registry, UserMethod
@@ -129,3 +131,65 @@ def test_ancestor_not_compatible_with_descendant_slot(prelude):
 def test_integer_promotes_into_complex_chain(prelude):
     assert prelude.kind_compatible("Complex", "integer")
     assert prelude.kind_compatible("Algebra", "integer")
+
+
+# --- the resolution cache ---
+
+REDEFINE = """\
+z := (1, 2);
+print(z * z);
+function Complex.infix* (A, B : Complex) : Complex;
+begin Return := (7, 7) end;
+print(z * z);
+"""
+
+
+def test_redefined_method_replaces_a_cached_resolution(tmp_path):
+    script = tmp_path / "redefine.psi"
+    script.write_text(REDEFINE)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_file(str(script), stdout=out, stderr=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("-3 + 4*i\n7 + 7*i\n", "")
+    out, err = io.StringIO(), io.StringIO()
+    run_repl(stdin=io.StringIO(REDEFINE.replace(";\nbegin", "; begin")
+                               + ":quit\n"), stdout=out, stderr=err)
+    assert (out.getvalue(), err.getvalue()) == ("-3 + 4*i\n7 + 7*i\n", "")
+
+
+def test_new_type_replaces_a_cached_resolution(tmp_path):
+    # Monomial's slot B : Complex takes an integer only once Complex is a
+    # type; until then Base's method, whose slot is integer, applies
+    script = tmp_path / "descendant.psi"
+    script.write_text(
+        "Base = Object;\nMonomial = Object(Base);\n"
+        "function Base.infix* (A : Base; B : integer) : Base; "
+        "begin Return := fail end;\n"
+        "function Monomial.infix* (A : Monomial; B : Complex) : Monomial; "
+        "begin Return := A end;\n"
+        "m := mono(1, 2, 0, 1);\nprint(m * 2);\n"
+        "Complex = Object(Base);\nprint(m * 2);\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_file(str(script), prelude=False, stdout=out, stderr=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("fail\nx1 x2 ~y2\n", "")
+
+
+def test_products_walk_the_ancestor_chain_a_constant_number_of_times(
+        monkeypatch):
+    walks = 0
+    chain = Registry._chain
+
+    def counted(self, *args):
+        nonlocal walks
+        walks += 1
+        return chain(self, *args)
+
+    interp = make_interpreter()
+    monkeypatch.setattr(Registry, "_chain", counted)
+    lines = ["z := (3, 2);", "w := (1, 2);", "m := mono(0, 2, 3, 5);",
+             "u := mono(3, 4, 1, 3);"]
+    lines += ["z := z * w;" if j % 2 == 0 else "m := m * u;"
+              for j in range(200)]
+    interp.run_program(parse_program("\n".join(lines)))
+    # one walk per resolved key: Complex *, the inherited Algebra.(A * B)
+    # in its body, and Monomial *
+    assert walks <= 3

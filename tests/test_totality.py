@@ -17,7 +17,7 @@ VOCABULARY = [
     "x", "y", "n", "a", "A", "B", "C", "D", "Foo", "Group", "Algebra",
     "Complex", "Monomial", "integer", "i", "print", "kind", "mono",
     "simplify", "conjugate", "Re", "Im", "zz",
-    "0", "1", "2", "3000000000",
+    "0", "1", "2", "3000000000", "²", "٣", "\t", "{ two\nlines }",
     "+", "-", "*", "=", ":=", "(", ")", ",", ";", ":", ".",
 ]
 
