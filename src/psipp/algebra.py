@@ -1,11 +1,12 @@
 """The Group -> Algebra -> Complex prelude and the rewriting engine.
 
-The prelude ships as source in the surface language and is loaded through
-the ordinary parser, so the hierarchy and the Complex multiplication body
-are genuinely interpreted. Natives implement the abstract ``Algebra.infix*``
-(distributivity, one layer per call), Complex ``+``/``-`` and the monomial
-register product. Concrete arithmetic is the one kernel in ``values``, and
-distributivity is one tree rule shared by ``distribute`` and the rewriter.
+The prelude ships as source in the surface language and is parsed once,
+through the ordinary parser, so the hierarchy and the Complex
+multiplication body are genuinely interpreted. Natives implement the
+abstract ``Algebra.infix*`` (distributivity, one layer per call), Complex
+``+``/``-`` and the monomial register product. Concrete arithmetic is the
+one kernel in ``values``, and distributivity is one tree rule shared by
+``distribute`` and the rewriter.
 
 ``simplify`` rewrites to a normal form innermost-leftmost, in one pass
 over the term: distribute products over sums, fold all-concrete
@@ -20,9 +21,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import ast
+from .ast import operands, with_operand
 from .errors import EvalError, RewriteLimitExceeded
-from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, _children,
-                        as_repr, operator_thunk)
+from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, as_repr,
+                        operator_thunk)
+from .lexer import Token, tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .pretty import render_expr
@@ -54,6 +57,11 @@ end;
 Monomial = Object(Algebra);
 end; { Monomial }
 """
+
+# parsed once, shared by every interpreter; without positions, so that an
+# error inside a prelude method is reported at the user's application
+PRELUDE = parse_program([Token(t.kind, t.lexeme, None)
+                         for t in tokenize(PRELUDE_SOURCE)])
 
 
 # --- distributivity ---
@@ -134,26 +142,17 @@ def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
     return None
 
 
-def _with_operand(e: ast.Expr, slot: int, operand: ast.Expr) -> ast.Expr:
-    """``e`` rebuilt with ``operand`` in place of its operand ``slot``."""
-    if isinstance(e, ast.Prefix):
-        return ast.Prefix(e.op, operand)
-    if slot == 0:
-        return ast.Infix(e.op, operand, e.rhs)
-    return ast.Infix(e.op, e.lhs, operand)
-
-
 def _traced_root(path: list[list], old: ast.Expr, new: ast.Expr,
                  memo: dict) -> ast.Expr:
     """The whole term after ``old`` was rewritten to ``new``: the frames
     on ``path`` get their nodes rebuilt around ``new``. The render memo
     drops ``old``, its operands and the old path, so it never holds a past
     term; an operand still in the term is rendered again."""
-    for dead in (old, *_children(old)):
+    for dead in (old, *operands(old)):
         memo.pop(id(dead), None)
     for frame in reversed(path):
         memo.pop(id(frame[0]), None)
-        new = frame[0] = _with_operand(frame[0], frame[1], new)
+        new = frame[0] = with_operand(frame[0], frame[1], new)
     return new
 
 
@@ -182,7 +181,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     while True:
         if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
             path.append([e, 0, False])
-            e = _children(e)[0]
+            e = operands(e)[0]
             continue
         if operands_normal:
             new = _root_rewrite(e)
@@ -205,12 +204,12 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
             break
         frame = path[-1]
         parent, slot, operands_normal = frame
-        operands = _children(parent)
-        if e is not operands[slot]:
-            parent = frame[0] = _with_operand(parent, slot, e)
-        if slot + 1 < len(operands):
+        siblings = operands(parent)
+        if e is not siblings[slot]:
+            parent = frame[0] = with_operand(parent, slot, e)
+        if slot + 1 < len(siblings):
             frame[1] = slot + 1
-            e = operands[slot + 1]
+            e = siblings[slot + 1]
         else:
             path.pop()
             e, operands_normal = parent, True
@@ -285,9 +284,9 @@ def _builtin_simplify(args, interp, env):
 
 
 def install_prelude(interp: Interpreter):
-    """Load the prelude source, then attach the native kernels and the
+    """Run the parsed prelude, then attach the native kernels and the
     constant i = Complex(0, 1)."""
-    interp.run_program(parse_program(PRELUDE_SOURCE))
+    interp.run_program(PRELUDE)
     interp.registry.set_native("Algebra", "*", "infix", _native_distribute, 2)
     for op, fixity, arity in (("+", "infix", 2), ("-", "infix", 2),
                               ("-", "prefix", 1)):

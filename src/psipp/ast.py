@@ -93,6 +93,35 @@ class ValueLeaf(Expr):
     span: Optional[Span] = None
 
 
+def operands(e: Expr) -> tuple[Expr, ...]:
+    """The operand subtrees of ``e``, left to right; a leaf has none."""
+    if isinstance(e, Infix):
+        return e.lhs, e.rhs
+    if isinstance(e, Prefix):
+        return (e.operand,)
+    if isinstance(e, InheritedCall):
+        return (e.expr,)
+    if isinstance(e, Call):
+        return e.args
+    if isinstance(e, FieldAccess):
+        return (e.obj,)
+    if isinstance(e, PairLit):
+        return e.first, e.second
+    return ()
+
+
+def with_operand(e: Expr, slot: int, new: Expr) -> Expr:
+    """The operator application or field access ``e`` rebuilt, without a
+    span, with ``new`` in place of its operand ``slot``."""
+    if isinstance(e, Infix):
+        if slot == 0:
+            return Infix(e.op, new, e.rhs)
+        return Infix(e.op, e.lhs, new)
+    if isinstance(e, Prefix):
+        return Prefix(e.op, new)
+    return FieldAccess(new, e.field)
+
+
 # --- statements ---
 
 class Stmt(Node):

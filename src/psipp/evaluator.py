@@ -14,14 +14,16 @@ from typing import Callable, Optional
 from . import ast
 from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
-from .objects import INTEGER, NativeMethod, Registry, UserMethod
-from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
-                     IntegerV, ThunkV, Value, arith, classify_binding,
-                     int_arith, promote, thunk, type_name_of)
+from .objects import NativeMethod, Registry, UserMethod
+from .pretty import render_value
+from .values import (FAIL, INTEGER, ComplexV, Environment, FreeVarV,
+                     FunctionalObject, IntegerV, ThunkV, Value, arith,
+                     classify_binding, int_arith, promote, thunk, type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the output, never expressions
 STATEMENT_CALLS = ("print", "kind")
+_FIXITY = {ast.Infix: "infix", ast.Prefix: "prefix"}
 
 
 def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
@@ -46,28 +48,9 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
 def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
     """The symbolic application ``op(args)``; on a capture clash the
     right operand wins."""
-    reprs = [as_repr(a) for a in args]
-    if fixity == "infix":
-        body: ast.Expr = ast.Infix(op, reprs[0][0], reprs[1][0])
-    else:
-        body = ast.Prefix(op, reprs[0][0])
-    return thunk(body, *(caps for _, caps in reprs))
-
-
-def _children(e: ast.Expr) -> tuple[ast.Expr, ...]:
-    if isinstance(e, ast.Infix):
-        return e.lhs, e.rhs
-    if isinstance(e, ast.Prefix):
-        return (e.operand,)
-    if isinstance(e, ast.InheritedCall):
-        return (e.expr,)
-    if isinstance(e, ast.Call):
-        return e.args
-    if isinstance(e, ast.FieldAccess):
-        return (e.obj,)
-    if isinstance(e, ast.PairLit):
-        return e.first, e.second
-    return ()
+    exprs, captures = zip(*map(as_repr, args))
+    node = ast.Infix if fixity == "infix" else ast.Prefix
+    return thunk(node(op, *exprs), *captures)
 
 
 def free_idents(expr: ast.Expr) -> set[str]:
@@ -85,7 +68,7 @@ def free_idents(expr: ast.Expr) -> set[str]:
         if isinstance(e, ast.Ident):
             out.add(e.name)
         else:
-            pending.extend(_children(e))
+            pending.extend(ast.operands(e))
     return out
 
 
@@ -105,20 +88,13 @@ def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
     def splice(e: ast.Expr) -> ast.Expr:
         if isinstance(e, ast.Ident):
             return leaf if e.name == name else e
-        if not isinstance(e, (ast.Infix, ast.Prefix, ast.FieldAccess)):
-            return e  # a value leaf
         new = done.get(id(e))
         if new is None:
-            children = _children(e)
-            parts = list(map(splice, children))
-            if all(p is c for p, c in zip(parts, children)):
-                new = e
-            elif isinstance(e, ast.Infix):
-                new = ast.Infix(e.op, *parts)
-            elif isinstance(e, ast.Prefix):
-                new = ast.Prefix(e.op, *parts)
-            else:
-                new = ast.FieldAccess(*parts, e.field)
+            new = e
+            for slot, operand in enumerate(ast.operands(e)):
+                part = splice(operand)
+                if part is not operand:
+                    new = ast.with_operand(new, slot, part)
             done[id(e)] = new
         return new
 
@@ -220,7 +196,6 @@ class Interpreter:
             self.exec_stmt(inner, env)
 
     def exec_call_stmt(self, stmt: ast.CallStmt, env: Environment):
-        from .pretty import render_value
         if stmt.name not in STATEMENT_CALLS:
             self.eval_expr(ast.Call(stmt.name, stmt.args, stmt.span), env)
         elif stmt.name == "print":
@@ -283,13 +258,8 @@ class Interpreter:
         if value is not None:
             return value
         runs = self.method_runs
-        if isinstance(expr, ast.Prefix):
-            value = self.apply_operator(
-                expr.op, "prefix", [self.eval_expr(expr.operand, env)], expr)
-        else:
-            value = self.apply_operator(
-                expr.op, "infix", [self.eval_expr(expr.lhs, env),
-                                   self.eval_expr(expr.rhs, env)], expr)
+        args = [self.eval_expr(a, env) for a in ast.operands(expr)]
+        value = self.apply_operator(expr.op, _FIXITY[type(expr)], args, expr)
         if runs == self.method_runs:
             self._memo[id(expr)] = value
         return value
@@ -329,21 +299,15 @@ class Interpreter:
 
     def eval_inherited(self, expr: ast.InheritedCall, env: Environment) -> Value:
         inner = expr.expr
-        if isinstance(inner, ast.Infix):
-            args = [self.eval_expr(inner.lhs, env),
-                    self.eval_expr(inner.rhs, env)]
-            symbol, fixity = inner.op, "infix"
-        elif isinstance(inner, ast.Prefix):
-            args = [self.eval_expr(inner.operand, env)]
-            symbol, fixity = inner.op, "prefix"
-        else:
+        if not isinstance(inner, (ast.Infix, ast.Prefix)):
             raise EvalError("inherited call requires an operator application",
                             expr.span)
+        args = [self.eval_expr(a, env) for a in ast.operands(inner)]
         if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
             return FAIL
-        impl = self.registry.resolve_method(expr.ancestor, symbol, fixity,
-                                            span=expr.span)
-        return self.invoke_method(impl, args, env, expr.span)
+        impl = self.registry.resolve_method(
+            expr.ancestor, inner.op, _FIXITY[type(inner)], span=expr.span)
+        return self.invoke_method(impl, args, expr.span)
 
     def eval_call(self, expr: ast.Call, env: Environment) -> Value:
         builtin = self.builtins.get(expr.name)
@@ -357,7 +321,7 @@ class Interpreter:
         method = self.functions.get(expr.name)
         if method is not None:
             args = [self.eval_expr(a, env) for a in expr.args]
-            return self.invoke_method(method, args, env)
+            return self.invoke_method(method, args, expr.span)
         raise UnknownIdentifier(f"unknown function {expr.name!r}", expr.span)
 
     # --- operator application ---
@@ -396,40 +360,40 @@ class Interpreter:
                 return native
             raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
         impl = self.registry.resolve_method(receiver, op, fixity, types, span)
-        return self.invoke_method(impl, args, None, span)
+        return self.invoke_method(impl, args, span)
 
     def make_thunk(self, op: str, fixity: str, args: list[Value]) -> Value:
         return operator_thunk(op, fixity, args)
 
     # --- method invocation ---
 
-    def invoke_method(self, impl, args: list[Value],
-                      env: Optional[Environment], span=None) -> Value:
-        """Run ``impl`` on ``args``; ``span`` is that of the application,
-        given to a native's error that has none."""
-        if isinstance(impl, NativeMethod):
-            try:
+    def invoke_method(self, impl, args: list[Value], span=None) -> Value:
+        """Run ``impl`` on ``args``. An error that leaves the method
+        without a span gets ``span``, that of the application: the
+        prelude's methods have no positions of their own."""
+        try:
+            if isinstance(impl, NativeMethod):
                 return impl.fn(args, self)
-            except EvalError as err:
-                err.span = err.span or span
-                raise
-        decl = impl.decl
-        if decl.body is None:
-            # abstract signature: the application stays symbolic
-            return self.make_thunk(decl.symbol, decl.fixity, args)
-        self.method_runs += 1
-        frame = Environment(parent=self.globals)
-        for (name, slot_type), arg in zip(decl.params, args):
-            if slot_type == "Complex":
-                arg = promote(arg)
-            frame.define(name, arg)
-        par_frame = Environment(frame, impl.par_names)
-        self.exec_stmt(decl.body, par_frame)
-        result = par_frame.find("Return")
-        if result is None:
-            raise UnassignedReturn(f"{decl.symbol!r} never assigned Return",
-                                   decl.span)
-        return result
+            decl = impl.decl
+            if decl.body is None:
+                # abstract signature: the application stays symbolic
+                return self.make_thunk(decl.symbol, decl.fixity, args)
+            self.method_runs += 1
+            frame = Environment(parent=self.globals)
+            for (name, slot_type), arg in zip(decl.params, args):
+                if slot_type == "Complex":
+                    arg = promote(arg)
+                frame.define(name, arg)
+            par_frame = Environment(frame, impl.par_names)
+            self.exec_stmt(decl.body, par_frame)
+            result = par_frame.find("Return")
+            if result is None:
+                raise UnassignedReturn(
+                    f"{decl.symbol!r} never assigned Return", decl.span)
+            return result
+        except PsiError as err:
+            err.span = err.span or span
+            raise
 
     # --- conditions and pattern matching ---
 
@@ -486,18 +450,12 @@ class Interpreter:
             if not isinstance(subject, ThunkV):
                 return False
             body = subject.fo.body
-            captures = subject.fo.capture_map()
-            if isinstance(pattern, ast.Infix):
-                if not (isinstance(body, ast.Infix) and body.op == pattern.op):
-                    return False
-                return (self._match(value_of_repr(body.lhs, captures),
-                                    pattern.lhs, env, trial)
-                        and self._match(value_of_repr(body.rhs, captures),
-                                        pattern.rhs, env, trial))
-            if not (isinstance(body, ast.Prefix) and body.op == pattern.op):
+            if type(body) is not type(pattern) or body.op != pattern.op:
                 return False
-            return self._match(value_of_repr(body.operand, captures),
-                               pattern.operand, env, trial)
+            captures = subject.fo.capture_map()
+            pairs = zip(ast.operands(body), ast.operands(pattern))
+            return all(self._match(value_of_repr(part, captures), sub, env,
+                                   trial) for part, sub in pairs)
         raise EvalError(f"unsupported pattern {type(pattern).__name__}")
 
     # --- forcing ---

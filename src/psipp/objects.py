@@ -15,8 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from . import ast
 from .errors import DuplicateType, FieldShadowing, NoSuchMethod, UnknownAncestor
-
-INTEGER = "integer"
+from .values import FAIL, INTEGER
 
 
 @dataclass
@@ -137,7 +136,6 @@ class Registry:
         """Whether a slot of type ``slot`` accepts a datum of type
         ``datum``. Every slot accepts ``fail``; integers promote into the
         Complex chain."""
-        from .values import FAIL
         if datum is FAIL or datum == slot:
             return True
         if datum == INTEGER:

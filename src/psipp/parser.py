@@ -128,8 +128,19 @@ class _Parser:
     def _object_body_follows(self) -> bool:
         if self.check(KEYWORD, "function"):
             # a qualified definition (function Owner.xxx) is top level, not a member
-            return not (self.check(IDENT, offset=1)
-                        and self.check(PUNCT, ".", offset=2))
+            if self.check(IDENT, offset=1) and self.check(PUNCT, ".", offset=2):
+                return False
+            # so is a signature whose body follows
+            start = self.pos
+            try:
+                self.function_signature()
+                self.expect(PUNCT, ";")
+                return not (self.check(KEYWORD, "begin")
+                            or self.check(KEYWORD, "par"))
+            except ParseError:
+                return True  # reported where the member is parsed
+            finally:
+                self.pos = start
         return self.check(KEYWORD, "end") or self._decl_group_follows()
 
     def _decl_group_follows(self) -> bool:

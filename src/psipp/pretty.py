@@ -156,17 +156,10 @@ def show_tree(v: Value) -> str:
 
     def walk(e: ast.Expr, depth: int):
         pad = "  " * depth
-        if isinstance(e, ast.Infix):
-            lines.append(f"{pad}{e.op}")
-            walk(e.lhs, depth + 1)
-            walk(e.rhs, depth + 1)
-        elif isinstance(e, ast.Prefix):
-            lines.append(f"{pad}-")
-            walk(e.operand, depth + 1)
-        elif isinstance(e, ast.Call):
-            lines.append(f"{pad}{e.name}")
-            for arg in e.args:
-                walk(arg, depth + 1)
+        if isinstance(e, (ast.Infix, ast.Prefix, ast.Call)):
+            lines.append(pad + (e.name if isinstance(e, ast.Call) else e.op))
+            for operand in ast.operands(e):
+                walk(operand, depth + 1)
         else:
             lines.append(f"{pad}{render_expr(e)}")
 

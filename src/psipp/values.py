@@ -16,7 +16,9 @@ from typing import Optional
 from . import ast
 from .errors import UnknownIdentifier
 from .monomials import MonomialRegister
-from .objects import INTEGER
+
+# the type name of integers, which is no object type
+INTEGER = "integer"
 
 # binding kinds
 KIND_VALUE = "value"
@@ -144,16 +146,14 @@ def type_of_body(body: ast.Expr, captures: dict[str, Value]) -> str:
         if id(e) in seen:
             continue
         seen.add(id(e))
-        if isinstance(e, ast.Infix):
-            pending += (e.lhs, e.rhs)
-        elif isinstance(e, ast.Prefix):
-            pending.append(e.operand)
-        elif isinstance(e, ast.ValueLeaf):
+        if isinstance(e, ast.ValueLeaf):
             leaf_types.add(type_name_of(e.value))
         elif isinstance(e, ast.Ident) and e.name in captures:
             leaf_types.add(type_name_of(captures[e.name]))
         elif isinstance(e, (ast.IntLit, ast.FieldAccess)):
             leaf_types.add(INTEGER)
+        elif operands := ast.operands(e):
+            pending += operands
         else:
             leaf_types.add("Algebra")
     return join_types(leaf_types)

@@ -6,7 +6,7 @@ variables."""
 
 from hypothesis import example, given, settings, strategies as st
 
-from psipp import ast, evaluator
+from psipp import ast
 from psipp.algebra import make_interpreter, simplify
 from psipp.cli import Session
 from psipp.errors import PsiError
@@ -56,7 +56,7 @@ def assert_captures_are_free_variables(v):
         seen.add(id(e))
         if isinstance(e, ast.ValueLeaf):
             assert not isinstance(e.value, (ThunkV, FreeVarV)), e.value
-        pending.extend(evaluator._children(e))
+        pending.extend(ast.operands(e))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -124,8 +124,8 @@ def test_substitute_into_shared_chain_is_linear(monkeypatch):
     depth = 40
     interp = run(doubling_chain(depth))
     chain = interp.globals.lookup(f"a{depth}").fo
-    monkeypatch.setattr(evaluator, "_children",
-                        budget(10 * depth, evaluator._children))
+    monkeypatch.setattr(ast, "operands",
+                        budget(10 * depth, ast.operands))
     spliced = substitute(chain, "x", IntegerV(1))
     sharing_kept = spliced.body.lhs is spliced.body.rhs
     assert sharing_kept

@@ -81,6 +81,26 @@ def test_inherited_call_diagnostic_has_span(tmp_path):
     assert err.startswith("error: 2:12: no infix '*' on Group")
 
 
+def test_error_inside_a_prelude_method_is_reported_at_the_call(tmp_path):
+    script = tmp_path / "prelude_error.psi"
+    script.write_text("var x, y : Algebra;\nprint(Complex.(x * y));\n")
+    code, _, err = run_to_strings(script)
+    assert code == 3
+    assert err == "error: 2:14: complex components must be integers\n"
+
+
+def test_sessions_share_the_parsed_prelude_not_its_methods():
+    first, second = Session(), Session()
+    methods = [s.interp.registry.descriptor("Complex").methods[("*", "infix")]
+               for s in (first, second)]
+    assert methods[0] is not methods[1]
+    assert methods[0].decl is methods[1].decl  # one parse for both
+    first.run_source("function Complex.infix* (A, B : Complex) : Complex;\n"
+                     "begin Return := 7 end;")
+    assert first.repl_step("i * i") == ["7"]
+    assert second.repl_step("i * i") == ["-1"]
+
+
 @pytest.mark.parametrize("call, code", [
     *(pytest.param(call, 3, id=call) for call in [
         "conjugate(1)", "conjugate()", "mono(1,2,3)", "mono(1,2,0,1,5)",

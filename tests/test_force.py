@@ -4,7 +4,7 @@ tree walk."""
 
 from hypothesis import given, settings, strategies as st
 
-from psipp import ast, evaluator
+from psipp import ast
 from psipp.algebra import make_interpreter, simplify
 from psipp.evaluator import Interpreter
 from psipp.parser import parse_program
@@ -169,8 +169,8 @@ def test_shared_chain_forces_in_linear_eval_calls():
 
 def test_match_against_shared_chain(monkeypatch):
     depth = 40
-    monkeypatch.setattr(evaluator, "_children",
-                        budget(10 * depth, evaluator._children))
+    monkeypatch.setattr(ast, "operands",
+                        budget(10 * depth, ast.operands))
     interp = run(doubling_chain(depth) + f"""
 function left(A : Algebra) : Algebra;
 par

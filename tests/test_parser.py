@@ -3,6 +3,7 @@ import random
 import pytest
 
 from psipp import ast
+from psipp.algebra import make_interpreter
 from psipp.errors import ArityError, EmptyWordError, ParseError
 from psipp.parser import (parse_expression, parse_juxtaposition,
                           parse_program)
@@ -118,6 +119,19 @@ end;
     assign = method.body.body[0]
     assert isinstance(assign.expr, ast.InheritedCall)
     assert assign.expr.ancestor == "Algebra"
+
+
+def test_function_after_a_bodyless_object_is_a_definition():
+    source = ("Foo = Object(Algebra);\n"
+              "function twice(A : Algebra) : Algebra;\n"
+              "begin Return := A * A end;\n"
+              "print(twice(3));\n")
+    obj, fn, _ = parse_program(source).items
+    assert isinstance(obj, ast.ObjectDecl) and obj.method_sigs == ()
+    assert isinstance(fn, ast.FunctionDecl) and fn.body is not None
+    interp = make_interpreter()
+    interp.run_program(parse_program(source))
+    assert interp.output == ["9"]
 
 
 def test_var_block():

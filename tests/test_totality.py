@@ -1,6 +1,6 @@
 """``psi run`` is total: every program ends with exit code 0, 1, 2 or 3,
-no exception escapes, and every failure is reported as ``error: L:C: ``,
-with and without ``--trace``."""
+no exception escapes, and every failure is reported as ``error: L:C: ``
+at a line ``L`` of the program, with and without ``--trace``."""
 
 import io
 import re
@@ -64,6 +64,7 @@ def near_valid(draw):
 @example("function Foo . infix + ( A , B : Foo ) : Foo ; "
          "begin Return := A end ;")
 @example("function infix + ( A , B : Foo ) : Foo ; begin Return := A end ;")
+@example("var x , y : Algebra ;\nprint ( Complex . ( x * y ) ) ;")
 def test_every_run_ends_in_an_exit_code_with_a_located_diagnostic(source):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.psi"
@@ -75,5 +76,8 @@ def test_every_run_ends_in_an_exit_code_with_a_located_diagnostic(source):
             if code == 0:
                 assert err.getvalue() == ""
             else:
-                assert re.match(r"error: \d+:\d+: ", err.getvalue()), \
+                located = re.match(r"error: (\d+):\d+: ", err.getvalue())
+                assert located, err.getvalue()
+                # the line is one of the program's, never the prelude's
+                assert 1 <= int(located[1]) <= source.count("\n") + 1, \
                     err.getvalue()
