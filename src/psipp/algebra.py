@@ -11,9 +11,10 @@ one kernel in ``values``, and distributivity is one tree rule shared by
 ``simplify`` rewrites to a normal form innermost-leftmost, in one pass
 over the term: distribute products over sums, fold all-concrete
 applications, promote integers that meet complex values. Factor and
-summand order are never changed. The pass visits O(size + steps) nodes;
-traced, each step also renders the rebuilt path from the root, so its cost
-is bounded by the text it prints.
+summand order are never changed. The pass visits O(DAG size + steps)
+nodes. Traced, each step costs O(depth + printed line): the frames of the
+walk keep the text around their operand slots, and a step's line is the
+text of the subterm it made spliced between them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, as_repr,
 from .lexer import Token, tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
-from .pretty import render_expr
+from .pretty import expr_text, layout, operator_level
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
                      Value, arith, complex_mul, promote, thunk)
 
@@ -142,18 +143,43 @@ def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
     return None
 
 
-def _traced_root(path: list[list], old: ast.Expr, new: ast.Expr,
-                 memo: dict) -> ast.Expr:
-    """The whole term after ``old`` was rewritten to ``new``: the frames
-    on ``path`` get their nodes rebuilt around ``new``. The render memo
-    drops ``old``, its operands and the old path, so it never holds a past
-    term; an operand still in the term is rendered again."""
-    for dead in (old, *operands(old)):
-        memo.pop(id(dead), None)
-    for frame in reversed(path):
-        memo.pop(id(frame[0]), None)
-        new = frame[0] = with_operand(frame[0], frame[1], new)
-    return new
+_HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
+
+
+def _context(frame: list, child: ast.Expr, level: int, memo: dict) -> tuple:
+    """``(slot, left, right)``: the spaced text left and right of ``child``,
+    of precedence ``level``, in the operand slot of ``frame``'s node. The
+    layout gets the operands as they stand, so the scalar-first swap and
+    the parentheses follow ``child``."""
+    node, slot = frame[0], frame[1]
+    kids = list(operands(node))
+    kids[slot] = child
+    texts = [(_HOLE, level) if k == slot else expr_text(kid, True, memo)
+             for k, kid in enumerate(kids)]
+    left, _, right = layout(node, kids, texts, True)[0].partition(_HOLE)
+    return slot, left, right
+
+
+def _traced_line(path: list[list], old: ast.Expr, new: ast.Expr,
+                 memo: dict) -> str:
+    """The whole term after ``old``, below the frames on ``path``, was
+    rewritten to ``new``: ``new``'s text spliced into the frames' cached
+    contexts. A rewrite can change only the innermost frame's context; an
+    outer one is computed again only when its slot has moved. The render
+    memo then forgets ``old``, its operands and ``new``, whose text no
+    frame asks for while it is on the path: no node the walk dropped stays
+    alive in it."""
+    text, level = expr_text(new, True, memo)
+    for done in (old, *operands(old), new):
+        memo.pop(id(done), None)
+    if path:
+        path[-1][3] = _context(path[-1], new, level, memo)
+        for frame, inner in zip(path, path[1:]):
+            if frame[3] is None or frame[3][0] != frame[1]:
+                frame[3] = _context(frame, inner[0],
+                                    operator_level(inner[0]), memo)
+    return "".join([frame[3][1] for frame in path] + [text]
+                   + [frame[3][2] for frame in reversed(path)])
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
@@ -167,20 +193,27 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     Each step rewrites the first redex in post-order, but the walk resumes
     at the node just rewritten, since everything before it is normal. A
     distribution ``C*B + D*B`` fires only on normal operands, so only its
-    new products' roots are tried and ``B`` is not walked again: O(size +
-    steps) node visits, on an explicit stack. ``trace`` gets the whole term
-    after each step, rendered through a memo that renders only the path
-    rebuilt from the root again."""
+    new products' roots are tried and ``B`` is not walked again. A node of
+    the input found normal is not walked again either, where the body
+    shares it. That is O(DAG size + steps) node visits, on an explicit
+    stack whose frames are the path from the root. ``trace`` gets the
+    whole term after each step: each frame caches the text left and right
+    of its operand slot, so a step renders only the new subterm and joins
+    the contexts, in O(depth + printed line)."""
     if not isinstance(v, ThunkV):
         return v
     memo: dict = {}  # trace rendering, by node id (see pretty)
+    normal: set[int] = set()  # ids of input nodes found normal
     steps = 0
-    # the ancestors of ``e``: frames [node, operand slot, operands normal]
+    # the ancestors of ``e``: frames [node, operand slot, operands normal,
+    # trace context]; a frame whose operands are not known normal holds an
+    # input node, and the node is rebuilt only when an operand changes
     path: list[list] = []
     e, operands_normal = v.fo.body, False
     while True:
-        if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
-            path.append([e, 0, False])
+        if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
+                and id(e) not in normal:
+            path.append([e, 0, False, None])
             e = operands(e)[0]
             continue
         if operands_normal:
@@ -188,14 +221,13 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
             if new is not None:
                 steps += 1
                 if trace is not None:
-                    trace(render_expr(_traced_root(path, e, new, memo),
-                                      spaced=True, memo=memo))
+                    trace(_traced_line(path, e, new, memo))
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
                 if isinstance(new, ast.Infix):
                     # C*B + D*B: the products' operands are normal
-                    path.append([new, 0, True])
+                    path.append([new, 0, True, None])
                     e = new.lhs
                     continue
                 e = new  # a folded leaf
@@ -203,16 +235,23 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
         if not path:
             break
         frame = path[-1]
-        parent, slot, operands_normal = frame
+        parent, slot, operands_normal, _ = frame
         siblings = operands(parent)
         if e is not siblings[slot]:
             parent = frame[0] = with_operand(parent, slot, e)
+        elif not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
+            normal.add(id(e))  # v keeps it, so its id stays unique
         if slot + 1 < len(siblings):
             frame[1] = slot + 1
             e = siblings[slot + 1]
         else:
             path.pop()
             e, operands_normal = parent, True
+            if not path:
+                # not read after the root: freed before the result thunk
+                # is built, it stays out of the peak allocation (3 kB on
+                # expand)
+                normal.clear()
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf

@@ -9,7 +9,7 @@ precedence: prefix minus tightest, then ``*``, then ``+``/``-``, then
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import ast
 from .errors import EvalError
@@ -22,6 +22,8 @@ _LEVEL_ADD = 1
 _LEVEL_MUL = 2
 _LEVEL_PREFIX = 3
 _LEVEL_ATOM = 4
+_INFIX_LEVELS = {"=": _LEVEL_EQ, "+": _LEVEL_ADD, "-": _LEVEL_ADD,
+                 "*": _LEVEL_MUL}
 
 
 def _int_text(n: int) -> str:
@@ -62,7 +64,7 @@ def _value_text(v: Value) -> tuple[str, int]:
     if v is FAIL:
         return "fail", _LEVEL_ATOM
     if isinstance(v, ThunkV):
-        return _expr_text(v.fo.body, spaced=False)
+        return expr_text(v.fo.body, spaced=False)
     return repr(v), _LEVEL_ATOM
 
 
@@ -78,8 +80,40 @@ def _wrap(child: tuple[str, int], min_level: int) -> str:
     return f"({text})" if level < min_level else text
 
 
-def _expr_text(e: ast.Expr, spaced: bool,
-               memo: Optional[dict] = None) -> tuple[str, int]:
+def operator_level(e: ast.Expr) -> int:
+    """Precedence level of the text of an ``Infix`` or ``Prefix`` node,
+    which its operands do not change."""
+    if isinstance(e, ast.Prefix):
+        return _LEVEL_PREFIX
+    return _INFIX_LEVELS[e.op]
+
+
+def layout(e: ast.Expr, kids: Sequence[ast.Expr],
+           texts: Sequence[tuple[str, int]], spaced: bool) -> tuple[str, int]:
+    """Text and level of the ``Infix`` or ``Prefix`` node ``e`` applied to
+    ``kids``, whose texts and levels are ``texts``. The one home of the
+    parenthesis and scalar-first rules: a rendering passes ``e``'s own
+    operands, a trace splice the operands as they stand after a rewrite
+    below ``e``."""
+    if not isinstance(e, ast.Infix):
+        return f"-{_wrap(texts[0], _LEVEL_PREFIX)}", _LEVEL_PREFIX
+    lhs, rhs = texts
+    level = _INFIX_LEVELS[e.op]
+    if level == _LEVEL_MUL:
+        # display convention: central scalar coefficients (integers,
+        # complex constants) print first, as in -1 + i*x; the tree
+        # itself keeps true factor order
+        if _is_scalar_leaf(kids[1]) and not _is_scalar_leaf(kids[0]):
+            lhs, rhs = rhs, lhs
+        sep = " * " if spaced else "*"
+        return f"{_wrap(lhs, level)}{sep}{_wrap(rhs, level + 1)}", level
+    # + and - associate to the left; = does not associate
+    left_min = level if level == _LEVEL_ADD else level + 1
+    return f"{_wrap(lhs, left_min)} {e.op} {_wrap(rhs, level + 1)}", level
+
+
+def expr_text(e: ast.Expr, spaced: bool,
+              memo: Optional[dict] = None) -> tuple[str, int]:
     """Text and precedence level of ``e``. ``memo`` maps ``id(node)`` to
     ``(node, text, level)`` for the nodes rendered before in this style:
     a text does not depend on the parent, and holding the node keeps its
@@ -93,6 +127,10 @@ def _expr_text(e: ast.Expr, spaced: bool,
 
 def _node_text(e: ast.Expr, spaced: bool,
                memo: Optional[dict]) -> tuple[str, int]:
+    if isinstance(e, ast.Infix):  # first: the most common node
+        lhs = expr_text(e.lhs, spaced, memo)
+        rhs = expr_text(e.rhs, spaced, memo)
+        return layout(e, (e.lhs, e.rhs), (lhs, rhs), spaced)
     if isinstance(e, ast.ValueLeaf):
         return _value_text(e.value)
     if isinstance(e, ast.IntLit):
@@ -102,52 +140,32 @@ def _node_text(e: ast.Expr, spaced: bool,
     if isinstance(e, ast.FailLit):
         return "fail", _LEVEL_ATOM
     if isinstance(e, ast.Prefix):
-        inner = _wrap(_expr_text(e.operand, spaced, memo), _LEVEL_PREFIX)
-        return f"-{inner}", _LEVEL_PREFIX
-    if isinstance(e, ast.Infix):
-        if e.op == "*":
-            left, right = e.lhs, e.rhs
-            # display convention: central scalar coefficients (integers,
-            # complex constants) print first, as in -1 + i*x; the tree
-            # itself keeps true factor order
-            if _is_scalar_leaf(right) and not _is_scalar_leaf(left):
-                left, right = right, left
-            lhs = _wrap(_expr_text(left, spaced, memo), _LEVEL_MUL)
-            rhs = _wrap(_expr_text(right, spaced, memo), _LEVEL_MUL + 1)
-            sep = " * " if spaced else "*"
-            return f"{lhs}{sep}{rhs}", _LEVEL_MUL
-        if e.op in {"+", "-"}:
-            lhs = _wrap(_expr_text(e.lhs, spaced, memo), _LEVEL_ADD)
-            rhs = _wrap(_expr_text(e.rhs, spaced, memo), _LEVEL_ADD + 1)
-            return f"{lhs} {e.op} {rhs}", _LEVEL_ADD
-        lhs = _wrap(_expr_text(e.lhs, spaced, memo), _LEVEL_EQ + 1)
-        rhs = _wrap(_expr_text(e.rhs, spaced, memo), _LEVEL_EQ + 1)
-        return f"{lhs} = {rhs}", _LEVEL_EQ
+        return layout(e, (e.operand,), (expr_text(e.operand, spaced, memo),),
+                      spaced)
     if isinstance(e, ast.Call):
-        args = ", ".join(_expr_text(a, spaced, memo)[0] for a in e.args)
+        args = ", ".join(expr_text(a, spaced, memo)[0] for a in e.args)
         return f"{e.name}({args})", _LEVEL_ATOM
     if isinstance(e, ast.FieldAccess):
-        obj = _wrap(_expr_text(e.obj, spaced, memo), _LEVEL_ATOM)
+        obj = _wrap(expr_text(e.obj, spaced, memo), _LEVEL_ATOM)
         return f"{obj}.{e.field}", _LEVEL_ATOM
     if isinstance(e, ast.InheritedCall):
-        inner = _expr_text(e.expr, spaced, memo)[0]
+        inner = expr_text(e.expr, spaced, memo)[0]
         return f"{e.ancestor}.({inner})", _LEVEL_ATOM
     if isinstance(e, ast.PairLit):
-        first = _expr_text(e.first, spaced, memo)[0]
-        second = _expr_text(e.second, spaced, memo)[0]
+        first = expr_text(e.first, spaced, memo)[0]
+        second = expr_text(e.second, spaced, memo)[0]
         return f"({first}, {second})", _LEVEL_ATOM
     return repr(e), _LEVEL_ATOM
 
 
 def render_value(v: Value, spaced: bool = False) -> str:
     if isinstance(v, ThunkV):
-        return _expr_text(v.fo.body, spaced)[0]
+        return expr_text(v.fo.body, spaced)[0]
     return _value_text(v)[0]
 
 
-def render_expr(e: ast.Expr, spaced: bool = False,
-                memo: Optional[dict] = None) -> str:
-    return _expr_text(e, spaced, memo)[0]
+def render_expr(e: ast.Expr, spaced: bool = False) -> str:
+    return expr_text(e, spaced)[0]
 
 
 def show_tree(v: Value) -> str:

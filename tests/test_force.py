@@ -2,11 +2,13 @@
 user method bodies once per occurrence, and agreement with an unmemoised
 tree walk."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import make_interpreter, simplify
-from psipp.evaluator import Interpreter
+from psipp.errors import RewriteLimitExceeded
+from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter
 from psipp.parser import parse_program
 from psipp.values import (Environment, FreeVarV, IntegerV, ThunkV,
                           type_name_of)
@@ -108,16 +110,75 @@ def test_memoised_force_matches_tree_walk(program):
     assert interp.output == []
 
 
+def steps_needed(body: ast.Expr) -> int:
+    """A lower bound on the rewrite steps from ``body`` to its normal form.
+    Operands are normalised first. The product of normal forms of m and n
+    summands has a normal form of mn summands, and a step adds at most one
+    summand to the sum at its root, so it takes mn - 1 steps at least. An
+    all-concrete subterm folds to one summand."""
+    memo: dict = {}
+
+    def walk(e) -> tuple[int, int, bool]:  # (steps, summands, all concrete)
+        if id(e) not in memo:
+            kids = [walk(k) for k in ast.operands(e)]
+            steps = sum(k[0] for k in kids)
+            if isinstance(e, ast.ValueLeaf) or kids and all(
+                    k[2] for k in kids):
+                memo[id(e)] = (0, 1, True)
+            elif isinstance(e, ast.Infix) and e.op == "+":
+                memo[id(e)] = (steps, kids[0][1] + kids[1][1], False)
+            elif isinstance(e, ast.Infix) and e.op == "*":
+                summands = kids[0][1] * kids[1][1]
+                memo[id(e)] = (steps + summands - 1, summands, False)
+            else:
+                memo[id(e)] = (steps, 1, False)
+        return memo[id(e)]
+
+    return walk(body)[0]
+
+
+def test_squaring_chain_exceeds_the_rewrite_limit_but_keeps_its_type():
+    interp = run("""\
+var z1 : Complex;
+t0 := z1 + z1;
+t1 := t0 + t0;
+t2 := t1 + t1;
+t3 := t2 + t2;
+t4 := t3 * t3;
+t5 := t4 * t4;
+""")
+    t4, t5 = (interp.globals.lookup(name) for name in ("t4", "t5"))
+    steps: list[str] = []
+    assert type_name_of(simplify(t4, trace=steps.append)) == "Complex"
+    # 16 summands squared: from 1 summand to 256, one step each
+    assert len(steps) == steps_needed(t4.fo.body) == 255
+    assert type_name_of(t4) == "Complex"
+    # both operands normalised, then 256 * 256 summands
+    assert steps_needed(t5.fo.body) == 2 * 255 + 256 * 256 - 1
+    assert steps_needed(t5.fo.body) > DEFAULT_REWRITE_LIMIT
+    with pytest.raises(RewriteLimitExceeded):
+        simplify(t5)
+    assert type_name_of(t5) == "Complex"
+    interp.run_program(parse_program("z1 := (1, 1);"))
+    assert type_name_of(interp.force(t5)) == "Complex"
+
+
 @settings(max_examples=200, deadline=None)
 @given(shared_programs(), st.data())
 def test_type_predicts_simplify_and_force(program, data):
     """A temporary's type is the type of its normal form, and of the value
-    it forces to once every integer and Complex variable is bound."""
+    it forces to once every integer and Complex variable is bound. Where
+    every rewriter must exceed the rewrite limit (a chain of squarings
+    outgrows any limit), ``simplify`` raises instead."""
     source, _, temps = program
     interp = run(source)
     values = [interp.globals.lookup(name) for name in temps]
     types = [type_name_of(v) for v in values]
-    assert [type_name_of(simplify(v)) for v in values] == types
+    for value, type_name in zip(values, types):
+        try:
+            assert type_name_of(simplify(value)) == type_name
+        except RewriteLimitExceeded:
+            assert steps_needed(value.fo.body) > DEFAULT_REWRITE_LIMIT
     small = st.integers(-3, 3)
     binds = [f"{var} := {data.draw(small)};" for var in INT_VARS]
     binds += [f"{var} := ({data.draw(small)}, {data.draw(small)});"

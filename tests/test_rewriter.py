@@ -9,13 +9,14 @@ from typing import Optional
 
 from hypothesis import example, given, settings, strategies as st
 
-from psipp import algebra, ast
+from psipp import algebra, ast, pretty
 from psipp.algebra import _concrete_leaf, _fold, distribute_expr, simplify
 from psipp.cli import run_file
 from psipp.errors import PsiError, RegisterOverflow, RewriteLimitExceeded
 from psipp.evaluator import free_idents
 from psipp.monomials import MonomialRegister
-from psipp.pretty import render_expr
+from psipp.parser import parse_program
+from psipp.pretty import render_expr, render_value
 from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
                           ThunkV, thunk)
 
@@ -118,6 +119,11 @@ def tree_leaves(e: ast.Expr) -> int:
     return count(e)
 
 
+def over_free(body: ast.Expr) -> ThunkV:
+    """A thunk of ``body`` whose identifiers are free variables."""
+    return thunk(body, {name: FreeVarV(name) for name in free_idents(body)})
+
+
 @st.composite
 def terms(draw):
     """A thunk whose body is built from a pool of earlier nodes, so that
@@ -137,7 +143,7 @@ def terms(draw):
         if tree_leaves(node) <= 32:
             pool.append(node)
     body = max(pool, key=tree_leaves)
-    return thunk(body, {name: FreeVarV(name) for name in free_idents(body)})
+    return over_free(body)
 
 
 def worked_example():
@@ -154,11 +160,34 @@ def overflow_after_a_step():
                  {"x": FreeVarV("x")})
 
 
+def distributed(*names: str) -> ast.Infix:
+    """``(a + b) * c``"""
+    a, b, c = map(ast.Ident, names)
+    return ast.Infix("*", ast.Infix("+", a, b), c)
+
+
+def leaf(n: int) -> ast.ValueLeaf:
+    return ast.ValueLeaf(IntegerV(n))
+
+
 @settings(max_examples=400, deadline=None)
 @given(terms(), st.sampled_from([5, 20, 10_000]), st.booleans())
 @example(worked_example(), 10_000, True)
 @example(worked_example(), 1, True)
 @example(overflow_after_a_step(), 10_000, True)
+# a fold makes the rhs of a product scalar, which then prints first, after
+# a step that had the product's context computed with the old rhs
+@example(over_free(ast.Infix("*", ast.Ident("x"), ast.Infix(
+    "+", ast.Infix("+", leaf(1), leaf(2)), leaf(3)))), 10_000, True)
+# a distribution under prefix minus, which wraps the new sum
+@example(over_free(ast.Prefix("-", distributed("a", "b", "c"))), 10_000, True)
+# a distribution in the rhs of -, where the new sum needs parentheses that
+# the product did not: at once, and after a step below the same slot
+@example(over_free(ast.Infix("-", ast.Ident("x"), distributed("a", "b", "c"))),
+         10_000, True)
+@example(over_free(ast.Infix("-", ast.Ident("x"), ast.Infix(
+    "*", ast.Infix("+", leaf(1), leaf(2)), ast.Infix(
+        "+", ast.Ident("a"), ast.Ident("b"))))), 10_000, True)
 def test_simplify_matches_restarting_oracle(v, max_steps, traced):
     expected = outcome(oracle_simplify, v, max_steps, traced)
     assert outcome(simplify, v, max_steps, traced) == expected
@@ -190,6 +219,44 @@ def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     printed = out.getvalue().strip().replace("(", "").replace(")", "")
     assert printed.split(" + ") == [f"{x}*{y}" for x in xs for y in ys]
+
+
+def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
+    # a_k := a_{k-1} * a_{k-1} has k + 3 nodes and no redex, but unfolds
+    # to a tree of 2^(k+2) - 1 nodes; each distinct product is tried once
+    k = 12
+    script = tmp_path / "doubling.psi"
+    script.write_text("var x, y : Algebra;\na0 := x * y;\n"
+                      + "".join(f"a{j} := a{j - 1} * a{j - 1};\n"
+                                for j in range(1, k + 1))
+                      + f"b := simplify(a{k}); print(1);\n")
+    monkeypatch.setattr(algebra, "_concrete_leaf",
+                        budget(3 * (k + 3), algebra._concrete_leaf))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
+    assert out.getvalue() == "1\n"
+
+
+def test_traced_expand_renders_linear_nodes(monkeypatch):
+    # each step renders the few nodes it makes and splices them into the
+    # contexts the path's frames keep; rendering the rebuilt path from the
+    # root instead costs O(depth) nodes a step, about n
+    n = 32
+    steps, input_nodes = n * n - 1, 4 * n
+    xs = [f"x{k}" for k in range(n)]
+    ys = [f"y{k}" for k in range(n)]
+    interp = algebra.make_interpreter()
+    interp.run_program(parse_program(
+        f"var {', '.join(xs + ys)} : Algebra;\n"
+        f"p := ({' + '.join(xs)}) * ({' + '.join(ys)});\n"))
+    monkeypatch.setattr(pretty, "_node_text",
+                        budget(8 * (steps + input_nodes), pretty._node_text))
+    lines = []
+    result = simplify(interp.globals.find("p"),
+                      trace=lambda line: lines.append(len(line)))
+    monkeypatch.undo()
+    assert len(lines) == steps
+    assert lines[-1] == len(render_value(result, spaced=True))
 
 
 def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
