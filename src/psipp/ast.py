@@ -1,47 +1,47 @@
 """Syntax tree node definitions.
 
-Declarations, statements, and expressions are separate families of frozen
-dataclasses. ``ValueLeaf`` is runtime-only: the evaluator splices already
-computed values into thunk bodies, so expression trees must be able to
-carry them.
+Declarations, statements, and expressions are separate families of slotted
+dataclasses, immutable by convention, as ``tests/test_immutability.py``
+checks. ``ValueLeaf`` is runtime-only: the evaluator splices already
+computed values into thunk bodies, so expression trees must carry them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 Span = tuple[int, int, int]
 
 
 class Node:
-    pass
+    __slots__ = ()
 
 
 # --- expressions ---
 
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntLit(Expr):
     value: int
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Ident(Expr):
     name: str
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FailLit(Expr):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Infix(Expr):
     op: str
     lhs: Expr
@@ -49,28 +49,28 @@ class Infix(Expr):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Prefix(Expr):
     op: str
     operand: Expr
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FieldAccess(Expr):
     obj: Expr
     field: str
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class InheritedCall(Expr):
     """``Ancestor.(A * B)``: resolve the operator starting at the ancestor."""
     ancestor: str
@@ -78,7 +78,7 @@ class InheritedCall(Expr):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class PairLit(Expr):
     """``(re, im)``: componentwise complex constructor literal."""
     first: Expr
@@ -86,7 +86,7 @@ class PairLit(Expr):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ValueLeaf(Expr):
     """Runtime-only leaf holding an already computed value."""
     value: object
@@ -125,17 +125,17 @@ def with_operand(e: Expr, slot: int, new: Expr) -> Expr:
 # --- statements ---
 
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assign(Stmt):
     target: str  # identifier or "Return"
     expr: Expr
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class If(Stmt):
     cond: Expr
     then: Stmt
@@ -143,14 +143,14 @@ class If(Stmt):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class CallStmt(Stmt):
     name: str
     args: tuple[Expr, ...]
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Compound(Stmt):
     body: tuple[Stmt, ...]
     span: Optional[Span] = None
@@ -159,16 +159,16 @@ class Compound(Stmt):
 # --- declarations ---
 
 class Decl(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VarBlock(Decl):
     decls: tuple[tuple[str, str], ...]  # (name, type-name)
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FunctionDecl(Decl):
     symbol: str            # operator symbol or function name
     fixity: str            # "infix" | "prefix" | "ordinary"
@@ -180,7 +180,7 @@ class FunctionDecl(Decl):
     span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ObjectDecl(Decl):
     name: str
     ancestor: Optional[str]
@@ -192,6 +192,6 @@ class ObjectDecl(Decl):
 Item = Union[Decl, Stmt]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Program(Node):
-    items: tuple[Item, ...] = field(default_factory=tuple)
+    items: tuple[Item, ...] = ()

@@ -56,7 +56,7 @@ def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
 def free_idents(expr: ast.Expr) -> set[str]:
     """Names of the identifiers in ``expr``. A subtree shared by several
     parents is visited once; nodes are told apart by ``id``, because
-    hashing a frozen node walks it as a tree."""
+    hashing a node walks it as a tree."""
     out: set[str] = set()
     seen: set[int] = set()
     pending = [expr]
@@ -107,7 +107,26 @@ def value_equal(a: Value, b: Value) -> bool:
         return a is b
     if isinstance(a, ComplexV) or isinstance(b, ComplexV):
         a, b = promote(a), promote(b)
-    return a == b
+    if not (isinstance(a, ThunkV) and isinstance(b, ThunkV)):
+        return a == b
+    if a.fo.captures != b.fo.captures:
+        return False
+    # ``==`` would unfold bodies built apart into trees: compare each pair
+    # of nodes once, by type and every field but the operands
+    seen: set[tuple[int, int]] = set()
+    pending = [(a.fo.body, b.fo.body)]
+    while pending:
+        x, y = pending.pop()
+        if x is not y and (id(x), id(y)) not in seen:
+            seen.add((id(x), id(y)))
+            xs, ys = ast.operands(x), ast.operands(y)
+            if type(x) is not type(y) or len(xs) != len(ys) or any(
+                    v != getattr(y, name) for name in x.__slots__
+                    if (v := getattr(x, name)) is not xs  # a call's args
+                    and not isinstance(v, ast.Expr)):
+                return False
+            pending += zip(xs, ys)
+    return True
 
 
 class Interpreter:

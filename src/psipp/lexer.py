@@ -7,6 +7,8 @@ ASCII digits; identifiers continue with any letter or digit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import LexError
 
 KEYWORDS = frozenset({
@@ -25,15 +27,12 @@ PUNCT = "punctuation"
 _SINGLE = {**dict.fromkeys("+-*=−", OP), **dict.fromkeys(";,().:", PUNCT)}
 
 
+@dataclass(eq=False, slots=True)
 class Token:
     """One token: its kind, its text, and its span (line, column, length)."""
-
-    __slots__ = ("kind", "lexeme", "span")
-
-    def __init__(self, kind: str, lexeme: str, span: tuple[int, int, int]):
-        self.kind = kind
-        self.lexeme = lexeme
-        self.span = span
+    kind: str
+    lexeme: str
+    span: tuple[int, int, int]
 
     def __repr__(self):
         return f"Token({self.kind}, {self.lexeme!r})"

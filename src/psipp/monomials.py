@@ -16,7 +16,7 @@ from .errors import InvariantViolation, RegisterOverflow
 COMPONENT_MAX = 2**31 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class MonomialRegister:
     k: int
     l: int
@@ -41,7 +41,7 @@ class MonomialRegister:
 IDENTITY = MonomialRegister(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RepLabel:
     j1: Fraction
     j2: Fraction

@@ -19,7 +19,8 @@ from . import ast
 from .errors import ArityError, EmptyWordError, ParseError
 from .lexer import IDENT, INT, KEYWORD, OP, PUNCT, Token, tokenize
 
-_MINUS = {"-", "−"}
+_MINUS = frozenset({"-", "−"})
+_ADDITIVE = _MINUS | {"+"}
 
 
 def _opname(lexeme: str) -> str:
@@ -300,7 +301,7 @@ class _Parser:
         lhs = self.term()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == OP and _opname(tok.lexeme) in {"+", "-"}:
+            if tok is not None and tok.kind == OP and tok.lexeme in _ADDITIVE:
                 self.pos += 1
                 lhs = ast.Infix(_opname(tok.lexeme), lhs, self.term(), tok.span)
             else:
@@ -318,7 +319,7 @@ class _Parser:
 
     def factor(self) -> ast.Expr:
         tok = self.peek()
-        if tok is not None and tok.kind == OP and _opname(tok.lexeme) in _MINUS | {"-"}:
+        if tok is not None and tok.kind == OP and tok.lexeme in _MINUS:
             self.pos += 1
             return ast.Prefix("-", self.factor(), tok.span)
         return self.postfix()

@@ -3,9 +3,10 @@ both the evaluator and the rewriter.
 
 Every runtime datum is one of: integer, complex value, monomial register,
 free variable, thunk (lazy functional object), or the universal ``fail``
-sentinel. Values are immutable and may be shared. The kernel holds the one
-definition of concrete Gaussian-integer arithmetic, of thunk construction,
-and of a functional object's type, which is read off its body when asked.
+sentinel. Values are slotted dataclasses, immutable by convention as
+``tests/test_immutability.py`` checks, and may be shared. The kernel holds
+the one definition of concrete Gaussian-integer arithmetic, of thunk
+construction, and of a functional object's type, read off its body.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ast
-from .errors import UnknownIdentifier
 from .monomials import MonomialRegister
 
 # the type name of integers, which is no object type
@@ -27,40 +27,36 @@ KIND_FUNCTIONAL = "functional object"
 
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntegerV(Value):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ComplexV(Value):
     re: int
     im: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RegisterV(Value):
     register: MonomialRegister
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FreeVarV(Value):
     name: str
     type_name: str = "Algebra"
 
 
 class _Fail(Value):
-    """Singleton sentinel compatible with every type."""
+    """Sentinel compatible with every type; ``FAIL`` is its one instance,
+    and fail is tested by identity with it."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self):
         return "fail"
@@ -69,7 +65,7 @@ class _Fail(Value):
 FAIL = _Fail()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FunctionalObject:
     """An unevaluated expression over its free variables.
 
@@ -88,7 +84,7 @@ class FunctionalObject:
         return dict(self.captures)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ThunkV(Value):
     fo: FunctionalObject
 
@@ -249,12 +245,6 @@ class Environment:
             env = env.parent
         return None
 
-    def lookup(self, name: str) -> Value:
-        value = self.find(name)
-        if value is None:
-            raise UnknownIdentifier(f"unknown identifier {name!r}")
-        return value
-
     def assign(self, name: str, value: Value):
         """Rebind the innermost existing binding, or create a global one."""
         env: Optional[Environment] = self
@@ -264,16 +254,3 @@ class Environment:
                 return
             env = env.parent
         self.define(name, value)
-
-    def snapshot(self) -> dict[str, Value]:
-        """Flattened view, innermost bindings winning. Used by tests to
-        check that failed matches leave the environment untouched."""
-        frames = []
-        env: Optional[Environment] = self
-        while env is not None:
-            frames.append(env.bindings)
-            env = env.parent
-        merged: dict[str, Value] = {}
-        for frame in reversed(frames):
-            merged.update(frame)
-        return merged

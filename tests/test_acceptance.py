@@ -20,6 +20,7 @@ from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
                           ThunkV, classify_binding)
 
 import test_parser
+from bindings import lookup
 
 
 def report(number, description):
@@ -57,8 +58,8 @@ def test_criterion_3_kind_classification():
     interp = make_interpreter()
     interp.run_program(parse_program(
         "var\n  a, b, c, d : integer;\na := 1;\nb := c + d;\n"))
-    assert classify_binding(interp.globals.lookup("a")) == "value"
-    assert classify_binding(interp.globals.lookup("b")) == "functional object"
+    assert classify_binding(lookup(interp.globals, "a")) == "value"
+    assert classify_binding(lookup(interp.globals, "b")) == "functional object"
     report(3, "four-line kind program yields a: value, b: functional object")
 
 

@@ -15,6 +15,8 @@ from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
                           ThunkV)
 from psipp.monomials import MonomialRegister
 
+from bindings import lookup
+
 
 @pytest.fixture
 def interp():
@@ -143,7 +145,7 @@ def test_simplify_promotion_chain(interp):
     # routing the factors through free variables before simplifying
     interp.run_program(parse_program("var p, q : Algebra;\n"
                                      "e := p * (q + 2*i);"))
-    thunk = interp.globals.lookup("e")
+    thunk = lookup(interp.globals, "e")
     interp.run_program(parse_program("p := 2; q := 1;"))
     forced = interp.force(thunk)
     assert simplify(forced) == ComplexV(2, 4)

@@ -15,6 +15,7 @@ from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
 from psipp.values import ComplexV, Environment, FreeVarV, IntegerV, ThunkV
 
+from bindings import lookup
 from test_force import budget, doubling_chain, run, shared_programs
 from test_totality import near_valid
 
@@ -80,7 +81,7 @@ def test_shared_temporaries_capture_free_variables(program):
     for rebind in ["", *rebinds]:
         interp.run_program(parse_program(rebind))
         for name in temps:
-            value = interp.globals.lookup(name)
+            value = lookup(interp.globals, name)
             assert_captures_are_free_variables(value)
             assert_captures_are_free_variables(simplify(value))
             assert_captures_are_free_variables(interp.force(value))
@@ -123,7 +124,7 @@ def test_substitute_into_shared_chain_is_linear(monkeypatch):
     # the assertions name no node: the repr of one unfolds the whole DAG
     depth = 40
     interp = run(doubling_chain(depth))
-    chain = interp.globals.lookup(f"a{depth}").fo
+    chain = lookup(interp.globals, f"a{depth}").fo
     monkeypatch.setattr(ast, "operands",
                         budget(10 * depth, ast.operands))
     spliced = substitute(chain, "x", IntegerV(1))
@@ -168,7 +169,7 @@ def make_value(interp, spec):
     if kind == "complex":
         return ComplexV(*data)
     if kind == "var":
-        return interp.globals.lookup(data)
+        return lookup(interp.globals, data)
     return ev(interp, data)
 
 

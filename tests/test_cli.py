@@ -1,4 +1,6 @@
 import io
+import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from psipp.cli import Session, run_file, run_repl
+
+from bindings import snapshot
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -155,6 +159,40 @@ def test_golden_demos(name):
         assert out == (DEMOS / f"{name}{golden}").read_text()
 
 
+def test_golden_demos_on_the_oldest_supported_python():
+    """``requires-python`` is 3.10, which ``dataclass(slots=True)`` needs:
+    run every demo there too, when a ``python3.10`` is on the PATH."""
+    try:
+        usable = subprocess.run(["python3.10", "-c", "pass"],
+                                capture_output=True).returncode == 0
+    except OSError:
+        usable = False
+    if not usable:
+        pytest.skip("no usable python3.10 on the PATH")
+    script = """\
+import io, json, sys
+from psipp.cli import run_file
+outputs = {}
+for path in sys.argv[1:]:
+    for trace in (False, True):
+        out, err = io.StringIO(), io.StringIO()
+        code = run_file(path, trace=trace, stdout=out, stderr=err)
+        outputs[f"{path} {trace}"] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(outputs))
+"""
+    demos = sorted(DEMOS.glob("*.psi"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(["python3.10", "-c", script, *map(str, demos)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    outputs = json.loads(done.stdout)
+    for demo in demos:
+        for trace, golden in ((False, ".expected"), (True, ".trace.expected")):
+            expected = demo.with_suffix(golden).read_text()
+            assert outputs[f"{demo} {trace}"] == [0, expected, ""], demo.name
+
+
 # --- REPL ---
 
 def test_repl_type_command():
@@ -250,10 +288,10 @@ def test_repl_session_state_survives_errors():
     # environment snapshot after an error equals snapshot before it
     session = Session()
     session.repl_step("var c : integer;")
-    before = session.interp.globals.snapshot()
+    before = snapshot(session.interp.globals)
     with pytest.raises(Exception):
         session.repl_step("zzz * 2")
-    assert session.interp.globals.snapshot() == before
+    assert snapshot(session.interp.globals) == before
 
 
 def test_console_entry_point(tmp_path):

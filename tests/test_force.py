@@ -1,6 +1,10 @@
 """Forcing shared functional objects: one evaluation per shared subterm,
 user method bodies once per occurrence, and agreement with an unmemoised
-tree walk."""
+tree walk. Comparing them: one comparison per pair of shared subterms, and
+agreement with the dataclass ``==``."""
+
+import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from psipp import ast
 from psipp.algebra import make_interpreter, simplify
 from psipp.errors import RewriteLimitExceeded
-from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter
+from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, value_equal
 from psipp.parser import parse_program
-from psipp.values import (Environment, FreeVarV, IntegerV, ThunkV,
-                          type_name_of)
+from psipp.values import (FAIL, ComplexV, Environment, FreeVarV,
+                          FunctionalObject, IntegerV, ThunkV, type_name_of)
+
+from bindings import lookup
 
 
 def run(source: str) -> Interpreter:
@@ -102,7 +108,7 @@ def shared_programs(draw):
 def test_memoised_force_matches_tree_walk(program):
     source, rebinds, temps = program
     interp = run(source)
-    thunks = [interp.globals.lookup(name) for name in temps]
+    thunks = [lookup(interp.globals, name) for name in temps]
     for rebind in ["", *rebinds]:
         interp.run_program(parse_program(rebind))
         for value in thunks:
@@ -147,7 +153,7 @@ t3 := t2 + t2;
 t4 := t3 * t3;
 t5 := t4 * t4;
 """)
-    t4, t5 = (interp.globals.lookup(name) for name in ("t4", "t5"))
+    t4, t5 = (lookup(interp.globals, name) for name in ("t4", "t5"))
     steps: list[str] = []
     assert type_name_of(simplify(t4, trace=steps.append)) == "Complex"
     # 16 summands squared: from 1 summand to 256, one step each
@@ -172,7 +178,7 @@ def test_type_predicts_simplify_and_force(program, data):
     outgrows any limit), ``simplify`` raises instead."""
     source, _, temps = program
     interp = run(source)
-    values = [interp.globals.lookup(name) for name in temps]
+    values = [lookup(interp.globals, name) for name in temps]
     types = [type_name_of(v) for v in values]
     for value, type_name in zip(values, types):
         try:
@@ -243,7 +249,129 @@ b := left(a{depth});
 kind(b);
 """)
     assert interp.output == ["b: functional object"]
-    assert interp.globals.lookup("b").fo.body is \
-        interp.globals.lookup(f"a{depth - 1}").fo.body
+    assert lookup(interp.globals, "b").fo.body is \
+        lookup(interp.globals, f"a{depth - 1}").fo.body
     interp.run_program(parse_program("x := 1;"))
-    assert interp.force(interp.globals.lookup("b")) == IntegerV(1)
+    assert interp.force(lookup(interp.globals, "b")) == IntegerV(1)
+
+
+# --- structural equality ---
+
+SPANS = st.sampled_from([None, (1, 1, 1), (1, 2, 1)])
+# one pool for operators, fields, ancestors and function names, so that
+# nodes of different types can agree on every field but their type
+WORDS = st.sampled_from(["-", "Re"])
+LEAVES = st.one_of(
+    st.builds(ast.Ident, st.sampled_from(["x", "y"]), SPANS),
+    st.builds(ast.IntLit, st.integers(0, 1), SPANS),
+    st.builds(ast.ValueLeaf, st.sampled_from(
+        [IntegerV(1), IntegerV(2), ComplexV(1, 0), FAIL]), SPANS))
+CAPTURES = st.sampled_from([(), (("x", FreeVarV("x")),),
+                            (("x", FreeVarV("x", "Complex")),)])
+
+
+@st.composite
+def dags(draw):
+    """An expression body whose nodes take their operands from the nodes
+    drawn before them, so that subterms are often shared."""
+    nodes = [draw(LEAVES) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 7))):
+        pick, word, span = st.sampled_from(nodes), draw(WORDS), draw(SPANS)
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            node = ast.Infix(draw(st.sampled_from("+-*")), draw(pick),
+                             draw(pick), span)
+        elif kind == 1:
+            node = ast.Prefix(word, draw(pick), span)
+        elif kind == 2:
+            node = ast.FieldAccess(draw(pick), word, span)
+        elif kind == 3:
+            node = ast.Call(word, tuple(draw(st.lists(pick, max_size=2))),
+                            span)
+        elif kind == 4:
+            node = ast.PairLit(draw(pick), draw(pick), span)
+        else:
+            node = ast.InheritedCall(word, draw(pick), span)
+        nodes.append(node)
+    return nodes[-1]
+
+
+def edited(name: str, value):
+    """A value of the field ``name`` that differs from ``value``."""
+    if name == "args":
+        return value[:-1] if value else (ast.IntLit(0),)
+    if name == "span":
+        return (9, 9, 9)
+    if isinstance(value, str):
+        return value + "'"
+    if isinstance(value, int):
+        return value + 7
+    return IntegerV(7)  # a value leaf's value
+
+
+# node types with fields of the same kinds in the same order
+TWINS = {ast.Prefix: ast.InheritedCall, ast.InheritedCall: ast.Prefix}
+
+
+def tree_copy(e: ast.Expr, edit_at: int = -1, field: int = 0) -> ast.Expr:
+    """``e`` unfolded into a tree of new nodes. The ``edit_at``-th node
+    built gets its ``field``-th field edited; a call's arguments count as
+    one field, which loses or gains an argument, and a twin's type as one
+    more."""
+    built = itertools.count()
+
+    def copy(node):
+        fields = {f.name: getattr(node, f.name)
+                  for f in dataclasses.fields(node)}
+        for name, value in fields.items():
+            if isinstance(value, ast.Expr):
+                fields[name] = copy(value)
+            elif isinstance(node, ast.Call) and name == "args":
+                fields[name] = tuple(map(copy, value))
+        kind = type(node)
+        if next(built) == edit_at:
+            editable = [name for name, value in fields.items()
+                        if not isinstance(value, ast.Expr)]
+            name = (editable + ["type"] * (kind in TWINS))[
+                field % (len(editable) + (kind in TWINS))]
+            if name == "type":
+                kind = TWINS[kind]
+            else:
+                fields[name] = edited(name, fields[name])
+        return kind(*fields.values())
+
+    return copy(e)
+
+
+def tree_size(e: ast.Expr) -> int:
+    return 1 + sum(map(tree_size, ast.operands(e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(), dags(), CAPTURES, CAPTURES)
+def test_value_equal_agrees_with_dataclass_equality(body, other, caps, caps2):
+    """Against the same body, a tree copy of it that shares nothing, that
+    copy with any one field edited, and an independent body."""
+    seconds = [body, tree_copy(body), other]
+    seconds += [tree_copy(body, at, field)
+                for at in range(min(tree_size(body), 30))
+                for field in range(3)]
+    a = ThunkV(FunctionalObject(body, caps))
+    for second in seconds:
+        b = ThunkV(FunctionalObject(second, caps2))
+        assert value_equal(a, b) is value_equal(b, a) is (a == b)
+
+
+def test_equal_chains_built_apart_compare_in_linear_calls(monkeypatch):
+    depth = 22
+    interp = run(doubling_chain(depth) + "\nb0 := x * 1;\n" + "\n".join(
+        f"b{j + 1} := b{j} * b{j};" for j in range(depth)))
+    # the dataclass == unfolds both chains: 2**22 calls of Infix.__eq__
+    monkeypatch.setattr(ast.Infix, "__eq__",
+                        budget(10 * depth, ast.Infix.__eq__))
+    monkeypatch.setattr(ast, "operands", budget(10 * depth, ast.operands))
+    interp.run_program(parse_program(f"""
+if a{depth} = b{depth} then print(1) else print(0);
+if a{depth} = b{depth - 1} then print(1) else print(0);
+"""))
+    assert interp.output == ["1", "0"]

@@ -162,6 +162,16 @@ def test_prefix_binds_tightest():
                              ast.Ident("B"))
 
 
+def test_either_minus_sign_is_one_operator():
+    assert parse_expression("a − b") == ast.Infix(
+        "-", ast.Ident("a", (1, 1, 1)), ast.Ident("b", (1, 5, 1)), (1, 3, 1))
+    assert parse_expression("−a") == ast.Prefix(
+        "-", ast.Ident("a", (1, 2, 1)), (1, 1, 1))
+    assert parse_expression("a - −b") == ast.Infix(
+        "-", ast.Ident("a", (1, 1, 1)),
+        ast.Prefix("-", ast.Ident("b", (1, 6, 1)), (1, 5, 1)), (1, 3, 1))
+
+
 def test_dangling_operator():
     with pytest.raises(ParseError):
         parse_expression("1 +")
