@@ -24,14 +24,14 @@ from typing import Callable, Optional
 from . import ast
 from .ast import operands, with_operand
 from .errors import EvalError, RewriteLimitExceeded
-from .evaluator import (DEFAULT_REWRITE_LIMIT, Interpreter, as_repr,
-                        operator_thunk)
+from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
 from .lexer import Token, tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .pretty import expr_text, layout, operator_level
-from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
-                     Value, arith, complex_mul, promote, thunk)
+# complex_mul is not called here: the package and bench/tracer.py read it
+from .values import (FAIL, ComplexV, IntegerV, RegisterV, ThunkV, Value,
+                     arith, complex_mul, promote, thunk)
 
 PRELUDE_SOURCE = """\
 Group = Object;
@@ -92,19 +92,6 @@ def distribute(a: Value, b: Value) -> Value:
         return FAIL
     a_is_sum = body.lhs.rhs is b_expr  # (C + D) * B -> C*B + ...
     return thunk(body, *((a_caps, b_caps) if a_is_sum else (b_caps, a_caps)))
-
-
-def complex_method_mul(a: Value, b: Value) -> Value:
-    """The Complex multiplication protocol: inherited distributivity first,
-    then concrete multiplication, otherwise a residual product thunk."""
-    distributed = distribute(a, b)
-    if distributed is not FAIL:
-        return distributed
-    if isinstance(a, (IntegerV, ComplexV)) and isinstance(b, (IntegerV, ComplexV)):
-        return complex_mul(promote(a), promote(b))
-    if isinstance(a, (FreeVarV, ThunkV)) or isinstance(b, (FreeVarV, ThunkV)):
-        return operator_thunk("*", "infix", [a, b])
-    return FAIL
 
 
 # --- the rewriter ---

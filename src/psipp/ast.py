@@ -13,6 +13,17 @@ from typing import Optional, Union
 
 Span = tuple[int, int, int]
 
+# Precedence levels of the surface syntax, loosest first, read by both the
+# parser and ``pretty.layout``. An infix operator of level L takes a right
+# operand of level L + 1, so ``+``, ``-`` and ``*`` associate to the left;
+# ``=`` takes a left operand of level L + 1 too, so it does not associate.
+LEVEL_EQ = 0
+LEVEL_ADD = 1
+LEVEL_MUL = 2
+LEVEL_PREFIX = 3  # prefix minus and its operand
+LEVEL_ATOM = 4
+INFIX_LEVELS = {"=": LEVEL_EQ, "+": LEVEL_ADD, "-": LEVEL_ADD, "*": LEVEL_MUL}
+
 
 class Node:
     __slots__ = ()

@@ -145,11 +145,6 @@ class Interpreter:
         # user method bodies run so far; a node whose evaluation ran one
         # (a print, a global assignment) is not memoised
         self.method_runs = 0
-        # the innermost force's overlay and its values of operator nodes,
-        # keyed by id: every key is a node of the forced body, which
-        # outlives the memo, so no id is reused while it is live
-        self._memo_env: Optional[Environment] = None
-        self._memo: dict[int, Value] = {}
 
     # --- program execution ---
 
@@ -254,8 +249,6 @@ class Interpreter:
         return value
 
     def eval_prefix(self, expr: ast.Prefix, env: Environment) -> Value:
-        if env is self._memo_env:
-            return self._eval_shared(expr, env)
         operand = self.eval_expr(expr.operand, env)
         return self.apply_operator(expr.op, "prefix", [operand], expr)
 
@@ -263,28 +256,15 @@ class Interpreter:
         if expr.op == "=":
             raise EvalError("'=' is only valid in an if condition",
                             expr.span)
-        if env is self._memo_env:
-            return self._eval_shared(expr, env)
         lhs = self.eval_expr(expr.lhs, env)
         rhs = self.eval_expr(expr.rhs, env)
         return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
 
-    def _eval_shared(self, expr: ast.Expr, env: Environment) -> Value:
-        """An operator node of the body being forced, evaluated once per
-        force. The value is not kept when its evaluation ran a user method
-        body, so that body runs again at the node's next occurrence."""
-        value = self._memo.get(id(expr))
-        if value is not None:
-            return value
-        runs = self.method_runs
-        args = [self.eval_expr(a, env) for a in ast.operands(expr)]
-        value = self.apply_operator(expr.op, _FIXITY[type(expr)], args, expr)
-        if runs == self.method_runs:
-            self._memo[id(expr)] = value
-        return value
-
     def eval_field(self, expr: ast.FieldAccess, env: Environment) -> Value:
-        obj = self.eval_expr(expr.obj, env)
+        return self.field_of(self.eval_expr(expr.obj, env), expr)
+
+    def field_of(self, obj: Value, expr: ast.FieldAccess) -> Value:
+        """The field ``expr.field`` of ``obj``, the value of ``expr.obj``."""
         field = expr.field
         if obj is FAIL:
             return FAIL
@@ -504,12 +484,36 @@ class Interpreter:
                 overlay.define(name, self.force(bound, env))
             else:
                 overlay.define(name, captured)
-        outer = self._memo_env, self._memo
-        self._memo_env, self._memo = overlay, {}
-        try:
-            return self.eval_expr(v.fo.body, overlay)
-        finally:
-            self._memo_env, self._memo = outer
+        # post-order on an explicit stack of (node, None) to enter and
+        # (node, method runs at its entry) to apply to its operands' values;
+        # the memo's keys are ids of body nodes, which outlive it
+        memo: dict[int, Value] = {}
+        values: list[Value] = []
+        pending: list[tuple[ast.Expr, Optional[int]]] = [(v.fo.body, None)]
+        while pending:
+            e, runs = pending.pop()
+            if runs is None:
+                value = memo.get(id(e))
+                if value is not None:
+                    values.append(value)
+                    continue
+                runs = self.method_runs
+                kind = type(e)  # eval_expr rejects an '=' application
+                if kind in _FIXITY and e.op != "=" or kind is ast.FieldAccess:
+                    pending.append((e, runs))
+                    pending.extend((a, None) for a in reversed(ast.operands(e)))
+                    continue
+                value = self.eval_expr(e, overlay)
+            elif type(e) is ast.FieldAccess:
+                value = self.field_of(values.pop(), e)
+            else:
+                args = values[-len(ast.operands(e)):]
+                del values[-len(args):]
+                value = self.apply_operator(e.op, _FIXITY[type(e)], args, e)
+            if runs == self.method_runs:
+                memo[id(e)] = value
+            values.append(value)
+        return values[0]
 
 
 # handlers by node type, read by exec_stmt and eval_expr

@@ -1,9 +1,11 @@
 """Recursive-descent parser for the Pascal-like surface language.
 
 Programs are sequences of object declarations, function definitions,
-``var`` blocks, and statements. Precedence inside expressions: prefix
-minus binds tightest, then ``*``, then ``+`` and binary ``-``; ``=`` is
-the (single, non-associative) comparison at the bottom. ``*`` and ``+``
+``var`` blocks, and statements. Expressions are parsed by one
+precedence-climbing loop over the table in ``ast`` (``INFIX_LEVELS``),
+which ``pretty.layout`` reads too: prefix minus binds tightest, then
+``*``, then ``+`` and binary ``-``; ``=`` is the (single,
+non-associative) comparison at the bottom. ``*``, ``+`` and ``-``
 associate left.
 
 ``parse_juxtaposition`` implements the convention that a word of
@@ -20,7 +22,6 @@ from .errors import ArityError, EmptyWordError, ParseError
 from .lexer import IDENT, INT, KEYWORD, OP, PUNCT, Token, tokenize
 
 _MINUS = frozenset({"-", "−"})
-_ADDITIVE = _MINUS | {"+"}
 
 
 def _opname(lexeme: str) -> str:
@@ -215,7 +216,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise self.error("expected function name or operator symbol")
-        if tok.kind == OP and _opname(tok.lexeme) in {"+", "-", "*", "="}:
+        if tok.kind == OP and _opname(tok.lexeme) in ast.INFIX_LEVELS:
             self.pos += 1
             return _opname(tok.lexeme)
         if fixity != "ordinary":
@@ -288,41 +289,27 @@ class _Parser:
             raise self.error("trailing input after expression")
         return expr
 
-    def expression(self) -> ast.Expr:
-        lhs = self.additive()
-        tok = self.peek()
-        if tok is not None and tok.kind == OP and tok.lexeme == "=":
-            self.pos += 1
-            rhs = self.additive()
-            return ast.Infix("=", lhs, rhs, tok.span)
-        return lhs
-
-    def additive(self) -> ast.Expr:
-        lhs = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == OP and tok.lexeme in _ADDITIVE:
-                self.pos += 1
-                lhs = ast.Infix(_opname(tok.lexeme), lhs, self.term(), tok.span)
-            else:
-                return lhs
-
-    def term(self) -> ast.Expr:
-        lhs = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == OP and tok.lexeme == "*":
-                self.pos += 1
-                lhs = ast.Infix("*", lhs, self.factor(), tok.span)
-            else:
-                return lhs
-
-    def factor(self) -> ast.Expr:
+    def expression(self, min_level: int = ast.LEVEL_EQ) -> ast.Expr:
+        """An expression, ended before any infix operator of a level
+        below ``min_level``."""
         tok = self.peek()
         if tok is not None and tok.kind == OP and tok.lexeme in _MINUS:
             self.pos += 1
-            return ast.Prefix("-", self.factor(), tok.span)
-        return self.postfix()
+            lhs = ast.Prefix("-", self.expression(ast.LEVEL_PREFIX), tok.span)
+        else:
+            lhs = self.postfix()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != OP:
+                return lhs
+            op = _opname(tok.lexeme)
+            level = ast.INFIX_LEVELS.get(op)
+            if level is None or level < min_level:
+                return lhs
+            self.pos += 1
+            lhs = ast.Infix(op, lhs, self.expression(level + 1), tok.span)
+            if level == ast.LEVEL_EQ:  # '=' does not associate
+                return lhs
 
     def postfix(self) -> ast.Expr:
         expr = self.primary()

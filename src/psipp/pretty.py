@@ -3,8 +3,8 @@
 The default style prints sums spaced and products tight (``-1 + i*x``);
 trace mode spaces every operator, matching the typography of rewrite
 chains (``i * i + i * x``). Parentheses are minimal under the surface
-precedence: prefix minus tightest, then ``*``, then ``+``/``-``, then
-``=``.
+precedence of ``ast.INFIX_LEVELS``, the table the parser reads: prefix
+minus tightest, then ``*``, then ``+``/``-``, then ``=``.
 """
 
 from __future__ import annotations
@@ -12,19 +12,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import ast
+from .ast import INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL, LEVEL_PREFIX
 from .errors import EvalError
 from .monomials import format_monomial
 from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
                      Value)
-
-_LEVEL_EQ = 0
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_PREFIX = 3
-_LEVEL_ATOM = 4
-_INFIX_LEVELS = {"=": _LEVEL_EQ, "+": _LEVEL_ADD, "-": _LEVEL_ADD,
-                 "*": _LEVEL_MUL}
-
 
 def _int_text(n: int) -> str:
     """Decimal text of an integer. Python refuses to convert an integer of
@@ -38,34 +30,34 @@ def _int_text(n: int) -> str:
 
 def _complex_text(re: int, im: int) -> tuple[str, int]:
     if im == 0:
-        return _int_text(re), _LEVEL_ATOM if re >= 0 else _LEVEL_PREFIX
+        return _int_text(re), LEVEL_ATOM if re >= 0 else LEVEL_PREFIX
     if re == 0:
         if im == 1:
-            return "i", _LEVEL_ATOM
+            return "i", LEVEL_ATOM
         if im == -1:
-            return "-i", _LEVEL_PREFIX
-        return f"{_int_text(im)}*i", _LEVEL_MUL
+            return "-i", LEVEL_PREFIX
+        return f"{_int_text(im)}*i", LEVEL_MUL
     sign = "+" if im >= 0 else "-"
     mag = abs(im)
     tail = "i" if mag == 1 else f"{_int_text(mag)}*i"
-    return f"{_int_text(re)} {sign} {tail}", _LEVEL_ADD
+    return f"{_int_text(re)} {sign} {tail}", LEVEL_ADD
 
 
 def _value_text(v: Value) -> tuple[str, int]:
     if isinstance(v, IntegerV):
-        return _int_text(v.n), _LEVEL_ATOM if v.n >= 0 else _LEVEL_PREFIX
+        return _int_text(v.n), LEVEL_ATOM if v.n >= 0 else LEVEL_PREFIX
     if isinstance(v, ComplexV):
         return _complex_text(v.re, v.im)
     if isinstance(v, RegisterV):
         text = format_monomial(v.register)
-        return text, _LEVEL_ATOM if " " not in text else _LEVEL_MUL
+        return text, LEVEL_ATOM if " " not in text else LEVEL_MUL
     if isinstance(v, FreeVarV):
-        return v.name, _LEVEL_ATOM
+        return v.name, LEVEL_ATOM
     if v is FAIL:
-        return "fail", _LEVEL_ATOM
+        return "fail", LEVEL_ATOM
     if isinstance(v, ThunkV):
         return expr_text(v.fo.body, spaced=False)
-    return repr(v), _LEVEL_ATOM
+    return repr(v), LEVEL_ATOM
 
 
 def _is_scalar_leaf(e: ast.Expr) -> bool:
@@ -84,8 +76,8 @@ def operator_level(e: ast.Expr) -> int:
     """Precedence level of the text of an ``Infix`` or ``Prefix`` node,
     which its operands do not change."""
     if isinstance(e, ast.Prefix):
-        return _LEVEL_PREFIX
-    return _INFIX_LEVELS[e.op]
+        return LEVEL_PREFIX
+    return INFIX_LEVELS[e.op]
 
 
 def layout(e: ast.Expr, kids: Sequence[ast.Expr],
@@ -96,10 +88,10 @@ def layout(e: ast.Expr, kids: Sequence[ast.Expr],
     operands, a trace splice the operands as they stand after a rewrite
     below ``e``."""
     if not isinstance(e, ast.Infix):
-        return f"-{_wrap(texts[0], _LEVEL_PREFIX)}", _LEVEL_PREFIX
+        return f"-{_wrap(texts[0], LEVEL_PREFIX)}", LEVEL_PREFIX
     lhs, rhs = texts
-    level = _INFIX_LEVELS[e.op]
-    if level == _LEVEL_MUL:
+    level = INFIX_LEVELS[e.op]
+    if level == LEVEL_MUL:
         # display convention: central scalar coefficients (integers,
         # complex constants) print first, as in -1 + i*x; the tree
         # itself keeps true factor order
@@ -108,7 +100,7 @@ def layout(e: ast.Expr, kids: Sequence[ast.Expr],
         sep = " * " if spaced else "*"
         return f"{_wrap(lhs, level)}{sep}{_wrap(rhs, level + 1)}", level
     # + and - associate to the left; = does not associate
-    left_min = level if level == _LEVEL_ADD else level + 1
+    left_min = level if level == LEVEL_ADD else level + 1
     return f"{_wrap(lhs, left_min)} {e.op} {_wrap(rhs, level + 1)}", level
 
 
@@ -134,28 +126,28 @@ def _node_text(e: ast.Expr, spaced: bool,
     if isinstance(e, ast.ValueLeaf):
         return _value_text(e.value)
     if isinstance(e, ast.IntLit):
-        return _int_text(e.value), _LEVEL_ATOM
+        return _int_text(e.value), LEVEL_ATOM
     if isinstance(e, ast.Ident):
-        return e.name, _LEVEL_ATOM
+        return e.name, LEVEL_ATOM
     if isinstance(e, ast.FailLit):
-        return "fail", _LEVEL_ATOM
+        return "fail", LEVEL_ATOM
     if isinstance(e, ast.Prefix):
         return layout(e, (e.operand,), (expr_text(e.operand, spaced, memo),),
                       spaced)
     if isinstance(e, ast.Call):
         args = ", ".join(expr_text(a, spaced, memo)[0] for a in e.args)
-        return f"{e.name}({args})", _LEVEL_ATOM
+        return f"{e.name}({args})", LEVEL_ATOM
     if isinstance(e, ast.FieldAccess):
-        obj = _wrap(expr_text(e.obj, spaced, memo), _LEVEL_ATOM)
-        return f"{obj}.{e.field}", _LEVEL_ATOM
+        obj = _wrap(expr_text(e.obj, spaced, memo), LEVEL_ATOM)
+        return f"{obj}.{e.field}", LEVEL_ATOM
     if isinstance(e, ast.InheritedCall):
         inner = expr_text(e.expr, spaced, memo)[0]
-        return f"{e.ancestor}.({inner})", _LEVEL_ATOM
+        return f"{e.ancestor}.({inner})", LEVEL_ATOM
     if isinstance(e, ast.PairLit):
         first = expr_text(e.first, spaced, memo)[0]
         second = expr_text(e.second, spaced, memo)[0]
-        return f"({first}, {second})", _LEVEL_ATOM
-    return repr(e), _LEVEL_ATOM
+        return f"({first}, {second})", LEVEL_ATOM
+    return repr(e), LEVEL_ATOM
 
 
 def render_value(v: Value, spaced: bool = False) -> str:
@@ -170,19 +162,17 @@ def render_expr(e: ast.Expr, spaced: bool = False) -> str:
 
 def show_tree(v: Value) -> str:
     """Indented tree view of a thunk (or plain rendering of a value)."""
+    if not isinstance(v, ThunkV):
+        return render_value(v)
     lines: list[str] = []
-
-    def walk(e: ast.Expr, depth: int):
+    pending = [(v.fo.body, 0)]
+    while pending:
+        e, depth = pending.pop()
         pad = "  " * depth
         if isinstance(e, (ast.Infix, ast.Prefix, ast.Call)):
             lines.append(pad + (e.name if isinstance(e, ast.Call) else e.op))
-            for operand in ast.operands(e):
-                walk(operand, depth + 1)
+            pending.extend((operand, depth + 1)
+                           for operand in reversed(ast.operands(e)))
         else:
             lines.append(f"{pad}{render_expr(e)}")
-
-    if isinstance(v, ThunkV):
-        walk(v.fo.body, 0)
-    else:
-        lines.append(render_value(v))
     return "\n".join(lines)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psipp import ast
-from psipp.algebra import (complex_method_mul, complex_mul, distribute,
-                           make_interpreter, promote, simplify)
-from psipp.errors import RewriteLimitExceeded
+from psipp.algebra import (complex_mul, distribute, make_interpreter, promote,
+                           simplify)
+from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import free_idents
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
@@ -98,31 +98,45 @@ def test_promote():
     assert promote(IntegerV(-3)) == ComplexV(-3, 0)
 
 
-# --- complex_method_mul fallback protocol ---
+# --- the prelude's Complex.infix* fallback protocol ---
+
+def complex_method(interp, a, b):
+    """The interpreted ``Complex.infix*`` of the prelude, run on ``(a, b)``."""
+    method = interp.registry.resolve_method("Complex", "*", "infix")
+    return interp.invoke_method(method, [a, b])
+
 
 def test_method_mul_inherited_path(interp):
-    result = complex_method_mul(ev(interp, "i + x"), ComplexV(0, 1))
+    result = complex_method(interp, ev(interp, "i + x"), ComplexV(0, 1))
     expected = distribute(ev(interp, "i + x"), ComplexV(0, 1))
     assert result == expected
 
 
-def test_method_mul_native_path():
-    assert complex_method_mul(ComplexV(0, 1), ComplexV(0, 1)) \
+def test_method_mul_native_path(interp):
+    assert complex_method(interp, ComplexV(0, 1), ComplexV(0, 1)) \
         == ComplexV(-1, 0)
 
 
-def test_method_mul_residual(interp):
-    result = complex_method_mul(ComplexV(0, 1), FreeVarV("x"))
+def test_product_with_a_free_variable_stays_lazy(interp):
+    # the operator application becomes a thunk without running the method,
+    # which would demand integer components of x
+    runs = interp.method_runs
+    result = ev(interp, "i * x")
     assert isinstance(result, ThunkV)
     assert result.fo.body == ast.Infix(
         "*", ast.ValueLeaf(ComplexV(0, 1)), ast.Ident("x"))
+    assert render_value(result) == "i*x"
+    assert interp.method_runs == runs
+    with pytest.raises(EvalError, match="complex components must be integers"):
+        complex_method(interp, ComplexV(0, 1), FreeVarV("x"))
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20),
        st.integers(-20, 20), st.integers(-20, 20))
 def test_fallback_equals_native_on_concrete_pairs(a, b, c, d):
     lhs, rhs = ComplexV(a, b), ComplexV(c, d)
-    assert complex_method_mul(lhs, rhs) == complex_mul(lhs, rhs)
+    assert complex_method(make_interpreter(), lhs, rhs) \
+        == complex_mul(lhs, rhs)
 
 
 # --- simplify ---

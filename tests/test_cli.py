@@ -119,9 +119,8 @@ def test_sessions_share_the_parsed_prelude_not_its_methods():
     pytest.param(f"{'9' * 3000} * {'9' * 3000}", 3, id="print-6000-digits"),
     pytest.param(f"mono(0 - {'9' * 3000} * {'9' * 3000}, 0, 0, 0)", 3,
                  id="mono-negative-6000-digits"),
-    # nesting past the Python stack: at evaluation, then at parsing
+    # nesting past the Python stack at evaluation
     pytest.param(" + ".join(["x"] * 1200), 3, id="sum-of-1200-terms"),
-    pytest.param("(" * 300 + "1" + ")" * 300, 1, id="parentheses-300-deep"),
 ])
 def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     script = tmp_path / "builtin.psi"
@@ -132,6 +131,29 @@ def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     assert result.returncode == code
     assert re.match(r"error: 2:\d+: ", result.stderr), result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("depth, code, out, err", [
+    pytest.param(300, 0, "1\n", "", id="parentheses-300-deep"),
+    pytest.param(600, 1, "", r"error: 2:\d+: expression nested too deeply\n",
+                 id="parentheses-600-deep"),
+])
+def test_parenthesis_nesting(tmp_path, depth, code, out, err):
+    # the parser spends three Python frames on each parenthesis
+    script = tmp_path / "nested.psi"
+    script.write_text(f"x := 1;\nprint({'(' * depth}1{')' * depth});\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", str(script)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (code, out)
+    assert re.fullmatch(err, result.stderr), result.stderr
+
+
+def test_eval_of_a_body_1500_deep(tmp_path):
+    script = tmp_path / "deep.psi"
+    script.write_text("var x : integer;\na := x;\n" + "a := a + x;\n" * 1500
+                      + "x := 1;\nprint(EVAL(a));\n")
+    assert run_to_strings(script) == (0, "1501\n", "")
 
 
 def test_no_prelude_flag(tmp_path):
@@ -159,15 +181,32 @@ def test_golden_demos(name):
         assert out == (DEMOS / f"{name}{golden}").read_text()
 
 
+def python310_environ():
+    """An environment in which ``python3.10`` runs, or None. A pyenv shim
+    runs it only when ``PYENV_VERSION`` names an installed 3.10, so each
+    of those is tried after the environment as it is."""
+    try:
+        listed = subprocess.run(["pyenv", "versions", "--bare"],
+                                capture_output=True, text=True).stdout.split()
+    except OSError:
+        listed = []
+    versions = [v for v in listed if v.split(".")[:2] == ["3", "10"]]
+    for extra in [{}, *({"PYENV_VERSION": v} for v in versions)]:
+        env = {**os.environ, **extra}
+        try:
+            if subprocess.run(["python3.10", "-c", "pass"], env=env,
+                              capture_output=True).returncode == 0:
+                return env
+        except OSError:
+            return None
+    return None
+
+
 def test_golden_demos_on_the_oldest_supported_python():
     """``requires-python`` is 3.10, which ``dataclass(slots=True)`` needs:
     run every demo there too, when a ``python3.10`` is on the PATH."""
-    try:
-        usable = subprocess.run(["python3.10", "-c", "pass"],
-                                capture_output=True).returncode == 0
-    except OSError:
-        usable = False
-    if not usable:
+    env = python310_environ()
+    if env is None:
         pytest.skip("no usable python3.10 on the PATH")
     script = """\
 import io, json, sys
@@ -184,7 +223,7 @@ print(json.dumps(outputs))
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(["python3.10", "-c", script, *map(str, demos)],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**env, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     outputs = json.loads(done.stdout)
     for demo in demos:
@@ -224,6 +263,15 @@ def test_repl_types_a_deep_object():
     text = "var x : Algebra;\na := x;\n" + "a := a + x;\n" * 1500
     _, out, err = repl_to_strings(text + ":type a\n:quit\n")
     assert (out, err) == ("Algebra functional object\n", "")
+
+
+def test_repl_shows_a_deep_object():
+    text = "var x : integer;\na := x;\n" + "a := a + x;\n" * 1500
+    _, out, err = repl_to_strings(text + ":show a\n:quit\n")
+    sums = ["  " * depth + "+" for depth in range(1500)]
+    leaves = ["  " * depth + "x" for depth in range(1500, 0, -1)]
+    assert (out, err) == ("\n".join(sums + ["  " * 1500 + "x"] + leaves)
+                          + "\n", "")
 
 
 def test_repl_deep_nesting_is_an_error():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import make_interpreter, simplify
-from psipp.errors import RewriteLimitExceeded
+from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, value_equal
 from psipp.parser import parse_program
 from psipp.values import (FAIL, ComplexV, Environment, FreeVarV,
@@ -210,6 +210,20 @@ print(EVAL(b));
 """)
     # a occurs twice in b: its body runs twice, then b's once
     assert interp.output == ["1 + i", "1 + i", "2*i", "-4"]
+
+
+def test_forcing_an_abstract_comparison_is_the_condition_error():
+    # an abstract infix = leaves its application symbolic; forcing it
+    # reports the comparison outside a condition, as evaluating it does
+    interp = run("Foo = Object;\n"
+                 "  function infix =(A, B : Foo) : Foo;\n"
+                 "end;\n"
+                 "var x : Foo;\n"
+                 "y := Foo.(x = x);\n"
+                 "x := 1;\n")
+    with pytest.raises(EvalError, match="'=' is only valid in an if "
+                                        "condition"):
+        interp.run_program(parse_program("print(EVAL(y));"))
 
 
 def budget(limit: int, fn):

@@ -5,7 +5,8 @@ import pytest
 from psipp import ast
 from psipp.algebra import make_interpreter
 from psipp.errors import ArityError, EmptyWordError, ParseError
-from psipp.parser import (parse_expression, parse_juxtaposition,
+from psipp.lexer import OP, tokenize
+from psipp.parser import (_Parser, parse_expression, parse_juxtaposition,
                           parse_program)
 from psipp.pretty import render_expr
 
@@ -312,3 +313,101 @@ def test_precedence_oracle_fuzz():
         source = random_int_source(rng, rng.randrange(0, 5))
         parsed = eval_int_tree(parse_expression(source))
         assert parsed == shunting_yard_eval(source)
+
+
+# --- differential: the precedence loop against the grammar it replaced ---
+
+class FourLevelParser(_Parser):
+    """The parser with the four recursive-descent functions, one per
+    precedence level, that ``expression``'s single loop replaced."""
+
+    def expression(self):
+        lhs = self.additive()
+        tok = self.peek()
+        if tok is not None and tok.kind == OP and tok.lexeme == "=":
+            self.pos += 1
+            rhs = self.additive()
+            return ast.Infix("=", lhs, rhs, tok.span)
+        return lhs
+
+    def additive(self):
+        lhs = self.term()
+        while True:
+            tok = self.peek()
+            if tok is not None and tok.kind == OP \
+                    and tok.lexeme in {"+", "-", "−"}:
+                self.pos += 1
+                lhs = ast.Infix("+" if tok.lexeme == "+" else "-", lhs,
+                                self.term(), tok.span)
+            else:
+                return lhs
+
+    def term(self):
+        lhs = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is not None and tok.kind == OP and tok.lexeme == "*":
+                self.pos += 1
+                lhs = ast.Infix("*", lhs, self.factor(), tok.span)
+            else:
+                return lhs
+
+    def factor(self):
+        tok = self.peek()
+        if tok is not None and tok.kind == OP and tok.lexeme in {"-", "−"}:
+            self.pos += 1
+            return ast.Prefix("-", self.factor(), tok.span)
+        return self.postfix()
+
+
+def outcome(parser_class, rule, source):
+    """The tree ``rule`` parses from ``source``, spans included, or the
+    error's class, message, span and expected set."""
+    try:
+        return rule(parser_class(tokenize(source)))
+    except ParseError as err:
+        return type(err), err.message, err.span, err.expected
+
+
+EXPRESSION_WORDS = ["x", "y", "A", "0", "7", "+", "-", "−", "*", "=", "(",
+                    ")", ",", ".", "Re", "Algebra", "f", "fail", "Return",
+                    "EVAL"]
+PROGRAM_WORDS = EXPRESSION_WORDS + [
+    ":=", ";", ":", "begin", "end", "if", "then", "else", "print", "var",
+    "integer", "function", "infix", "prefix", "par", "Object"]
+PROGRAM = ("x := a - −b * (c, d).Re = e * -f + g;\n"
+           "if a = b + c then print(Algebra.(a * b)) else y := EVAL(z);\n"
+           "function infix *(A, B : Algebra) : Algebra; par P : Algebra;\n"
+           "begin if A = P * -B then Return := f(P, 1 - 2 - 3) end;\n")
+
+
+def random_source(rng, words, template):
+    """Words drawn at random, or ``template`` with a few words replaced,
+    dropped or inserted."""
+    if rng.random() < 0.5:
+        return " ".join(rng.choices(words, k=rng.randrange(16)))
+    tokens = [t.lexeme for t in tokenize(template)]
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(tokens))
+        edit = rng.randrange(3)
+        if edit == 0:
+            tokens[i] = rng.choice(words)
+        elif edit == 1:
+            del tokens[i]
+        else:
+            tokens.insert(i, rng.choice(words))
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("rule, words, template", [
+    pytest.param(_Parser.sole_expression, EXPRESSION_WORDS,
+                 "-a * (b - c) - d = e + -f * g", id="expression"),
+    pytest.param(_Parser.program, PROGRAM_WORDS, PROGRAM, id="program"),
+])
+def test_precedence_loop_matches_the_four_level_grammar(rule, words, template):
+    rng = random.Random(12)
+    old_rule = getattr(FourLevelParser, rule.__name__)
+    for _ in range(3000):
+        source = random_source(rng, words, template)
+        assert outcome(_Parser, rule, source) \
+            == outcome(FourLevelParser, old_rule, source), source
