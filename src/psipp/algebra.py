@@ -263,10 +263,8 @@ def _complex_native(op: str, fixity: str):
 
 
 def _native_register_mul(args, interp):
-    a, b = args
-    if isinstance(a, RegisterV) and isinstance(b, RegisterV):
-        return RegisterV(register_mul(a.register, b.register))
-    return distribute(a, b)
+    product = _fold("*", args)
+    return product if product is not None else distribute(*args)
 
 
 def builtin_args(name: str, args: list[Value], arities: tuple[int, ...],
@@ -333,8 +331,10 @@ def install_builtins(interp: Interpreter):
     })
 
 
-def make_interpreter(prelude: bool = True) -> Interpreter:
-    interp = Interpreter()
+def make_interpreter(prelude: bool = True,
+                     max_rewrites: int = DEFAULT_REWRITE_LIMIT,
+                     trace: bool = False) -> Interpreter:
+    interp = Interpreter(max_rewrites=max_rewrites, trace=trace)
     install_builtins(interp)
     if prelude:
         install_prelude(interp)

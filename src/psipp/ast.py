@@ -1,9 +1,10 @@
 """Syntax tree node definitions.
 
-Declarations, statements, and expressions are separate families of slotted
+Declarations, statements, and expressions are families of slotted
 dataclasses, immutable by convention, as ``tests/test_immutability.py``
-checks. ``ValueLeaf`` is runtime-only: the evaluator splices already
-computed values into thunk bodies, so expression trees must carry them.
+checks; a call is both an expression and a statement. ``ValueLeaf`` is
+runtime-only: the evaluator splices already computed values into thunk
+bodies, so expression trees must carry them.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ class Infix(Expr):
 class Prefix(Expr):
     op: str
     operand: Expr
-    span: Optional[Span] = None
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
     span: Optional[Span] = None
 
 
@@ -155,7 +149,8 @@ class If(Stmt):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class CallStmt(Stmt):
+class Call(Expr, Stmt):
+    """``f(args)``: an expression, or on its own a statement."""
     name: str
     args: tuple[Expr, ...]
     span: Optional[Span] = None

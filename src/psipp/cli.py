@@ -27,9 +27,8 @@ class Session:
 
     def __init__(self, prelude: bool = True, trace: bool = False,
                  max_rewrites: int = DEFAULT_REWRITE_LIMIT):
-        self.interp = make_interpreter(prelude=prelude)
-        self.interp.max_rewrites = max_rewrites
-        self.interp.trace = self.interp.output.append if trace else None
+        self.interp = make_interpreter(prelude=prelude, trace=trace,
+                                       max_rewrites=max_rewrites)
         self._emitted = 0
 
     def drain_output(self) -> list[str]:
@@ -129,7 +128,8 @@ def run_repl(prelude: bool = True, trace: bool = False,
         try:
             result = session.repl_step(line)
         except PsiError as err:
-            session.drain_output()
+            for out in session.drain_output():
+                print(out, file=stdout)
             print(f"error: {err}", file=stderr)
             continue
         if result is None:

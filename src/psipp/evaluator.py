@@ -83,23 +83,25 @@ def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
         raise UnknownIdentifier(f"{name!r} is not captured by this "
                                 f"functional object")
     leaf, v_captures = as_repr(v)
+    # post-order on a stack; ``done`` maps a node's id to it rebuilt
     done: dict[int, ast.Expr] = {}
-
-    def splice(e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.Ident):
-            return leaf if e.name == name else e
-        new = done.get(id(e))
-        if new is None:
-            new = e
-            for slot, operand in enumerate(ast.operands(e)):
-                part = splice(operand)
-                if part is not operand:
-                    new = ast.with_operand(new, slot, part)
-            done[id(e)] = new
-        return new
-
+    pending = [fo.body]
+    while pending:
+        e = pending.pop()
+        if id(e) in done:
+            continue
+        parts = ast.operands(e)
+        waiting = [part for part in parts if id(part) not in done]
+        if waiting:
+            pending += [e, *waiting]
+            continue
+        new = leaf if isinstance(e, ast.Ident) and e.name == name else e
+        for slot, part in enumerate(parts):
+            if done[id(part)] is not part:
+                new = ast.with_operand(new, slot, done[id(part)])
+        done[id(e)] = new
     captures.update(v_captures)
-    return thunk(splice(fo.body), captures).fo
+    return thunk(done[id(fo.body)], captures).fo
 
 
 def value_equal(a: Value, b: Value) -> bool:
@@ -132,16 +134,17 @@ def value_equal(a: Value, b: Value) -> bool:
 class Interpreter:
     """One evaluation session: a type registry, a global environment, the
     output stream produced by ``print``/``kind`` statements, and the
-    settings of ``simplify``: its step limit and its trace hook."""
+    settings of ``simplify``: its step limit and its trace into the output."""
 
-    def __init__(self, registry: Optional[Registry] = None):
-        self.registry = registry if registry is not None else Registry()
+    def __init__(self, max_rewrites: int = DEFAULT_REWRITE_LIMIT,
+                 trace: bool = False):
+        self.registry = Registry()
         self.globals = Environment()
         self.functions: dict[str, UserMethod] = {}
         self.output: list[str] = []
         self.builtins: dict[str, Callable] = {}
-        self.max_rewrites = DEFAULT_REWRITE_LIMIT
-        self.trace: Optional[Callable[[str], None]] = None
+        self.max_rewrites = max_rewrites
+        self.trace = self.output.append if trace else None  # step hook
         # user method bodies run so far; a node whose evaluation ran one
         # (a print, a global assignment) is not memoised
         self.method_runs = 0
@@ -163,10 +166,8 @@ class Interpreter:
             elif isinstance(item, ast.VarBlock):
                 for name, type_name in item.decls:
                     self.globals.define(name, FreeVarV(name, type_name))
-            elif isinstance(item, ast.Stmt):
-                self.exec_stmt(item, self.globals)
             else:
-                raise EvalError(f"cannot execute {type(item).__name__}")
+                self.exec_stmt(item, self.globals)
         except PsiError as err:
             err.span = err.span or item.span
             raise
@@ -209,9 +210,9 @@ class Interpreter:
         for inner in stmt.body:
             self.exec_stmt(inner, env)
 
-    def exec_call_stmt(self, stmt: ast.CallStmt, env: Environment):
+    def exec_call_stmt(self, stmt: ast.Call, env: Environment):
         if stmt.name not in STATEMENT_CALLS:
-            self.eval_expr(ast.Call(stmt.name, stmt.args, stmt.span), env)
+            self.eval_expr(stmt, env)
         elif stmt.name == "print":
             if len(stmt.args) != 1:
                 raise EvalError("print takes exactly one argument", stmt.span)
@@ -378,14 +379,14 @@ class Interpreter:
                 # abstract signature: the application stays symbolic
                 return self.make_thunk(decl.symbol, decl.fixity, args)
             self.method_runs += 1
-            frame = Environment(parent=self.globals)
+            # one frame for the parameters, the locals and the par variables
+            frame = Environment(self.globals, impl.par_names)
             for (name, slot_type), arg in zip(decl.params, args):
                 if slot_type == "Complex":
                     arg = promote(arg)
                 frame.define(name, arg)
-            par_frame = Environment(frame, impl.par_names)
-            self.exec_stmt(decl.body, par_frame)
-            result = par_frame.find("Return")
+            self.exec_stmt(decl.body, frame)
+            result = frame.find("Return")
             if result is None:
                 raise UnassignedReturn(
                     f"{decl.symbol!r} never assigned Return", decl.span)
@@ -521,7 +522,7 @@ _EXEC = {
     ast.Assign: Interpreter.exec_assign,
     ast.If: Interpreter.exec_if,
     ast.Compound: Interpreter.exec_compound,
-    ast.CallStmt: Interpreter.exec_call_stmt,
+    ast.Call: Interpreter.exec_call_stmt,
 }
 _EVAL = {
     ast.IntLit: lambda interp, expr, env: IntegerV(expr.value),

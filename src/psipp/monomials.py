@@ -52,12 +52,7 @@ class RepLabel:
 
 def register_mul(a: MonomialRegister, b: MonomialRegister) -> MonomialRegister:
     """Monomial product: componentwise register addition."""
-    components = (a.k + b.k, a.l + b.l, a.m + b.m, a.n + b.n)
-    for value in components:
-        if value > COMPONENT_MAX:
-            raise RegisterOverflow(f"register component {value} exceeds "
-                                   f"{COMPONENT_MAX}")
-    return MonomialRegister(*components)
+    return MonomialRegister(a.k + b.k, a.l + b.l, a.m + b.m, a.n + b.n)
 
 
 def register_conjugate(r: MonomialRegister) -> MonomialRegister:

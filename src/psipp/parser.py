@@ -266,8 +266,7 @@ class _Parser:
                 return ast.Assign(tok.lexeme, self.expression(), tok.span)
             if self.check(PUNCT, "(", offset=1):
                 self.pos += 2
-                args = self.call_args()
-                return ast.CallStmt(tok.lexeme, tuple(args), tok.span)
+                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.span)
         raise self.error("expected statement",
                          {"identifier", "if", "begin", "Return"})
 

@@ -15,8 +15,7 @@ from . import ast
 from .ast import INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL, LEVEL_PREFIX
 from .errors import EvalError
 from .monomials import format_monomial
-from .values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV,
-                     Value)
+from .values import ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV, Value
 
 def _int_text(n: int) -> str:
     """Decimal text of an integer. Python refuses to convert an integer of
@@ -53,11 +52,8 @@ def _value_text(v: Value) -> tuple[str, int]:
         return text, LEVEL_ATOM if " " not in text else LEVEL_MUL
     if isinstance(v, FreeVarV):
         return v.name, LEVEL_ATOM
-    if v is FAIL:
-        return "fail", LEVEL_ATOM
-    if isinstance(v, ThunkV):
-        return expr_text(v.fo.body, spaced=False)
-    return repr(v), LEVEL_ATOM
+    # FAIL: render_value renders a thunk, and a value leaf holds none
+    return "fail", LEVEL_ATOM
 
 
 def _is_scalar_leaf(e: ast.Expr) -> bool:
@@ -143,11 +139,9 @@ def _node_text(e: ast.Expr, spaced: bool,
     if isinstance(e, ast.InheritedCall):
         inner = expr_text(e.expr, spaced, memo)[0]
         return f"{e.ancestor}.({inner})", LEVEL_ATOM
-    if isinstance(e, ast.PairLit):
-        first = expr_text(e.first, spaced, memo)[0]
-        second = expr_text(e.second, spaced, memo)[0]
-        return f"({first}, {second})", LEVEL_ATOM
-    return repr(e), LEVEL_ATOM
+    first = expr_text(e.first, spaced, memo)[0]  # PairLit
+    second = expr_text(e.second, spaced, memo)[0]
+    return f"({first}, {second})", LEVEL_ATOM
 
 
 def render_value(v: Value, spaced: bool = False) -> str:

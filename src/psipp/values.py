@@ -246,7 +246,7 @@ class Environment:
         return None
 
     def assign(self, name: str, value: Value):
-        """Rebind the innermost existing binding, or create a global one."""
+        """Rebind the innermost existing binding, or bind it in this frame."""
         env: Optional[Environment] = self
         while env is not None:
             if name in env.bindings:

@@ -138,6 +138,14 @@ def test_substitute_into_shared_chain_is_linear(monkeypatch):
     assert forced == IntegerV(1)
 
 
+def test_substitute_into_a_body_1500_deep():
+    interp = run("var x : integer;\na := x;\n" + "a := a + x;\n" * 1500)
+    spliced = substitute(lookup(interp.globals, "a").fo, "x", IntegerV(1))
+    assert interp.force(ThunkV(spliced)) == IntegerV(1501)
+    interp.run_program(parse_program("x := 1;"))
+    assert ev(interp, "EVAL(a)") == IntegerV(1501)
+
+
 # --- forcing commutes with combining, under substitution ---
 
 NAMES = ("x", "y", "z")

@@ -156,6 +156,25 @@ def test_eval_of_a_body_1500_deep(tmp_path):
     assert run_to_strings(script) == (0, "1501\n", "")
 
 
+def test_a_method_activation_is_scoped_to_its_call(tmp_path):
+    # a par variable binds per call; a par variable named like a parameter
+    # reads the argument; an assignment in a body stays in its activation
+    script = tmp_path / "scopes.psi"
+    script.write_text(
+        "var x, y : Algebra;\n"
+        "function g(A : Algebra) : Algebra; par P : Algebra;\n"
+        "begin if A = P * y then Return := P else Return := fail end;\n"
+        "function f(A : Algebra) : Algebra; par A : Algebra;\n"
+        "begin if x = A then Return := A else Return := y end;\n"
+        "function h(A : integer) : integer;\n"
+        "begin loc := A; Return := A + 1 end;\n"
+        "print(g(x * y)); print(g(y * y)); print(g(x)); print(f(x)); "
+        "print(f(y)); print(h(1)); kind(loc);\n")
+    assert run_to_strings(script) == (
+        3, "x\ny\nfail\nx\ny\n2\n",
+        "error: 8:92: unknown identifier 'loc'\n")
+
+
 def test_no_prelude_flag(tmp_path):
     script = tmp_path / "wants_i.psi"
     script.write_text("print(i);\n")
@@ -312,6 +331,11 @@ def test_repl_runs_print_and_kind_as_statements():
     _, out, err = repl_to_strings("var x : Algebra;\nprint(1);\nkind(x);\n"
                                   "print(1 + 2)\n:quit\n")
     assert (out, err) == ("1\nx: variable\n3\n", "")
+
+
+def test_repl_prints_the_output_of_a_line_before_its_error():
+    _, out, err = repl_to_strings("print(1); print(zz);\nprint(2)\n:quit\n")
+    assert (out, err) == ("1\n2\n", "error: 1:17: unknown identifier 'zz'\n")
 
 
 def test_repl_eval_builtin():

@@ -1,10 +1,9 @@
 """Nodes, values, registers and tokens are shared, so none may change once
 built. They are slotted dataclasses, which Python does not stop from
 changing: these checks do. No psipp module stores to an attribute except
-to ``self``/``cls`` (or a session's ``self.interp``) in a class that is no
-dataclass, or to a caught error's ``span``; and every dataclass of those
-modules is slotted and not frozen, so that building one pays no
-``object.__setattr__`` per field."""
+to ``self``/``cls`` in a class that is no dataclass, or to a caught
+error's ``span``; and every dataclass of those modules is slotted and not
+frozen, so that building one pays no ``object.__setattr__`` per field."""
 
 import ast
 import dataclasses
@@ -15,9 +14,8 @@ from psipp import ast as psi_ast, lexer, monomials, values
 SRC = Path(__file__).resolve().parent.parent / "src" / "psipp"
 RECORD_MODULES = (psi_ast, values, monomials, lexer)
 SETTERS = ("setattr", "delattr", "__setattr__", "__delattr__")
-# objects a method may store to: its own instance or class, and the
-# interpreter a CLI session makes and configures
-OWN_STATE = ("self", "cls", "self.interp")
+# objects a method may store to: its own instance or class
+OWN_STATE = ("self", "cls")
 
 
 def is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -104,7 +102,7 @@ def record_classes():
 
 def test_every_record_class_is_slotted_and_unfrozen():
     classes = list(record_classes())
-    assert len(classes) == 18 + 6 + 2 + 1
+    assert len(classes) == 17 + 6 + 2 + 1
     for cls in classes:
         assert not cls.__dataclass_params__.frozen, cls
         assert cls.__hash__ is not None, cls
