@@ -2,7 +2,8 @@
 
 ``psi run <file>`` executes a script (prelude loaded first unless
 ``--no-prelude``); ``psi repl`` starts the interactive loop. Exit codes:
-1 for lex/parse errors, 2 for type/registry errors, 3 for runtime errors.
+1 for lex/parse errors and unreadable files, 2 for type/registry errors,
+3 for runtime errors.
 ``--trace`` prints every rewrite step performed by simplification.
 """
 
@@ -102,10 +103,15 @@ def run_file(path: str, prelude: bool = True, trace: bool = False,
              stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    try:
+        # undecodable bytes become lone surrogates, which the lexer rejects
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            source = handle.read()
+    except OSError as err:
+        print(f"error: cannot read {path}: {err.strerror or err}", file=stderr)
+        return 1
     session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites)
     try:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
         session.run_source(source)
     except PsiError as err:
         for line in session.drain_output():

@@ -8,6 +8,7 @@ ASCII digits; identifiers continue with any letter or digit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import LexError
 
@@ -39,10 +40,14 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Split source text into tokens, skipping whitespace and comments.
-    A column counts characters from the last newline before the token."""
-    tokens: list[Token] = []
-    append = tokens.append
+    """All the tokens of ``source``, in a list."""
+    return list(scan(source))
+
+
+def scan(source: str) -> Iterator[Token]:
+    """Yield the tokens of ``source`` in order, skipping whitespace and
+    comments; a lexical error is raised when the scan reaches it. A
+    column counts characters from the last newline before the token."""
     line, line_start = 1, 0  # line_start: index of the line's first char
     i = 0
     n = len(source)
@@ -71,8 +76,8 @@ def tokenize(source: str) -> list[Token]:
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             lexeme = source[i:j]
-            append(Token(KEYWORD if lexeme in KEYWORDS else IDENT, lexeme,
-                         (line, col, j - i)))
+            yield Token(KEYWORD if lexeme in KEYWORDS else IDENT, lexeme,
+                        (line, col, j - i))
             i = j
             continue
         # ASCII only: isdigit() also takes "²", which int() refuses, and
@@ -81,16 +86,15 @@ def tokenize(source: str) -> list[Token]:
             j = i + 1
             while j < n and "0" <= source[j] <= "9":
                 j += 1
-            append(Token(INT, source[i:j], (line, col, j - i)))
+            yield Token(INT, source[i:j], (line, col, j - i))
             i = j
             continue
         if ch == ":" and source.startswith("=", i + 1):
-            append(Token(OP, ":=", (line, col, 2)))
+            yield Token(OP, ":=", (line, col, 2))
             i += 2
             continue
         kind = _SINGLE.get(ch)
         if kind is None:
             raise LexError(f"unexpected character {ch!r}", (line, col, 1))
-        append(Token(kind, ch, (line, col, 1)))  # "−" is "-" to the parser
+        yield Token(kind, ch, (line, col, 1))  # "−" is "-" to the parser
         i += 1
-    return tokens

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from . import ast
 from .errors import DuplicateType, FieldShadowing, NoSuchMethod, UnknownAncestor
-from .values import FAIL, INTEGER
+from .values import INTEGER
 
 
 @dataclass
@@ -132,11 +132,10 @@ class Registry:
         self.descriptor(b)
         return any(desc.name == b for desc in self._chain(a))
 
-    def kind_compatible(self, slot: str, datum) -> bool:
+    def kind_compatible(self, slot: str, datum: str) -> bool:
         """Whether a slot of type ``slot`` accepts a datum of type
-        ``datum``. Every slot accepts ``fail``; integers promote into the
-        Complex chain."""
-        if datum is FAIL or datum == slot:
+        ``datum``. Integers promote into the Complex chain."""
+        if datum == slot:
             return True
         if datum == INTEGER:
             return ("Complex" in self.types

@@ -15,13 +15,17 @@ operation: ``abc`` becomes ``OP(a, OP(b, c))``.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from . import ast
 from .errors import ArityError, EmptyWordError, ParseError
-from .lexer import IDENT, INT, KEYWORD, OP, PUNCT, Token, tokenize
+from .lexer import IDENT, INT, KEYWORD, OP, PUNCT, Token, scan, tokenize
 
 _MINUS = frozenset({"-", "−"})
+# tokens read from the stream at a time: one token per read measured
+# about 4% slower on short scripts
+_BATCH = 64
 
 
 def _opname(lexeme: str) -> str:
@@ -29,25 +33,49 @@ def _opname(lexeme: str) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """A parser over a list of tokens, or over a stream of them. A stream
+    is read into ``tokens`` in batches, only when a lookahead passes the
+    end of the buffer, and the tokens of each finished top-level item are
+    dropped."""
+
+    def __init__(self, tokens: Iterable[Token]):
+        if isinstance(tokens, list):
+            self.tokens, self.stream = tokens, None
+        else:
+            self.tokens, self.stream = [], iter(tokens)
+        self.pos = 0  # index into ``tokens``
+        self.last = tokens[-1] if self.tokens else None  # last token read
 
     # --- token helpers ---
 
+    def fill(self, i: int) -> bool:
+        """Read the stream until ``tokens[i]`` exists; False if it ends
+        first."""
+        tokens = self.tokens
+        while i >= len(tokens):
+            read = len(tokens)
+            tokens.extend(islice(self.stream, _BATCH))
+            if len(tokens) == read:
+                return False
+            self.last = tokens[-1]
+        return True
+
     def peek(self, offset: int = 0) -> Optional[Token]:
         i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        if i < len(self.tokens) or self.stream is not None and self.fill(i):
+            return self.tokens[i]
+        return None
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos >= len(self.tokens) and not (
+            self.stream is not None and self.fill(self.pos))
 
     def span(self) -> Optional[ast.Span]:
         tok = self.peek()
         if tok is not None:
             return tok.span
-        if self.tokens:
-            line, col, length = self.tokens[-1].span
+        if self.last is not None:
+            line, col, length = self.last.span
             return (line, col + length, 1)
         return (1, 1, 1)
 
@@ -56,13 +84,15 @@ class _Parser:
 
     def check(self, kind: str, lexeme: Optional[str] = None, offset: int = 0) -> bool:
         i = self.pos + offset
-        if i >= len(self.tokens):
+        if i >= len(self.tokens) and not (self.stream is not None
+                                          and self.fill(i)):
             return False
         tok = self.tokens[i]
         return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
 
     def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:
-        if self.pos >= len(self.tokens):
+        if self.pos >= len(self.tokens) and not (self.stream is not None
+                                                 and self.fill(self.pos)):
             return None
         tok = self.tokens[self.pos]
         if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
@@ -87,6 +117,9 @@ class _Parser:
             if self.accept(PUNCT, ";"):
                 continue  # empty statement
             items.append(self.item())
+            if self.stream is not None:  # the item's tokens are done with
+                del self.tokens[:self.pos]
+                self.pos = 0
         return ast.Program(tuple(items))
 
     def item(self):
@@ -377,26 +410,37 @@ class _Parser:
         return args
 
 
-def _parse(tokens, rule):
-    """Apply ``rule`` to a parser over ``tokens``. Nesting too deep for
-    the Python stack is a syntax error at the token reached."""
-    if isinstance(tokens, str):
-        tokens = tokenize(tokens)
-    parser = _Parser(list(tokens))
+def _parse(source, rule):
+    """Apply ``rule`` to a parser over ``source``: text, which is lexed
+    as the parser asks for tokens, or tokens. A lexical error anywhere in
+    the text is reported before a syntax error. Nesting too deep for the
+    Python stack is a syntax error at the token reached."""
+    if isinstance(source, str):
+        try:
+            return rule(_Parser(scan(source)))
+        except ParseError:
+            tokenize(source)
+            raise
+        except RecursionError:
+            # the error may have stopped the scan, and reading a stream
+            # costs stack: parse again from a list, which costs none
+            source = tokenize(source)
+    parser = _Parser(list(source))
     try:
         return rule(parser)
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
 
 
-def parse_program(tokens) -> ast.Program:
-    """Parse a full token sequence into a program."""
-    return _parse(tokens, _Parser.program)
+def parse_program(source) -> ast.Program:
+    """Parse source text, or a token sequence, into a program."""
+    return _parse(source, _Parser.program)
 
 
-def parse_expression(tokens) -> ast.Expr:
-    """Parse a token sequence that forms exactly one expression."""
-    return _parse(tokens, _Parser.sole_expression)
+def parse_expression(source) -> ast.Expr:
+    """Parse source text, or a token sequence, that forms exactly one
+    expression."""
+    return _parse(source, _Parser.sole_expression)
 
 
 def parse_juxtaposition(word: str, op_name: str) -> ast.Expr:

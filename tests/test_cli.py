@@ -61,6 +61,23 @@ def test_parse_error_exit_1(tmp_path):
     assert "1:" in err  # line:column in the diagnostic
 
 
+def test_an_undecodable_byte_is_a_lexical_error(tmp_path):
+    script = tmp_path / "latin1.psi"
+    script.write_bytes(b"x := 1;\nprint(x \xff);\n")
+    code, out, err = run_to_strings(script)
+    assert (code, out, err) == (
+        1, "", "error: 2:9: unexpected character '\\udcff'\n")
+
+
+@pytest.mark.parametrize("name", ["missing.psi", "."])
+def test_an_unreadable_file_is_reported_without_a_traceback(tmp_path, name):
+    path = tmp_path / name
+    code, out, err = run_to_strings(path)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: cannot read {re.escape(str(path))}: "
+                        r"(No such file or directory|Is a directory)\n", err)
+
+
 def test_registry_error_exit_2(tmp_path):
     script = tmp_path / "dup.psi"
     script.write_text("Group = Object;\nend;\n")

@@ -8,7 +8,7 @@ from psipp.cli import run_file, run_repl
 from psipp.errors import (DuplicateType, FieldShadowing, NoSuchMethod,
                           UnknownAncestor)
 from psipp.objects import NativeMethod, Registry, UserMethod
-from psipp.parser import parse_program
+from psipp.parser import parse_expression, parse_program
 from psipp.values import FAIL
 
 
@@ -118,9 +118,25 @@ def test_resolution_defers_to_ancestor(prelude):
             assert prelude.resolve_method(name, symbol, fixity) is expected
 
 
-def test_fail_compatible_with_all_types(prelude):
-    for name in list(prelude.types) + ["integer"]:
-        assert prelude.kind_compatible(name, FAIL)
+def test_a_fail_operand_never_reaches_a_slot_check(monkeypatch):
+    # fail is absorbed before dispatch, so a slot is only ever checked
+    # against a type name
+    checked = []
+    original = Registry.kind_compatible
+
+    def spy(self, slot, datum):
+        checked.append(datum)
+        return original(self, slot, datum)
+
+    monkeypatch.setattr(Registry, "kind_compatible", spy)
+    interp = make_interpreter()
+    for source in ["(1, 2) * fail", "fail * (1, 2)", "-(fail)",
+                   "Complex.((1, 2) * fail)", "mono(1, 2, 0, 1) * fail"]:
+        expr = parse_expression(source)
+        assert interp.eval_expr(expr, interp.globals) is FAIL, source
+    assert interp.eval_expr(parse_expression("(1, 2) * (3, 4)"),
+                            interp.globals) is not FAIL
+    assert checked and all(isinstance(datum, str) for datum in checked)
 
 
 def test_ancestor_not_compatible_with_descendant_slot(prelude):

@@ -1,14 +1,19 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import make_interpreter
-from psipp.errors import ArityError, EmptyWordError, ParseError
+from psipp.errors import (ArityError, EmptyWordError, LexError, ParseError,
+                          PsiError)
 from psipp.lexer import OP, tokenize
 from psipp.parser import (_Parser, parse_expression, parse_juxtaposition,
                           parse_program)
 from psipp.pretty import render_expr
+
+from test_totality import near_valid, token_soup
 
 GROUP_LISTING = """\
 Group = Object;
@@ -411,3 +416,100 @@ def test_precedence_loop_matches_the_four_level_grammar(rule, words, template):
         source = random_source(rng, words, template)
         assert outcome(_Parser, rule, source) \
             == outcome(FourLevelParser, old_rule, source), source
+
+
+# --- the token stream: parsing as the lexer goes, against lexing first ---
+
+@pytest.mark.parametrize("source, message", [
+    pytest.param("x := 1 1;\nz := 2 ? 3;\n", "2:8: unexpected character '?'",
+                 id="parse-error-first-in-the-text"),
+    pytest.param("x := 1 1;\n" + "y := 2;\n" * 100 + "z := 2 ? 3;\n",
+                 "102:8: unexpected character '?'",
+                 id="parse-error-tokens-before-the-lexical-error"),
+    pytest.param("x := " + "(" * 400 + "1" + ")" * 400 + ";\ny := 2 ? 3;\n",
+                 "2:8: unexpected character '?'",
+                 id="nesting-too-deep-first-in-the-text"),
+])
+def test_a_lexical_error_is_reported_before_a_syntax_error(source, message):
+    with pytest.raises(LexError) as err:
+        parse_program(source)
+    assert str(err.value) == message
+
+
+def parse_outcome(parse, source):
+    """The tree ``parse`` returns, spans included, or the error's class,
+    message and span."""
+    try:
+        return parse(source)
+    except PsiError as err:
+        return type(err), err.message, err.span
+
+
+def stream_and_list(source):
+    """Each rule's outcome on ``source`` read as a stream, then on the
+    token list lexed first. Both parse from the same stack depth, which
+    decides where nesting becomes too deep."""
+    rules = (parse_program, parse_expression)
+    try:
+        tokens = tokenize(source)
+    except LexError as err:
+        listed = (type(err), err.message, err.span)
+        return [(parse_outcome(parse, source), listed) for parse in rules]
+    return [(parse_outcome(parse, source), parse_outcome(parse, tokens))
+            for parse in rules]
+
+
+def deep_parentheses(rng):
+    depth = rng.randrange(300, 350)  # across the Python stack's limit
+    closing = rng.choice([depth, depth, depth - 1, 0])
+    return ("x := 1;\n" * rng.randrange(40) + "y := " + "(" * depth + "1"
+            + ")" * closing + rng.choice([";", "", "; ?", " z", ";\n{"]))
+
+
+def test_parsing_a_stream_matches_parsing_the_token_list():
+    rng = random.Random(14)
+    words = PROGRAM_WORDS + ["?", "²", "{"]
+    for _ in range(1500):
+        pick = rng.random()
+        if pick < 0.8:
+            template = rng.choice([PROGRAM, "-a * (b - c) - d = e + -f * g"])
+            source = random_source(rng, words, template)
+        else:
+            source = deep_parentheses(rng)
+        for streamed, listed in stream_and_list(source):
+            assert streamed == listed, source
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(token_soup, near_valid()))
+def test_parsing_a_stream_matches_parsing_the_token_list_on_totality_input(
+        source):
+    for streamed, listed in stream_and_list(source):
+        assert streamed == listed
+
+
+def concrete_script(statements):
+    """Straight-line Complex and Monomial products, one a line, each
+    followed by a comment."""
+    lines = ["z := (3, 4);", "w := (1, 2);", "m := mono(1, 2, 0, 1);",
+             "u := mono(0, 1, 1, 1);"]
+    for j in range(statements):
+        if j % 2 == 0:
+            lines.append(f"z := z * w; {{ Gaussian product {j // 2 + 1} }}")
+        else:
+            lines.append(f"m := m * u; {{ register sum {j // 2 + 1} }}")
+    return "\n".join(lines + ["print(z);", "print(m);"]) + "\n"
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsing_holds_less_than_the_whole_token_list():
+    source = concrete_script(2400)
+    assert traced_peak(parse_program, source) < traced_peak(tokenize, source)
