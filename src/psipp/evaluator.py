@@ -1,10 +1,14 @@
-"""Tree-walking evaluator with lazy functional objects.
+"""Evaluator with lazy functional objects: a tree walker for top-level
+statements and forcing, and user method bodies compiled to closures.
 
 Evaluation is eager on concrete operands and lazy otherwise: the first
 operator application that sees a free variable or a thunk among its
 operands becomes a thunk itself, without invoking any user code. ``fail``
 is absorbing in operand position. Method bodies run in a fresh frame with
-``par`` pattern variables scoped to one activation.
+``par`` pattern variables scoped to one activation. A body runs once per
+call, so it is compiled at its first run and its closures are kept with
+its ``UserMethod``; they apply each node's rule through the same helper
+as the walker.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
 from .objects import NativeMethod, Registry, UserMethod
 from .pretty import render_value
-from .values import (FAIL, INTEGER, ComplexV, Environment, FreeVarV,
-                     FunctionalObject, IntegerV, ThunkV, Value, arith,
-                     classify_binding, int_arith, promote, thunk, type_name_of)
+from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
+                     FreeVarV, FunctionalObject, IntegerV, ThunkV, Value,
+                     arith, classify_binding, int_arith, promote, thunk,
+                     type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the output, never expressions
@@ -128,6 +133,31 @@ def value_equal(a: Value, b: Value) -> bool:
                     and not isinstance(v, ast.Expr)):
                 return False
             pending += zip(xs, ys)
+    return True
+
+
+def pair_value(first: Value, second: Value, expr: ast.PairLit) -> Value:
+    """The complex value ``(first, second)``, of the components' values;
+    ``fail`` if either is."""
+    if first is FAIL or second is FAIL:
+        return FAIL
+    components = []
+    for part in (first, second):
+        if isinstance(part, IntegerV):
+            components.append(part.n)
+        elif isinstance(part, ComplexV) and part.im == 0:
+            components.append(part.re)
+        else:
+            raise EvalError("complex components must be integers", expr.span)
+    return ComplexV(components[0], components[1])
+
+
+def truth(value: Value) -> bool:
+    """Whether a condition of this value holds: not for fail or 0."""
+    if value is FAIL:
+        return False
+    if isinstance(value, IntegerV):
+        return value.n != 0
     return True
 
 
@@ -282,32 +312,16 @@ class Interpreter:
         raise EvalError(f"no field {field!r} on this value", expr.span)
 
     def eval_pair(self, expr: ast.PairLit, env: Environment) -> Value:
-        first = self.eval_expr(expr.first, env)
-        second = self.eval_expr(expr.second, env)
-        if first is FAIL or second is FAIL:
-            return FAIL
-        components = []
-        for part in (first, second):
-            if isinstance(part, IntegerV):
-                components.append(part.n)
-            elif isinstance(part, ComplexV) and part.im == 0:
-                components.append(part.re)
-            else:
-                raise EvalError("complex components must be integers",
-                                expr.span)
-        return ComplexV(components[0], components[1])
+        return pair_value(self.eval_expr(expr.first, env),
+                          self.eval_expr(expr.second, env), expr)
 
     def eval_inherited(self, expr: ast.InheritedCall, env: Environment) -> Value:
         inner = expr.expr
         if not isinstance(inner, (ast.Infix, ast.Prefix)):
             raise EvalError("inherited call requires an operator application",
                             expr.span)
-        args = [self.eval_expr(a, env) for a in ast.operands(inner)]
-        if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
-            return FAIL
-        impl = self.registry.resolve_method(
-            expr.ancestor, inner.op, _FIXITY[type(inner)], span=expr.span)
-        return self.invoke_method(impl, args, expr.span)
+        return self.apply_inherited(
+            expr, [self.eval_expr(a, env) for a in ast.operands(inner)])
 
     def eval_call(self, expr: ast.Call, env: Environment) -> Value:
         builtin = self.builtins.get(expr.name)
@@ -325,6 +339,17 @@ class Interpreter:
         raise UnknownIdentifier(f"unknown function {expr.name!r}", expr.span)
 
     # --- operator application ---
+
+    def apply_inherited(self, expr: ast.InheritedCall,
+                        args: list[Value]) -> Value:
+        """``Ancestor.(op args)``: the operator resolved from the ancestor
+        on, on the values ``args`` of the operands of ``expr.expr``."""
+        if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
+            return FAIL
+        inner = expr.expr
+        impl = self.registry.resolve_method(
+            expr.ancestor, inner.op, _FIXITY[type(inner)], span=expr.span)
+        return self.invoke_method(impl, args, expr.span)
 
     def apply_operator(self, op: str, fixity: str, args: list[Value],
                        expr: ast.Expr) -> Value:
@@ -385,7 +410,7 @@ class Interpreter:
                 if slot_type == "Complex":
                     arg = promote(arg)
                 frame.define(name, arg)
-            self.exec_stmt(decl.body, frame)
+            self.run_body(impl, frame)
             result = frame.find("Return")
             if result is None:
                 raise UnassignedReturn(
@@ -395,18 +420,17 @@ class Interpreter:
             err.span = err.span or span
             raise
 
+    def run_body(self, impl: UserMethod, frame: Environment):
+        """Run a user body in its frame, compiled at the body's first run."""
+        impl.compiled(compile_stmt)(self, frame)
+
     # --- conditions and pattern matching ---
 
     def eval_condition(self, cond: ast.Expr, env: Environment) -> bool:
         if isinstance(cond, ast.Infix) and cond.op == "=":
-            subject = self.eval_expr(cond.lhs, env)
-            return self.match_pattern(subject, cond.rhs, env)
-        value = self.eval_expr(cond, env)
-        if value is FAIL:
-            return False
-        if isinstance(value, IntegerV):
-            return value.n != 0
-        return True
+            return self.match_pattern(self.eval_expr(cond.lhs, env), cond.rhs,
+                                      env)
+        return truth(self.eval_expr(cond, env))
 
     def match_pattern(self, subject: Value, pattern: ast.Expr,
                       env: Environment) -> bool:
@@ -535,4 +559,145 @@ _EVAL = {
     ast.PairLit: Interpreter.eval_pair,
     ast.InheritedCall: Interpreter.eval_inherited,
     ast.Call: Interpreter.eval_call,
+}
+
+
+# --- user method bodies, compiled to closures ---
+#
+# A body runs once per call, so at its first run it is compiled once to a
+# tree of closures ``(interp, env) -> Value`` (Feeley and Lapalme, "Using
+# closures for code generation", 1987); a statement's closure returns
+# None. Each closure applies its node's rule by the helper its walker
+# handler calls, and reaches the operators, dispatch and pattern matching
+# through the interpreter at run time. Compiling raises nothing: a node
+# the walker rejects, a call, and a node type with no case here compile to
+# a run of the walker, which raises its error when, and only if, it is
+# reached.
+
+Code = Callable[[Interpreter, Environment], Optional[Value]]
+
+
+def compile_stmt(stmt: ast.Stmt) -> Code:
+    return _COMPILE_STMT.get(type(stmt), _walked_stmt)(stmt)
+
+
+def compile_expr(expr: ast.Expr) -> Code:
+    return _COMPILE_EXPR.get(type(expr), _walked)(expr)
+
+
+def _walked_stmt(stmt: ast.Stmt) -> Code:
+    return lambda interp, env: interp.exec_stmt(stmt, env)
+
+
+def _walked(expr: ast.Expr) -> Code:
+    return lambda interp, env: interp.eval_expr(expr, env)
+
+
+def _compile_assign(stmt: ast.Assign) -> Code:
+    target, value = stmt.target, compile_expr(stmt.expr)
+    return lambda interp, env: env.assign(target, value(interp, env))
+
+
+def _compile_if(stmt: ast.If) -> Code:
+    cond, then = _compile_condition(stmt.cond), compile_stmt(stmt.then)
+    els = compile_stmt(stmt.els) if stmt.els is not None else None
+
+    def run_if(interp, env):
+        if cond(interp, env):
+            then(interp, env)
+        elif els is not None:
+            els(interp, env)
+    return run_if
+
+
+def _compile_compound(stmt: ast.Compound) -> Code:
+    body = tuple(map(compile_stmt, stmt.body))
+
+    def run_compound(interp, env):
+        for inner in body:
+            inner(interp, env)
+    return run_compound
+
+
+def _compile_condition(cond: ast.Expr) -> Code:
+    if isinstance(cond, ast.Infix) and cond.op == "=":
+        subject, pattern = compile_expr(cond.lhs), cond.rhs
+        return lambda interp, env: interp.match_pattern(
+            subject(interp, env), pattern, env)
+    value = compile_expr(cond)
+    return lambda interp, env: truth(value(interp, env))
+
+
+def _compile_constant(expr: ast.Expr) -> Code:
+    value = _EVAL[type(expr)](None, expr, None)  # the walker's leaf, once
+    return lambda interp, env: value
+
+
+def _compile_ident(expr: ast.Ident) -> Code:
+    name = expr.name
+
+    def ident(interp, env):
+        value = env.find(name)
+        # eval_ident raises the error of an unbound name
+        return value if value is not None else interp.eval_ident(expr, env)
+    return ident
+
+
+def _compile_prefix(expr: ast.Prefix) -> Code:
+    op, operand = expr.op, compile_expr(expr.operand)
+    return lambda interp, env: interp.apply_operator(
+        op, "prefix", [operand(interp, env)], expr)
+
+
+def _compile_infix(expr: ast.Infix) -> Code:
+    if expr.op == "=":
+        return _walked(expr)
+    op, lhs, rhs = expr.op, compile_expr(expr.lhs), compile_expr(expr.rhs)
+    kernel = INT_INFIX.get(op)
+
+    def infix(interp, env):
+        a, b = lhs(interp, env), rhs(interp, env)
+        if kernel is not None and type(a) is IntegerV and type(b) is IntegerV:
+            return IntegerV(kernel(a.n, b.n))  # apply_operator's integer case
+        return interp.apply_operator(op, "infix", [a, b], expr)
+    return infix
+
+
+def _compile_field(expr: ast.FieldAccess) -> Code:
+    obj = compile_expr(expr.obj)
+    return lambda interp, env: interp.field_of(obj(interp, env), expr)
+
+
+def _compile_pair(expr: ast.PairLit) -> Code:
+    first, second = compile_expr(expr.first), compile_expr(expr.second)
+    return lambda interp, env: pair_value(first(interp, env),
+                                          second(interp, env), expr)
+
+
+def _compile_inherited(expr: ast.InheritedCall) -> Code:
+    if not isinstance(expr.expr, (ast.Infix, ast.Prefix)):
+        return _walked(expr)
+    parts = tuple(map(compile_expr, ast.operands(expr.expr)))
+    return lambda interp, env: interp.apply_inherited(
+        expr, [part(interp, env) for part in parts])
+
+
+# compiled cases by node type; a call runs on the walker
+_COMPILE_STMT = {
+    ast.Assign: _compile_assign,
+    ast.If: _compile_if,
+    ast.Compound: _compile_compound,
+    ast.Call: _walked_stmt,
+}
+_COMPILE_EXPR = {
+    ast.IntLit: _compile_constant,
+    ast.FailLit: _compile_constant,
+    ast.ValueLeaf: _compile_constant,
+    ast.Ident: _compile_ident,
+    ast.Prefix: _compile_prefix,
+    ast.Infix: _compile_infix,
+    ast.FieldAccess: _compile_field,
+    ast.PairLit: _compile_pair,
+    ast.InheritedCall: _compile_inherited,
+    ast.Call: _walked,
 }

@@ -18,14 +18,24 @@ from .errors import DuplicateType, FieldShadowing, NoSuchMethod, UnknownAncestor
 from .values import INTEGER
 
 
-@dataclass
 class UserMethod:
-    decl: ast.FunctionDecl
+    """A method or function written in ψ++, and its body compiled at its
+    first run (``compiled``)."""
+
+    def __init__(self, decl: ast.FunctionDecl):
+        self.decl = decl
+        self._code: Optional[Callable] = None
 
     @cached_property
     def par_names(self) -> frozenset[str]:
         """The names the body's ``par`` block declares."""
         return frozenset(name for name, _ in self.decl.par_decls)
+
+    def compiled(self, compile_body: Callable) -> Callable:
+        """``compile_body`` of the body, called at the first request only."""
+        if self._code is None:
+            self._code = compile_body(self.decl.body)
+        return self._code
 
 
 @dataclass

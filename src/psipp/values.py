@@ -11,6 +11,7 @@ construction, and of a functional object's type, read off its body.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,18 +175,16 @@ def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
     return ComplexV(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
 
 
+# the integer kernel of each infix operator
+INT_INFIX = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def int_arith(op: str, args: list[IntegerV]) -> Optional[IntegerV]:
     """``op`` on integer operands: prefix on one, infix on two."""
     if len(args) == 1:
         return IntegerV(-args[0].n) if op == "-" else None
-    a, b = args[0].n, args[1].n
-    if op == "+":
-        return IntegerV(a + b)
-    if op == "-":
-        return IntegerV(a - b)
-    if op == "*":
-        return IntegerV(a * b)
-    return None
+    kernel = INT_INFIX.get(op)
+    return IntegerV(kernel(args[0].n, args[1].n)) if kernel else None
 
 
 def arith(op: str, args: list[Value]) -> Optional[Value]:

@@ -317,6 +317,29 @@ def test_repl_deep_nesting_is_an_error():
     assert err == "error: expression nested too deeply\n"
 
 
+RECURSION = ("function f(A : integer) : integer; begin Return := f(A) end; "
+             "x := f(1);")
+
+
+def test_unbounded_recursion_is_an_error_without_a_traceback(tmp_path):
+    script = tmp_path / "recursion.psi"
+    script.write_text(RECURSION + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", str(script)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, "", "error: 1:62: expression nested too deeply\n")
+
+
+def test_repl_survives_unbounded_recursion():
+    definition, _, statement = RECURSION.partition(" x")
+    code, out, err = repl_to_strings(
+        f"{definition}\nx{statement}\nf(1)\nprint(2);\n:quit\n")
+    assert (code, out) == (0, "2\n")
+    assert err == ("error: 1:1: expression nested too deeply\n"
+                   "error: expression nested too deeply\n")
+
+
 def test_repl_eval_worked_example():
     _, out, _ = repl_to_strings("var x : Algebra;\n"
                                 ":eval (i + x) * i\n:quit\n")

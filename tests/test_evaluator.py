@@ -44,6 +44,9 @@ def subclasses(cls):
 def test_every_node_type_has_a_handler():
     assert set(evaluator._EVAL) == set(subclasses(ast.Expr))
     assert set(evaluator._EXEC) == set(subclasses(ast.Stmt))
+    # and a compiled case, which may be a delegation to the walker
+    assert set(evaluator._COMPILE_EXPR) == set(subclasses(ast.Expr))
+    assert set(evaluator._COMPILE_STMT) == set(subclasses(ast.Stmt))
 
 
 def test_a_node_without_a_handler_is_an_eval_error(interp):

@@ -151,13 +151,24 @@ def test_integer_promotes_into_complex_chain(prelude):
 
 # --- the resolution cache ---
 
+# each body runs, and is compiled, before the next one replaces it
 REDEFINE = """\
 z := (1, 2);
 print(z * z);
 function Complex.infix* (A, B : Complex) : Complex;
 begin Return := (7, 7) end;
 print(z * z);
+function Complex.infix* (A, B : Complex) : Complex;
+begin Return := (A.Re, 8) end;
+print(z * z);
+function f(A : Complex) : Complex;
+begin Return := A end;
+print(f(z));
+function f(A : Complex) : Complex;
+begin Return := -A end;
+print(f(z));
 """
+REDEFINED = "-3 + 4*i\n7 + 7*i\n1 + 8*i\n1 + 2*i\n-1 - 2*i\n"
 
 
 def test_redefined_method_replaces_a_cached_resolution(tmp_path):
@@ -165,11 +176,11 @@ def test_redefined_method_replaces_a_cached_resolution(tmp_path):
     script.write_text(REDEFINE)
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0
-    assert (out.getvalue(), err.getvalue()) == ("-3 + 4*i\n7 + 7*i\n", "")
+    assert (out.getvalue(), err.getvalue()) == (REDEFINED, "")
     out, err = io.StringIO(), io.StringIO()
     run_repl(stdin=io.StringIO(REDEFINE.replace(";\nbegin", "; begin")
                                + ":quit\n"), stdout=out, stderr=err)
-    assert (out.getvalue(), err.getvalue()) == ("-3 + 4*i\n7 + 7*i\n", "")
+    assert (out.getvalue(), err.getvalue()) == (REDEFINED, "")
 
 
 def test_new_type_replaces_a_cached_resolution(tmp_path):
