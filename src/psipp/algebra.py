@@ -333,8 +333,9 @@ def install_builtins(interp: Interpreter):
 
 def make_interpreter(prelude: bool = True,
                      max_rewrites: int = DEFAULT_REWRITE_LIMIT,
-                     trace: bool = False) -> Interpreter:
-    interp = Interpreter(max_rewrites=max_rewrites, trace=trace)
+                     trace: bool = False,
+                     emit: Callable[[str], None] = print) -> Interpreter:
+    interp = Interpreter(max_rewrites=max_rewrites, trace=trace, emit=emit)
     install_builtins(interp)
     if prelude:
         install_prelude(interp)

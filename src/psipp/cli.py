@@ -2,16 +2,18 @@
 
 ``psi run <file>`` executes a script (prelude loaded first unless
 ``--no-prelude``); ``psi repl`` starts the interactive loop. Exit codes:
-1 for lex/parse errors and unreadable files, 2 for type/registry errors,
-3 for runtime errors.
-``--trace`` prints every rewrite step performed by simplification.
+1 for lex/parse errors, unreadable files and a closed standard output, 2
+for type/registry errors, 3 for runtime errors. Each output line is written
+as it is made; ``--trace`` prints every rewrite step of simplification.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Optional
+from functools import partial
+from typing import Callable
 
 from . import ast
 from .algebra import DEFAULT_REWRITE_LIMIT, make_interpreter, simplify
@@ -24,18 +26,14 @@ from .values import classify_binding, type_name_of
 
 class Session:
     """One REPL or script-run session: a fresh interpreter, given the
-    ``simplify`` settings from the command-line flags."""
+    ``simplify`` settings from the command-line flags, that writes every
+    output line to ``emit``."""
 
     def __init__(self, prelude: bool = True, trace: bool = False,
-                 max_rewrites: int = DEFAULT_REWRITE_LIMIT):
+                 max_rewrites: int = DEFAULT_REWRITE_LIMIT,
+                 emit: Callable[[str], None] = print):
         self.interp = make_interpreter(prelude=prelude, trace=trace,
-                                       max_rewrites=max_rewrites)
-        self._emitted = 0
-
-    def drain_output(self) -> list[str]:
-        new = self.interp.output[self._emitted:]
-        self._emitted = len(self.interp.output)
-        return new
+                                       max_rewrites=max_rewrites, emit=emit)
 
     # --- script execution ---
 
@@ -44,15 +42,18 @@ class Session:
 
     # --- REPL ---
 
-    def repl_step(self, line: str) -> Optional[list[str]]:
-        """Process one REPL input; returns output lines, or None on
-        ``:quit``. Nesting too deep for the Python stack is an error."""
+    def repl_step(self, line: str) -> bool:
+        """Process one REPL input, writing its output lines to the sink;
+        False on ``:quit``. Nesting too deep for the Python stack is an
+        error."""
         line = line.strip()
-        if not line:
-            return []
+        cmd, _, rest = line.partition(" ")
+        if cmd == ":quit":
+            return False
         try:
-            if line.startswith(":"):
-                return self._command(line)
+            if cmd.startswith(":"):
+                self.interp.emit(self._command(cmd, rest.strip()))
+                return True
             try:
                 expr = parse_expression(line.rstrip(";"))
             except (LexError, ParseError):
@@ -60,33 +61,31 @@ class Session:
             if expr is not None and not (isinstance(expr, ast.Call) and
                                          expr.name in STATEMENT_CALLS):
                 value = self.interp.eval_expr(expr, self.interp.globals)
-                return self.drain_output() + [render_value(value)]
-            self.run_source(line if line.endswith(";") else line + ";")
-            return self.drain_output()
+                self.interp.emit(render_value(value))
+            elif line:
+                self.run_source(line if line.endswith(";") else line + ";")
         except RecursionError:
             raise EvalError("expression nested too deeply") from None
+        return True
 
-    def _command(self, line: str) -> Optional[list[str]]:
-        cmd, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if cmd == ":quit":
-            return None
+    def _command(self, cmd: str, rest: str) -> str:
+        """The result line of a REPL command other than ``:quit``."""
         if cmd == ":word":
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError(":word takes a word and an operation name")
             word, op_name = parts
-            return [render_expr(parse_juxtaposition(word, op_name))]
+            return render_expr(parse_juxtaposition(word, op_name))
         if cmd in (":type", ":show", ":eval"):
             expr = parse_expression(rest)
             value = self.interp.eval_expr(expr, self.interp.globals)
             if cmd == ":type":
-                return [f"{type_name_of(value)} {classify_binding(value)}"]
+                return f"{type_name_of(value)} {classify_binding(value)}"
             if cmd == ":show":
-                return [show_tree(value)]
+                return show_tree(value)
             value = simplify(self.interp.force(value),
                              self.interp.max_rewrites, self.interp.trace)
-            return self.drain_output() + [render_value(value)]
+            return render_value(value)
         raise ParseError(f"unknown command {cmd!r}")
 
 
@@ -101,7 +100,6 @@ def _exit_code(err: PsiError) -> int:
 def run_file(path: str, prelude: bool = True, trace: bool = False,
              max_rewrites: int = DEFAULT_REWRITE_LIMIT,
              stdout=None, stderr=None) -> int:
-    stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         # undecodable bytes become lone surrogates, which the lexer rejects
@@ -110,16 +108,13 @@ def run_file(path: str, prelude: bool = True, trace: bool = False,
     except OSError as err:
         print(f"error: cannot read {path}: {err.strerror or err}", file=stderr)
         return 1
-    session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites)
+    session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites,
+                      emit=partial(print, file=stdout, flush=True))
     try:
         session.run_source(source)
     except PsiError as err:
-        for line in session.drain_output():
-            print(line, file=stdout)
         print(f"error: {err}", file=stderr)
         return _exit_code(err)
-    for line in session.drain_output():
-        print(line, file=stdout)
     return 0
 
 
@@ -127,21 +122,15 @@ def run_repl(prelude: bool = True, trace: bool = False,
              max_rewrites: int = DEFAULT_REWRITE_LIMIT,
              stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites)
+    session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites,
+                      emit=partial(print, file=stdout, flush=True))
     for line in stdin:
         try:
-            result = session.repl_step(line)
+            if not session.repl_step(line):
+                break
         except PsiError as err:
-            for out in session.drain_output():
-                print(out, file=stdout)
             print(f"error: {err}", file=stderr)
-            continue
-        if result is None:
-            break
-        for out in result:
-            print(out, file=stdout)
     return 0
 
 
@@ -157,12 +146,18 @@ def main(argv=None) -> int:
         cmd.add_argument("--max-rewrites", type=int,
                          default=DEFAULT_REWRITE_LIMIT)
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_file(args.file, prelude=not args.no_prelude,
-                        trace=args.trace, max_rewrites=args.max_rewrites)
-    return run_repl(prelude=not args.no_prelude, trace=args.trace,
+    settings = dict(prelude=not args.no_prelude, trace=args.trace,
                     max_rewrites=args.max_rewrites)
-
+    try:
+        code = (run_file(args.file, **settings) if args.command == "run"
+                else run_repl(**settings))
+        sys.stdout.flush()  # a closed pipe is reported here, not at exit
+    except BrokenPipeError:
+        # Python's recipe for a reader that went away: stdout goes to
+        # devnull, where the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -26,7 +26,7 @@ from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
                      type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
-# calls that are statements writing to the output, never expressions
+# calls that are statements writing to the line sink, never expressions
 STATEMENT_CALLS = ("print", "kind")
 _FIXITY = {ast.Infix: "infix", ast.Prefix: "prefix"}
 
@@ -163,18 +163,18 @@ def truth(value: Value) -> bool:
 
 class Interpreter:
     """One evaluation session: a type registry, a global environment, the
-    output stream produced by ``print``/``kind`` statements, and the
-    settings of ``simplify``: its step limit and its trace into the output."""
+    line sink ``emit`` that ``print``/``kind`` statements write to, and the
+    settings of ``simplify``: its step limit and its trace into the sink."""
 
     def __init__(self, max_rewrites: int = DEFAULT_REWRITE_LIMIT,
-                 trace: bool = False):
+                 trace: bool = False, emit: Callable[[str], None] = print):
         self.registry = Registry()
         self.globals = Environment()
         self.functions: dict[str, UserMethod] = {}
-        self.output: list[str] = []
+        self.emit = emit
         self.builtins: dict[str, Callable] = {}
         self.max_rewrites = max_rewrites
-        self.trace = self.output.append if trace else None  # step hook
+        self.trace = emit if trace else None  # step hook
         # user method bodies run so far; a node whose evaluation ran one
         # (a print, a global assignment) is not memoised
         self.method_runs = 0
@@ -248,7 +248,7 @@ class Interpreter:
                 raise EvalError("print takes exactly one argument", stmt.span)
             value = self.eval_expr(stmt.args[0], env)
             try:
-                self.output.append(render_value(value))
+                self.emit(render_value(value))
             except EvalError as err:
                 err.span = err.span or stmt.span
                 raise
@@ -256,8 +256,7 @@ class Interpreter:
             if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
                 raise EvalError("kind takes one identifier", stmt.span)
             value = self.eval_expr(stmt.args[0], env)
-            self.output.append(f"{stmt.args[0].name}: "
-                               f"{classify_binding(value)}")
+            self.emit(f"{stmt.args[0].name}: {classify_binding(value)}")
 
     # --- expressions ---
 

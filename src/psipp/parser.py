@@ -33,18 +33,16 @@ def _opname(lexeme: str) -> str:
 
 
 class _Parser:
-    """A parser over a list of tokens, or over a stream of them. A stream
+    """A parser over a stream of tokens, which may be a list. The stream
     is read into ``tokens`` in batches, only when a lookahead passes the
     end of the buffer, and the tokens of each finished top-level item are
     dropped."""
 
     def __init__(self, tokens: Iterable[Token]):
-        if isinstance(tokens, list):
-            self.tokens, self.stream = tokens, None
-        else:
-            self.tokens, self.stream = [], iter(tokens)
+        self.tokens: list[Token] = []
+        self.stream = iter(tokens)
         self.pos = 0  # index into ``tokens``
-        self.last = tokens[-1] if self.tokens else None  # last token read
+        self.last: Optional[Token] = None  # last token read
 
     # --- token helpers ---
 
@@ -62,13 +60,12 @@ class _Parser:
 
     def peek(self, offset: int = 0) -> Optional[Token]:
         i = self.pos + offset
-        if i < len(self.tokens) or self.stream is not None and self.fill(i):
+        if i < len(self.tokens) or self.fill(i):
             return self.tokens[i]
         return None
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens) and not (
-            self.stream is not None and self.fill(self.pos))
+        return self.pos >= len(self.tokens) and not self.fill(self.pos)
 
     def span(self) -> Optional[ast.Span]:
         tok = self.peek()
@@ -84,15 +81,13 @@ class _Parser:
 
     def check(self, kind: str, lexeme: Optional[str] = None, offset: int = 0) -> bool:
         i = self.pos + offset
-        if i >= len(self.tokens) and not (self.stream is not None
-                                          and self.fill(i)):
+        if i >= len(self.tokens) and not self.fill(i):
             return False
         tok = self.tokens[i]
         return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
 
     def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:
-        if self.pos >= len(self.tokens) and not (self.stream is not None
-                                                 and self.fill(self.pos)):
+        if self.pos >= len(self.tokens) and not self.fill(self.pos):
             return None
         tok = self.tokens[self.pos]
         if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
@@ -117,9 +112,8 @@ class _Parser:
             if self.accept(PUNCT, ";"):
                 continue  # empty statement
             items.append(self.item())
-            if self.stream is not None:  # the item's tokens are done with
-                del self.tokens[:self.pos]
-                self.pos = 0
+            del self.tokens[:self.pos]  # the item's tokens are done with
+            self.pos = 0
         return ast.Program(tuple(items))
 
     def item(self):
@@ -422,10 +416,10 @@ def _parse(source, rule):
             tokenize(source)
             raise
         except RecursionError:
-            # the error may have stopped the scan, and reading a stream
-            # costs stack: parse again from a list, which costs none
+            # the error may have stopped the scan, and a generator costs a
+            # frame per read: parse again from a list, which costs none
             source = tokenize(source)
-    parser = _Parser(list(source))
+    parser = _Parser(source)
     try:
         return rule(parser)
     except RecursionError:

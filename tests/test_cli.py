@@ -111,15 +111,17 @@ def test_error_inside_a_prelude_method_is_reported_at_the_call(tmp_path):
 
 
 def test_sessions_share_the_parsed_prelude_not_its_methods():
-    first, second = Session(), Session()
+    lines = {"first": [], "second": []}
+    first = Session(emit=lines["first"].append)
+    second = Session(emit=lines["second"].append)
     methods = [s.interp.registry.descriptor("Complex").methods[("*", "infix")]
                for s in (first, second)]
     assert methods[0] is not methods[1]
     assert methods[0].decl is methods[1].decl  # one parse for both
     first.run_source("function Complex.infix* (A, B : Complex) : Complex;\n"
                      "begin Return := 7 end;")
-    assert first.repl_step("i * i") == ["7"]
-    assert second.repl_step("i * i") == ["-1"]
+    assert first.repl_step("i * i") and second.repl_step("i * i")
+    assert lines == {"first": ["7"], "second": ["-1"]}
 
 
 @pytest.mark.parametrize("call, code", [

@@ -80,7 +80,9 @@ def test_every_kernel_path_agrees_with_python(source, a, b):
 def test_complex_method_promotes_integers():
     prelude, _ = interpreters()
     assert ev(prelude, "Complex.(1 + 2)") == ComplexV(3, 0)
-    assert Session().repl_step(":type Complex.(1 + 2)") == ["Complex value"]
+    lines = []
+    assert Session(emit=lines.append).repl_step(":type Complex.(1 + 2)")
+    assert lines == ["Complex value"]
 
 
 def test_register_product_needs_the_prelude_to_evaluate():

@@ -135,9 +135,9 @@ def test_function_after_a_bodyless_object_is_a_definition():
     obj, fn, _ = parse_program(source).items
     assert isinstance(obj, ast.ObjectDecl) and obj.method_sigs == ()
     assert isinstance(fn, ast.FunctionDecl) and fn.body is not None
-    interp = make_interpreter()
-    interp.run_program(parse_program(source))
-    assert interp.output == ["9"]
+    output = []
+    make_interpreter(emit=output.append).run_program(parse_program(source))
+    assert output == ["9"]
 
 
 def test_var_block():
