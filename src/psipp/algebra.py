@@ -61,7 +61,7 @@ end; { Monomial }
 
 # parsed once, shared by every interpreter; without positions, so that an
 # error inside a prelude method is reported at the user's application
-PRELUDE = parse_program([Token(t.kind, t.lexeme, None)
+PRELUDE = parse_program([Token(t.tag, t.lexeme, None)
                          for t in tokenize(PRELUDE_SOURCE)])
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-Span = tuple[int, int, int]
+# a source position: an offset into the source text
+Span = int
 
 # Precedence levels of the surface syntax, loosest first, read by both the
 # parser and ``pretty.layout``. An infix operator of level L takes a right

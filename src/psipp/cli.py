@@ -3,8 +3,10 @@
 ``psi run <file>`` executes a script (prelude loaded first unless
 ``--no-prelude``); ``psi repl`` starts the interactive loop. Exit codes:
 1 for lex/parse errors, unreadable files and a closed standard output, 2
-for type/registry errors, 3 for runtime errors. Each output line is written
-as it is made; ``--trace`` prints every rewrite step of simplification.
+for type/registry errors, 3 for runtime errors, 130 for an interrupt. Each
+output line is written as it is made; ``--trace`` prints every rewrite step
+of simplification. A diagnostic names the line and column of its error's
+offset in the script, or in the REPL line as typed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Callable
 
 from . import ast
 from .algebra import DEFAULT_REWRITE_LIMIT, make_interpreter, simplify
-from .errors import EvalError, LexError, ParseError, PsiError, RegistryError
+from .errors import (EvalError, LexError, ParseError, PsiError, RegistryError,
+                     line_col)
 from .evaluator import STATEMENT_CALLS
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
@@ -44,15 +47,16 @@ class Session:
 
     def repl_step(self, line: str) -> bool:
         """Process one REPL input, writing its output lines to the sink;
-        False on ``:quit``. Nesting too deep for the Python stack is an
-        error."""
-        line = line.strip()
-        cmd, _, rest = line.partition(" ")
+        False on ``:quit``. Offsets count in ``line`` as typed. Nesting too
+        deep for the Python stack is an error."""
+        line = line.rstrip()
+        start = len(line) - len(line.lstrip())
+        cmd = line[start:].partition(" ")[0]
         if cmd == ":quit":
             return False
         try:
             if cmd.startswith(":"):
-                self.interp.emit(self._command(cmd, rest.strip()))
+                self.interp.emit(self._command(cmd, line, start + len(cmd)))
                 return True
             try:
                 expr = parse_expression(line.rstrip(";"))
@@ -68,16 +72,17 @@ class Session:
             raise EvalError("expression nested too deeply") from None
         return True
 
-    def _command(self, cmd: str, rest: str) -> str:
-        """The result line of a REPL command other than ``:quit``."""
+    def _command(self, cmd: str, line: str, start: int) -> str:
+        """The result line of a REPL command other than ``:quit``, whose
+        argument is ``line`` from offset ``start``."""
         if cmd == ":word":
-            parts = rest.split()
+            parts = line[start:].split()
             if len(parts) != 2:
                 raise ParseError(":word takes a word and an operation name")
             word, op_name = parts
             return render_expr(parse_juxtaposition(word, op_name))
         if cmd in (":type", ":show", ":eval"):
-            expr = parse_expression(rest)
+            expr = parse_expression(line, start)
             value = self.interp.eval_expr(expr, self.interp.globals)
             if cmd == ":type":
                 return f"{type_name_of(value)} {classify_binding(value)}"
@@ -89,12 +94,14 @@ class Session:
         raise ParseError(f"unknown command {cmd!r}")
 
 
-def _exit_code(err: PsiError) -> int:
+def _report(err: PsiError, text: str, stderr) -> int:
+    """Write ``err`` to ``stderr`` at the line and column of its offset in
+    ``text``; return the exit code of its kind."""
+    where = "" if err.span is None else "%d:%d: " % line_col(text, err.span)
+    print(f"error: {where}{err.message}", file=stderr)
     if isinstance(err, (LexError, ParseError)):
         return 1
-    if isinstance(err, RegistryError):
-        return 2
-    return 3
+    return 2 if isinstance(err, RegistryError) else 3
 
 
 def run_file(path: str, prelude: bool = True, trace: bool = False,
@@ -113,8 +120,7 @@ def run_file(path: str, prelude: bool = True, trace: bool = False,
     try:
         session.run_source(source)
     except PsiError as err:
-        print(f"error: {err}", file=stderr)
-        return _exit_code(err)
+        return _report(err, source, stderr)
     return 0
 
 
@@ -130,7 +136,7 @@ def run_repl(prelude: bool = True, trace: bool = False,
             if not session.repl_step(line):
                 break
         except PsiError as err:
-            print(f"error: {err}", file=stderr)
+            _report(err, line.rstrip("\n"), stderr)
     return 0
 
 
@@ -157,6 +163,9 @@ def main(argv=None) -> int:
         # devnull, where the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return code
 
 if __name__ == "__main__":

@@ -1,11 +1,18 @@
 """Error types raised by the lexer, parser, object registry, and evaluator.
 
-Every error that can be traced to a source location carries a ``span``
-(line, column, length). Exit-code grouping for the CLI: lex/parse errors,
-registry/type errors, runtime errors.
+Every error that can be traced to a source location carries a ``span``:
+the offset of that location in the source text. ``line_col`` turns it into
+a line and a column when the error is reported. Exit-code grouping for the
+CLI: lex/parse errors, registry/type errors, runtime errors.
 """
 
 from __future__ import annotations
+
+
+def line_col(text: str, pos: int) -> tuple[int, int]:
+    """The line and the column, both from 1, of offset ``pos`` in ``text``;
+    a column counts the characters from the last newline before ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class PsiError(Exception):
@@ -15,12 +22,6 @@ class PsiError(Exception):
         super().__init__(message)
         self.message = message
         self.span = span
-
-    def __str__(self):
-        if self.span is not None:
-            line, col, _ = self.span
-            return f"{line}:{col}: {self.message}"
-        return self.message
 
 
 # --- syntax errors (CLI exit 1) ---

@@ -199,7 +199,7 @@ class Interpreter:
             else:
                 self.exec_stmt(item, self.globals)
         except PsiError as err:
-            err.span = err.span or item.span
+            err.span = item.span if err.span is None else err.span
             raise
         except RecursionError:
             raise EvalError("expression nested too deeply",
@@ -250,7 +250,7 @@ class Interpreter:
             try:
                 self.emit(render_value(value))
             except EvalError as err:
-                err.span = err.span or stmt.span
+                err.span = stmt.span if err.span is None else err.span
                 raise
         else:  # kind
             if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
@@ -329,7 +329,7 @@ class Interpreter:
             try:
                 return builtin(args, self, env)
             except EvalError as err:
-                err.span = err.span or expr.span
+                err.span = expr.span if err.span is None else err.span
                 raise
         method = self.functions.get(expr.name)
         if method is not None:
@@ -416,7 +416,7 @@ class Interpreter:
                     f"{decl.symbol!r} never assigned Return", decl.span)
             return result
         except PsiError as err:
-            err.span = err.span or span
+            err.span = span if err.span is None else err.span
             raise
 
     def run_body(self, impl: UserMethod, frame: Environment):

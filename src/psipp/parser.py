@@ -20,16 +20,11 @@ from typing import Iterable, Optional
 
 from . import ast
 from .errors import ArityError, EmptyWordError, ParseError
-from .lexer import IDENT, INT, KEYWORD, OP, PUNCT, Token, scan, tokenize
+from .lexer import IDENT, INT, Token, scan, tokenize
 
-_MINUS = frozenset({"-", "−"})
 # tokens read from the stream at a time: one token per read measured
 # about 4% slower on short scripts
 _BATCH = 64
-
-
-def _opname(lexeme: str) -> str:
-    return "-" if lexeme in _MINUS else lexeme
 
 
 class _Parser:
@@ -38,11 +33,12 @@ class _Parser:
     end of the buffer, and the tokens of each finished top-level item are
     dropped."""
 
-    def __init__(self, tokens: Iterable[Token]):
+    def __init__(self, tokens: Iterable[Token], start: int = 0):
         self.tokens: list[Token] = []
         self.stream = iter(tokens)
         self.pos = 0  # index into ``tokens``
-        self.last: Optional[Token] = None  # last token read
+        # the last token read; before any, an empty one where the text starts
+        self.last = Token("", "", start)
 
     # --- token helpers ---
 
@@ -67,41 +63,36 @@ class _Parser:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens) and not self.fill(self.pos)
 
-    def span(self) -> Optional[ast.Span]:
+    def span(self) -> ast.Span:
         tok = self.peek()
         if tok is not None:
-            return tok.span
-        if self.last is not None:
-            line, col, length = self.last.span
-            return (line, col + length, 1)
-        return (1, 1, 1)
+            return tok.pos
+        return self.last.pos + len(self.last.lexeme)
 
     def error(self, message: str, expected=()) -> ParseError:
         return ParseError(message, self.span(), expected)
 
-    def check(self, kind: str, lexeme: Optional[str] = None, offset: int = 0) -> bool:
+    def check(self, tag: str, offset: int = 0) -> bool:
         i = self.pos + offset
         if i >= len(self.tokens) and not self.fill(i):
             return False
-        tok = self.tokens[i]
-        return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
+        return self.tokens[i].tag == tag
 
-    def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:
+    def accept(self, tag: str) -> Optional[Token]:
         if self.pos >= len(self.tokens) and not self.fill(self.pos):
             return None
         tok = self.tokens[self.pos]
-        if tok.kind != kind or (lexeme is not None and tok.lexeme != lexeme):
+        if tok.tag != tag:
             return None
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, lexeme: Optional[str] = None) -> Token:
-        tok = self.accept(kind, lexeme)
+    def expect(self, tag: str) -> Token:
+        tok = self.accept(tag)
         if tok is None:
-            want = lexeme if lexeme is not None else kind
             got = self.peek()
             found = repr(got.lexeme) if got else "end of input"
-            raise self.error(f"expected {want!r}, found {found}", {want})
+            raise self.error(f"expected {tag!r}, found {found}", {tag})
         return tok
 
     # --- program structure ---
@@ -109,7 +100,7 @@ class _Parser:
     def program(self) -> ast.Program:
         items = []
         while not self.at_end():
-            if self.accept(PUNCT, ";"):
+            if self.accept(";"):
                 continue  # empty statement
             items.append(self.item())
             del self.tokens[:self.pos]  # the item's tokens are done with
@@ -117,71 +108,71 @@ class _Parser:
         return ast.Program(tuple(items))
 
     def item(self):
-        if self.check(KEYWORD, "var"):
+        tag = self.tokens[self.pos].tag  # read by ``program``
+        if tag == "var":
             return self.var_block()
-        if self.check(KEYWORD, "function"):
+        if tag == "function":
             return self.function_def()
-        if self.check(IDENT) and self.check(OP, "=", offset=1):
+        if tag == IDENT and self.check("=", offset=1):
             return self.object_decl()
         stmt = self.statement()
-        self.expect(PUNCT, ";")
+        self.expect(";")
         return stmt
 
     def object_decl(self) -> ast.ObjectDecl:
         name_tok = self.expect(IDENT)
-        self.expect(OP, "=")
-        self.expect(KEYWORD, "Object")
+        self.expect("=")
+        self.expect("Object")
         ancestor = None
-        if self.accept(PUNCT, "("):
+        if self.accept("("):
             ancestor = self.expect(IDENT).lexeme
-            self.expect(PUNCT, ")")
-        self.expect(PUNCT, ";")
+            self.expect(")")
+        self.expect(";")
         fields: list[tuple[str, str]] = []
         sigs: list[ast.FunctionDecl] = []
         if self._object_body_follows():
-            while not self.check(KEYWORD, "end"):
-                if self.check(KEYWORD, "function"):
+            while not self.check("end"):
+                if self.check("function"):
                     sigs.append(self.function_signature())
-                    self.expect(PUNCT, ";")
+                    self.expect(";")
                 elif self.check(IDENT):
                     fields.extend(self.decl_group())
-                    self.expect(PUNCT, ";")
+                    self.expect(";")
                 else:
                     raise self.error("expected field, method, or 'end'",
                                      {"end", "function"})
-            self.expect(KEYWORD, "end")
-            self.expect(PUNCT, ";")
+            self.expect("end")
+            self.expect(";")
         return ast.ObjectDecl(name_tok.lexeme, ancestor, tuple(fields),
-                              tuple(sigs), name_tok.span)
+                              tuple(sigs), name_tok.pos)
 
     def _object_body_follows(self) -> bool:
-        if self.check(KEYWORD, "function"):
+        if self.check("function"):
             # a qualified definition (function Owner.xxx) is top level, not a member
-            if self.check(IDENT, offset=1) and self.check(PUNCT, ".", offset=2):
+            if self.check(IDENT, offset=1) and self.check(".", offset=2):
                 return False
             # so is a signature whose body follows
             start = self.pos
             try:
                 self.function_signature()
-                self.expect(PUNCT, ";")
-                return not (self.check(KEYWORD, "begin")
-                            or self.check(KEYWORD, "par"))
+                self.expect(";")
+                return not (self.check("begin") or self.check("par"))
             except ParseError:
                 return True  # reported where the member is parsed
             finally:
                 self.pos = start
-        return self.check(KEYWORD, "end") or self._decl_group_follows()
+        return self.check("end") or self._decl_group_follows()
 
     def _decl_group_follows(self) -> bool:
-        return self.check(IDENT) and (self.check(PUNCT, ",", offset=1)
-                                      or self.check(PUNCT, ":", offset=1))
+        return self.check(IDENT) and (self.check(",", offset=1)
+                                      or self.check(":", offset=1))
 
     def decl_group(self) -> list[tuple[str, str]]:
         """``a, b : T``: fields, variables, par variables, parameters."""
         names = [self.expect(IDENT).lexeme]
-        while self.accept(PUNCT, ","):
+        while self.accept(","):
             names.append(self.expect(IDENT).lexeme)
-        self.expect(PUNCT, ":")
+        self.expect(":")
         type_name = self.type_name()
         return [(n, type_name) for n in names]
 
@@ -190,122 +181,123 @@ class _Parser:
         decls: list[tuple[str, str]] = []
         while self._decl_group_follows():
             decls.extend(self.decl_group())
-            self.expect(PUNCT, ";")
+            self.expect(";")
         return decls
 
     def type_name(self) -> str:
         tok = self.peek()
-        if tok is not None and tok.kind == IDENT:
+        if tok is not None and tok.tag == IDENT:
             self.pos += 1
             return tok.lexeme
         raise self.error("expected type name", {"identifier"})
 
     def var_block(self) -> ast.VarBlock:
-        start = self.expect(KEYWORD, "var")
+        start = self.expect("var")
         decls = self.decl_groups()
         if not decls:
             raise self.error("empty var block", {"identifier"})
-        return ast.VarBlock(tuple(decls), start.span)
+        return ast.VarBlock(tuple(decls), start.pos)
 
     # --- functions ---
 
     def function_signature(self) -> ast.FunctionDecl:
-        start = self.expect(KEYWORD, "function")
+        start = self.expect("function")
         owner = None
-        if self.check(IDENT) and self.check(PUNCT, ".", offset=1):
+        if self.check(IDENT) and self.check(".", offset=1):
             owner = self.expect(IDENT).lexeme
-            self.expect(PUNCT, ".")
+            self.expect(".")
         fixity = "ordinary"
-        if self.accept(KEYWORD, "infix"):
+        if self.accept("infix"):
             fixity = "infix"
-        elif self.accept(KEYWORD, "prefix"):
+        elif self.accept("prefix"):
             fixity = "prefix"
         symbol = self.function_symbol(fixity)
         params: list[tuple[str, str]] = []
-        if self.accept(PUNCT, "("):
-            if not self.check(PUNCT, ")"):
+        if self.accept("("):
+            if not self.check(")"):
                 params.extend(self.decl_group())
-                while self.accept(PUNCT, ";"):
+                while self.accept(";"):
                     params.extend(self.decl_group())
-            self.expect(PUNCT, ")")
-        self.expect(PUNCT, ":")
+            self.expect(")")
+        self.expect(":")
         result_type = self.type_name()
         if fixity == "infix" and len(params) != 2:
             raise ArityError("infix function requires exactly 2 parameters",
-                             start.span)
+                             start.pos)
         if fixity == "prefix" and len(params) != 1:
             raise ArityError("prefix function requires exactly 1 parameter",
-                             start.span)
+                             start.pos)
         return ast.FunctionDecl(symbol, fixity, owner, tuple(params),
-                                result_type, span=start.span)
+                                result_type, span=start.pos)
 
     def function_symbol(self, fixity: str) -> str:
         tok = self.peek()
         if tok is None:
             raise self.error("expected function name or operator symbol")
-        if tok.kind == OP and _opname(tok.lexeme) in ast.INFIX_LEVELS:
+        if tok.tag in ast.INFIX_LEVELS:
             self.pos += 1
-            return _opname(tok.lexeme)
+            return tok.tag
         if fixity != "ordinary":
             raise self.error("expected operator symbol after fixity keyword",
                              {"+", "-", "*"})
-        if tok.kind == IDENT:
+        if tok.tag == IDENT:
             self.pos += 1
             return tok.lexeme
         raise self.error("expected function name", {"identifier"})
 
     def function_def(self) -> ast.FunctionDecl:
         sig = self.function_signature()
-        self.expect(PUNCT, ";")
-        par_decls = self.decl_groups() if self.accept(KEYWORD, "par") else []
+        self.expect(";")
+        par_decls = self.decl_groups() if self.accept("par") else []
         body = self.compound()
-        self.expect(PUNCT, ";")
+        self.expect(";")
         return ast.FunctionDecl(sig.symbol, sig.fixity, sig.owner, sig.params,
                                 sig.result_type, tuple(par_decls), body, sig.span)
 
     # --- statements ---
 
     def compound(self) -> ast.Compound:
-        start = self.expect(KEYWORD, "begin")
+        start = self.expect("begin")
         body: list[ast.Stmt] = []
-        while not self.check(KEYWORD, "end"):
-            if self.accept(PUNCT, ";"):
+        while not self.check("end"):
+            if self.accept(";"):
                 continue
             body.append(self.statement())
-            if not self.check(KEYWORD, "end"):
-                self.expect(PUNCT, ";")
-        self.expect(KEYWORD, "end")
-        return ast.Compound(tuple(body), start.span)
+            if not self.check("end"):
+                self.expect(";")
+        self.expect("end")
+        return ast.Compound(tuple(body), start.pos)
 
     def statement(self) -> ast.Stmt:
-        if self.check(KEYWORD, "begin"):
+        tok = self.peek()
+        tag = tok.tag if tok is not None else None
+        if tag == "begin":
             return self.compound()
-        if self.check(KEYWORD, "if"):
+        if tag == "if":
             return self.if_statement()
-        if self.check(KEYWORD, "Return"):
-            tok = self.expect(KEYWORD, "Return")
-            self.expect(OP, ":=")
-            return ast.Assign("Return", self.expression(), tok.span)
-        if self.check(IDENT):
-            tok = self.peek()
-            if self.check(OP, ":=", offset=1):
+        if tag == "Return":
+            self.pos += 1
+            self.expect(":=")
+            return ast.Assign("Return", self.expression(), tok.pos)
+        if tag == IDENT:
+            if self.check(":=", offset=1):
                 self.pos += 2
-                return ast.Assign(tok.lexeme, self.expression(), tok.span)
-            if self.check(PUNCT, "(", offset=1):
+                return ast.Assign(tok.lexeme, self.expression(), tok.pos)
+            if self.check("(", offset=1):
                 self.pos += 2
-                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.span)
+                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
         raise self.error("expected statement",
                          {"identifier", "if", "begin", "Return"})
 
     def if_statement(self) -> ast.If:
-        tok = self.expect(KEYWORD, "if")
+        tok = self.expect("if")
         cond = self.expression()
-        self.expect(KEYWORD, "then")
+        self.expect("then")
         then = self.statement()
         els = None
-        if self.accept(KEYWORD, "else"):
+        if self.accept("else"):
             els = self.statement()
-        return ast.If(cond, then, els, tok.span)
+        return ast.If(cond, then, els, tok.pos)
 
     # --- expressions ---
 
@@ -319,107 +311,107 @@ class _Parser:
         """An expression, ended before any infix operator of a level
         below ``min_level``."""
         tok = self.peek()
-        if tok is not None and tok.kind == OP and tok.lexeme in _MINUS:
+        if tok is not None and tok.tag == "-":
             self.pos += 1
-            lhs = ast.Prefix("-", self.expression(ast.LEVEL_PREFIX), tok.span)
+            lhs = ast.Prefix("-", self.expression(ast.LEVEL_PREFIX), tok.pos)
         else:
             lhs = self.postfix()
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != OP:
+            if tok is None:
                 return lhs
-            op = _opname(tok.lexeme)
-            level = ast.INFIX_LEVELS.get(op)
+            level = ast.INFIX_LEVELS.get(tok.tag)
             if level is None or level < min_level:
                 return lhs
             self.pos += 1
-            lhs = ast.Infix(op, lhs, self.expression(level + 1), tok.span)
+            lhs = ast.Infix(tok.tag, lhs, self.expression(level + 1), tok.pos)
             if level == ast.LEVEL_EQ:  # '=' does not associate
                 return lhs
 
     def postfix(self) -> ast.Expr:
         expr = self.primary()
-        while self.check(PUNCT, "."):
-            dot = self.expect(PUNCT, ".")
-            if self.accept(PUNCT, "("):
+        while self.check("."):
+            dot = self.expect(".")
+            if self.accept("("):
                 if not isinstance(expr, ast.Ident):
                     raise ParseError("inherited call requires a type name "
-                                     "before '.'", dot.span)
+                                     "before '.'", dot.pos)
                 inner = self.expression()
-                self.expect(PUNCT, ")")
-                expr = ast.InheritedCall(expr.name, inner, dot.span)
+                self.expect(")")
+                expr = ast.InheritedCall(expr.name, inner, dot.pos)
             else:
                 field = self.expect(IDENT)
-                expr = ast.FieldAccess(expr, field.lexeme, dot.span)
+                expr = ast.FieldAccess(expr, field.lexeme, dot.pos)
         return expr
 
     def primary(self) -> ast.Expr:
         tok = self.peek()
         if tok is None:
             raise self.error("expected expression")
-        if tok.kind == INT:
+        if tok.tag == INT:
             self.pos += 1
             try:
                 value = int(tok.lexeme)
             except ValueError:  # past Python's limit on int-from-str digits
                 raise ParseError(f"integer literal of {len(tok.lexeme)} "
-                                 f"digits is too long", tok.span) from None
-            return ast.IntLit(value, tok.span)
-        if tok.kind == KEYWORD and tok.lexeme == "fail":
+                                 f"digits is too long", tok.pos) from None
+            return ast.IntLit(value, tok.pos)
+        if tok.tag == "fail":
             self.pos += 1
-            return ast.FailLit(tok.span)
-        if tok.kind == KEYWORD and tok.lexeme == "Return":
+            return ast.FailLit(tok.pos)
+        if tok.tag == "Return":
             self.pos += 1
-            return ast.Ident("Return", tok.span)
-        if tok.kind == KEYWORD and tok.lexeme == "EVAL":
+            return ast.Ident("Return", tok.pos)
+        if tok.tag == "EVAL":
             self.pos += 1
-            self.expect(PUNCT, "(")
+            self.expect("(")
             inner = self.expression()
-            self.expect(PUNCT, ")")
-            return ast.Call("EVAL", (inner,), tok.span)
-        if tok.kind == IDENT:
+            self.expect(")")
+            return ast.Call("EVAL", (inner,), tok.pos)
+        if tok.tag == IDENT:
             self.pos += 1
-            if self.accept(PUNCT, "("):
-                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.span)
-            return ast.Ident(tok.lexeme, tok.span)
-        if tok.kind == PUNCT and tok.lexeme == "(":
+            if self.accept("("):
+                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
+            return ast.Ident(tok.lexeme, tok.pos)
+        if tok.tag == "(":
             self.pos += 1
             first = self.expression()
-            if self.accept(PUNCT, ","):
+            if self.accept(","):
                 second = self.expression()
-                self.expect(PUNCT, ")")
-                return ast.PairLit(first, second, tok.span)
-            self.expect(PUNCT, ")")
+                self.expect(")")
+                return ast.PairLit(first, second, tok.pos)
+            self.expect(")")
             return first
         raise self.error(f"unexpected token {tok.lexeme!r} in expression")
 
     def call_args(self) -> list[ast.Expr]:
         # opening paren already consumed
         args: list[ast.Expr] = []
-        if not self.check(PUNCT, ")"):
+        if not self.check(")"):
             args.append(self.expression())
-            while self.accept(PUNCT, ","):
+            while self.accept(","):
                 args.append(self.expression())
-        self.expect(PUNCT, ")")
+        self.expect(")")
         return args
 
 
-def _parse(source, rule):
-    """Apply ``rule`` to a parser over ``source``: text, which is lexed
-    as the parser asks for tokens, or tokens. A lexical error anywhere in
-    the text is reported before a syntax error. Nesting too deep for the
-    Python stack is a syntax error at the token reached."""
+def _parse(source, rule, start=0):
+    """Apply ``rule`` to a parser over ``source``: text from offset
+    ``start``, which is lexed as the parser asks for tokens, or tokens. A
+    lexical error anywhere in the text is reported before a syntax error.
+    Nesting too deep for the Python stack is a syntax error at the token
+    reached."""
     if isinstance(source, str):
         try:
-            return rule(_Parser(scan(source)))
+            return rule(_Parser(scan(source, start), start))
         except ParseError:
-            tokenize(source)
+            tokenize(source, start)
             raise
         except RecursionError:
             # the error may have stopped the scan, and a generator costs a
             # frame per read: parse again from a list, which costs none
-            source = tokenize(source)
-    parser = _Parser(source)
+            source = tokenize(source, start)
+    parser = _Parser(source, start)
     try:
         return rule(parser)
     except RecursionError:
@@ -431,10 +423,10 @@ def parse_program(source) -> ast.Program:
     return _parse(source, _Parser.program)
 
 
-def parse_expression(source) -> ast.Expr:
-    """Parse source text, or a token sequence, that forms exactly one
-    expression."""
-    return _parse(source, _Parser.sole_expression)
+def parse_expression(source, start: int = 0) -> ast.Expr:
+    """Parse source text from offset ``start``, or a token sequence, that
+    forms exactly one expression."""
+    return _parse(source, _Parser.sole_expression, start)
 
 
 def parse_juxtaposition(word: str, op_name: str) -> ast.Expr:

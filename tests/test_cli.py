@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from psipp import cli
 from psipp.cli import Session, run_file, run_repl
 
 from bindings import snapshot
@@ -67,6 +68,24 @@ def test_an_undecodable_byte_is_a_lexical_error(tmp_path):
     code, out, err = run_to_strings(script)
     assert (code, out, err) == (
         1, "", "error: 2:9: unexpected character '\\udcff'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("x := 1;\n{ a two-line\n comment } y := zz;\n",
+                 "3:17: unknown identifier 'zz'", id="after-a-two-line-comment"),
+    pytest.param("x := 1;\r\n\ty := \u2212zz;\n",
+                 "2:8: unknown identifier 'zz'", id="after-crlf-tab-and-minus"),
+    pytest.param("x := 1 +", "1:9: expected expression", id="end-of-input"),
+    pytest.param("x := 1;\n" * 100 + "y := 2 ? 3;\n",
+                 "101:8: unexpected character '?'",
+                 id="lexical-error-after-100-lines"),
+])
+def test_a_diagnostic_names_the_line_and_column(tmp_path, text, message):
+    script = tmp_path / "where.psi"
+    script.write_bytes(text.encode())
+    code, out, err = run_to_strings(script)
+    assert (out, err) == ("", f"error: {message}\n")
+    assert code in (1, 3)
 
 
 @pytest.mark.parametrize("name", ["missing.psi", "."])
@@ -342,6 +361,36 @@ def test_repl_survives_unbounded_recursion():
                    "error: expression nested too deeply\n")
 
 
+def test_repl_reports_an_error_in_a_body_where_the_body_was_typed():
+    code, out, err = repl_to_strings(
+        "function f(a : integer) : integer; begin Return := a.Re end;\n"
+        "f(1)\n:quit\n")
+    assert (code, out, err) == (0, "", "error: 1:53: no field 'Re' on this "
+                                       "value\n")
+
+
+def test_repl_columns_count_in_the_line_as_typed():
+    code, out, err = repl_to_strings(
+        ":type 1 +\n:eval (1 ? 2)\n   1 +\n  zz\n   :show 1 ?\n:type\n"
+        ":quit\n")
+    assert (code, out) == (0, "")
+    assert err == ("error: 1:10: expected expression\n"
+                   "error: 1:10: unexpected character '?'\n"
+                   "error: 1:4: expected statement\n"
+                   "error: 1:3: unknown identifier 'zz'\n"
+                   "error: 1:12: unexpected character '?'\n"
+                   "error: 1:6: expected expression\n")
+
+
+def test_readme_repl_transcript():
+    readme = (DEMOS.parent / "README.md").read_text()
+    command, expected = re.search(r"\n\$ (printf .*\| psi repl --trace)\n"
+                                  r"(.*?)```", readme, re.S).groups()
+    inputs = re.fullmatch(r"printf '(.*)' \| psi repl --trace", command)[1]
+    _, out, err = repl_to_strings(inputs.replace("\\n", "\n"), trace=True)
+    assert (out, err) == (expected, "")
+
+
 def test_repl_eval_worked_example():
     _, out, _ = repl_to_strings("var x : Algebra;\n"
                                 ":eval (i + x) * i\n:quit\n")
@@ -406,6 +455,17 @@ def test_repl_session_state_survives_errors():
     with pytest.raises(Exception):
         session.repl_step("zzz * 2")
     assert snapshot(session.interp.globals) == before
+
+
+@pytest.mark.parametrize("argv, entry", [(["run", "x.psi"], "run_file"),
+                                         (["repl"], "run_repl")])
+def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys,
+                                                      argv, entry):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, entry, interrupted)
+    assert cli.main(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_console_entry_point(tmp_path):

@@ -278,7 +278,7 @@ kind(b);
 
 # --- structural equality ---
 
-SPANS = st.sampled_from([None, (1, 1, 1), (1, 2, 1)])
+SPANS = st.sampled_from([None, 0, 1])
 # one pool for operators, fields, ancestors and function names, so that
 # nodes of different types can agree on every field but their type
 WORDS = st.sampled_from(["-", "Re"])

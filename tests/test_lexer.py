@@ -1,18 +1,17 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from psipp.errors import LexError
-from psipp.lexer import (IDENT, INT, KEYWORD, KEYWORDS, OP, PUNCT, Token,
-                         tokenize)
+from psipp.errors import LexError, line_col
+from psipp.lexer import IDENT, INT, KEYWORDS, tokenize
 
 
-def kinds_and_lexemes(tokens):
-    return [(t.kind, t.lexeme) for t in tokens]
+def tags_and_lexemes(tokens):
+    return [(t.tag, t.lexeme) for t in tokens]
 
 
 def test_simple_assignment():
-    assert kinds_and_lexemes(tokenize("a := 1;")) == [
-        (IDENT, "a"), (OP, ":="), (INT, "1"), (PUNCT, ";")]
+    assert tags_and_lexemes(tokenize("a := 1;")) == [
+        (IDENT, "a"), (":=", ":="), (INT, "1"), (";", ";")]
 
 
 def test_comment_skipped():
@@ -20,9 +19,9 @@ def test_comment_skipped():
 
 
 def test_sum_statement():
-    assert kinds_and_lexemes(tokenize("b := c + d;")) == [
-        (IDENT, "b"), (OP, ":="), (IDENT, "c"), (OP, "+"),
-        (IDENT, "d"), (PUNCT, ";")]
+    assert tags_and_lexemes(tokenize("b := c + d;")) == [
+        (IDENT, "b"), (":=", ":="), (IDENT, "c"), ("+", "+"),
+        (IDENT, "d"), (";", ";")]
 
 
 def test_keywords_recognized():
@@ -30,18 +29,19 @@ def test_keywords_recognized():
                "begin", "end", "if", "then", "else", "Return", "fail",
                "EVAL"):
         (tok,) = tokenize(kw)
-        assert tok.kind == KEYWORD
+        assert tok.tag == kw
 
 
 def test_typographic_minus():
     toks = tokenize("−A")
-    assert toks[0].kind == OP
+    assert (toks[0].tag, toks[0].lexeme) == ("-", "−")
 
 
 def test_lex_error_has_span():
+    source = "a := 1;\nb ? 2;"
     with pytest.raises(LexError) as err:
-        tokenize("a := 1;\nb ? 2;")
-    assert err.value.span == (2, 3, 1)
+        tokenize(source)
+    assert line_col(source, err.value.span) == (2, 3)
 
 
 def test_unterminated_comment():
@@ -56,20 +56,20 @@ def test_spans_reconstruct_source():
               "x := 2*(1+2*i);\n")
     lines = source.splitlines()
     for tok in tokenize(source):
-        line, col, length = tok.span
-        assert lines[line - 1][col - 1:col - 1 + length] == tok.lexeme
+        line, col = line_col(source, tok.pos)
+        assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
 
 
 def test_integer_literals_are_ascii_digits():
     # str.isdigit accepts both; int() refuses '²' and reads '1٣' as 13
-    for source, span in (("x := ²;", (1, 6, 1)),
-                         ("x := 1٣; print(x);", (1, 7, 1))):
+    for source, span in (("x := ²;", (1, 6)),
+                         ("x := 1٣; print(x);", (1, 7))):
         with pytest.raises(LexError) as err:
             tokenize(source)
         assert err.value.message == f"unexpected character {source[span[1] - 1]!r}"
-        assert err.value.span == span
+        assert line_col(source, err.value.span) == span
     # identifiers still continue with any letter or digit
-    assert kinds_and_lexemes(tokenize("x² y٣")) == [(IDENT, "x²"),
+    assert tags_and_lexemes(tokenize("x² y٣")) == [(IDENT, "x²"),
                                                      (IDENT, "y٣")]
 
 
@@ -79,10 +79,11 @@ _OPERATOR_CHARS = {"+", "-", "*", "="}
 _PUNCT_CHARS = {";", ",", "(", ")", ".", ":"}
 
 
-def oracle_tokenize(source: str) -> list[Token]:
-    """The per-character lexer that ``tokenize`` replaced; integer
-    literals are ASCII digits, as they are now."""
-    tokens: list[Token] = []
+def oracle_tokenize(source: str) -> list[tuple]:
+    """The per-character lexer that ``tokenize`` replaced, which counted
+    lines and columns as it went: each token as (tag, lexeme, (line,
+    column)). Integer literals are ASCII digits, as they are now."""
+    tokens: list[tuple] = []
     line, col = 1, 1
     i = 0
     n = len(source)
@@ -105,13 +106,13 @@ def oracle_tokenize(source: str) -> list[Token]:
         if ch == "{":
             end = source.find("}", i + 1)
             if end < 0:
-                raise LexError("unterminated comment", (line, col, 1))
+                raise LexError("unterminated comment", (line, col))
             advance(source[i:end + 1])
             i = end + 1
             continue
         start = (line, col)
         if ch == "−":  # typographic minus; parser treats it as "-"
-            tokens.append(Token(OP, ch, (line, col, 1)))
+            tokens.append(("-", ch, start))
             advance(ch)
             i += 1
             continue
@@ -120,8 +121,8 @@ def oracle_tokenize(source: str) -> list[Token]:
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             lexeme = source[i:j]
-            kind = KEYWORD if lexeme in KEYWORDS else IDENT
-            tokens.append(Token(kind, lexeme, (*start, j - i)))
+            tag = lexeme if lexeme in KEYWORDS else IDENT
+            tokens.append((tag, lexeme, start))
             advance(lexeme)
             i = j
             continue
@@ -129,33 +130,42 @@ def oracle_tokenize(source: str) -> list[Token]:
             j = i
             while j < n and source[j] in "0123456789":
                 j += 1
-            tokens.append(Token(INT, source[i:j], (*start, j - i)))
+            tokens.append((INT, source[i:j], start))
             advance(source[i:j])
             i = j
             continue
         if ch == ":" and i + 1 < n and source[i + 1] == "=":
-            tokens.append(Token(OP, ":=", (*start, 2)))
+            tokens.append((":=", ":=", start))
             advance(":=")
             i += 2
             continue
         if ch in _OPERATOR_CHARS:
-            tokens.append(Token(OP, ch, (*start, 1)))
+            tokens.append((ch, ch, start))
             advance(ch)
             i += 1
             continue
         if ch in _PUNCT_CHARS:
-            tokens.append(Token(PUNCT, ch, (*start, 1)))
+            tokens.append((ch, ch, start))
             advance(ch)
             i += 1
             continue
-        raise LexError(f"unexpected character {ch!r}", (line, col, 1))
+        raise LexError(f"unexpected character {ch!r}", (line, col))
     return tokens
 
 
-def lexed(tokenizer, source):
-    """Each token as (kind, lexeme, span), or the error's message and span."""
+def lexed(source):
+    """Each token as (tag, lexeme, (line, column)), or the error's message
+    and (line, column): ``tokenize``'s offsets, converted."""
     try:
-        return [(t.kind, t.lexeme, t.span) for t in tokenizer(source)]
+        return [(t.tag, t.lexeme, line_col(source, t.pos))
+                for t in tokenize(source)]
+    except LexError as err:
+        return ("LexError", err.message, line_col(source, err.span))
+
+
+def oracle_lexed(source):
+    try:
+        return oracle_tokenize(source)
     except LexError as err:
         return ("LexError", err.message, err.span)
 
@@ -179,4 +189,4 @@ sources = st.one_of(
 @example("a := 1;\n{ one\n two }\tb −:= 2\r\n c ? 3")
 @example("x := 1;\n{ never closed\n")
 def test_tokenize_matches_the_per_character_lexer(source):
-    assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+    assert lexed(source) == oracle_lexed(source)

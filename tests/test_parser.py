@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from psipp import ast
 from psipp.algebra import make_interpreter
 from psipp.errors import (ArityError, EmptyWordError, LexError, ParseError,
-                          PsiError)
-from psipp.lexer import OP, tokenize
+                          PsiError, line_col)
+from psipp.lexer import tokenize
 from psipp.parser import (_Parser, parse_expression, parse_juxtaposition,
                           parse_program)
 from psipp.pretty import render_expr
@@ -169,13 +169,12 @@ def test_prefix_binds_tightest():
 
 
 def test_either_minus_sign_is_one_operator():
+    # a span is the offset of the node's token in the text
     assert parse_expression("a − b") == ast.Infix(
-        "-", ast.Ident("a", (1, 1, 1)), ast.Ident("b", (1, 5, 1)), (1, 3, 1))
-    assert parse_expression("−a") == ast.Prefix(
-        "-", ast.Ident("a", (1, 2, 1)), (1, 1, 1))
+        "-", ast.Ident("a", 0), ast.Ident("b", 4), 2)
+    assert parse_expression("−a") == ast.Prefix("-", ast.Ident("a", 1), 0)
     assert parse_expression("a - −b") == ast.Infix(
-        "-", ast.Ident("a", (1, 1, 1)),
-        ast.Prefix("-", ast.Ident("b", (1, 6, 1)), (1, 5, 1)), (1, 3, 1))
+        "-", ast.Ident("a", 0), ast.Prefix("-", ast.Ident("b", 5), 4), 2)
 
 
 def test_dangling_operator():
@@ -187,7 +186,7 @@ def test_parse_errors_carry_spans():
     with pytest.raises(ParseError) as err:
         parse_program("a := ;")
     assert err.value.span is not None
-    line, col, _ = err.value.span
+    line, col = line_col("a := ;", err.value.span)
     assert line == 1 and 1 <= col <= 7
 
 
@@ -263,15 +262,15 @@ def random_int_source(rng, depth):
 def shunting_yard_eval(source):
     """Reference evaluator: classic shunting-yard to RPN, then a stack
     machine. Unary minus is encoded as the distinct token 'neg'."""
-    from psipp.lexer import tokenize, INT, OP, PUNCT
+    from psipp.lexer import tokenize, INT
     prec = {"+": 1, "-": 1, "*": 2, "neg": 3}
     output, stack = [], []
     prev = None
     for tok in tokenize(source):
-        if tok.kind == INT:
+        if tok.tag == INT:
             output.append(int(tok.lexeme))
-        elif tok.kind == OP:
-            op = tok.lexeme
+        elif tok.tag in prec:
+            op = tok.tag
             if op == "-" and (prev is None or prev in {"(", "+", "-", "*"}):
                 op = "neg"
             while stack and stack[-1] != "(" and (
@@ -279,9 +278,9 @@ def shunting_yard_eval(source):
                     or (prec[stack[-1]] == prec[op] and op != "neg")):
                 output.append(stack.pop())
             stack.append(op)
-        elif tok.kind == PUNCT and tok.lexeme == "(":
+        elif tok.tag == "(":
             stack.append("(")
-        elif tok.kind == PUNCT and tok.lexeme == ")":
+        elif tok.tag == ")":
             while stack[-1] != "(":
                 output.append(stack.pop())
             stack.pop()
@@ -329,21 +328,20 @@ class FourLevelParser(_Parser):
     def expression(self):
         lhs = self.additive()
         tok = self.peek()
-        if tok is not None and tok.kind == OP and tok.lexeme == "=":
+        if tok is not None and tok.lexeme == "=":
             self.pos += 1
             rhs = self.additive()
-            return ast.Infix("=", lhs, rhs, tok.span)
+            return ast.Infix("=", lhs, rhs, tok.pos)
         return lhs
 
     def additive(self):
         lhs = self.term()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == OP \
-                    and tok.lexeme in {"+", "-", "−"}:
+            if tok is not None and tok.lexeme in {"+", "-", "−"}:
                 self.pos += 1
                 lhs = ast.Infix("+" if tok.lexeme == "+" else "-", lhs,
-                                self.term(), tok.span)
+                                self.term(), tok.pos)
             else:
                 return lhs
 
@@ -351,17 +349,17 @@ class FourLevelParser(_Parser):
         lhs = self.factor()
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == OP and tok.lexeme == "*":
+            if tok is not None and tok.lexeme == "*":
                 self.pos += 1
-                lhs = ast.Infix("*", lhs, self.factor(), tok.span)
+                lhs = ast.Infix("*", lhs, self.factor(), tok.pos)
             else:
                 return lhs
 
     def factor(self):
         tok = self.peek()
-        if tok is not None and tok.kind == OP and tok.lexeme in {"-", "−"}:
+        if tok is not None and tok.lexeme in {"-", "−"}:
             self.pos += 1
-            return ast.Prefix("-", self.factor(), tok.span)
+            return ast.Prefix("-", self.factor(), tok.pos)
         return self.postfix()
 
 
@@ -433,7 +431,8 @@ def test_precedence_loop_matches_the_four_level_grammar(rule, words, template):
 def test_a_lexical_error_is_reported_before_a_syntax_error(source, message):
     with pytest.raises(LexError) as err:
         parse_program(source)
-    assert str(err.value) == message
+    line, col = line_col(source, err.value.span)
+    assert f"{line}:{col}: {err.value.message}" == message
 
 
 def parse_outcome(parse, source):
