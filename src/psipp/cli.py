@@ -140,6 +140,14 @@ def run_repl(prelude: bool = True, trace: bool = False,
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """The value of ``--max-rewrites``: a number of steps, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="psi")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -149,7 +157,7 @@ def main(argv=None) -> int:
             cmd.add_argument("file")
         cmd.add_argument("--no-prelude", action="store_true")
         cmd.add_argument("--trace", action="store_true")
-        cmd.add_argument("--max-rewrites", type=int,
+        cmd.add_argument("--max-rewrites", type=non_negative_int,
                          default=DEFAULT_REWRITE_LIMIT)
     args = parser.parse_args(argv)
     settings = dict(prelude=not args.no_prelude, trace=args.trace,

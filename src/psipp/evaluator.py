@@ -7,8 +7,9 @@ operands becomes a thunk itself, without invoking any user code. ``fail``
 is absorbing in operand position. Method bodies run in a fresh frame with
 ``par`` pattern variables scoped to one activation. A body runs once per
 call, so it is compiled at its first run and its closures are kept with
-its ``UserMethod``; they apply each node's rule through the same helper
-as the walker.
+its ``UserMethod``. The walker and the compiler are each one type switch
+per statement and one per expression, and apply each node's rule through
+the same helper; a level of nesting costs one Python frame on either.
 """
 
 from __future__ import annotations
@@ -161,6 +162,19 @@ def truth(value: Value) -> bool:
     return True
 
 
+def leaf_value(expr: ast.Expr) -> Optional[Value]:
+    """The value of a leaf that reads no environment: an integer literal,
+    ``fail`` or a value leaf; None for any other node."""
+    kind = type(expr)
+    if kind is ast.IntLit:
+        return IntegerV(expr.value)
+    if kind is ast.FailLit:
+        return FAIL
+    if kind is ast.ValueLeaf:
+        return expr.value
+    return None
+
+
 class Interpreter:
     """One evaluation session: a type registry, a global environment, the
     line sink ``emit`` that ``print``/``kind`` statements write to, and the
@@ -219,79 +233,88 @@ class Interpreter:
         else:
             self.functions[decl.symbol] = method
 
-    # --- statements ---
+    # --- statements and expressions, walked ---
 
     def exec_stmt(self, stmt: ast.Stmt, env: Environment):
-        handler = _EXEC.get(type(stmt))
-        if handler is None:
-            raise EvalError(f"cannot execute {type(stmt).__name__}", stmt.span)
-        handler(self, stmt, env)
-
-    def exec_assign(self, stmt: ast.Assign, env: Environment):
-        env.assign(stmt.target, self.eval_expr(stmt.expr, env))
-
-    def exec_if(self, stmt: ast.If, env: Environment):
-        if self.eval_condition(stmt.cond, env):
-            self.exec_stmt(stmt.then, env)
-        elif stmt.els is not None:
-            self.exec_stmt(stmt.els, env)
-
-    def exec_compound(self, stmt: ast.Compound, env: Environment):
-        for inner in stmt.body:
-            self.exec_stmt(inner, env)
-
-    def exec_call_stmt(self, stmt: ast.Call, env: Environment):
-        if stmt.name not in STATEMENT_CALLS:
-            self.eval_expr(stmt, env)
-        elif stmt.name == "print":
-            if len(stmt.args) != 1:
-                raise EvalError("print takes exactly one argument", stmt.span)
-            value = self.eval_expr(stmt.args[0], env)
-            try:
-                self.emit(render_value(value))
-            except EvalError as err:
-                err.span = stmt.span if err.span is None else err.span
-                raise
-        else:  # kind
-            if len(stmt.args) != 1 or not isinstance(stmt.args[0], ast.Ident):
-                raise EvalError("kind takes one identifier", stmt.span)
-            value = self.eval_expr(stmt.args[0], env)
-            self.emit(f"{stmt.args[0].name}: {classify_binding(value)}")
-
-    # --- expressions ---
+        kind = type(stmt)
+        if kind is ast.Assign:
+            env.assign(stmt.target, self.eval_expr(stmt.expr, env))
+        elif kind is ast.Call:
+            if stmt.name not in STATEMENT_CALLS:
+                self.eval_expr(stmt, env)
+            elif stmt.name == "print":
+                if len(stmt.args) != 1:
+                    raise EvalError("print takes exactly one argument",
+                                    stmt.span)
+                value = self.eval_expr(stmt.args[0], env)
+                try:
+                    self.emit(render_value(value))
+                except EvalError as err:
+                    err.span = stmt.span if err.span is None else err.span
+                    raise
+            else:  # kind
+                if len(stmt.args) != 1 \
+                        or not isinstance(stmt.args[0], ast.Ident):
+                    raise EvalError("kind takes one identifier", stmt.span)
+                value = self.eval_expr(stmt.args[0], env)
+                self.emit(f"{stmt.args[0].name}: {classify_binding(value)}")
+        elif kind is ast.If:
+            cond = stmt.cond
+            if type(cond) is ast.Infix and cond.op == "=":
+                holds = self.match_pattern(self.eval_expr(cond.lhs, env),
+                                           cond.rhs, env)
+            else:
+                holds = truth(self.eval_expr(cond, env))
+            if holds:
+                self.exec_stmt(stmt.then, env)
+            elif stmt.els is not None:
+                self.exec_stmt(stmt.els, env)
+        elif kind is ast.Compound:
+            for inner in stmt.body:
+                self.exec_stmt(inner, env)
+        else:
+            raise EvalError(f"cannot execute {kind.__name__}", stmt.span)
 
     def eval_expr(self, expr: ast.Expr, env: Environment) -> Value:
-        """The value of ``expr``, by the handler of its node type; each
-        handler evaluates an operand through ``eval_expr`` again."""
-        handler = _EVAL.get(type(expr))
-        if handler is None:
-            raise EvalError(f"cannot evaluate {type(expr).__name__}")
-        return handler(self, expr, env)
-
-    def eval_ident(self, expr: ast.Ident, env: Environment) -> Value:
-        value = env.find(expr.name)
+        """The value of ``expr``; each operand is evaluated by
+        ``eval_expr`` again, so a level of nesting costs one frame."""
+        kind = type(expr)
+        if kind is ast.Ident:
+            value = env.find(expr.name)
+            if value is None:
+                if expr.name == "Return":
+                    raise UnassignedReturn("Return read before assignment",
+                                           expr.span)
+                raise UnknownIdentifier(f"unknown identifier {expr.name!r}",
+                                        expr.span)
+            return value
+        if kind is ast.Infix:
+            if expr.op == "=":
+                raise EvalError("'=' is only valid in an if condition",
+                                expr.span)
+            lhs = self.eval_expr(expr.lhs, env)
+            rhs = self.eval_expr(expr.rhs, env)
+            return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
+        if kind is ast.FieldAccess:
+            return self.field_of(self.eval_expr(expr.obj, env), expr)
+        if kind is ast.PairLit:
+            return pair_value(self.eval_expr(expr.first, env),
+                              self.eval_expr(expr.second, env), expr)
+        if kind is ast.Prefix:
+            operand = self.eval_expr(expr.operand, env)
+            return self.apply_operator(expr.op, "prefix", [operand], expr)
+        if kind is ast.Call:
+            return self.eval_call(expr, env)
+        if kind is ast.InheritedCall:
+            if type(expr.expr) not in _FIXITY:
+                raise EvalError("inherited call requires an operator "
+                                "application", expr.span)
+            args = [self.eval_expr(a, env) for a in ast.operands(expr.expr)]
+            return self.apply_inherited(expr, args)
+        value = leaf_value(expr)
         if value is None:
-            if expr.name == "Return":
-                raise UnassignedReturn("Return read before assignment",
-                                       expr.span)
-            raise UnknownIdentifier(f"unknown identifier {expr.name!r}",
-                                    expr.span)
+            raise EvalError(f"cannot evaluate {kind.__name__}")
         return value
-
-    def eval_prefix(self, expr: ast.Prefix, env: Environment) -> Value:
-        operand = self.eval_expr(expr.operand, env)
-        return self.apply_operator(expr.op, "prefix", [operand], expr)
-
-    def eval_infix(self, expr: ast.Infix, env: Environment) -> Value:
-        if expr.op == "=":
-            raise EvalError("'=' is only valid in an if condition",
-                            expr.span)
-        lhs = self.eval_expr(expr.lhs, env)
-        rhs = self.eval_expr(expr.rhs, env)
-        return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
-
-    def eval_field(self, expr: ast.FieldAccess, env: Environment) -> Value:
-        return self.field_of(self.eval_expr(expr.obj, env), expr)
 
     def field_of(self, obj: Value, expr: ast.FieldAccess) -> Value:
         """The field ``expr.field`` of ``obj``, the value of ``expr.obj``."""
@@ -309,18 +332,6 @@ class Interpreter:
             body, captures = as_repr(obj)
             return thunk(ast.FieldAccess(body, field), captures)
         raise EvalError(f"no field {field!r} on this value", expr.span)
-
-    def eval_pair(self, expr: ast.PairLit, env: Environment) -> Value:
-        return pair_value(self.eval_expr(expr.first, env),
-                          self.eval_expr(expr.second, env), expr)
-
-    def eval_inherited(self, expr: ast.InheritedCall, env: Environment) -> Value:
-        inner = expr.expr
-        if not isinstance(inner, (ast.Infix, ast.Prefix)):
-            raise EvalError("inherited call requires an operator application",
-                            expr.span)
-        return self.apply_inherited(
-            expr, [self.eval_expr(a, env) for a in ast.operands(inner)])
 
     def eval_call(self, expr: ast.Call, env: Environment) -> Value:
         builtin = self.builtins.get(expr.name)
@@ -423,13 +434,7 @@ class Interpreter:
         """Run a user body in its frame, compiled at the body's first run."""
         impl.compiled(compile_stmt)(self, frame)
 
-    # --- conditions and pattern matching ---
-
-    def eval_condition(self, cond: ast.Expr, env: Environment) -> bool:
-        if isinstance(cond, ast.Infix) and cond.op == "=":
-            return self.match_pattern(self.eval_expr(cond.lhs, env), cond.rhs,
-                                      env)
-        return truth(self.eval_expr(cond, env))
+    # --- pattern matching ---
 
     def match_pattern(self, subject: Value, pattern: ast.Expr,
                       env: Environment) -> bool:
@@ -540,163 +545,93 @@ class Interpreter:
         return values[0]
 
 
-# handlers by node type, read by exec_stmt and eval_expr
-_EXEC = {
-    ast.Assign: Interpreter.exec_assign,
-    ast.If: Interpreter.exec_if,
-    ast.Compound: Interpreter.exec_compound,
-    ast.Call: Interpreter.exec_call_stmt,
-}
-_EVAL = {
-    ast.IntLit: lambda interp, expr, env: IntegerV(expr.value),
-    ast.FailLit: lambda interp, expr, env: FAIL,
-    ast.ValueLeaf: lambda interp, expr, env: expr.value,
-    ast.Ident: Interpreter.eval_ident,
-    ast.Prefix: Interpreter.eval_prefix,
-    ast.Infix: Interpreter.eval_infix,
-    ast.FieldAccess: Interpreter.eval_field,
-    ast.PairLit: Interpreter.eval_pair,
-    ast.InheritedCall: Interpreter.eval_inherited,
-    ast.Call: Interpreter.eval_call,
-}
-
-
 # --- user method bodies, compiled to closures ---
 #
 # A body runs once per call, so at its first run it is compiled once to a
 # tree of closures ``(interp, env) -> Value`` (Feeley and Lapalme, "Using
 # closures for code generation", 1987); a statement's closure returns
-# None. Each closure applies its node's rule by the helper its walker
-# handler calls, and reaches the operators, dispatch and pattern matching
-# through the interpreter at run time. Compiling raises nothing: a node
-# the walker rejects, a call, and a node type with no case here compile to
-# a run of the walker, which raises its error when, and only if, it is
-# reached.
+# None. ``compile_stmt`` and ``compile_expr`` switch on the walker's cases,
+# and each closure applies its node's rule by the helper the walker calls.
+# Compiling raises nothing: a call, an ``=`` outside a condition, an
+# inherited call of a non-operator and a node of no case compile to a run
+# of the walker, which raises its error when, and only if, it is reached.
 
 Code = Callable[[Interpreter, Environment], Optional[Value]]
 
 
 def compile_stmt(stmt: ast.Stmt) -> Code:
-    return _COMPILE_STMT.get(type(stmt), _walked_stmt)(stmt)
+    kind = type(stmt)
+    if kind is ast.Assign:
+        target, value = stmt.target, compile_expr(stmt.expr)
+        return lambda interp, env: env.assign(target, value(interp, env))
+    if kind is ast.If:
+        cond = stmt.cond
+        if type(cond) is ast.Infix and cond.op == "=":
+            subject, pattern = compile_expr(cond.lhs), cond.rhs
 
+            def holds(interp, env):
+                return interp.match_pattern(subject(interp, env), pattern, env)
+        else:
+            value = compile_expr(cond)
 
-def compile_expr(expr: ast.Expr) -> Code:
-    return _COMPILE_EXPR.get(type(expr), _walked)(expr)
+            def holds(interp, env):
+                return truth(value(interp, env))
+        then = compile_stmt(stmt.then)
+        els = compile_stmt(stmt.els) if stmt.els is not None else None
 
+        def run_if(interp, env):
+            if holds(interp, env):
+                then(interp, env)
+            elif els is not None:
+                els(interp, env)
+        return run_if
+    if kind is ast.Compound:
+        body = tuple(map(compile_stmt, stmt.body))
 
-def _walked_stmt(stmt: ast.Stmt) -> Code:
+        def run_compound(interp, env):
+            for inner in body:
+                inner(interp, env)
+        return run_compound
     return lambda interp, env: interp.exec_stmt(stmt, env)
 
 
-def _walked(expr: ast.Expr) -> Code:
+def compile_expr(expr: ast.Expr) -> Code:
+    kind = type(expr)
+    if kind is ast.Ident:
+        name = expr.name
+
+        def ident(interp, env):
+            value = env.find(name)
+            # the walker raises the error of an unbound name
+            return value if value is not None else interp.eval_expr(expr, env)
+        return ident
+    if kind is ast.Infix and expr.op != "=":
+        op, lhs, rhs = expr.op, compile_expr(expr.lhs), compile_expr(expr.rhs)
+        kernel = INT_INFIX.get(op)
+
+        def infix(interp, env):
+            a, b = lhs(interp, env), rhs(interp, env)
+            if kernel is not None and type(a) is IntegerV \
+                    and type(b) is IntegerV:
+                return IntegerV(kernel(a.n, b.n))  # apply_operator's case
+            return interp.apply_operator(op, "infix", [a, b], expr)
+        return infix
+    if kind is ast.FieldAccess:
+        obj = compile_expr(expr.obj)
+        return lambda interp, env: interp.field_of(obj(interp, env), expr)
+    if kind is ast.PairLit:
+        first, second = compile_expr(expr.first), compile_expr(expr.second)
+        return lambda interp, env: pair_value(first(interp, env),
+                                              second(interp, env), expr)
+    if kind is ast.Prefix:
+        op, operand = expr.op, compile_expr(expr.operand)
+        return lambda interp, env: interp.apply_operator(
+            op, "prefix", [operand(interp, env)], expr)
+    if kind is ast.InheritedCall and type(expr.expr) in _FIXITY:
+        parts = tuple(map(compile_expr, ast.operands(expr.expr)))
+        return lambda interp, env: interp.apply_inherited(
+            expr, [part(interp, env) for part in parts])
+    value = leaf_value(expr)
+    if value is not None:
+        return lambda interp, env: value
     return lambda interp, env: interp.eval_expr(expr, env)
-
-
-def _compile_assign(stmt: ast.Assign) -> Code:
-    target, value = stmt.target, compile_expr(stmt.expr)
-    return lambda interp, env: env.assign(target, value(interp, env))
-
-
-def _compile_if(stmt: ast.If) -> Code:
-    cond, then = _compile_condition(stmt.cond), compile_stmt(stmt.then)
-    els = compile_stmt(stmt.els) if stmt.els is not None else None
-
-    def run_if(interp, env):
-        if cond(interp, env):
-            then(interp, env)
-        elif els is not None:
-            els(interp, env)
-    return run_if
-
-
-def _compile_compound(stmt: ast.Compound) -> Code:
-    body = tuple(map(compile_stmt, stmt.body))
-
-    def run_compound(interp, env):
-        for inner in body:
-            inner(interp, env)
-    return run_compound
-
-
-def _compile_condition(cond: ast.Expr) -> Code:
-    if isinstance(cond, ast.Infix) and cond.op == "=":
-        subject, pattern = compile_expr(cond.lhs), cond.rhs
-        return lambda interp, env: interp.match_pattern(
-            subject(interp, env), pattern, env)
-    value = compile_expr(cond)
-    return lambda interp, env: truth(value(interp, env))
-
-
-def _compile_constant(expr: ast.Expr) -> Code:
-    value = _EVAL[type(expr)](None, expr, None)  # the walker's leaf, once
-    return lambda interp, env: value
-
-
-def _compile_ident(expr: ast.Ident) -> Code:
-    name = expr.name
-
-    def ident(interp, env):
-        value = env.find(name)
-        # eval_ident raises the error of an unbound name
-        return value if value is not None else interp.eval_ident(expr, env)
-    return ident
-
-
-def _compile_prefix(expr: ast.Prefix) -> Code:
-    op, operand = expr.op, compile_expr(expr.operand)
-    return lambda interp, env: interp.apply_operator(
-        op, "prefix", [operand(interp, env)], expr)
-
-
-def _compile_infix(expr: ast.Infix) -> Code:
-    if expr.op == "=":
-        return _walked(expr)
-    op, lhs, rhs = expr.op, compile_expr(expr.lhs), compile_expr(expr.rhs)
-    kernel = INT_INFIX.get(op)
-
-    def infix(interp, env):
-        a, b = lhs(interp, env), rhs(interp, env)
-        if kernel is not None and type(a) is IntegerV and type(b) is IntegerV:
-            return IntegerV(kernel(a.n, b.n))  # apply_operator's integer case
-        return interp.apply_operator(op, "infix", [a, b], expr)
-    return infix
-
-
-def _compile_field(expr: ast.FieldAccess) -> Code:
-    obj = compile_expr(expr.obj)
-    return lambda interp, env: interp.field_of(obj(interp, env), expr)
-
-
-def _compile_pair(expr: ast.PairLit) -> Code:
-    first, second = compile_expr(expr.first), compile_expr(expr.second)
-    return lambda interp, env: pair_value(first(interp, env),
-                                          second(interp, env), expr)
-
-
-def _compile_inherited(expr: ast.InheritedCall) -> Code:
-    if not isinstance(expr.expr, (ast.Infix, ast.Prefix)):
-        return _walked(expr)
-    parts = tuple(map(compile_expr, ast.operands(expr.expr)))
-    return lambda interp, env: interp.apply_inherited(
-        expr, [part(interp, env) for part in parts])
-
-
-# compiled cases by node type; a call runs on the walker
-_COMPILE_STMT = {
-    ast.Assign: _compile_assign,
-    ast.If: _compile_if,
-    ast.Compound: _compile_compound,
-    ast.Call: _walked_stmt,
-}
-_COMPILE_EXPR = {
-    ast.IntLit: _compile_constant,
-    ast.FailLit: _compile_constant,
-    ast.ValueLeaf: _compile_constant,
-    ast.Ident: _compile_ident,
-    ast.Prefix: _compile_prefix,
-    ast.Infix: _compile_infix,
-    ast.FieldAccess: _compile_field,
-    ast.PairLit: _compile_pair,
-    ast.InheritedCall: _compile_inherited,
-    ast.Call: _walked,
-}

@@ -131,7 +131,7 @@ def join_types(names: set[str]) -> str:
 def type_of_body(body: ast.Expr, captures: dict[str, Value]) -> str:
     """The type of a functional object: the join of its body's leaf types.
     A value leaf is typed by its value and an identifier by its capture;
-    an integer literal and a field, an integer component as ``eval_field``
+    an integer literal and a field, an integer component as ``field_of``
     makes it, are ``integer``; any other leaf is ``Algebra``. A subtree
     shared by several parents is visited once, on an explicit stack, so
     any depth is typed."""

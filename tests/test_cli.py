@@ -187,6 +187,25 @@ def test_parenthesis_nesting(tmp_path, depth, code, out, err):
     assert re.fullmatch(err, result.stderr), result.stderr
 
 
+@pytest.mark.parametrize("source, out", [
+    pytest.param("print(" + " + ".join(["1"] * 900) + ");\n", "900\n",
+                 id="sum-of-900-terms"),
+    pytest.param("function f(A : integer) : integer; begin Return := "
+                 + " + ".join(["A"] * 900) + " end;\nprint(f(2));\n",
+                 "1800\n", id="body-sum-of-900-terms"),
+    pytest.param("print(" + "-" * 900 + "1);\n", "1\n",
+                 id="prefix-minus-900-deep"),
+])
+def test_evaluation_nesting_within_the_stack(tmp_path, source, out):
+    # evaluating, walked or compiled, costs one Python frame per level
+    script = tmp_path / "nested.psi"
+    script.write_text(source)
+    result = subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", str(script)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+
+
 def test_eval_of_a_body_1500_deep(tmp_path):
     script = tmp_path / "deep.psi"
     script.write_text("var x : integer;\na := x;\n" + "a := a + x;\n" * 1500
@@ -466,6 +485,23 @@ def test_an_interrupt_exits_130_without_a_traceback(monkeypatch, capsys,
     monkeypatch.setattr(cli, entry, interrupted)
     assert cli.main(argv) == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+def test_a_negative_rewrite_limit_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "expand.psi"
+    script.write_text("var x, y : Algebra;\nprint(simplify((x + y) * x));\n")
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["run", str(script), "--max-rewrites", "-1"])
+    out, err = capsys.readouterr()
+    assert (exit.value.code, out) == (2, "")
+    assert err.endswith("error: argument --max-rewrites: "
+                        "must be 0 or more, not -1\n")
+    # 0 stays a limit: the one step this program needs is past it
+    assert cli.main(["run", str(script), "--max-rewrites", "0"]) == 3
+    assert capsys.readouterr() == ("", "error: 2:7: more than 0 rewrite "
+                                       "steps\n")
+    assert cli.main(["run", str(script), "--max-rewrites", "1"]) == 0
+    assert capsys.readouterr() == ("x*x + y*x\n", "")
 
 
 def test_console_entry_point(tmp_path):

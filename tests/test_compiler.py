@@ -199,6 +199,15 @@ def test_a_program_of_the_generated_kind_runs_the_same_both_ways():
         "error: 9:1: 'f0' never assigned Return\n", 3)
 
 
+def test_a_body_sum_of_900_terms_runs_the_same_both_ways():
+    # compiling, running the closures and walking each cost one Python
+    # frame per level of nesting
+    source = ("function f(A : integer) : integer; begin Return := "
+              + " + ".join(["A"] * 900) + " end;\nprint(f(2));\n")
+    compiled, walked = run_both(source)
+    assert compiled == walked == ("1800\n", "", 0)
+
+
 # --- compiling once, and only when a body runs ---
 
 def counting_compiles(monkeypatch) -> list:

@@ -42,12 +42,37 @@ def subclasses(cls):
         yield from subclasses(sub)
 
 
-def test_every_node_type_has_a_handler():
-    assert set(evaluator._EVAL) == set(subclasses(ast.Expr))
-    assert set(evaluator._EXEC) == set(subclasses(ast.Stmt))
-    # and a compiled case, which may be a delegation to the walker
-    assert set(evaluator._COMPILE_EXPR) == set(subclasses(ast.Expr))
-    assert set(evaluator._COMPILE_STMT) == set(subclasses(ast.Stmt))
+# a minimal instance of every node type, each of which runs without error
+EXPRS = [
+    ast.IntLit(1), ast.Ident("x"), ast.FailLit(),
+    ast.Infix("+", ast.IntLit(1), ast.IntLit(2)),
+    ast.Prefix("-", ast.IntLit(1)),
+    ast.FieldAccess(ast.Ident("x"), "Re"),
+    ast.InheritedCall("Group", ast.Infix("+", ast.Ident("x"), ast.Ident("y"))),
+    ast.PairLit(ast.IntLit(1), ast.IntLit(2)),
+    ast.ValueLeaf(IntegerV(1)),
+    ast.Call("EVAL", (ast.IntLit(1),)),
+]
+STMTS = [
+    ast.Assign("z", ast.IntLit(1)),
+    ast.If(ast.IntLit(1), ast.Assign("z", ast.IntLit(2))),
+    ast.Call("kind", (ast.Ident("x"),)),
+    ast.Compound((ast.Assign("z", ast.IntLit(3)),)),
+]
+
+
+def test_every_node_type_has_a_case_walked_and_compiled(interp):
+    assert {type(e) for e in EXPRS} == set(subclasses(ast.Expr))
+    assert {type(s) for s in STMTS} == set(subclasses(ast.Stmt))
+    env = interp.globals
+    for expr in EXPRS:
+        walked = interp.eval_expr(expr, env)
+        assert value_equal(evaluator.compile_expr(expr)(interp, env), walked)
+    for stmt in STMTS:
+        interp.exec_stmt(stmt, env)
+        walked = snapshot(env)
+        evaluator.compile_stmt(stmt)(interp, env)
+        assert snapshot(env) == walked
 
 
 def test_a_node_without_a_handler_is_an_eval_error(interp):
