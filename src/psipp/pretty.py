@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from . import ast
-from .ast import INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL, LEVEL_PREFIX
+from .ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_EQ, LEVEL_MUL,
+                  LEVEL_PREFIX)
 from .errors import EvalError
 from .monomials import format_monomial
 from .values import ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV, Value
@@ -56,16 +57,9 @@ def _value_text(v: Value) -> tuple[str, int]:
     return "fail", LEVEL_ATOM
 
 
-def _is_scalar_leaf(e: ast.Expr) -> bool:
-    # ValueLeaf only: source trees never contain value leaves, so parsed
-    # expressions always round-trip unchanged
-    return isinstance(e, ast.ValueLeaf) and isinstance(e.value,
-                                                       (IntegerV, ComplexV))
-
-
-def _wrap(child: tuple[str, int], min_level: int) -> str:
-    text, level = child
-    return f"({text})" if level < min_level else text
+_SCALARS = (IntegerV, ComplexV)
+_LAYOUT = object()  # on the stack above an Infix whose operands are done
+_COMPOSE = object()  # the same for any other node with operands
 
 
 def operator_level(e: ast.Expr) -> int:
@@ -84,20 +78,59 @@ def layout(e: ast.Expr, kids: Sequence[ast.Expr],
     operands, a trace splice the operands as they stand after a rewrite
     below ``e``."""
     if not isinstance(e, ast.Infix):
-        return f"-{_wrap(texts[0], LEVEL_PREFIX)}", LEVEL_PREFIX
-    lhs, rhs = texts
+        text, level = texts[0]
+        if level < LEVEL_PREFIX:
+            return f"-({text})", LEVEL_PREFIX
+        return f"-{text}", LEVEL_PREFIX
+    (lhs, lhs_level), (rhs, rhs_level) = texts
     level = INFIX_LEVELS[e.op]
     if level == LEVEL_MUL:
         # display convention: central scalar coefficients (integers,
         # complex constants) print first, as in -1 + i*x; the tree
-        # itself keeps true factor order
-        if _is_scalar_leaf(kids[1]) and not _is_scalar_leaf(kids[0]):
-            lhs, rhs = rhs, lhs
+        # itself keeps true factor order. Only value leaves are scalars:
+        # source trees never contain them, so parsed expressions always
+        # round-trip unchanged
+        first, second = kids
+        if (isinstance(second, ast.ValueLeaf)
+                and isinstance(second.value, _SCALARS)
+                and not (isinstance(first, ast.ValueLeaf)
+                         and isinstance(first.value, _SCALARS))):
+            lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
         sep = " * " if spaced else "*"
-        return f"{_wrap(lhs, level)}{sep}{_wrap(rhs, level + 1)}", level
-    # + and - associate to the left; = does not associate
-    left_min = level if level == LEVEL_ADD else level + 1
-    return f"{_wrap(lhs, left_min)} {e.op} {_wrap(rhs, level + 1)}", level
+    else:
+        sep = f" {e.op} "
+    # every operator takes a right operand of a tighter level; + - * take
+    # a left operand of their own level (they associate to the left), and
+    # = does not associate
+    if lhs_level < level or lhs_level == level == LEVEL_EQ:
+        lhs = f"({lhs})"
+    if rhs_level <= level:
+        rhs = f"({rhs})"
+    return f"{lhs}{sep}{rhs}", level
+
+
+def _compose(e: ast.Expr, texts: Sequence[tuple[str, int]],
+             spaced: bool) -> tuple[str, int]:
+    """Text and level of a node other than an ``Infix`` or an ``Ident``,
+    whose operands' texts and levels are ``texts`` (none for a leaf)."""
+    if isinstance(e, ast.ValueLeaf):
+        return _value_text(e.value)
+    if isinstance(e, ast.IntLit):
+        return _int_text(e.value), LEVEL_ATOM
+    if isinstance(e, ast.FailLit):
+        return "fail", LEVEL_ATOM
+    if isinstance(e, ast.Prefix):
+        return layout(e, (e.operand,), texts, spaced)
+    if isinstance(e, ast.Call):
+        return f"{e.name}({', '.join(text for text, _ in texts)})", LEVEL_ATOM
+    if isinstance(e, ast.FieldAccess):
+        obj, level = texts[0]
+        if level < LEVEL_ATOM:
+            return f"({obj}).{e.field}", LEVEL_ATOM
+        return f"{obj}.{e.field}", LEVEL_ATOM
+    if isinstance(e, ast.InheritedCall):
+        return f"{e.ancestor}.({texts[0][0]})", LEVEL_ATOM
+    return f"({texts[0][0]}, {texts[1][0]})", LEVEL_ATOM  # PairLit
 
 
 def expr_text(e: ast.Expr, spaced: bool,
@@ -105,43 +138,45 @@ def expr_text(e: ast.Expr, spaced: bool,
     """Text and precedence level of ``e``. ``memo`` maps ``id(node)`` to
     ``(node, text, level)`` for the nodes rendered before in this style:
     a text does not depend on the parent, and holding the node keeps its
-    id from being reused while the entry lives."""
-    if memo is None:
-        return _node_text(e, spaced, None)
-    if id(e) not in memo:
-        memo[id(e)] = (e, *_node_text(e, spaced, memo))
-    return memo[id(e)][1:]
+    id from being reused while the entry lives.
 
-
-def _node_text(e: ast.Expr, spaced: bool,
-               memo: Optional[dict]) -> tuple[str, int]:
-    if isinstance(e, ast.Infix):  # first: the most common node
-        lhs = expr_text(e.lhs, spaced, memo)
-        rhs = expr_text(e.rhs, spaced, memo)
-        return layout(e, (e.lhs, e.rhs), (lhs, rhs), spaced)
-    if isinstance(e, ast.ValueLeaf):
-        return _value_text(e.value)
-    if isinstance(e, ast.IntLit):
-        return _int_text(e.value), LEVEL_ATOM
-    if isinstance(e, ast.Ident):
-        return e.name, LEVEL_ATOM
-    if isinstance(e, ast.FailLit):
-        return "fail", LEVEL_ATOM
-    if isinstance(e, ast.Prefix):
-        return layout(e, (e.operand,), (expr_text(e.operand, spaced, memo),),
-                      spaced)
-    if isinstance(e, ast.Call):
-        args = ", ".join(expr_text(a, spaced, memo)[0] for a in e.args)
-        return f"{e.name}({args})", LEVEL_ATOM
-    if isinstance(e, ast.FieldAccess):
-        obj = _wrap(expr_text(e.obj, spaced, memo), LEVEL_ATOM)
-        return f"{obj}.{e.field}", LEVEL_ATOM
-    if isinstance(e, ast.InheritedCall):
-        inner = expr_text(e.expr, spaced, memo)[0]
-        return f"{e.ancestor}.({inner})", LEVEL_ATOM
-    first = expr_text(e.first, spaced, memo)[0]  # PairLit
-    second = expr_text(e.second, spaced, memo)[0]
-    return f"({first}, {second})", LEVEL_ATOM
+    One post-order walk on an explicit stack, so any depth renders. A node
+    with operands is pushed below a marker and its operands; when the
+    marker comes back up, the operands' texts are the last on ``texts``."""
+    if memo is not None and id(e) in memo:
+        return memo[id(e)][1:]
+    texts: list[tuple[str, int]] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is _LAYOUT:
+            node = stack.pop()
+            rhs = texts.pop()
+            texts[-1] = layout(node, (node.lhs, node.rhs), (texts[-1], rhs),
+                               spaced)
+        elif memo is not None and id(node) in memo:
+            texts.append(memo[id(node)][1:])
+            continue
+        elif type(node) is ast.Infix:  # the most common node
+            stack += (node, _LAYOUT, node.rhs, node.lhs)
+            continue
+        elif type(node) is ast.Ident:
+            texts.append((node.name, LEVEL_ATOM))
+        elif node is _COMPOSE:
+            node = stack.pop()
+            count = len(ast.operands(node))
+            kids = texts[-count:]
+            del texts[-count:]
+            texts.append(_compose(node, kids, spaced))
+        else:
+            kids = ast.operands(node)
+            if kids:
+                stack += (node, _COMPOSE, *reversed(kids))
+                continue
+            texts.append(_compose(node, (), spaced))
+        if memo is not None:
+            memo[id(node)] = (node, *texts[-1])
+    return texts[0]
 
 
 def render_value(v: Value, spaced: bool = False) -> str:

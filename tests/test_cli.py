@@ -213,6 +213,51 @@ def test_eval_of_a_body_1500_deep(tmp_path):
     assert run_to_strings(script) == (0, "1501\n", "")
 
 
+def psi_run(tmp_path, source, *flags):
+    script = tmp_path / "deep.psi"
+    script.write_text(source)
+    return subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", *flags, str(script)],
+        capture_output=True, text=True)
+
+
+DEEP_SUM = ("var x, y : Algebra;\na := x;\n" + "a := a + x;\n" * 1500
+            + "print(simplify(a * y));\n")
+
+
+def test_print_of_a_body_1500_deep(tmp_path):
+    result = psi_run(tmp_path, DEEP_SUM)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == " + ".join(["x*y"] * 1501) + "\n"
+
+
+def test_trace_of_a_body_1500_deep(tmp_path):
+    # step k distributes y over the innermost sum left: 1501 - k x's
+    result = psi_run(tmp_path, DEEP_SUM, "--trace")
+    assert (result.returncode, result.stderr) == (0, "")
+    *steps, printed = result.stdout.splitlines()
+    expected = []
+    for k in range(1, 1501):
+        left = 1501 - k
+        head = "x * y" if left == 1 else f"({' + '.join(['x'] * left)}) * y"
+        expected.append(head + " + x * y" * k)
+    assert steps == expected
+    assert steps[-1] == " + ".join(["x * y"] * 1501)
+    assert printed == " + ".join(["x*y"] * 1501)
+
+
+@pytest.mark.parametrize("step, text", [
+    pytest.param("a := x * a;", "x*(" * 1499 + "x*x" + ")" * 1499,
+                 id="right-nested-product"),
+    pytest.param("a := -a;", "-" * 1500 + "x", id="nested-prefix-minus"),
+])
+def test_print_of_an_operator_1500_deep(tmp_path, step, text):
+    result = psi_run(tmp_path, "var x : Algebra;\na := x;\n"
+                     + f"{step}\n" * 1500 + "print(a);\n")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, text + "\n", "")
+
+
 def test_a_method_activation_is_scoped_to_its_call(tmp_path):
     # a par variable binds per call; a par variable named like a parameter
     # reads the argument; an assignment in a body stays in its activation
@@ -348,6 +393,12 @@ def test_repl_shows_a_deep_object():
     leaves = ["  " * depth + "x" for depth in range(1500, 0, -1)]
     assert (out, err) == ("\n".join(sums + ["  " * 1500 + "x"] + leaves)
                           + "\n", "")
+
+
+def test_repl_prints_a_deep_object():
+    text = "var x : Algebra;\na := x;\n" + "a := x * a;\n" * 1500
+    _, out, err = repl_to_strings(text + "a\n:quit\n")
+    assert (out, err) == ("x*(" * 1499 + "x*x" + ")" * 1499 + "\n", "")
 
 
 def test_repl_deep_nesting_is_an_error():

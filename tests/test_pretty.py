@@ -1,0 +1,156 @@
+"""The renderer on its explicit stack against the recursive renderer it
+replaced, kept here as the oracle, on random trees and DAGs of every
+expression kind."""
+
+from hypothesis import given, settings, strategies as st
+
+from psipp import ast
+from psipp.ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL,
+                       LEVEL_PREFIX)
+from psipp.monomials import MonomialRegister
+from psipp.pretty import _int_text, _value_text, expr_text
+from psipp.values import FAIL, ComplexV, FreeVarV, IntegerV, RegisterV
+
+
+# --- the oracle: the recursive renderer, one Python frame per level ---
+
+def oracle_is_scalar_leaf(e):
+    return isinstance(e, ast.ValueLeaf) and isinstance(e.value,
+                                                       (IntegerV, ComplexV))
+
+
+def oracle_wrap(child, min_level):
+    text, level = child
+    return f"({text})" if level < min_level else text
+
+
+def oracle_layout(e, kids, texts, spaced):
+    if not isinstance(e, ast.Infix):
+        return f"-{oracle_wrap(texts[0], LEVEL_PREFIX)}", LEVEL_PREFIX
+    lhs, rhs = texts
+    level = INFIX_LEVELS[e.op]
+    if level == LEVEL_MUL:
+        if (oracle_is_scalar_leaf(kids[1])
+                and not oracle_is_scalar_leaf(kids[0])):
+            lhs, rhs = rhs, lhs
+        sep = " * " if spaced else "*"
+        return (f"{oracle_wrap(lhs, level)}{sep}"
+                f"{oracle_wrap(rhs, level + 1)}"), level
+    left_min = level if level == LEVEL_ADD else level + 1
+    return (f"{oracle_wrap(lhs, left_min)} {e.op} "
+            f"{oracle_wrap(rhs, level + 1)}"), level
+
+
+def oracle_expr_text(e, spaced, memo=None):
+    if memo is None:
+        return oracle_node_text(e, spaced, None)
+    if id(e) not in memo:
+        memo[id(e)] = (e, *oracle_node_text(e, spaced, memo))
+    return memo[id(e)][1:]
+
+
+def oracle_node_text(e, spaced, memo):
+    if isinstance(e, ast.Infix):
+        lhs = oracle_expr_text(e.lhs, spaced, memo)
+        rhs = oracle_expr_text(e.rhs, spaced, memo)
+        return oracle_layout(e, (e.lhs, e.rhs), (lhs, rhs), spaced)
+    if isinstance(e, ast.ValueLeaf):
+        return _value_text(e.value)
+    if isinstance(e, ast.IntLit):
+        return _int_text(e.value), LEVEL_ATOM
+    if isinstance(e, ast.Ident):
+        return e.name, LEVEL_ATOM
+    if isinstance(e, ast.FailLit):
+        return "fail", LEVEL_ATOM
+    if isinstance(e, ast.Prefix):
+        return oracle_layout(e, (e.operand,),
+                             (oracle_expr_text(e.operand, spaced, memo),),
+                             spaced)
+    if isinstance(e, ast.Call):
+        args = ", ".join(oracle_expr_text(a, spaced, memo)[0] for a in e.args)
+        return f"{e.name}({args})", LEVEL_ATOM
+    if isinstance(e, ast.FieldAccess):
+        obj = oracle_wrap(oracle_expr_text(e.obj, spaced, memo), LEVEL_ATOM)
+        return f"{obj}.{e.field}", LEVEL_ATOM
+    if isinstance(e, ast.InheritedCall):
+        inner = oracle_expr_text(e.expr, spaced, memo)[0]
+        return f"{e.ancestor}.({inner})", LEVEL_ATOM
+    first = oracle_expr_text(e.first, spaced, memo)[0]
+    second = oracle_expr_text(e.second, spaced, memo)[0]
+    return f"({first}, {second})", LEVEL_ATOM
+
+
+# --- random expressions ---
+
+registers = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 1), (2, 2, 1, 3)]
+# 0 and ±1 are the parts the complex text special-cases
+parts = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-20, 20))
+values = st.one_of(
+    st.builds(IntegerV, st.integers(-20, 20)),
+    st.builds(ComplexV, parts, parts),
+    st.sampled_from([RegisterV(MonomialRegister(*r)) for r in registers]),
+    st.builds(FreeVarV, st.sampled_from(["x", "y"])),
+    st.just(FAIL))
+names = st.sampled_from(["x", "y", "Re", "f"])
+leaves = st.one_of(
+    st.builds(ast.IntLit, st.integers(0, 20)),
+    st.builds(ast.Ident, names),
+    st.builds(ast.FailLit),
+    st.builds(ast.ValueLeaf, values))
+
+
+@st.composite
+def dags(draw):
+    """An expression whose operands are drawn from the nodes built before
+    it, so a node can be the operand of several others. At most 16 nodes:
+    a chain of doublings unfolds to 2^16 leaves."""
+    pool = [draw(leaves)]
+
+    def node():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["leaf", "infix", "infix", "infix",
+                                     "prefix", "call", "field", "inherited",
+                                     "pair"]))
+        if kind == "leaf":
+            pool.append(draw(leaves))
+        elif kind == "infix":
+            op = draw(st.sampled_from(sorted(INFIX_LEVELS)))
+            pool.append(ast.Infix(op, node(), node()))
+        elif kind == "prefix":
+            pool.append(ast.Prefix("-", node()))
+        elif kind == "call":
+            args = tuple(node() for _ in range(draw(st.integers(0, 3))))
+            pool.append(ast.Call(draw(names), args))
+        elif kind == "field":
+            pool.append(ast.FieldAccess(node(), draw(names)))
+        elif kind == "inherited":
+            pool.append(ast.InheritedCall("Complex", node()))
+        else:
+            pool.append(ast.PairLit(node(), node()))
+    return pool[-1], pool
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(dags(), st.booleans())
+def test_renderer_matches_the_recursive_oracle(dag, spaced):
+    root, _ = dag
+    assert expr_text(root, spaced) == oracle_expr_text(root, spaced)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(dags(), st.booleans(), st.data())
+def test_memoised_renderer_matches_the_recursive_oracle(dag, spaced, data):
+    # as a trace splice does: some node is rendered into the memo first,
+    # then the root finds it there; both memos end up holding every node
+    root, pool = dag
+    first = data.draw(st.sampled_from(pool))
+    memo, oracle_memo = {}, {}
+    assert (expr_text(first, spaced, memo)
+            == oracle_expr_text(first, spaced, oracle_memo))
+    assert (expr_text(root, spaced, memo)
+            == oracle_expr_text(root, spaced, oracle_memo))
+    assert memo == oracle_memo
+    # a hit returns the stored text
+    assert expr_text(root, spaced, memo) == oracle_expr_text(root, spaced)

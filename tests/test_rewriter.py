@@ -240,7 +240,8 @@ def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
 def test_traced_expand_renders_linear_nodes(monkeypatch):
     # each step renders the few nodes it makes and splices them into the
     # contexts the path's frames keep; rendering the rebuilt path from the
-    # root instead costs O(depth) nodes a step, about n
+    # root instead costs O(depth) nodes a step, about n. The renderer calls
+    # layout once per operator node it renders
     n = 32
     steps, input_nodes = n * n - 1, 4 * n
     xs = [f"x{k}" for k in range(n)]
@@ -249,8 +250,8 @@ def test_traced_expand_renders_linear_nodes(monkeypatch):
     interp.run_program(parse_program(
         f"var {', '.join(xs + ys)} : Algebra;\n"
         f"p := ({' + '.join(xs)}) * ({' + '.join(ys)});\n"))
-    monkeypatch.setattr(pretty, "_node_text",
-                        budget(8 * (steps + input_nodes), pretty._node_text))
+    monkeypatch.setattr(pretty, "layout",
+                        budget(8 * (steps + input_nodes), pretty.layout))
     lines = []
     result = simplify(interp.globals.find("p"),
                       trace=lambda line: lines.append(len(line)))
