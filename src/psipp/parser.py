@@ -1,12 +1,12 @@
-"""Recursive-descent parser for the Pascal-like surface language.
+"""Parser for the Pascal-like surface language.
 
 Programs are sequences of object declarations, function definitions,
-``var`` blocks, and statements. Expressions are parsed by one
-precedence-climbing loop over the table in ``ast`` (``INFIX_LEVELS``),
-which ``pretty.layout`` reads too: prefix minus binds tightest, then
-``*``, then ``+`` and binary ``-``; ``=`` is the (single,
-non-associative) comparison at the bottom. ``*``, ``+`` and ``-``
-associate left.
+``var`` blocks, and statements, parsed by recursive descent. An
+expression is parsed by one loop over an explicit stack, so it nests to
+any depth. Its levels are the table in ``ast`` (``INFIX_LEVELS``), which
+``pretty.layout`` reads too: prefix minus binds tightest, then ``*``,
+then ``+`` and binary ``-``; ``=`` is the (single, non-associative)
+comparison at the bottom. ``*``, ``+`` and ``-`` associate left.
 
 ``parse_juxtaposition`` implements the convention that a word of
 single-letter names denotes a right-nested application of a binary
@@ -307,82 +307,89 @@ class _Parser:
             raise self.error("trailing input after expression")
         return expr
 
-    def expression(self, min_level: int = ast.LEVEL_EQ) -> ast.Expr:
-        """An expression, ended before any infix operator of a level
-        below ``min_level``."""
-        tok = self.peek()
-        if tok is not None and tok.tag == "-":
-            self.pos += 1
-            lhs = ast.Prefix("-", self.expression(ast.LEVEL_PREFIX), tok.pos)
-        else:
-            lhs = self.postfix()
+    def expression(self) -> ast.Expr:
+        """One expression, parsed in one loop over an explicit stack. An
+        operator frame ``(min_level, token, lhs)`` reads its right operand
+        up to an infix operator of a level below ``min_level``; ``lhs`` is
+        None for prefix minus. A bracket frame ``(None, opener, operands)``
+        for ``(``, ``f(``, ``EVAL(`` or ``A.(`` collects its operands at
+        ``,`` and closes at ``)``."""
+        stack = []
+        expr = None  # the operand just read; None while one is wanted
         while True:
             tok = self.peek()
-            if tok is None:
-                return lhs
-            level = ast.INFIX_LEVELS.get(tok.tag)
-            if level is None or level < min_level:
-                return lhs
-            self.pos += 1
-            lhs = ast.Infix(tok.tag, lhs, self.expression(level + 1), tok.pos)
-            if level == ast.LEVEL_EQ:  # '=' does not associate
-                return lhs
-
-    def postfix(self) -> ast.Expr:
-        expr = self.primary()
-        while self.check("."):
-            dot = self.expect(".")
-            if self.accept("("):
+            tag = tok.tag if tok is not None else None
+            if expr is None:
+                if tok is None:
+                    raise self.error("expected expression")
+                self.pos += 1
+                if tag == "-":
+                    stack.append((ast.LEVEL_PREFIX, tok, None))
+                elif tag == IDENT and not self.check("("):
+                    expr = ast.Ident(tok.lexeme, tok.pos)
+                elif tag == IDENT and self.check(")", offset=1):
+                    self.pos += 2
+                    expr = ast.Call(tok.lexeme, (), tok.pos)
+                elif tag in ("(", "EVAL", IDENT):
+                    if tag != "(":
+                        self.expect("(")
+                    stack.append((None, tok, []))
+                elif tag == INT:
+                    try:
+                        expr = ast.IntLit(int(tok.lexeme), tok.pos)
+                    except ValueError:  # past Python's int-from-str limit
+                        raise ParseError(f"integer literal of "
+                                         f"{len(tok.lexeme)} digits is too "
+                                         f"long", tok.pos) from None
+                elif tag == "fail":
+                    expr = ast.FailLit(tok.pos)
+                elif tag == "Return":
+                    expr = ast.Ident("Return", tok.pos)
+                else:
+                    raise ParseError(f"unexpected token {tok.lexeme!r} in "
+                                     f"expression", tok.pos)
+                continue
+            if tag == ".":
+                self.pos += 1
+                if not self.accept("("):
+                    field = self.expect(IDENT)
+                    expr = ast.FieldAccess(expr, field.lexeme, tok.pos)
+                    continue
                 if not isinstance(expr, ast.Ident):
                     raise ParseError("inherited call requires a type name "
-                                     "before '.'", dot.pos)
-                inner = self.expression()
-                self.expect(")")
-                expr = ast.InheritedCall(expr.name, inner, dot.pos)
-            else:
-                field = self.expect(IDENT)
-                expr = ast.FieldAccess(expr, field.lexeme, dot.pos)
-        return expr
-
-    def primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected expression")
-        if tok.tag == INT:
-            self.pos += 1
-            try:
-                value = int(tok.lexeme)
-            except ValueError:  # past Python's limit on int-from-str digits
-                raise ParseError(f"integer literal of {len(tok.lexeme)} "
-                                 f"digits is too long", tok.pos) from None
-            return ast.IntLit(value, tok.pos)
-        if tok.tag == "fail":
-            self.pos += 1
-            return ast.FailLit(tok.pos)
-        if tok.tag == "Return":
-            self.pos += 1
-            return ast.Ident("Return", tok.pos)
-        if tok.tag == "EVAL":
-            self.pos += 1
-            self.expect("(")
-            inner = self.expression()
+                                     "before '.'", tok.pos)
+                stack.append((None, tok, [expr]))
+                expr = None
+                continue
+            level = ast.INFIX_LEVELS.get(tag, -1)
+            while stack and stack[-1][0] is not None and level < stack[-1][0]:
+                _, op, lhs = stack.pop()
+                expr = (ast.Prefix("-", expr, op.pos) if lhs is None
+                        else ast.Infix(op.tag, lhs, expr, op.pos))
+                if op.tag == "=":  # '=' does not associate
+                    level = -1
+            if level >= 0:
+                self.pos += 1
+                stack.append((level + 1, tok, expr))
+                expr = None
+                continue
+            if not stack:
+                return expr
+            _, opener, operands = stack[-1]
+            if tag == "," and (opener.tag == IDENT
+                               or opener.tag == "(" and not operands):
+                self.pos += 1
+                operands.append(expr)
+                expr = None
+                continue
             self.expect(")")
-            return ast.Call("EVAL", (inner,), tok.pos)
-        if tok.tag == IDENT:
-            self.pos += 1
-            if self.accept("("):
-                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
-            return ast.Ident(tok.lexeme, tok.pos)
-        if tok.tag == "(":
-            self.pos += 1
-            first = self.expression()
-            if self.accept(","):
-                second = self.expression()
-                self.expect(")")
-                return ast.PairLit(first, second, tok.pos)
-            self.expect(")")
-            return first
-        raise self.error(f"unexpected token {tok.lexeme!r} in expression")
+            stack.pop()
+            if opener.tag == ".":
+                expr = ast.InheritedCall(operands[0].name, expr, opener.pos)
+            elif opener.tag != "(":  # a call or EVAL
+                expr = ast.Call(opener.lexeme, (*operands, expr), opener.pos)
+            elif operands:
+                expr = ast.PairLit(operands[0], expr, opener.pos)
 
     def call_args(self) -> list[ast.Expr]:
         # opening paren already consumed
@@ -397,25 +404,24 @@ class _Parser:
 
 def _parse(source, rule, start=0):
     """Apply ``rule`` to a parser over ``source``: text from offset
-    ``start``, which is lexed as the parser asks for tokens, or tokens. A
-    lexical error anywhere in the text is reported before a syntax error.
-    Nesting too deep for the Python stack is a syntax error at the token
-    reached."""
-    if isinstance(source, str):
-        try:
-            return rule(_Parser(scan(source, start), start))
-        except ParseError:
-            tokenize(source, start)
-            raise
-        except RecursionError:
-            # the error may have stopped the scan, and a generator costs a
-            # frame per read: parse again from a list, which costs none
-            source = tokenize(source, start)
-    parser = _Parser(source, start)
+    ``start``, lexed as the parser reads it, or tokens. A lexical error in
+    the text is reported before a syntax error. Statements nested too deep
+    for the Python stack are a syntax error at the token reached."""
+    text = isinstance(source, str)
+    parser = _Parser(scan(source, start) if text else source, start)
     try:
         return rule(parser)
-    except RecursionError:
-        raise parser.error("expression nested too deeply") from None
+    except (ParseError, RecursionError) as err:
+        if text:
+            tokenize(source, start)
+        if isinstance(err, ParseError):
+            raise
+        if text and parser.pos == len(parser.tokens):
+            # the error may have ended the scan: scan on after the last token
+            last = parser.tokens[-1] if parser.tokens else parser.last
+            end = last.pos + len(last.lexeme)
+            parser = _Parser(scan(source, end), end)
+        raise parser.error("statements nested too deeply") from None
 
 
 def parse_program(source) -> ast.Program:

@@ -171,20 +171,34 @@ def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("depth, code, out, err", [
-    pytest.param(300, 0, "1\n", "", id="parentheses-300-deep"),
-    pytest.param(600, 1, "", r"error: 2:\d+: expression nested too deeply\n",
-                 id="parentheses-600-deep"),
+@pytest.mark.parametrize("depth", [
+    pytest.param(300, id="parentheses-300-deep"),
+    pytest.param(600, id="parentheses-600-deep"),
+    pytest.param(5000, id="parentheses-5000-deep"),
 ])
-def test_parenthesis_nesting(tmp_path, depth, code, out, err):
-    # the parser spends three Python frames on each parenthesis
+def test_parenthesis_nesting(tmp_path, depth):
+    # an expression is parsed on an explicit stack, at no Python frame
+    # per parenthesis
     script = tmp_path / "nested.psi"
     script.write_text(f"x := 1;\nprint({'(' * depth}1{')' * depth});\n")
     result = subprocess.run(
         [sys.executable, "-m", "psipp.cli", "run", str(script)],
         capture_output=True, text=True)
-    assert (result.returncode, result.stdout) == (code, out)
-    assert re.fullmatch(err, result.stderr), result.stderr
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+
+
+def test_statement_nesting(tmp_path):
+    # statements are parsed by recursive descent: about 490 nested begin
+    # fit on the Python stack
+    def nested(depth):
+        return "begin " * depth + "print(7)" + " end" * depth + ";\n"
+
+    result = psi_run(tmp_path, nested(400))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "7\n", "")
+    result = psi_run(tmp_path, "x := 1;\n" + nested(1000))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert re.fullmatch(r"error: 2:\d+: statements nested too deeply\n",
+                        result.stderr), result.stderr
 
 
 @pytest.mark.parametrize("source, out", [

@@ -1,5 +1,7 @@
+import ast as pyast
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from psipp import ast
 from psipp.algebra import make_interpreter
 from psipp.errors import (ArityError, EmptyWordError, LexError, ParseError,
                           PsiError, line_col)
-from psipp.lexer import tokenize
+from psipp.lexer import IDENT, INT, tokenize
 from psipp.parser import (_Parser, parse_expression, parse_juxtaposition,
                           parse_program)
 from psipp.pretty import render_expr
@@ -323,7 +325,9 @@ def test_precedence_oracle_fuzz():
 
 class FourLevelParser(_Parser):
     """The parser with the four recursive-descent functions, one per
-    precedence level, that ``expression``'s single loop replaced."""
+    precedence level, that ``expression``'s single loop replaced, and the
+    recursive ``postfix`` and ``primary`` that its explicit stack
+    replaced."""
 
     def expression(self):
         lhs = self.additive()
@@ -361,6 +365,62 @@ class FourLevelParser(_Parser):
             self.pos += 1
             return ast.Prefix("-", self.factor(), tok.pos)
         return self.postfix()
+
+    def postfix(self):
+        expr = self.primary()
+        while self.check("."):
+            dot = self.expect(".")
+            if self.accept("("):
+                if not isinstance(expr, ast.Ident):
+                    raise ParseError("inherited call requires a type name "
+                                     "before '.'", dot.pos)
+                inner = self.expression()
+                self.expect(")")
+                expr = ast.InheritedCall(expr.name, inner, dot.pos)
+            else:
+                field = self.expect(IDENT)
+                expr = ast.FieldAccess(expr, field.lexeme, dot.pos)
+        return expr
+
+    def primary(self):
+        tok = self.peek()
+        if tok is None:
+            raise self.error("expected expression")
+        if tok.tag == INT:
+            self.pos += 1
+            try:
+                value = int(tok.lexeme)
+            except ValueError:
+                raise ParseError(f"integer literal of {len(tok.lexeme)} "
+                                 f"digits is too long", tok.pos) from None
+            return ast.IntLit(value, tok.pos)
+        if tok.tag == "fail":
+            self.pos += 1
+            return ast.FailLit(tok.pos)
+        if tok.tag == "Return":
+            self.pos += 1
+            return ast.Ident("Return", tok.pos)
+        if tok.tag == "EVAL":
+            self.pos += 1
+            self.expect("(")
+            inner = self.expression()
+            self.expect(")")
+            return ast.Call("EVAL", (inner,), tok.pos)
+        if tok.tag == IDENT:
+            self.pos += 1
+            if self.accept("("):
+                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
+            return ast.Ident(tok.lexeme, tok.pos)
+        if tok.tag == "(":
+            self.pos += 1
+            first = self.expression()
+            if self.accept(","):
+                second = self.expression()
+                self.expect(")")
+                return ast.PairLit(first, second, tok.pos)
+            self.expect(")")
+            return first
+        raise self.error(f"unexpected token {tok.lexeme!r} in expression")
 
 
 def outcome(parser_class, rule, source):
@@ -424,7 +484,8 @@ def test_precedence_loop_matches_the_four_level_grammar(rule, words, template):
     pytest.param("x := 1 1;\n" + "y := 2;\n" * 100 + "z := 2 ? 3;\n",
                  "102:8: unexpected character '?'",
                  id="parse-error-tokens-before-the-lexical-error"),
-    pytest.param("x := " + "(" * 400 + "1" + ")" * 400 + ";\ny := 2 ? 3;\n",
+    pytest.param("begin " * 1000 + "x := 1" + " end" * 1000
+                 + ";\ny := 2 ? 3;\n",
                  "2:8: unexpected character '?'",
                  id="nesting-too-deep-first-in-the-text"),
 ])
@@ -433,6 +494,85 @@ def test_a_lexical_error_is_reported_before_a_syntax_error(source, message):
         parse_program(source)
     line, col = line_col(source, err.value.span)
     assert f"{line}:{col}: {err.value.message}" == message
+
+
+def test_statements_nested_too_deeply_are_an_error_at_the_token_reached():
+    # the error stops the scan when it comes while the next batch of
+    # tokens is read; the k empty statements move that read along the
+    # nesting
+    for k in range(64):
+        source = ("begin " + "; " * k + "begin " * 1000 + "x := 1"
+                  + " end" * 1001 + ";\n")
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert err.value.message == "statements nested too deeply"
+        assert source.startswith("begin ", err.value.span), k
+
+
+def recursion_error_uses(path: Path) -> list[str]:
+    """Each mention of ``RecursionError`` in ``path``, named by the
+    function, and the class, that it is in."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (pyast.ClassDef, pyast.FunctionDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, pyast.Name) and node.id == "RecursionError":
+            found.append(f"{path.name}: {'.'.join(scope)}")
+        for child in pyast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(pyast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_recursion_errors_are_caught_only_where_recursion_is_left():
+    # user-level recursion reaches the stack when evaluating, and nested
+    # statements when parsing; expressions parse on an explicit stack
+    src = Path(__file__).resolve().parent.parent / "src" / "psipp"
+    assert [use for path in sorted(src.glob("*.py"))
+            for use in recursion_error_uses(path)] == [
+        "cli.py: Session.repl_step", "evaluator.py: Interpreter.run_item",
+        "parser.py: _parse"]
+
+
+def test_the_recursion_check_sees_each_scope(tmp_path):
+    source = tmp_path / "mutant.py"
+    source.write_text("class P:\n"
+                      "    def expression(self):\n"
+                      "        try:\n"
+                      "            pass\n"
+                      "        except (ValueError, RecursionError):\n"
+                      "            raise RecursionError\n"
+                      "def f():\n"
+                      "    def g(): return RecursionError\n")
+    assert recursion_error_uses(source) == [
+        "mutant.py: P.expression", "mutant.py: P.expression",
+        "mutant.py: f.g"]
+
+
+DEPTH = 5000
+
+
+@pytest.mark.parametrize("source, text", [
+    pytest.param("(" * DEPTH + "x" + ")" * DEPTH, "x", id="parentheses"),
+    pytest.param("(x -\n" * DEPTH + "x" + ")" * DEPTH,
+                 "x - (" * (DEPTH - 1) + "x - x" + ")" * (DEPTH - 1),
+                 id="parenthesised-differences"),
+    pytest.param("f(y ,\n" * DEPTH + "x" + " )" * DEPTH,
+                 "f(y, " * DEPTH + "x" + ")" * DEPTH, id="calls"),
+    pytest.param("(1 ,2 * " * DEPTH + "3" + ")" * DEPTH,
+                 "(1, 2*" * DEPTH + "3" + ")" * DEPTH, id="pairs"),
+    pytest.param("EVAL (" * DEPTH + "x" + ")" * DEPTH,
+                 "EVAL(" * DEPTH + "x" + ")" * DEPTH, id="evals"),
+    pytest.param("Algebra.(a * " * DEPTH + "b" + ")" * DEPTH,
+                 "Algebra.(a*" * DEPTH + "b" + ")" * DEPTH,
+                 id="inherited-calls"),
+    pytest.param("- −" * (DEPTH // 2) + "x", "-" * DEPTH + "x",
+                 id="prefix-minus"),
+])
+def test_an_expression_parses_at_any_depth(source, text):
+    assert render_expr(parse_expression(source)) == text
 
 
 def parse_outcome(parse, source):
@@ -446,8 +586,7 @@ def parse_outcome(parse, source):
 
 def stream_and_list(source):
     """Each rule's outcome on ``source`` read as a stream, then on the
-    token list lexed first. Both parse from the same stack depth, which
-    decides where nesting becomes too deep."""
+    token list lexed first."""
     rules = (parse_program, parse_expression)
     try:
         tokens = tokenize(source)
@@ -459,7 +598,7 @@ def stream_and_list(source):
 
 
 def deep_parentheses(rng):
-    depth = rng.randrange(300, 350)  # across the Python stack's limit
+    depth = rng.randrange(300, 3000)  # past the Python stack's limit
     closing = rng.choice([depth, depth, depth - 1, 0])
     return ("x := 1;\n" * rng.randrange(40) + "y := " + "(" * depth + "1"
             + ")" * closing + rng.choice([";", "", "; ?", " z", ";\n{"]))
