@@ -4,7 +4,7 @@ Pascal-like object language with lazy functional objects."""
 from .algebra import (complex_mul, distribute, install_prelude,
                       make_interpreter, promote, simplify)
 from .evaluator import Interpreter, classify_binding, substitute
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .monomials import (MonomialRegister, RepLabel, format_monomial,
                         parse_monomial, register_conjugate, register_mul,
                         rep_label)
@@ -18,7 +18,7 @@ __all__ = [
     "FAIL", "ComplexV", "Environment", "FreeVarV", "FunctionalObject",
     "IntegerV", "Interpreter", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
-    "Token", "Value", "classify_binding", "complex_mul",
+    "Value", "classify_binding", "complex_mul",
     "distribute", "format_monomial", "install_prelude", "make_interpreter",
     "parse_expression", "parse_juxtaposition", "parse_monomial",
     "parse_program", "promote", "register_conjugate", "register_mul",

@@ -25,7 +25,7 @@ from . import ast
 from .ast import operands, with_operand
 from .errors import EvalError, RewriteLimitExceeded
 from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .pretty import expr_text, layout, operator_level
@@ -61,8 +61,8 @@ end; { Monomial }
 
 # parsed once, shared by every interpreter; without positions, so that an
 # error inside a prelude method is reported at the user's application
-PRELUDE = parse_program([Token(t.tag, t.lexeme, None)
-                         for t in tokenize(PRELUDE_SOURCE)])
+PRELUDE = parse_program([(tag, lexeme, None)
+                         for tag, lexeme, _ in tokenize(PRELUDE_SOURCE)])
 
 
 # --- distributivity ---

@@ -96,9 +96,11 @@ class Session:
 
 def _report(err: PsiError, text: str, stderr) -> int:
     """Write ``err`` to ``stderr`` at the line and column of its offset in
-    ``text``; return the exit code of its kind."""
+    ``text``, naming the user method it left; return the exit code of its
+    kind."""
     where = "" if err.span is None else "%d:%d: " % line_col(text, err.span)
-    print(f"error: {where}{err.message}", file=stderr)
+    method = "" if err.method is None else f" (in {err.method})"
+    print(f"error: {where}{err.message}{method}", file=stderr)
     if isinstance(err, (LexError, ParseError)):
         return 1
     return 2 if isinstance(err, RegistryError) else 3

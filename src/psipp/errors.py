@@ -22,6 +22,7 @@ class PsiError(Exception):
         super().__init__(message)
         self.message = message
         self.span = span
+        self.method = None  # the innermost user method it left, if any
 
 
 # --- syntax errors (CLI exit 1) ---

@@ -405,7 +405,8 @@ class Interpreter:
     def invoke_method(self, impl, args: list[Value], span=None) -> Value:
         """Run ``impl`` on ``args``. An error that leaves the method
         without a span gets ``span``, that of the application: the
-        prelude's methods have no positions of their own."""
+        prelude's methods have no positions of their own. An error that
+        leaves a user body is named after the innermost one."""
         try:
             if isinstance(impl, NativeMethod):
                 return impl.fn(args, self)
@@ -421,14 +422,18 @@ class Interpreter:
                     arg = promote(arg)
                 frame.define(name, arg)
             self.run_body(impl, frame)
-            result = frame.find("Return")
-            if result is None:
-                raise UnassignedReturn(
-                    f"{decl.symbol!r} never assigned Return", decl.span)
-            return result
         except PsiError as err:
             err.span = span if err.span is None else err.span
+            if err.method is None and isinstance(impl, UserMethod):
+                owner = f"{decl.owner}." if decl.owner else ""
+                fixity = "" if decl.fixity == "ordinary" else decl.fixity
+                err.method = owner + fixity + decl.symbol
             raise
+        result = frame.find("Return")
+        if result is None:
+            raise UnassignedReturn(f"{decl.symbol!r} never assigned Return",
+                                   decl.span)
+        return result
 
     def run_body(self, impl: UserMethod, frame: Environment):
         """Run a user body in its frame, compiled at the body's first run."""

@@ -10,9 +10,6 @@ a column when a diagnostic is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from .errors import LexError
 
 KEYWORDS = frozenset({
@@ -29,62 +26,67 @@ INT = "integer-literal"
 _SINGLE = {**{ch: ch for ch in "+-*=;,().:"}, "−": "-"}
 
 
-@dataclass(eq=False, slots=True)
-class Token:
-    """One token: its tag, its text, and its offset in the source."""
-    tag: str
-    lexeme: str
-    pos: int
-
-    def __repr__(self):
-        return f"Token({self.tag}, {self.lexeme!r})"
+def tokenize(source: str, start: int = 0) -> list[tuple[str, str, int]]:
+    """All the tokens of ``source`` from offset ``start``, each as a
+    ``(tag, lexeme, offset)`` triple."""
+    columns = [], [], []
+    scan_into(source, start, *columns, len(source) + 1)  # all of them
+    return list(zip(*columns))[:-1]  # without the end-of-input entry
 
 
-def tokenize(source: str, start: int = 0) -> list[Token]:
-    """All the tokens of ``source`` from offset ``start``, in a list."""
-    return list(scan(source, start))
-
-
-def scan(source: str, start: int = 0) -> Iterator[Token]:
-    """Yield the tokens of ``source`` from offset ``start`` in order,
-    skipping whitespace and comments; a lexical error is raised when the
-    scan reaches it."""
-    i = start
+def scan_into(source: str, i: int, tags: list, lexemes: list, offsets: list,
+              count: int) -> int:
+    """Append the next ``count`` tokens of ``source`` from offset ``i`` to
+    ``tags``, ``lexemes`` and ``offsets``, skipping whitespace and
+    comments, and return the offset after the last one. If the text ends
+    first, the end-of-input entry follows the last token: tag ``None``,
+    lexeme ``""`` and the offset after that token, or ``i`` if there is
+    none. A token's three entries are appended together once it has been
+    scanned, so a lexical error, raised when the scan reaches it, leaves
+    the lists at one length."""
     n = len(source)
+    end = i
     while i < n:
         ch = source[i]
         if ch in " \t\r\n":
             i += 1
             continue
         if ch == "{":
-            end = source.find("}", i + 1)
-            if end < 0:
+            j = source.find("}", i + 1)
+            if j < 0:
                 raise LexError("unterminated comment", i)
-            i = end + 1
+            i = j + 1
             continue
-        if ch.isalpha() or ch == "_":
+        tag = _SINGLE.get(ch)
+        if tag is not None:
+            if ch == ":" and source.startswith("=", i + 1):
+                tag = lexeme = ":="
+                j = i + 2
+            else:
+                lexeme, j = ch, i + 1
+        elif ch.isalpha() or ch == "_":
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             lexeme = source[i:j]
-            yield Token(lexeme if lexeme in KEYWORDS else IDENT, lexeme, i)
-            i = j
-            continue
+            tag = lexeme if lexeme in KEYWORDS else IDENT
         # ASCII only: isdigit() also takes "²", which int() refuses, and
         # "٣", which int() reads as 3
-        if "0" <= ch <= "9":
+        elif "0" <= ch <= "9":
             j = i + 1
             while j < n and "0" <= source[j] <= "9":
                 j += 1
-            yield Token(INT, source[i:j], i)
-            i = j
-            continue
-        if ch == ":" and source.startswith("=", i + 1):
-            yield Token(":=", ":=", i)
-            i += 2
-            continue
-        tag = _SINGLE.get(ch)
-        if tag is None:
+            tag, lexeme = INT, source[i:j]
+        else:
             raise LexError(f"unexpected character {ch!r}", i)
-        yield Token(tag, ch, i)
-        i += 1
+        tags.append(tag)
+        lexemes.append(lexeme)
+        offsets.append(i)
+        i = end = j
+        count -= 1
+        if not count:
+            return i
+    tags.append(None)
+    lexemes.append("")
+    offsets.append(end)
+    return i

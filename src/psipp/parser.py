@@ -15,85 +15,80 @@ operation: ``abc`` becomes ``OP(a, OP(b, c))``.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Optional
-
 from . import ast
 from .errors import ArityError, EmptyWordError, ParseError
-from .lexer import IDENT, INT, Token, scan, tokenize
+from .lexer import IDENT, INT, scan_into, tokenize
 
-# tokens read from the stream at a time: one token per read measured
+# tokens scanned from the text at a time: one token per read measured
 # about 4% slower on short scripts
 _BATCH = 64
 
 
 class _Parser:
-    """A parser over a stream of tokens, which may be a list. The stream
-    is read into ``tokens`` in batches, only when a lookahead passes the
-    end of the buffer, and the tokens of each finished top-level item are
-    dropped."""
+    """A parser over text from offset ``start``, or over a sequence of
+    ``(tag, lexeme, offset)`` triples. A token is an index into three
+    lists, ``tags``, ``lexemes`` and ``offsets``, which end in the
+    end-of-input entry: tag ``None``, at the offset after the last token
+    (``None`` for triples without offsets). Text is scanned into the lists
+    a batch at a time, only when a lookahead passes their end, and the
+    tokens of each finished top-level item are dropped."""
 
-    def __init__(self, tokens: Iterable[Token], start: int = 0):
-        self.tokens: list[Token] = []
-        self.stream = iter(tokens)
-        self.pos = 0  # index into ``tokens``
-        # the last token read; before any, an empty one where the text starts
-        self.last = Token("", "", start)
+    def __init__(self, source, start: int = 0):
+        self.pos = 0  # the index of the next token
+        if isinstance(source, str):
+            self.source, self.scanned = source, start
+            self.tags, self.lexemes, self.offsets = [], [], []
+            return
+        tokens = list(source)  # all read here, so nothing is scanned
+        end = start
+        if tokens:
+            _, lexeme, end = tokens[-1]
+            end = None if end is None else end + len(lexeme)
+        self.tags, self.lexemes, self.offsets = map(
+            list, zip(*tokens, (None, "", end)))
 
     # --- token helpers ---
 
-    def fill(self, i: int) -> bool:
-        """Read the stream until ``tokens[i]`` exists; False if it ends
-        first."""
-        tokens = self.tokens
-        while i >= len(tokens):
-            read = len(tokens)
-            tokens.extend(islice(self.stream, _BATCH))
-            if len(tokens) == read:
-                return False
-            self.last = tokens[-1]
-        return True
-
-    def peek(self, offset: int = 0) -> Optional[Token]:
+    def peek(self, offset: int = 0) -> int:
+        """The index of the token ``offset`` after the next one. A
+        lookahead goes at most one token past those scanned, so one batch
+        reaches it. Nesting too deep for the Python stack stops a scan
+        before it appends a token, as every call in ``scan_into`` is made
+        at one depth, so the scan can be made again once the stack
+        unwinds."""
         i = self.pos + offset
-        if i < len(self.tokens) or self.fill(i):
-            return self.tokens[i]
-        return None
+        if i >= len(self.tags):
+            self.scanned = scan_into(self.source, self.scanned, self.tags,
+                                     self.lexemes, self.offsets, _BATCH)
+        return i
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens) and not self.fill(self.pos)
+        return self.tags[self.peek()] is None
 
     def span(self) -> ast.Span:
-        tok = self.peek()
-        if tok is not None:
-            return tok.pos
-        return self.last.pos + len(self.last.lexeme)
+        return self.offsets[self.peek()]
 
     def error(self, message: str, expected=()) -> ParseError:
         return ParseError(message, self.span(), expected)
 
     def check(self, tag: str, offset: int = 0) -> bool:
-        i = self.pos + offset
-        if i >= len(self.tokens) and not self.fill(i):
+        return self.tags[self.peek(offset)] == tag
+
+    def accept(self, tag: str) -> bool:
+        if self.tags[self.peek()] != tag:
             return False
-        return self.tokens[i].tag == tag
-
-    def accept(self, tag: str) -> Optional[Token]:
-        if self.pos >= len(self.tokens) and not self.fill(self.pos):
-            return None
-        tok = self.tokens[self.pos]
-        if tok.tag != tag:
-            return None
         self.pos += 1
-        return tok
+        return True
 
-    def expect(self, tag: str) -> Token:
-        tok = self.accept(tag)
-        if tok is None:
-            got = self.peek()
-            found = repr(got.lexeme) if got else "end of input"
+    def expect(self, tag: str) -> int:
+        """The index of the next token, which must be tagged ``tag``."""
+        i = self.peek()
+        if self.tags[i] != tag:
+            found = ("end of input" if self.tags[i] is None
+                     else repr(self.lexemes[i]))
             raise self.error(f"expected {tag!r}, found {found}", {tag})
-        return tok
+        self.pos = i + 1
+        return i
 
     # --- program structure ---
 
@@ -103,12 +98,15 @@ class _Parser:
             if self.accept(";"):
                 continue  # empty statement
             items.append(self.item())
-            del self.tokens[:self.pos]  # the item's tokens are done with
-            self.pos = 0
+            # the item's tokens are done with; they are dropped only here,
+            # as expression frames and ``_object_body_follows``'s
+            # backtrack hold indices into the lists
+            pos, self.pos = self.pos, 0
+            del self.tags[:pos], self.lexemes[:pos], self.offsets[:pos]
         return ast.Program(tuple(items))
 
     def item(self):
-        tag = self.tokens[self.pos].tag  # read by ``program``
+        tag = self.tags[self.pos]  # read by ``program``
         if tag == "var":
             return self.var_block()
         if tag == "function":
@@ -120,12 +118,12 @@ class _Parser:
         return stmt
 
     def object_decl(self) -> ast.ObjectDecl:
-        name_tok = self.expect(IDENT)
+        name = self.expect(IDENT)
         self.expect("=")
         self.expect("Object")
         ancestor = None
         if self.accept("("):
-            ancestor = self.expect(IDENT).lexeme
+            ancestor = self.lexemes[self.expect(IDENT)]
             self.expect(")")
         self.expect(";")
         fields: list[tuple[str, str]] = []
@@ -143,8 +141,8 @@ class _Parser:
                                      {"end", "function"})
             self.expect("end")
             self.expect(";")
-        return ast.ObjectDecl(name_tok.lexeme, ancestor, tuple(fields),
-                              tuple(sigs), name_tok.pos)
+        return ast.ObjectDecl(self.lexemes[name], ancestor, tuple(fields),
+                              tuple(sigs), self.offsets[name])
 
     def _object_body_follows(self) -> bool:
         if self.check("function"):
@@ -169,9 +167,9 @@ class _Parser:
 
     def decl_group(self) -> list[tuple[str, str]]:
         """``a, b : T``: fields, variables, par variables, parameters."""
-        names = [self.expect(IDENT).lexeme]
+        names = [self.lexemes[self.expect(IDENT)]]
         while self.accept(","):
-            names.append(self.expect(IDENT).lexeme)
+            names.append(self.lexemes[self.expect(IDENT)])
         self.expect(":")
         type_name = self.type_name()
         return [(n, type_name) for n in names]
@@ -185,10 +183,8 @@ class _Parser:
         return decls
 
     def type_name(self) -> str:
-        tok = self.peek()
-        if tok is not None and tok.tag == IDENT:
-            self.pos += 1
-            return tok.lexeme
+        if self.accept(IDENT):
+            return self.lexemes[self.pos - 1]
         raise self.error("expected type name", {"identifier"})
 
     def var_block(self) -> ast.VarBlock:
@@ -196,15 +192,15 @@ class _Parser:
         decls = self.decl_groups()
         if not decls:
             raise self.error("empty var block", {"identifier"})
-        return ast.VarBlock(tuple(decls), start.pos)
+        return ast.VarBlock(tuple(decls), self.offsets[start])
 
     # --- functions ---
 
     def function_signature(self) -> ast.FunctionDecl:
-        start = self.expect("function")
+        start = self.offsets[self.expect("function")]
         owner = None
         if self.check(IDENT) and self.check(".", offset=1):
-            owner = self.expect(IDENT).lexeme
+            owner = self.lexemes[self.expect(IDENT)]
             self.expect(".")
         fixity = "ordinary"
         if self.accept("infix"):
@@ -223,26 +219,27 @@ class _Parser:
         result_type = self.type_name()
         if fixity == "infix" and len(params) != 2:
             raise ArityError("infix function requires exactly 2 parameters",
-                             start.pos)
+                             start)
         if fixity == "prefix" and len(params) != 1:
             raise ArityError("prefix function requires exactly 1 parameter",
-                             start.pos)
+                             start)
         return ast.FunctionDecl(symbol, fixity, owner, tuple(params),
-                                result_type, span=start.pos)
+                                result_type, span=start)
 
     def function_symbol(self, fixity: str) -> str:
-        tok = self.peek()
-        if tok is None:
+        i = self.peek()
+        tag = self.tags[i]
+        if tag is None:
             raise self.error("expected function name or operator symbol")
-        if tok.tag in ast.INFIX_LEVELS:
+        if tag in ast.INFIX_LEVELS:
             self.pos += 1
-            return tok.tag
+            return tag
         if fixity != "ordinary":
             raise self.error("expected operator symbol after fixity keyword",
                              {"+", "-", "*"})
-        if tok.tag == IDENT:
+        if tag == IDENT:
             self.pos += 1
-            return tok.lexeme
+            return self.lexemes[i]
         raise self.error("expected function name", {"identifier"})
 
     def function_def(self) -> ast.FunctionDecl:
@@ -266,11 +263,11 @@ class _Parser:
             if not self.check("end"):
                 self.expect(";")
         self.expect("end")
-        return ast.Compound(tuple(body), start.pos)
+        return ast.Compound(tuple(body), self.offsets[start])
 
     def statement(self) -> ast.Stmt:
-        tok = self.peek()
-        tag = tok.tag if tok is not None else None
+        i = self.peek()
+        tag = self.tags[i]
         if tag == "begin":
             return self.compound()
         if tag == "if":
@@ -278,26 +275,28 @@ class _Parser:
         if tag == "Return":
             self.pos += 1
             self.expect(":=")
-            return ast.Assign("Return", self.expression(), tok.pos)
+            return ast.Assign("Return", self.expression(), self.offsets[i])
         if tag == IDENT:
             if self.check(":=", offset=1):
                 self.pos += 2
-                return ast.Assign(tok.lexeme, self.expression(), tok.pos)
+                return ast.Assign(self.lexemes[i], self.expression(),
+                                  self.offsets[i])
             if self.check("(", offset=1):
                 self.pos += 2
-                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
+                return ast.Call(self.lexemes[i], tuple(self.call_args()),
+                                self.offsets[i])
         raise self.error("expected statement",
                          {"identifier", "if", "begin", "Return"})
 
     def if_statement(self) -> ast.If:
-        tok = self.expect("if")
+        start = self.expect("if")
         cond = self.expression()
         self.expect("then")
         then = self.statement()
         els = None
         if self.accept("else"):
             els = self.statement()
-        return ast.If(cond, then, els, tok.pos)
+        return ast.If(cond, then, els, self.offsets[start])
 
     # --- expressions ---
 
@@ -314,82 +313,86 @@ class _Parser:
         None for prefix minus. A bracket frame ``(None, opener, operands)``
         for ``(``, ``f(``, ``EVAL(`` or ``A.(`` collects its operands at
         ``,`` and closes at ``)``."""
+        tags, lexemes, offsets = self.tags, self.lexemes, self.offsets
         stack = []
         expr = None  # the operand just read; None while one is wanted
         while True:
-            tok = self.peek()
-            tag = tok.tag if tok is not None else None
+            i = self.pos
+            tag = tags[i] if i < len(tags) else tags[self.peek()]
             if expr is None:
-                if tok is None:
+                if tag is None:
                     raise self.error("expected expression")
                 self.pos += 1
                 if tag == "-":
-                    stack.append((ast.LEVEL_PREFIX, tok, None))
+                    stack.append((ast.LEVEL_PREFIX, i, None))
                 elif tag == IDENT and not self.check("("):
-                    expr = ast.Ident(tok.lexeme, tok.pos)
+                    expr = ast.Ident(lexemes[i], offsets[i])
                 elif tag == IDENT and self.check(")", offset=1):
                     self.pos += 2
-                    expr = ast.Call(tok.lexeme, (), tok.pos)
+                    expr = ast.Call(lexemes[i], (), offsets[i])
                 elif tag in ("(", "EVAL", IDENT):
                     if tag != "(":
                         self.expect("(")
-                    stack.append((None, tok, []))
+                    stack.append((None, i, []))
                 elif tag == INT:
                     try:
-                        expr = ast.IntLit(int(tok.lexeme), tok.pos)
+                        expr = ast.IntLit(int(lexemes[i]), offsets[i])
                     except ValueError:  # past Python's int-from-str limit
                         raise ParseError(f"integer literal of "
-                                         f"{len(tok.lexeme)} digits is too "
-                                         f"long", tok.pos) from None
+                                         f"{len(lexemes[i])} digits is too "
+                                         f"long", offsets[i]) from None
                 elif tag == "fail":
-                    expr = ast.FailLit(tok.pos)
+                    expr = ast.FailLit(offsets[i])
                 elif tag == "Return":
-                    expr = ast.Ident("Return", tok.pos)
+                    expr = ast.Ident("Return", offsets[i])
                 else:
-                    raise ParseError(f"unexpected token {tok.lexeme!r} in "
-                                     f"expression", tok.pos)
+                    raise ParseError(f"unexpected token {lexemes[i]!r} in "
+                                     f"expression", offsets[i])
                 continue
             if tag == ".":
                 self.pos += 1
                 if not self.accept("("):
-                    field = self.expect(IDENT)
-                    expr = ast.FieldAccess(expr, field.lexeme, tok.pos)
+                    field = lexemes[self.expect(IDENT)]
+                    expr = ast.FieldAccess(expr, field, offsets[i])
                     continue
                 if not isinstance(expr, ast.Ident):
                     raise ParseError("inherited call requires a type name "
-                                     "before '.'", tok.pos)
-                stack.append((None, tok, [expr]))
+                                     "before '.'", offsets[i])
+                stack.append((None, i, [expr]))
                 expr = None
                 continue
             level = ast.INFIX_LEVELS.get(tag, -1)
             while stack and stack[-1][0] is not None and level < stack[-1][0]:
                 _, op, lhs = stack.pop()
-                expr = (ast.Prefix("-", expr, op.pos) if lhs is None
-                        else ast.Infix(op.tag, lhs, expr, op.pos))
-                if op.tag == "=":  # '=' does not associate
+                expr = (ast.Prefix("-", expr, offsets[op]) if lhs is None
+                        else ast.Infix(tags[op], lhs, expr, offsets[op]))
+                if tags[op] == "=":  # '=' does not associate
                     level = -1
             if level >= 0:
                 self.pos += 1
-                stack.append((level + 1, tok, expr))
+                stack.append((level + 1, i, expr))
                 expr = None
                 continue
             if not stack:
                 return expr
             _, opener, operands = stack[-1]
-            if tag == "," and (opener.tag == IDENT
-                               or opener.tag == "(" and not operands):
+            opener_tag = tags[opener]
+            if tag == "," and (opener_tag == IDENT
+                               or opener_tag == "(" and not operands):
                 self.pos += 1
                 operands.append(expr)
                 expr = None
                 continue
             self.expect(")")
             stack.pop()
-            if opener.tag == ".":
-                expr = ast.InheritedCall(operands[0].name, expr, opener.pos)
-            elif opener.tag != "(":  # a call or EVAL
-                expr = ast.Call(opener.lexeme, (*operands, expr), opener.pos)
+            if opener_tag == ".":
+                expr = ast.InheritedCall(operands[0].name, expr,
+                                         offsets[opener])
+            elif opener_tag != "(":  # a call or EVAL
+                expr = ast.Call(lexemes[opener], (*operands, expr),
+                                offsets[opener])
             elif operands:
-                expr = ast.PairLit(operands[0], expr, opener.pos)
+                expr = ast.PairLit(operands[0], expr, offsets[opener])
 
     def call_args(self) -> list[ast.Expr]:
         # opening paren already consumed
@@ -407,20 +410,14 @@ def _parse(source, rule, start=0):
     ``start``, lexed as the parser reads it, or tokens. A lexical error in
     the text is reported before a syntax error. Statements nested too deep
     for the Python stack are a syntax error at the token reached."""
-    text = isinstance(source, str)
-    parser = _Parser(scan(source, start) if text else source, start)
+    parser = _Parser(source, start)
     try:
         return rule(parser)
     except (ParseError, RecursionError) as err:
-        if text:
+        if isinstance(source, str):
             tokenize(source, start)
         if isinstance(err, ParseError):
             raise
-        if text and parser.pos == len(parser.tokens):
-            # the error may have ended the scan: scan on after the last token
-            last = parser.tokens[-1] if parser.tokens else parser.last
-            end = last.pos + len(last.lexeme)
-            parser = _Parser(scan(source, end), end)
         raise parser.error("statements nested too deeply") from None
 
 

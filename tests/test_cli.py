@@ -126,7 +126,26 @@ def test_error_inside_a_prelude_method_is_reported_at_the_call(tmp_path):
     script.write_text("var x, y : Algebra;\nprint(Complex.(x * y));\n")
     code, _, err = run_to_strings(script)
     assert code == 3
-    assert err == "error: 2:14: complex components must be integers\n"
+    assert err == ("error: 2:14: complex components must be integers "
+                   "(in Complex.infix*)\n")
+
+
+def test_an_error_names_the_innermost_user_method_it_left(tmp_path):
+    script = tmp_path / "nested_error.psi"
+    for source, message in [
+        ("function g(a : integer) : integer; begin Return := a.Re end;\n"
+         "function h(a : integer) : integer; begin Return := g(a) + 1 end;\n"
+         "print(h(1));\n",
+         "error: 1:53: no field 'Re' on this value (in g)\n"),
+        ("var x, y : Algebra;\n"
+         "function g(A : Algebra) : Algebra;\n"
+         "begin Return := Complex.(A * y) end;\n"
+         "print(g(x));\n",
+         "error: 3:24: complex components must be integers "
+         "(in Complex.infix*)\n"),
+    ]:
+        script.write_text(source)
+        assert run_to_strings(script) == (3, "", message)
 
 
 def test_sessions_share_the_parsed_prelude_not_its_methods():
@@ -450,7 +469,7 @@ def test_repl_reports_an_error_in_a_body_where_the_body_was_typed():
         "function f(a : integer) : integer; begin Return := a.Re end;\n"
         "f(1)\n:quit\n")
     assert (code, out, err) == (0, "", "error: 1:53: no field 'Re' on this "
-                                       "value\n")
+                                       "value (in f)\n")
 
 
 def test_repl_columns_count_in_the_line_as_typed():

@@ -1,12 +1,18 @@
 """Each psipp module uses only the public names of the others: no
 ``from .x import _name`` anywhere in the package. And each module uses
 what it imports: it reads the name, lists it in ``__all__``, or another
-psipp module imports the name from it."""
+psipp module imports the name from it. And every name that the bench
+tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
+from psipp.evaluator import Interpreter
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "psipp"
+BENCH = SRC.parent.parent / "bench"
 
 
 def private_imports(path: Path) -> list[str]:
@@ -73,3 +79,19 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(source, {("mutant", "C")}) == [
         "mutant.py:2: os", "mutant.py:2: os", "mutant.py:3: FAIL",
         "mutant.py:4: I"]
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer skips a name it cannot find, so a renamed function would
+    # read 0 under ``--trace 1`` with no error; the dead kernel names are
+    # the benchmark's to drop
+    spec = importlib.util.spec_from_file_location("tracer",
+                                                  BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for _, module, names in tracer._FUNCTIONS
+               for name in names if name not in tracer.KERNELS
+               and not hasattr(importlib.import_module(module), name)]
+    missing += [f"Interpreter.{name}" for name in tracer._INTERPRETER_METHODS
+                if name not in vars(Interpreter)]
+    assert tracer._FUNCTIONS and missing == []

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from psipp.errors import LexError, line_col
-from psipp.lexer import IDENT, INT, KEYWORDS, tokenize
+from psipp.lexer import IDENT, INT, KEYWORDS, scan_into, tokenize
 
 
 def tags_and_lexemes(tokens):
-    return [(t.tag, t.lexeme) for t in tokens]
+    return [(tag, lexeme) for tag, lexeme, _ in tokens]
 
 
 def test_simple_assignment():
@@ -28,13 +28,13 @@ def test_keywords_recognized():
     for kw in ("Object", "function", "infix", "prefix", "var", "par",
                "begin", "end", "if", "then", "else", "Return", "fail",
                "EVAL"):
-        (tok,) = tokenize(kw)
-        assert tok.tag == kw
+        ((tag, _, _),) = tokenize(kw)
+        assert tag == kw
 
 
 def test_typographic_minus():
     toks = tokenize("−A")
-    assert (toks[0].tag, toks[0].lexeme) == ("-", "−")
+    assert toks[0][:2] == ("-", "−")
 
 
 def test_lex_error_has_span():
@@ -55,9 +55,26 @@ def test_spans_reconstruct_source():
               "end; { Group }\n"
               "x := 2*(1+2*i);\n")
     lines = source.splitlines()
-    for tok in tokenize(source):
-        line, col = line_col(source, tok.pos)
-        assert lines[line - 1][col - 1:col - 1 + len(tok.lexeme)] == tok.lexeme
+    for _, lexeme, pos in tokenize(source):
+        line, col = line_col(source, pos)
+        assert lines[line - 1][col - 1:col - 1 + len(lexeme)] == lexeme
+
+
+@pytest.mark.parametrize("count", [1, 2, 64])
+@pytest.mark.parametrize("source, start, end", [
+    ("a := 1; { c }  b\n{ d }", 0, 16),
+    ("x { a } y  ", 1, 9),
+    ("x   { a }  ", 1, 1),
+    ("", 0, 0),
+])
+def test_a_scan_in_batches_ends_after_the_last_token(count, source, start,
+                                                      end):
+    columns = [], [], []
+    i = start
+    while not columns[0] or columns[0][-1] is not None:
+        i = scan_into(source, i, *columns, count)
+    assert list(zip(*columns)) == tokenize(source, start) + [(None, "", end)]
+    assert i == len(source)
 
 
 def test_integer_literals_are_ascii_digits():
@@ -157,8 +174,8 @@ def lexed(source):
     """Each token as (tag, lexeme, (line, column)), or the error's message
     and (line, column): ``tokenize``'s offsets, converted."""
     try:
-        return [(t.tag, t.lexeme, line_col(source, t.pos))
-                for t in tokenize(source)]
+        return [(tag, lexeme, line_col(source, pos))
+                for tag, lexeme, pos in tokenize(source)]
     except LexError as err:
         return ("LexError", err.message, line_col(source, err.span))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psipp import ast
+from psipp import ast, parser
 from psipp.algebra import make_interpreter
 from psipp.errors import (ArityError, EmptyWordError, LexError, ParseError,
                           PsiError, line_col)
@@ -268,11 +268,11 @@ def shunting_yard_eval(source):
     prec = {"+": 1, "-": 1, "*": 2, "neg": 3}
     output, stack = [], []
     prev = None
-    for tok in tokenize(source):
-        if tok.tag == INT:
-            output.append(int(tok.lexeme))
-        elif tok.tag in prec:
-            op = tok.tag
+    for tag, lexeme, _ in tokenize(source):
+        if tag == INT:
+            output.append(int(lexeme))
+        elif tag in prec:
+            op = tag
             if op == "-" and (prev is None or prev in {"(", "+", "-", "*"}):
                 op = "neg"
             while stack and stack[-1] != "(" and (
@@ -280,13 +280,13 @@ def shunting_yard_eval(source):
                     or (prec[stack[-1]] == prec[op] and op != "neg")):
                 output.append(stack.pop())
             stack.append(op)
-        elif tok.tag == "(":
+        elif tag == "(":
             stack.append("(")
-        elif tok.tag == ")":
+        elif tag == ")":
             while stack[-1] != "(":
                 output.append(stack.pop())
             stack.pop()
-        prev = tok.lexeme
+        prev = lexeme
     while stack:
         output.append(stack.pop())
     values = []
@@ -329,98 +329,103 @@ class FourLevelParser(_Parser):
     recursive ``postfix`` and ``primary`` that its explicit stack
     replaced."""
 
+    def token(self):
+        """The next token as a ``(tag, lexeme, offset)`` triple."""
+        i = self.peek()
+        return self.tags[i], self.lexemes[i], self.offsets[i]
+
     def expression(self):
         lhs = self.additive()
-        tok = self.peek()
-        if tok is not None and tok.lexeme == "=":
+        tag, lexeme, pos = self.token()
+        if tag is not None and lexeme == "=":
             self.pos += 1
             rhs = self.additive()
-            return ast.Infix("=", lhs, rhs, tok.pos)
+            return ast.Infix("=", lhs, rhs, pos)
         return lhs
 
     def additive(self):
         lhs = self.term()
         while True:
-            tok = self.peek()
-            if tok is not None and tok.lexeme in {"+", "-", "−"}:
+            tag, lexeme, pos = self.token()
+            if tag is not None and lexeme in {"+", "-", "−"}:
                 self.pos += 1
-                lhs = ast.Infix("+" if tok.lexeme == "+" else "-", lhs,
-                                self.term(), tok.pos)
+                lhs = ast.Infix("+" if lexeme == "+" else "-", lhs,
+                                self.term(), pos)
             else:
                 return lhs
 
     def term(self):
         lhs = self.factor()
         while True:
-            tok = self.peek()
-            if tok is not None and tok.lexeme == "*":
+            tag, lexeme, pos = self.token()
+            if tag is not None and lexeme == "*":
                 self.pos += 1
-                lhs = ast.Infix("*", lhs, self.factor(), tok.pos)
+                lhs = ast.Infix("*", lhs, self.factor(), pos)
             else:
                 return lhs
 
     def factor(self):
-        tok = self.peek()
-        if tok is not None and tok.lexeme in {"-", "−"}:
+        tag, lexeme, pos = self.token()
+        if tag is not None and lexeme in {"-", "−"}:
             self.pos += 1
-            return ast.Prefix("-", self.factor(), tok.pos)
+            return ast.Prefix("-", self.factor(), pos)
         return self.postfix()
 
     def postfix(self):
         expr = self.primary()
         while self.check("."):
-            dot = self.expect(".")
+            dot = self.offsets[self.expect(".")]
             if self.accept("("):
                 if not isinstance(expr, ast.Ident):
                     raise ParseError("inherited call requires a type name "
-                                     "before '.'", dot.pos)
+                                     "before '.'", dot)
                 inner = self.expression()
                 self.expect(")")
-                expr = ast.InheritedCall(expr.name, inner, dot.pos)
+                expr = ast.InheritedCall(expr.name, inner, dot)
             else:
-                field = self.expect(IDENT)
-                expr = ast.FieldAccess(expr, field.lexeme, dot.pos)
+                field = self.lexemes[self.expect(IDENT)]
+                expr = ast.FieldAccess(expr, field, dot)
         return expr
 
     def primary(self):
-        tok = self.peek()
-        if tok is None:
+        tag, lexeme, pos = self.token()
+        if tag is None:
             raise self.error("expected expression")
-        if tok.tag == INT:
+        if tag == INT:
             self.pos += 1
             try:
-                value = int(tok.lexeme)
+                value = int(lexeme)
             except ValueError:
-                raise ParseError(f"integer literal of {len(tok.lexeme)} "
-                                 f"digits is too long", tok.pos) from None
-            return ast.IntLit(value, tok.pos)
-        if tok.tag == "fail":
+                raise ParseError(f"integer literal of {len(lexeme)} "
+                                 f"digits is too long", pos) from None
+            return ast.IntLit(value, pos)
+        if tag == "fail":
             self.pos += 1
-            return ast.FailLit(tok.pos)
-        if tok.tag == "Return":
+            return ast.FailLit(pos)
+        if tag == "Return":
             self.pos += 1
-            return ast.Ident("Return", tok.pos)
-        if tok.tag == "EVAL":
+            return ast.Ident("Return", pos)
+        if tag == "EVAL":
             self.pos += 1
             self.expect("(")
             inner = self.expression()
             self.expect(")")
-            return ast.Call("EVAL", (inner,), tok.pos)
-        if tok.tag == IDENT:
+            return ast.Call("EVAL", (inner,), pos)
+        if tag == IDENT:
             self.pos += 1
             if self.accept("("):
-                return ast.Call(tok.lexeme, tuple(self.call_args()), tok.pos)
-            return ast.Ident(tok.lexeme, tok.pos)
-        if tok.tag == "(":
+                return ast.Call(lexeme, tuple(self.call_args()), pos)
+            return ast.Ident(lexeme, pos)
+        if tag == "(":
             self.pos += 1
             first = self.expression()
             if self.accept(","):
                 second = self.expression()
                 self.expect(")")
-                return ast.PairLit(first, second, tok.pos)
+                return ast.PairLit(first, second, pos)
             self.expect(")")
             return first
-        raise self.error(f"unexpected token {tok.lexeme!r} in expression")
+        raise self.error(f"unexpected token {lexeme!r} in expression")
 
 
 def outcome(parser_class, rule, source):
@@ -438,6 +443,11 @@ EXPRESSION_WORDS = ["x", "y", "A", "0", "7", "+", "-", "−", "*", "=", "(",
 PROGRAM_WORDS = EXPRESSION_WORDS + [
     ":=", ";", ":", "begin", "end", "if", "then", "else", "print", "var",
     "integer", "function", "infix", "prefix", "par", "Object"]
+OBJECTS = ("Foo = Object(Algebra);\n  Re, Im : integer;\n"
+           "  function infix *(A, B : Foo) : Foo;\nend;\n"
+           "Bar = Object(Foo);\nfunction twice(A : Algebra) : Algebra;\n"
+           "begin Return := A * A end;\n"
+           "function Foo.infix *(A, B : Foo) : Foo; begin Return := A end;\n")
 PROGRAM = ("x := a - −b * (c, d).Re = e * -f + g;\n"
            "if a = b + c then print(Algebra.(a * b)) else y := EVAL(z);\n"
            "function infix *(A, B : Algebra) : Algebra; par P : Algebra;\n"
@@ -449,7 +459,7 @@ def random_source(rng, words, template):
     dropped or inserted."""
     if rng.random() < 0.5:
         return " ".join(rng.choices(words, k=rng.randrange(16)))
-    tokens = [t.lexeme for t in tokenize(template)]
+    tokens = [lexeme for _, lexeme, _ in tokenize(template)]
     for _ in range(rng.randrange(1, 4)):
         i = rng.randrange(len(tokens))
         edit = rng.randrange(3)
@@ -497,9 +507,8 @@ def test_a_lexical_error_is_reported_before_a_syntax_error(source, message):
 
 
 def test_statements_nested_too_deeply_are_an_error_at_the_token_reached():
-    # the error stops the scan when it comes while the next batch of
-    # tokens is read; the k empty statements move that read along the
-    # nesting
+    # the k empty statements move the reads of the next batch of tokens
+    # along the nesting; the text and its token list fail at one token
     for k in range(64):
         source = ("begin " + "; " * k + "begin " * 1000 + "x := 1"
                   + " end" * 1001 + ";\n")
@@ -507,6 +516,8 @@ def test_statements_nested_too_deeply_are_an_error_at_the_token_reached():
             parse_program(source)
         assert err.value.message == "statements nested too deeply"
         assert source.startswith("begin ", err.value.span), k
+        for streamed, listed in stream_and_list(source, [parse_program]):
+            assert streamed == listed, k
 
 
 def recursion_error_uses(path: Path) -> list[str]:
@@ -584,17 +595,30 @@ def parse_outcome(parse, source):
         return type(err), err.message, err.span
 
 
-def stream_and_list(source):
-    """Each rule's outcome on ``source`` read as a stream, then on the
-    token list lexed first."""
-    rules = (parse_program, parse_expression)
-    try:
-        tokens = tokenize(source)
-    except LexError as err:
-        listed = (type(err), err.message, err.span)
-        return [(parse_outcome(parse, source), listed) for parse in rules]
-    return [(parse_outcome(parse, source), parse_outcome(parse, tokens))
-            for parse in rules]
+BATCHES = (1, 2, 64)
+
+
+def parse_in_batches(parse, source, batch):
+    """``parse``'s outcome on ``source``, text read ``batch`` tokens at a
+    time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_BATCH", batch)
+        return parse_outcome(parse, source)
+
+
+def stream_and_list(source, rules=(parse_program, parse_expression)):
+    """Each rule's outcome on ``source`` read as a stream, at each batch
+    size, then on the token list lexed first. Both are parsed at one depth
+    of the Python stack, which nested statements can run out of."""
+    pairs = []
+    for parse in rules:
+        try:
+            listed = parse_in_batches(parse, tokenize(source), 64)
+        except LexError as err:
+            listed = type(err), err.message, err.span
+        for batch in BATCHES:
+            pairs.append((parse_in_batches(parse, source, batch), listed))
+    return pairs
 
 
 def deep_parentheses(rng):
@@ -616,6 +640,22 @@ def test_parsing_a_stream_matches_parsing_the_token_list():
             source = deep_parentheses(rng)
         for streamed, listed in stream_and_list(source):
             assert streamed == listed, source
+    # object declarations, where a member signature is parsed and then
+    # taken back if a body follows it
+    for _ in range(500):
+        source = random_source(rng, words, OBJECTS)
+        for streamed, listed in stream_and_list(source):
+            assert streamed == listed, source
+
+
+def test_a_lexical_error_anywhere_in_a_batch_is_reported_as_listed():
+    # the error comes in the batch the parser reads, or after a syntax
+    # error the parser stops at
+    for valid in ("x := ", "x := 1 1; "):
+        for tokens in range(2 * 64 + 3):
+            source = valid + "a + " * (tokens // 2) + "a" * (tokens % 2) + "?"
+            for streamed, listed in stream_and_list(source):
+                assert streamed == listed, source
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
