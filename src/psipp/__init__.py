@@ -12,11 +12,11 @@ from .objects import ObjectDescriptor, Registry
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
 from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
-                     IntegerV, RegisterV, ThunkV, Value)
+                     RegisterV, ThunkV, Value)
 
 __all__ = [
     "FAIL", "ComplexV", "Environment", "FreeVarV", "FunctionalObject",
-    "IntegerV", "Interpreter", "MonomialRegister",
+    "Interpreter", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
     "Value", "classify_binding", "complex_mul",
     "distribute", "format_monomial", "install_prelude", "make_interpreter",

@@ -30,8 +30,8 @@ from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
 from .pretty import expr_text, layout, operator_level
 # complex_mul is not called here: the package and bench/tracer.py read it
-from .values import (FAIL, ComplexV, IntegerV, RegisterV, ThunkV, Value,
-                     arith, complex_mul, promote, thunk)
+from .values import (FAIL, ComplexV, RegisterV, ThunkV, Value, arith,
+                     complex_mul, promote, thunk)
 
 PRELUDE_SOURCE = """\
 Group = Object;
@@ -268,26 +268,26 @@ def _native_register_mul(args, interp):
 
 
 def builtin_args(name: str, args: list[Value], arities: tuple[int, ...],
-                 kind: type = Value, what: str = "") -> list[Value]:
-    """Arity and argument type check of a builtin call; the interpreter
-    adds the call's span to the error."""
+                 kind: Optional[type] = None, what: str = "") -> list[Value]:
+    """Arity and argument type check of a builtin call: each argument is
+    exactly of type ``kind``, if one is given. The interpreter adds the
+    call's span to the error."""
     if len(args) not in arities:
         plural = "s" if arities[-1] > 1 else ""
         raise EvalError(f"{name} takes {' or '.join(map(str, arities))} "
                         f"argument{plural}, got {len(args)}")
-    if not all(isinstance(a, kind) for a in args):
+    if kind is not None and not all(type(a) is kind for a in args):
         raise EvalError(f"{name} expects {what}")
     return args
 
 
 def _builtin_mono(args, interp, env):
-    ints = builtin_args("mono", args, (4,), IntegerV, "integer components")
-    return RegisterV(MonomialRegister(*(a.n for a in ints)))
+    ints = builtin_args("mono", args, (4,), int, "integer components")
+    return RegisterV(MonomialRegister(*ints))
 
 
 def _builtin_complex(args, interp, env):
-    ints = [a.n for a in builtin_args("Complex", args, (1, 2), IntegerV,
-                                      "integer components")]
+    ints = builtin_args("Complex", args, (1, 2), int, "integer components")
     return ComplexV(ints[0], ints[1] if len(ints) == 2 else 0)
 
 

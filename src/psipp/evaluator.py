@@ -14,6 +14,7 @@ the same helper; a level of nesting costs one Python frame on either.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Optional
 
 from . import ast
@@ -22,14 +23,16 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
 from .objects import NativeMethod, Registry, UserMethod
 from .pretty import render_value
 from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
-                     FreeVarV, FunctionalObject, IntegerV, ThunkV, Value,
-                     arith, classify_binding, int_arith, promote, thunk,
+                     FreeVarV, FunctionalObject, ThunkV, Value, arith,
+                     classify_binding, int_arith, promote, thunk,
                      type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
 STATEMENT_CALLS = ("print", "kind")
 _FIXITY = {ast.Infix: "infix", ast.Prefix: "prefix"}
+# the fields of a complex value, each an integer component
+_COMPLEX_FIELDS = {"Re": attrgetter("re"), "Im": attrgetter("im")}
 
 
 def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
@@ -144,8 +147,8 @@ def pair_value(first: Value, second: Value, expr: ast.PairLit) -> Value:
         return FAIL
     components = []
     for part in (first, second):
-        if isinstance(part, IntegerV):
-            components.append(part.n)
+        if type(part) is int:
+            components.append(part)
         elif isinstance(part, ComplexV) and part.im == 0:
             components.append(part.re)
         else:
@@ -157,8 +160,8 @@ def truth(value: Value) -> bool:
     """Whether a condition of this value holds: not for fail or 0."""
     if value is FAIL:
         return False
-    if isinstance(value, IntegerV):
-        return value.n != 0
+    if type(value) is int:
+        return value != 0
     return True
 
 
@@ -167,7 +170,7 @@ def leaf_value(expr: ast.Expr) -> Optional[Value]:
     ``fail`` or a value leaf; None for any other node."""
     kind = type(expr)
     if kind is ast.IntLit:
-        return IntegerV(expr.value)
+        return expr.value
     if kind is ast.FailLit:
         return FAIL
     if kind is ast.ValueLeaf:
@@ -322,12 +325,11 @@ class Interpreter:
         if obj is FAIL:
             return FAIL
         if isinstance(obj, ComplexV):
-            if field == "Re":
-                return IntegerV(obj.re)
-            if field == "Im":
-                return IntegerV(obj.im)
-            raise UnknownIdentifier(f"Complex has no field {field!r}",
-                                    expr.span)
+            part = _COMPLEX_FIELDS.get(field)
+            if part is None:
+                raise UnknownIdentifier(f"Complex has no field {field!r}",
+                                        expr.span)
+            return part(obj)
         if isinstance(obj, (ThunkV, FreeVarV)):
             body, captures = as_repr(obj)
             return thunk(ast.FieldAccess(body, field), captures)
@@ -370,7 +372,7 @@ class Interpreter:
             kind = type(a)
             if kind is ThunkV or kind is FreeVarV:
                 concrete = False
-            elif kind is not IntegerV:
+            elif kind is not int:
                 integers = False
         if not concrete:
             return self.make_thunk(op, fixity, args)
@@ -556,10 +558,12 @@ class Interpreter:
 # tree of closures ``(interp, env) -> Value`` (Feeley and Lapalme, "Using
 # closures for code generation", 1987); a statement's closure returns
 # None. ``compile_stmt`` and ``compile_expr`` switch on the walker's cases,
-# and each closure applies its node's rule by the helper the walker calls.
-# Compiling raises nothing: a call, an ``=`` outside a condition, an
-# inherited call of a non-operator and a node of no case compile to a run
-# of the walker, which raises its error when, and only if, it is reached.
+# and each closure applies its node's rule by the helper the walker calls;
+# an infix operator, a field and an ``= fail`` condition first test inline
+# the helper's case that the Complex product runs. Compiling raises
+# nothing: a call, an ``=`` outside a condition, an inherited call of a
+# non-operator and a node of no case compile to a run of the walker,
+# which raises its error when, and only if, it is reached.
 
 Code = Callable[[Interpreter, Environment], Optional[Value]]
 
@@ -573,9 +577,13 @@ def compile_stmt(stmt: ast.Stmt) -> Code:
         cond = stmt.cond
         if type(cond) is ast.Infix and cond.op == "=":
             subject, pattern = compile_expr(cond.lhs), cond.rhs
-
-            def holds(interp, env):
-                return interp.match_pattern(subject(interp, env), pattern, env)
+            if type(pattern) is ast.FailLit:
+                def holds(interp, env):
+                    return subject(interp, env) is FAIL  # match_pattern's case
+            else:
+                def holds(interp, env):
+                    return interp.match_pattern(subject(interp, env), pattern,
+                                                env)
         else:
             value = compile_expr(cond)
 
@@ -616,14 +624,19 @@ def compile_expr(expr: ast.Expr) -> Code:
 
         def infix(interp, env):
             a, b = lhs(interp, env), rhs(interp, env)
-            if kernel is not None and type(a) is IntegerV \
-                    and type(b) is IntegerV:
-                return IntegerV(kernel(a.n, b.n))  # apply_operator's case
+            if kernel is not None and type(a) is int and type(b) is int:
+                return kernel(a, b)  # apply_operator's case
             return interp.apply_operator(op, "infix", [a, b], expr)
         return infix
     if kind is ast.FieldAccess:
-        obj = compile_expr(expr.obj)
-        return lambda interp, env: interp.field_of(obj(interp, env), expr)
+        obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
+
+        def field(interp, env):
+            value = obj(interp, env)
+            if part is not None and type(value) is ComplexV:
+                return part(value)  # field_of's case
+            return interp.field_of(value, expr)
+        return field
     if kind is ast.PairLit:
         first, second = compile_expr(expr.first), compile_expr(expr.second)
         return lambda interp, env: pair_value(first(interp, env),

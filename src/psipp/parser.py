@@ -408,14 +408,16 @@ class _Parser:
 def _parse(source, rule, start=0):
     """Apply ``rule`` to a parser over ``source``: text from offset
     ``start``, lexed as the parser reads it, or tokens. A lexical error in
-    the text is reported before a syntax error. Statements nested too deep
-    for the Python stack are a syntax error at the token reached."""
+    the text is reported before a syntax error: the text the parser has
+    not scanned is lexed to its end, as what it scanned lexed cleanly.
+    Statements nested too deep for the Python stack are a syntax error at
+    the token reached."""
     parser = _Parser(source, start)
     try:
         return rule(parser)
     except (ParseError, RecursionError) as err:
         if isinstance(source, str):
-            tokenize(source, start)
+            tokenize(source, parser.scanned)
         if isinstance(err, ParseError):
             raise
         raise parser.error("statements nested too deeply") from None

@@ -16,7 +16,7 @@ from .ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_EQ, LEVEL_MUL,
                   LEVEL_PREFIX)
 from .errors import EvalError
 from .monomials import format_monomial
-from .values import ComplexV, FreeVarV, IntegerV, RegisterV, ThunkV, Value
+from .values import ComplexV, FreeVarV, RegisterV, ThunkV, Value
 
 def _int_text(n: int) -> str:
     """Decimal text of an integer. Python refuses to convert an integer of
@@ -44,8 +44,8 @@ def _complex_text(re: int, im: int) -> tuple[str, int]:
 
 
 def _value_text(v: Value) -> tuple[str, int]:
-    if isinstance(v, IntegerV):
-        return _int_text(v.n), LEVEL_ATOM if v.n >= 0 else LEVEL_PREFIX
+    if type(v) is int:
+        return _int_text(v), LEVEL_ATOM if v >= 0 else LEVEL_PREFIX
     if isinstance(v, ComplexV):
         return _complex_text(v.re, v.im)
     if isinstance(v, RegisterV):
@@ -57,7 +57,7 @@ def _value_text(v: Value) -> tuple[str, int]:
     return "fail", LEVEL_ATOM
 
 
-_SCALARS = (IntegerV, ComplexV)
+_SCALARS = (int, ComplexV)
 _LAYOUT = object()  # on the stack above an Infix whose operands are done
 _COMPOSE = object()  # the same for any other node with operands
 
@@ -92,9 +92,9 @@ def layout(e: ast.Expr, kids: Sequence[ast.Expr],
         # round-trip unchanged
         first, second = kids
         if (isinstance(second, ast.ValueLeaf)
-                and isinstance(second.value, _SCALARS)
+                and type(second.value) in _SCALARS
                 and not (isinstance(first, ast.ValueLeaf)
-                         and isinstance(first.value, _SCALARS))):
+                         and type(first.value) in _SCALARS)):
             lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
         sep = " * " if spaced else "*"
     else:

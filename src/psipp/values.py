@@ -3,7 +3,9 @@ both the evaluator and the rewriter.
 
 Every runtime datum is one of: integer, complex value, monomial register,
 free variable, thunk (lazy functional object), or the universal ``fail``
-sentinel. Values are slotted dataclasses, immutable by convention as
+sentinel. An integer is a plain Python ``int``, tested by exact type, so
+a ``bool`` is never one, and never by truth, as ``0`` is falsy. The other
+values are slotted dataclasses, immutable by convention as
 ``tests/test_immutability.py`` checks, and may be shared. The kernel holds
 the one definition of concrete Gaussian-integer arithmetic, of thunk
 construction, and of a functional object's type, read off its body.
@@ -28,12 +30,8 @@ KIND_FUNCTIONAL = "functional object"
 
 
 class Value:
+    """The base of every value but an integer, which is an ``int``."""
     __slots__ = ()
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class IntegerV(Value):
-    n: int
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -103,7 +101,7 @@ def classify_binding(v: Value) -> str:
 # --- the kernel: types, thunk construction, arithmetic ---
 
 def type_name_of(v: Value) -> str:
-    if isinstance(v, IntegerV):
+    if type(v) is int:
         return INTEGER
     if isinstance(v, ComplexV):
         return "Complex"
@@ -168,7 +166,7 @@ def thunk(body: ast.Expr, *captures: dict[str, Value]) -> ThunkV:
 def promote(v: Value) -> Value:
     """Integer to complex conversion: n becomes (Re: n, Im: 0). Any other
     value is returned unchanged."""
-    return ComplexV(v.n, 0) if isinstance(v, IntegerV) else v
+    return ComplexV(v, 0) if type(v) is int else v
 
 
 def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
@@ -179,12 +177,12 @@ def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
 INT_INFIX = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def int_arith(op: str, args: list[IntegerV]) -> Optional[IntegerV]:
+def int_arith(op: str, args: list[int]) -> Optional[int]:
     """``op`` on integer operands: prefix on one, infix on two."""
     if len(args) == 1:
-        return IntegerV(-args[0].n) if op == "-" else None
+        return -args[0] if op == "-" else None
     kernel = INT_INFIX.get(op)
-    return IntegerV(kernel(args[0].n, args[1].n)) if kernel else None
+    return kernel(args[0], args[1]) if kernel else None
 
 
 def arith(op: str, args: list[Value]) -> Optional[Value]:
@@ -192,9 +190,9 @@ def arith(op: str, args: list[Value]) -> Optional[Value]:
     infix on two. Integers stay integers among themselves and promote when
     they meet a complex value; ``fail`` is absorbing. None when no operand
     combination or operator applies."""
-    if all(isinstance(a, IntegerV) for a in args):
+    if all(type(a) is int for a in args):
         return int_arith(op, args)
-    if not all(isinstance(a, (IntegerV, ComplexV)) for a in args):
+    if not all(type(a) is int or isinstance(a, ComplexV) for a in args):
         return FAIL if any(a is FAIL for a in args) else None
     cx = [promote(a) for a in args]
     if len(cx) == 1:

@@ -16,7 +16,7 @@ from psipp.monomials import (MonomialRegister, format_monomial,
                              register_mul, rep_label)
 from psipp.parser import parse_expression, parse_juxtaposition, parse_program
 from psipp.pretty import render_expr
-from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
+from psipp.values import (FAIL, ComplexV, FreeVarV, RegisterV,
                           ThunkV, classify_binding)
 
 import test_parser
@@ -83,8 +83,8 @@ def _gauss_eval(expr, captures, assignment):
         return _gauss(expr.value)
     if isinstance(expr, ast.ValueLeaf):
         v = expr.value
-        if isinstance(v, IntegerV):
-            return _gauss(v.n)
+        if type(v) is int:
+            return _gauss(v)
         if isinstance(v, ComplexV):
             return _gauss(v.re, v.im)
         if isinstance(v, FreeVarV):
@@ -106,8 +106,8 @@ def _gauss_eval(expr, captures, assignment):
 def _gauss_value(v, assignment):
     if isinstance(v, ThunkV):
         return _gauss_eval(v.fo.body, v.fo.capture_map(), assignment)
-    if isinstance(v, IntegerV):
-        return _gauss(v.n)
+    if type(v) is int:
+        return _gauss(v)
     if isinstance(v, ComplexV):
         return _gauss(v.re, v.im)
     if isinstance(v, FreeVarV):
@@ -153,7 +153,7 @@ def test_criterion_5_fail_protocol():
         return interp.eval_expr(parse_expression(source), interp.globals)
 
     sums = [ev("i + x"), ev("x + y"), ev("1 + x"), ev("(x + y) + i")]
-    non_sums = [IntegerV(0), IntegerV(7), ComplexV(0, 1), ComplexV(2, -3),
+    non_sums = [0, 7, ComplexV(0, 1), ComplexV(2, -3),
                 FreeVarV("x"), FreeVarV("y"),
                 RegisterV(MonomialRegister(1, 2, 0, 1)),
                 ev("x * y"), ev("i * x"), ev("-x")]

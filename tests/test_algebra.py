@@ -11,7 +11,7 @@ from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import free_idents
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
+from psipp.values import (FAIL, ComplexV, FreeVarV, RegisterV,
                           ThunkV)
 from psipp.monomials import MonomialRegister
 
@@ -51,7 +51,7 @@ def test_distribute_atoms_fail():
 
 def test_distribute_fail_iff_not_sum_rooted(interp):
     sums = [ev(interp, "i + x"), ev(interp, "x + y"), ev(interp, "1 + x")]
-    atoms = [IntegerV(3), ComplexV(2, 1), FreeVarV("x"),
+    atoms = [3, ComplexV(2, 1), FreeVarV("x"),
              RegisterV(MonomialRegister(1, 2, 0, 0)),
              ev(interp, "x * y"), ev(interp, "-x"), FAIL]
     for a, b in itertools.product(sums + atoms, repeat=2):
@@ -93,9 +93,9 @@ def test_complex_mul_matches_python_complex(a, b, c, d):
 
 
 def test_promote():
-    assert promote(IntegerV(2)) == ComplexV(2, 0)
-    assert promote(IntegerV(0)) == ComplexV(0, 0)
-    assert promote(IntegerV(-3)) == ComplexV(-3, 0)
+    assert promote(2) == ComplexV(2, 0)
+    assert promote(0) == ComplexV(0, 0)
+    assert promote(-3) == ComplexV(-3, 0)
 
 
 # --- the prelude's Complex.infix* fallback protocol ---
@@ -150,7 +150,7 @@ def test_simplify_worked_example(interp):
 
 def test_simplify_value_is_normal_form():
     assert simplify(ComplexV(2, 4)) == ComplexV(2, 4)
-    assert simplify(IntegerV(7)) == IntegerV(7)
+    assert simplify(7) == 7
     assert simplify(FAIL) is FAIL
 
 
@@ -196,8 +196,8 @@ def oracle_eval(expr, captures, assignment):
         return ring["scalar"](complex(expr.value))
     if isinstance(expr, ast.ValueLeaf):
         v = expr.value
-        if isinstance(v, IntegerV):
-            return ring["scalar"](complex(v.n))
+        if type(v) is int:
+            return ring["scalar"](complex(v))
         if isinstance(v, ComplexV):
             return ring["scalar"](complex(v.re, v.im))
         if isinstance(v, FreeVarV):
@@ -247,8 +247,8 @@ def value_in_ring(v, assignment):
     ring = assignment["__ring__"]
     if isinstance(v, ThunkV):
         return oracle_eval(v.fo.body, v.fo.capture_map(), assignment)
-    if isinstance(v, IntegerV):
-        return ring["scalar"](complex(v.n))
+    if type(v) is int:
+        return ring["scalar"](complex(v))
     if isinstance(v, ComplexV):
         return ring["scalar"](complex(v.re, v.im))
     if isinstance(v, FreeVarV):

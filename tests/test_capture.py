@@ -13,7 +13,7 @@ from psipp.errors import PsiError
 from psipp.evaluator import free_idents, operator_thunk, substitute, value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import ComplexV, Environment, FreeVarV, IntegerV, ThunkV
+from psipp.values import ComplexV, Environment, FreeVarV, ThunkV
 
 from bindings import lookup
 from test_force import budget, doubling_chain, run, shared_programs
@@ -92,7 +92,7 @@ def test_shared_temporaries_capture_free_variables(program):
 def test_substitution_survives_combination():
     # a5 is x + y with x := 5; b's x is still free
     interp = session()
-    a5 = substituted(ev(interp, "x + y"), "x", IntegerV(5))
+    a5 = substituted(ev(interp, "x + y"), "x", 5)
     b = ev(interp, "x * y")
     a5_b = simplify(operator_thunk("*", "infix", [a5, b]))
     b_a5 = simplify(operator_thunk("*", "infix", [b, a5]))
@@ -127,7 +127,7 @@ def test_substitute_into_shared_chain_is_linear(monkeypatch):
     chain = lookup(interp.globals, f"a{depth}").fo
     monkeypatch.setattr(ast, "operands",
                         budget(10 * depth, ast.operands))
-    spliced = substitute(chain, "x", IntegerV(1))
+    spliced = substitute(chain, "x", 1)
     sharing_kept = spliced.body.lhs is spliced.body.rhs
     assert sharing_kept
     spliced_captures, chain_captures = spliced.captures, chain.captures
@@ -135,15 +135,15 @@ def test_substitute_into_shared_chain_is_linear(monkeypatch):
     assert chain_captures == (("x", FreeVarV("x", "integer")),)
     monkeypatch.undo()
     forced = interp.force(ThunkV(spliced))
-    assert forced == IntegerV(1)
+    assert forced == 1
 
 
 def test_substitute_into_a_body_1500_deep():
     interp = run("var x : integer;\na := x;\n" + "a := a + x;\n" * 1500)
-    spliced = substitute(lookup(interp.globals, "a").fo, "x", IntegerV(1))
-    assert interp.force(ThunkV(spliced)) == IntegerV(1501)
+    spliced = substitute(lookup(interp.globals, "a").fo, "x", 1)
+    assert interp.force(ThunkV(spliced)) == 1501
     interp.run_program(parse_program("x := 1;"))
-    assert ev(interp, "EVAL(a)") == IntegerV(1501)
+    assert ev(interp, "EVAL(a)") == 1501
 
 
 # --- forcing commutes with combining, under substitution ---
@@ -173,7 +173,7 @@ replacements = st.one_of(gaussian, st.sampled_from(NAMES).map(
 def make_value(interp, spec):
     kind, data = spec
     if kind == "int":
-        return IntegerV(data)
+        return data
     if kind == "complex":
         return ComplexV(*data)
     if kind == "var":

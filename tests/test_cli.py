@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from psipp import cli
+from psipp import cli, lexer, parser
 from psipp.cli import Session, run_file, run_repl
+from psipp.lexer import scan_into
 
 from bindings import snapshot
 
@@ -558,6 +560,30 @@ def test_repl_session_state_survives_errors():
     with pytest.raises(Exception):
         session.repl_step("zzz * 2")
     assert snapshot(session.interp.globals) == before
+
+
+@pytest.mark.parametrize("line", [
+    "x := 1 + 2;", "x := 1 + 2", "  y := x * x ;  ",
+    "begin print(x); kind(x) end", "if x = 3 then print(x)",
+    "z := (1, 2) * (3, 4) { a comment }"])
+def test_a_repl_statement_line_is_lexed_at_most_twice(monkeypatch, line):
+    """The expression attempt and the statement run each lex the line once;
+    the check for a lexical error after the attempt fails lexes only the
+    text the attempt did not scan."""
+    session = Session(emit=lambda text: None)
+    session.repl_step("x := 3;")
+    scans = []
+
+    def counting_scan_into(source, i, *columns):
+        end = scan_into(source, i, *columns)
+        scans.append((i, end))
+        return end
+    monkeypatch.setattr(lexer, "scan_into", counting_scan_into)
+    monkeypatch.setattr(parser, "scan_into", counting_scan_into)
+    session.repl_step(line)
+    scanned = Counter(k for i, end in scans for k in range(i, end))
+    assert scanned[line.index(line.strip()[0])] == 2
+    assert max(scanned.values()) == 2, scans
 
 
 @pytest.mark.parametrize("argv, entry", [(["run", "x.psi"], "run_file"),

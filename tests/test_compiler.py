@@ -74,6 +74,8 @@ METHOD_STATEMENTS = [
     "if A.Re then print(1) else print(0)",
     "if A = fail then Return := B",
     "if B = (1, 2) then Return := (9, 9)",
+    "Return := (A.Re, 0)",
+    "if A.Im = fail then Return := B",
     "begin print(B); Return := B end",
 ]
 FUNCTION_STATEMENTS = [
@@ -95,6 +97,11 @@ FUNCTION_STATEMENTS = [
     "kind(Return)",
     "Return := A",
     "Return := mono(1, 0, 1, 0) * A",
+    # a field the closures inline, of a thunk or of fail, as a condition,
+    # in a pair and in an identity test
+    "if A.Re then print(1) else print(0)",
+    "Return := (A.Re, 0)",
+    "if A.Im = fail then Return := A",
 ]
 # each fails at run time, if it is reached
 FAILING_STATEMENTS = [
@@ -110,7 +117,7 @@ FAILING_STATEMENTS = [
     "if A = C then if A = C + D then Return := D",
 ]
 ARGUMENTS = ["(1, 2)", "3", "i", "x + y", "x * y", "mono(1, 2, 0, 1)",
-             "fail", "(0, 0)", "(x + y) * i", "n", "z"]
+             "fail", "(0, 0)", "(x + y) * i", "n", "z", "0", "-1"]
 TOP_LEVEL = [
     "print({a} * {b});", "print({a} + {b});", "print({a} - {b});",
     "print(-{a});", "print(Complex.({a} * {b}));",
@@ -197,6 +204,25 @@ def test_a_program_of_the_generated_kind_runs_the_same_both_ways():
     assert compiled == walked == (
         "1 + 2*i\n-5 + 10*i\nx*y\n1\n",
         "error: 9:1: 'f0' never assigned Return\n", 3)
+
+
+def test_each_inlined_case_and_its_fallback_runs_the_same_both_ways():
+    """A field of a complex value and ``= fail`` are inlined in the
+    closures: a field of fail and of a thunk takes ``field_of``'s other
+    cases, and the cases run beside a zero field as a condition, ``= fail``
+    on fail and on a thunk, and a pair of integers, of fail and of a
+    thunk."""
+    source = (
+        "var x : Algebra;\n"
+        "function f(A : Algebra) : Algebra;\n"
+        "begin if A.Re then print(1) else print(0);\n"
+        "if A.Im = fail then Return := 7 else Return := (A.Re, 0) end;\n"
+        "print(f((0, 5)));\nprint(f((2, 0)));\nprint(f(fail));\n"
+        "print(f(x + 1));\n")
+    compiled, walked = run_both(source)
+    assert compiled == walked == (
+        "0\n0\n1\n2\n0\n7\n1\n",
+        "error: 4:48: complex components must be integers (in f)\n", 3)
 
 
 def test_a_body_sum_of_900_terms_runs_the_same_both_ways():

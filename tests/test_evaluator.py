@@ -1,15 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psipp import ast, evaluator
-from psipp.algebra import make_interpreter
+from psipp import ast, cli, evaluator
+from psipp.algebra import make_interpreter, simplify
 from psipp.errors import (EvalError, UnassignedReturn, UnknownIdentifier,
                           line_col)
 from psipp.evaluator import substitute, value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, IntegerV,
-                          ThunkV, classify_binding, type_name_of)
+from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, ThunkV,
+                          classify_binding, thunk, type_name_of)
 
 from bindings import lookup, snapshot
 
@@ -28,7 +28,7 @@ def ev(interp, source):
 # --- eval_expr ---
 
 def test_literal(interp):
-    assert ev(interp, "1") == IntegerV(1)
+    assert ev(interp, "1") == 1
     assert classify_binding(ev(interp, "1")) == "value"
 
 
@@ -50,7 +50,7 @@ EXPRS = [
     ast.FieldAccess(ast.Ident("x"), "Re"),
     ast.InheritedCall("Group", ast.Infix("+", ast.Ident("x"), ast.Ident("y"))),
     ast.PairLit(ast.IntLit(1), ast.IntLit(2)),
-    ast.ValueLeaf(IntegerV(1)),
+    ast.ValueLeaf(1),
     ast.Call("EVAL", (ast.IntLit(1),)),
 ]
 STMTS = [
@@ -116,14 +116,53 @@ def test_unknown_identifier(interp):
 def test_eager_inner_concrete_subexpressions(interp):
     value = ev(interp, "2*3 + x")
     assert isinstance(value, ThunkV)
-    assert value.fo.body == ast.Infix("+", ast.ValueLeaf(IntegerV(6)),
+    assert value.fo.body == ast.Infix("+", ast.ValueLeaf(6),
                                       ast.Ident("x"))
+
+
+def test_an_integer_is_a_python_int_at_every_exit(interp, tmp_path, capsys,
+                                                  monkeypatch):
+    """Evaluation, a field, forcing, a fold of the rewriter, ``EVAL`` and
+    ``simplify`` of 0 and a REPL ``:eval`` each give an ``int``, never a
+    ``bool`` nor a box around one."""
+    interp.run_program(parse_program("var c, d : integer;\n"
+                                     "b := c * d + 1;\nz := (0, 2);"))
+    results = [ev(interp, source) for source in (
+        "0", "1 + 2", "3 * 0", "2 - 5", "-4", "-0", "z.Re", "z.Im",
+        "EVAL(0)", "simplify(0)", "EVAL(1 - 1)", "simplify(2 * 3)")]
+    results.append(interp.field_of(ComplexV(0, 1),
+                                   parse_expression("z.Re")))
+    interp.run_program(parse_program("c := 0;\nd := 5;"))
+    results += [interp.force(lookup(interp.globals, "b")), interp.force(0)]
+    results += [simplify(thunk(ast.Infix("*", ast.ValueLeaf(2),
+                                         ast.ValueLeaf(0)))),
+                simplify(thunk(ast.Prefix("-", ast.ValueLeaf(0))))]
+    assert results == [0, 3, 0, -3, -4, 0, 0, 2, 0, 0, 0, 6, 0, 1, 0, 0, 0]
+    assert all(type(v) is int for v in results), results
+
+    evaluated = []
+
+    def recording(v, spaced=False):
+        evaluated.append(v)
+        return render_value(v, spaced)
+    monkeypatch.setattr(cli, "render_value", recording)
+    session = cli.Session(emit=lambda text: None)
+    for line in (":eval 0", "c := 2;", "d := 3;", "e := c + d;", ":eval e",
+                 ":eval (1, 2).Re", ":eval EVAL(0)"):
+        session.repl_step(line)
+    assert evaluated == [0, 5, 1, 0]
+    assert all(type(v) is int for v in evaluated), evaluated
+
+    script = tmp_path / "zero.psi"
+    script.write_text("print(EVAL(0));\nprint(simplify(0));\n")
+    assert cli.main(["run", str(script)]) == 0
+    assert capsys.readouterr() == ("0\n0\n", "")
 
 
 # --- classify_binding ---
 
 def test_classify_examples(interp):
-    assert classify_binding(IntegerV(1)) == "value"
+    assert classify_binding(1) == "value"
     assert classify_binding(FAIL) == "value"
     assert classify_binding(FreeVarV("x")) == "variable"
     assert classify_binding(ev(interp, "x + x")) == "functional object"
@@ -162,7 +201,7 @@ def test_match_binds_operands(interp):
 def test_non_thunk_never_matches_structurally(interp):
     env = par_env(interp, ["C", "D"])
     before = snapshot(env)
-    assert not interp.match_pattern(IntegerV(3), parse_expression("C + D"),
+    assert not interp.match_pattern(3, parse_expression("C + D"),
                                     env)
     assert snapshot(env) == before
 
@@ -170,7 +209,7 @@ def test_non_thunk_never_matches_structurally(interp):
 def test_fail_pattern_is_identity_test(interp):
     env = par_env(interp, [])
     assert interp.match_pattern(FAIL, parse_expression("fail"), env)
-    assert not interp.match_pattern(IntegerV(0), parse_expression("fail"),
+    assert not interp.match_pattern(0, parse_expression("fail"),
                                     env)
 
 
@@ -235,12 +274,12 @@ def test_force_after_assignment():
     interp.run_program(parse_program("var c, d : integer;\nb := c + d;"))
     thunk = lookup(interp.globals, "b")
     interp.run_program(parse_program("c := 1;\nd := 2;"))
-    assert interp.force(thunk) == IntegerV(3)
+    assert interp.force(thunk) == 3
     assert 1 + 2 == 3  # addition oracle
 
 
 def test_force_identity_on_values(interp):
-    assert interp.force(IntegerV(5)) == IntegerV(5)
+    assert interp.force(5) == 5
     assert interp.force(FAIL) is FAIL
 
 
@@ -262,9 +301,9 @@ def test_substitute_rebinds_capture():
     interp = make_interpreter()
     interp.run_program(parse_program("var c, d : integer;"))
     thunk = ev(interp, "c + d")
-    fo = substitute(thunk.fo, "c", IntegerV(1))
+    fo = substitute(thunk.fo, "c", 1)
     # the value is spliced into the body and c is no longer captured
-    assert fo.body == ast.Infix("+", ast.ValueLeaf(IntegerV(1)),
+    assert fo.body == ast.Infix("+", ast.ValueLeaf(1),
                                 ast.Ident("d"))
     assert dict(fo.captures) == {"d": FreeVarV("d", "integer")}
     assert thunk.fo.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
@@ -278,7 +317,7 @@ def test_substitute_types_the_spliced_body():
     thunk = ev(interp, "c + d")
     fo = substitute(thunk.fo, "c", ComplexV(1, 2))
     assert type_name_of(ThunkV(fo)) == "Complex"
-    assert type_name_of(ThunkV(substitute(thunk.fo, "c", IntegerV(1)))) \
+    assert type_name_of(ThunkV(substitute(thunk.fo, "c", 1))) \
         == "integer"
 
 
@@ -287,7 +326,7 @@ def test_substitute_unknown_name():
     interp.run_program(parse_program("var c, d : integer;"))
     thunk = ev(interp, "c + d")
     with pytest.raises(UnknownIdentifier):
-        substitute(thunk.fo, "z", IntegerV(1))
+        substitute(thunk.fo, "z", 1)
 
 
 # --- laziness soundness ---
@@ -328,7 +367,7 @@ def test_laziness_soundness(expr, u, v):
     interp.run_program(parse_program(f"u := {u}; v := {v};"))
     forced = interp.force(thunk)
     expected = direct_int_eval(expr, {"u": u, "v": v})
-    assert forced == IntegerV(expected)
+    assert forced == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -342,10 +381,10 @@ def test_substitute_then_force_equals_force_in_env(expr, u, v):
     fo = value.fo
     for name, bound in (("u", u), ("v", v)):
         if name in dict(fo.captures):
-            fo = substitute(fo, name, IntegerV(bound))
+            fo = substitute(fo, name, bound)
     via_substitute = interp.force(ThunkV(fo), Environment())
     env = Environment()
-    env.define("u", IntegerV(u))
-    env.define("v", IntegerV(v))
+    env.define("u", u)
+    env.define("v", v)
     via_env = interp.force(value, env)
     assert value_equal(via_substitute, via_env)

@@ -16,7 +16,7 @@ from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, value_equal
 from psipp.parser import parse_program
 from psipp.values import (FAIL, ComplexV, Environment, FreeVarV,
-                          FunctionalObject, IntegerV, ThunkV, type_name_of)
+                          FunctionalObject, ThunkV, type_name_of)
 
 from bindings import lookup
 
@@ -273,7 +273,7 @@ kind(b);
     assert lookup(interp.globals, "b").fo.body is \
         lookup(interp.globals, f"a{depth - 1}").fo.body
     interp.run_program(parse_program("x := 1;"))
-    assert interp.force(lookup(interp.globals, "b")) == IntegerV(1)
+    assert interp.force(lookup(interp.globals, "b")) == 1
 
 
 # --- structural equality ---
@@ -286,7 +286,7 @@ LEAVES = st.one_of(
     st.builds(ast.Ident, st.sampled_from(["x", "y"]), SPANS),
     st.builds(ast.IntLit, st.integers(0, 1), SPANS),
     st.builds(ast.ValueLeaf, st.sampled_from(
-        [IntegerV(1), IntegerV(2), ComplexV(1, 0), FAIL]), SPANS))
+        [1, 2, ComplexV(1, 0), FAIL]), SPANS))
 CAPTURES = st.sampled_from([(), (("x", FreeVarV("x")),),
                             (("x", FreeVarV("x", "Complex")),)])
 
@@ -327,7 +327,7 @@ def edited(name: str, value):
         return value + "'"
     if isinstance(value, int):
         return value + 7
-    return IntegerV(7)  # a value leaf's value
+    return 7  # a value leaf's value
 
 
 # node types with fields of the same kinds in the same order

@@ -17,7 +17,7 @@ from psipp.evaluator import free_idents
 from psipp.monomials import MonomialRegister
 from psipp.parser import parse_program
 from psipp.pretty import render_expr, render_value
-from psipp.values import (FAIL, ComplexV, FreeVarV, IntegerV, RegisterV,
+from psipp.values import (FAIL, ComplexV, FreeVarV, RegisterV,
                           ThunkV, thunk)
 
 from test_force import budget
@@ -91,7 +91,7 @@ def outcome(normalise, v, max_steps, traced):
 
 BIG = MonomialRegister(0, 2**30, 0, 1)  # its square overflows a register
 LEAVES = st.one_of(
-    st.integers(-3, 3).map(lambda n: ast.ValueLeaf(IntegerV(n))),
+    st.integers(-3, 3).map(ast.ValueLeaf),
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
         lambda c: ast.ValueLeaf(ComplexV(*c))),
     st.sampled_from([BIG, MonomialRegister(1, 2, 0, 1)]).map(
@@ -154,8 +154,8 @@ def worked_example():
 def overflow_after_a_step():
     # (x + 1) * 2 distributes, 1 * 2 folds, then BIG * BIG overflows
     x, big = ast.Ident("x"), ast.ValueLeaf(RegisterV(BIG))
-    distributed = ast.Infix("*", ast.Infix("+", x, ast.ValueLeaf(IntegerV(1))),
-                            ast.ValueLeaf(IntegerV(2)))
+    distributed = ast.Infix("*", ast.Infix("+", x, ast.ValueLeaf(1)),
+                            ast.ValueLeaf(2))
     return thunk(ast.Infix("+", distributed, ast.Infix("*", big, big)),
                  {"x": FreeVarV("x")})
 
@@ -167,7 +167,7 @@ def distributed(*names: str) -> ast.Infix:
 
 
 def leaf(n: int) -> ast.ValueLeaf:
-    return ast.ValueLeaf(IntegerV(n))
+    return ast.ValueLeaf(n)
 
 
 @settings(max_examples=400, deadline=None)
