@@ -12,9 +12,10 @@ one kernel in ``values``, and distributivity is one tree rule shared by
 over the term: distribute products over sums, fold all-concrete
 applications, promote integers that meet complex values. Factor and
 summand order are never changed. The pass visits O(DAG size + steps)
-nodes. Traced, each step costs O(depth + printed line): the frames of the
-walk keep the text around their operand slots, and a step's line is the
-text of the subterm it made spliced between them.
+nodes. Traced, a step costs amortised O(1) frames plus the printed line,
+and the text stored is O(printed line): the frames of the walk keep the
+text around their operand slots, and a step's line is the text of the
+subterm it made spliced between them.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
     """One layer of distributivity on trees: (C + D) * B -> C*B + D*B, or
     A * (E + F) -> A*E + A*F; None when neither factor is a sum. Factor
     order is preserved (noncommutative-safe)."""
-    if isinstance(lhs, ast.Infix) and lhs.op == "+":
+    if type(lhs) is ast.Infix and lhs.op == "+":
         return ast.Infix("+", ast.Infix("*", lhs.lhs, rhs),
                          ast.Infix("*", lhs.rhs, rhs))
-    if isinstance(rhs, ast.Infix) and rhs.op == "+":
+    if type(rhs) is ast.Infix and rhs.op == "+":
         return ast.Infix("+", ast.Infix("*", lhs, rhs.lhs),
                          ast.Infix("*", lhs, rhs.rhs))
     return None
@@ -113,18 +114,16 @@ def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
 def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
     """One rewrite at the root of an operator node whose operands are
     normal: fold concrete operands, else distribute a product over a sum.
-    None when the root is no redex."""
-    if isinstance(e, ast.Infix):
-        left = _concrete_leaf(e.lhs)
-        right = _concrete_leaf(e.rhs)
-        if left is not None and right is not None:
-            folded = _fold(e.op, [left, right])
+    None when the root is no redex. A value leaf is always concrete."""
+    if type(e) is ast.Infix:
+        lhs, rhs = e.lhs, e.rhs
+        if type(lhs) is ast.ValueLeaf and type(rhs) is ast.ValueLeaf:
+            folded = _fold(e.op, [lhs.value, rhs.value])
             if folded is not None:
                 return ast.ValueLeaf(folded)
-        return distribute_expr(e.lhs, e.rhs) if e.op == "*" else None
-    operand = _concrete_leaf(e.operand)
-    if operand is not None:
-        folded = _fold(e.op, [operand])
+        return distribute_expr(lhs, rhs) if e.op == "*" else None
+    if type(e.operand) is ast.ValueLeaf:
+        folded = _fold(e.op, [e.operand.value])
         if folded is not None:
             return ast.ValueLeaf(folded)
     return None
@@ -133,40 +132,57 @@ def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
 _HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
 
 
-def _context(frame: list, child: ast.Expr, level: int, memo: dict) -> tuple:
-    """``(slot, left, right)``: the spaced text left and right of ``child``,
-    of precedence ``level``, in the operand slot of ``frame``'s node. The
-    layout gets the operands as they stand, so the scalar-first swap and
-    the parentheses follow ``child``."""
+def _context(frame: list, child: ast.Expr, level: int,
+             memo: dict) -> tuple[str, str]:
+    """The spaced text left and right of ``child``, of precedence
+    ``level``, in the operand slot of ``frame``'s node. The layout gets
+    the operands as they stand, so the scalar-first swap and the
+    parentheses follow ``child``."""
     node, slot = frame[0], frame[1]
-    kids = list(operands(node))
-    kids[slot] = child
-    texts = [(_HOLE, level) if k == slot else expr_text(kid, True, memo)
-             for k, kid in enumerate(kids)]
+    hole = (_HOLE, level)
+    if type(node) is not ast.Infix:
+        kids, texts = (child,), (hole,)
+    elif slot:
+        kids = (node.lhs, child)
+        texts = (expr_text(node.lhs, True, memo), hole)
+    else:
+        kids = (child, node.rhs)
+        texts = (hole, expr_text(node.rhs, True, memo))
     left, _, right = layout(node, kids, texts, True)[0].partition(_HOLE)
-    return slot, left, right
+    return left, right
 
 
-def _traced_line(path: list[list], old: ast.Expr, new: ast.Expr,
-                 memo: dict) -> str:
+def _traced_line(path: list[list], lefts: list[str], rights: list[str],
+                 old: ast.Expr, new: ast.Expr, memo: dict) -> str:
     """The whole term after ``old``, below the frames on ``path``, was
-    rewritten to ``new``: ``new``'s text spliced into the frames' cached
-    contexts. A rewrite can change only the innermost frame's context; an
-    outer one is computed again only when its slot has moved. The render
-    memo then forgets ``old``, its operands and ``new``, whose text no
-    frame asks for while it is on the path: no node the walk dropped stays
-    alive in it."""
+    rewritten to ``new``: ``new``'s text spliced between the frames' texts,
+    which ``lefts`` and ``rights`` keep for a prefix of ``path``. A frame's
+    text is stale if it has none or its slot has moved since it was made.
+    A slot moves only in the innermost frame, so the stale frames lie below
+    the first current one up from there; only they and the innermost frame
+    get their text made again. The render memo then forgets ``old``, its
+    operands and ``new``, whose text no frame asks for while it is on the
+    path: no node the walk dropped stays alive in it."""
     text, level = expr_text(new, True, memo)
     for done in (old, *operands(old), new):
         memo.pop(id(done), None)
-    if path:
-        path[-1][3] = _context(path[-1], new, level, memo)
-        for frame, inner in zip(path, path[1:]):
-            if frame[3] is None or frame[3][0] != frame[1]:
-                frame[3] = _context(frame, inner[0],
-                                    operator_level(inner[0]), memo)
-    return "".join([frame[3][1] for frame in path] + [text]
-                   + [frame[3][2] for frame in reversed(path)])
+    if not path:
+        return text
+    top = first = len(path) - 1
+    while first and path[first - 1][3] != path[first - 1][1]:
+        first -= 1
+    del lefts[first:], rights[first:]
+    for k in range(first, top + 1):
+        frame = path[k]
+        if k < top:
+            child = path[k + 1][0]
+            left, right = _context(frame, child, operator_level(child), memo)
+        else:
+            left, right = _context(frame, new, level, memo)
+        frame[3] = frame[1]
+        lefts.append(left)
+        rights.append(right)
+    return "".join([*lefts, text, *reversed(rights)])
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
@@ -184,35 +200,40 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     the input found normal is not walked again either, where the body
     shares it. That is O(DAG size + steps) node visits, on an explicit
     stack whose frames are the path from the root. ``trace`` gets the
-    whole term after each step: each frame caches the text left and right
-    of its operand slot, so a step renders only the new subterm and joins
-    the contexts, in O(depth + printed line)."""
+    whole term after each step: the frames keep the text left and right
+    of their operand slots, made again only where a slot has moved, so a
+    step renders only the new subterm and joins the texts. That is
+    amortised O(1) frames plus the printed line a step, and the text
+    stored is O(printed line)."""
     if not isinstance(v, ThunkV):
         return v
-    memo: dict = {}  # trace rendering, by node id (see pretty)
+    if trace is not None:
+        # by node id (see pretty); the text around the frames' slots
+        memo, lefts, rights = {}, [], []
     normal: set[int] = set()  # ids of input nodes found normal
     steps = 0
     # the ancestors of ``e``: frames [node, operand slot, operands normal,
-    # trace context]; a frame whose operands are not known normal holds an
-    # input node, and the node is rebuilt only when an operand changes
+    # slot of the trace text]; a frame whose operands are not known normal
+    # holds an input node, and the node is rebuilt only when an operand
+    # changes
     path: list[list] = []
     e, operands_normal = v.fo.body, False
     while True:
         if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
                 and id(e) not in normal:
             path.append([e, 0, False, None])
-            e = operands(e)[0]
+            e = e.lhs if type(e) is ast.Infix else e.operand
             continue
         if operands_normal:
             new = _root_rewrite(e)
             if new is not None:
                 steps += 1
                 if trace is not None:
-                    trace(_traced_line(path, e, new, memo))
+                    trace(_traced_line(path, lefts, rights, e, new, memo))
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
-                if isinstance(new, ast.Infix):
+                if type(new) is ast.Infix:
                     # C*B + D*B: the products' operands are normal
                     path.append([new, 0, True, None])
                     e = new.lhs
@@ -223,7 +244,8 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
             break
         frame = path[-1]
         parent, slot, operands_normal, _ = frame
-        siblings = operands(parent)
+        siblings = (parent.lhs, parent.rhs) if type(parent) is ast.Infix \
+            else (parent.operand,)
         if e is not siblings[slot]:
             parent = frame[0] = with_operand(parent, slot, e)
         elif not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):

@@ -111,3 +111,12 @@ def test_every_record_class_is_slotted_and_unfrozen():
         for base in cls.__mro__[:-1]:
             assert "__slots__" in vars(base), (cls, base)
     assert not hasattr(values.FAIL, "__dict__")
+
+
+def test_no_node_class_has_a_subclass():
+    # the evaluator, the renderer and the rewriter test a node's class by
+    # identity (``type(e) is ast.Infix``), which a subclass would miss
+    # without an error
+    for cls in vars(psi_ast).values():
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+            assert cls.__subclasses__() == [], cls

@@ -5,6 +5,7 @@ Both must take the same steps, print the same trace, reach the same normal
 form and fail at the same step."""
 
 import io
+from functools import partial, reduce
 from typing import Optional
 
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,6 @@ from psipp.cli import run_file
 from psipp.errors import PsiError, RegisterOverflow, RewriteLimitExceeded
 from psipp.evaluator import free_idents
 from psipp.monomials import MonomialRegister
-from psipp.parser import parse_program
 from psipp.pretty import render_expr, render_value
 from psipp.values import (FAIL, ComplexV, FreeVarV, RegisterV,
                           ThunkV, thunk)
@@ -188,9 +188,44 @@ def leaf(n: int) -> ast.ValueLeaf:
 @example(over_free(ast.Infix("-", ast.Ident("x"), ast.Infix(
     "*", ast.Infix("+", leaf(1), leaf(2)), ast.Infix(
         "+", ast.Ident("a"), ast.Ident("b"))))), 10_000, True)
+# the root's slot moves after the fold, then two frames are pushed below it
+# before the distribution: three frames are stale at its line
+@example(over_free(ast.Infix("+", ast.Infix("+", leaf(1), leaf(2)), ast.Infix(
+    "*", ast.Ident("x"), ast.Infix("*", ast.Ident("y"),
+                                   distributed("a", "b", "c"))))),
+         10_000, True)
+# a Prefix frame above a slot that moves, and one pushed below it
+@example(over_free(ast.Prefix("-", ast.Infix(
+    "+", ast.Infix("+", leaf(1), leaf(2)), ast.Infix(
+        "*", ast.Ident("x"), distributed("a", "b", "c"))))), 10_000, True)
+@example(over_free(ast.Infix("-", ast.Infix("+", leaf(1), leaf(2)), ast.Prefix(
+    "-", ast.Infix("*", ast.Ident("y"), distributed("a", "b", "c"))))),
+         10_000, True)
+# a right distribution under the rhs of - at depth 4, whose new sum needs
+# parentheses there
+@example(over_free(ast.Prefix("-", ast.Infix("*", ast.Ident("w"), ast.Infix(
+    "-", ast.Ident("x"), ast.Infix("*", ast.Ident("a"), ast.Infix(
+        "-", ast.Ident("z"), ast.Infix("*", ast.Ident("b"), ast.Infix(
+            "+", leaf(1), ast.Ident("c"))))))))), 10_000, True)
 def test_simplify_matches_restarting_oracle(v, max_steps, traced):
     expected = outcome(oracle_simplify, v, max_steps, traced)
     assert outcome(simplify, v, max_steps, traced) == expected
+
+
+def expand_term(n: int) -> ThunkV:
+    """``(x0 + ... + x{n-1}) * (y0 + ... + y{n-1})``"""
+    def total(prefix):
+        return reduce(partial(ast.Infix, "+"),
+                      [ast.Ident(f"{prefix}{k}") for k in range(n)])
+    return over_free(ast.Infix("*", total("x"), total("y")))
+
+
+def test_traced_expand_family_matches_restarting_oracle():
+    for n in range(2, 9):
+        v = expand_term(n)
+        expected = outcome(oracle_simplify, v, 10_000, True)
+        assert outcome(simplify, v, 10_000, True) == expected
+        assert len(expected[0]) == n * n - 1
 
 
 def test_overflow_example_fails_after_two_steps():
@@ -204,8 +239,9 @@ def test_overflow_example_fails_after_two_steps():
 
 def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
     # n*n - 1 steps, each trying the roots of the 3 nodes a distribution
-    # makes (2 calls apiece), plus 2 calls per node of the input; a walk
-    # that visits B again after C*B + D*B takes 8 calls per step
+    # makes, plus one try per operator node of the input (3132 tries at
+    # n = 32); a walk that visits B again after C*B + D*B takes 4 tries
+    # per step
     n = 32
     xs = [f"x{k}" for k in range(n)]
     ys = [f"y{k}" for k in range(n)]
@@ -213,8 +249,8 @@ def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
     script.write_text(f"var {', '.join(xs + ys)} : Algebra;\n"
                       f"print(simplify(({' + '.join(xs)}) * "
                       f"({' + '.join(ys)})));\n")
-    monkeypatch.setattr(algebra, "_concrete_leaf",
-                        budget(7 * n * n, algebra._concrete_leaf))
+    monkeypatch.setattr(algebra, "_root_rewrite",
+                        budget(7 * n * n // 2, algebra._root_rewrite))
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     printed = out.getvalue().strip().replace("(", "").replace(")", "")
@@ -224,40 +260,57 @@ def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
 def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
     # a_k := a_{k-1} * a_{k-1} has k + 3 nodes and no redex, but unfolds
     # to a tree of 2^(k+2) - 1 nodes; each distinct product is tried once
+    # (k + 1 tries)
     k = 12
     script = tmp_path / "doubling.psi"
     script.write_text("var x, y : Algebra;\na0 := x * y;\n"
                       + "".join(f"a{j} := a{j - 1} * a{j - 1};\n"
                                 for j in range(1, k + 1))
                       + f"b := simplify(a{k}); print(1);\n")
-    monkeypatch.setattr(algebra, "_concrete_leaf",
-                        budget(3 * (k + 3), algebra._concrete_leaf))
+    monkeypatch.setattr(algebra, "_root_rewrite",
+                        budget(k + 3, algebra._root_rewrite))
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     assert out.getvalue() == "1\n"
 
 
+def traced_expand(monkeypatch, n, patches):
+    """Simplify the expand of ``n`` traced, with ``patches`` (module,
+    name, replacement) applied while it runs, and check its trace."""
+    v = expand_term(n)
+    for module, name, replacement in patches:
+        monkeypatch.setattr(module, name, replacement)
+    lines = []
+    result = simplify(v, trace=lambda line: lines.append(len(line)))
+    monkeypatch.undo()
+    assert len(lines) == n * n - 1
+    assert lines[-1] == len(render_value(result, spaced=True))
+
+
 def test_traced_expand_renders_linear_nodes(monkeypatch):
-    # each step renders the few nodes it makes and splices them into the
-    # contexts the path's frames keep; rendering the rebuilt path from the
-    # root instead costs O(depth) nodes a step, about n. The renderer calls
-    # layout once per operator node it renders
+    # each step renders the few nodes it makes and splices them between
+    # the texts the path's frames keep: amortised O(1) frames plus the
+    # printed line. Rendering the rebuilt path from the root instead costs
+    # O(depth) nodes a step, about n. The renderer calls layout once per
+    # operator node it renders, and a frame's text once (6103 calls at
+    # n = 32)
     n = 32
     steps, input_nodes = n * n - 1, 4 * n
-    xs = [f"x{k}" for k in range(n)]
-    ys = [f"y{k}" for k in range(n)]
-    interp = algebra.make_interpreter()
-    interp.run_program(parse_program(
-        f"var {', '.join(xs + ys)} : Algebra;\n"
-        f"p := ({' + '.join(xs)}) * ({' + '.join(ys)});\n"))
-    monkeypatch.setattr(pretty, "layout",
-                        budget(8 * (steps + input_nodes), pretty.layout))
-    lines = []
-    result = simplify(interp.globals.find("p"),
-                      trace=lambda line: lines.append(len(line)))
-    monkeypatch.undo()
-    assert len(lines) == steps
-    assert lines[-1] == len(render_value(result, spaced=True))
+    layout = budget(6 * (steps + input_nodes), pretty.layout)
+    traced_expand(monkeypatch, n, [(pretty, "layout", layout),
+                                   (algebra, "layout", layout)])
+
+
+def test_traced_expand_makes_amortised_constant_frame_texts(monkeypatch):
+    # a frame's text is made when it is pushed or its slot moves, and the
+    # innermost frame's at each step (1022 texts at n = 32); making every
+    # frame's text again at each step costs about n texts a step. Frames
+    # pushed: the 2n - 1 operator nodes of the input and one sum a step
+    n = 32
+    steps = n * n - 1
+    frames_pushed = 2 * n - 1 + steps
+    traced_expand(monkeypatch, n, [(algebra, "_context", budget(
+        steps + frames_pushed, algebra._context))])
 
 
 def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
