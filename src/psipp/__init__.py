@@ -3,7 +3,7 @@ Pascal-like object language with lazy functional objects."""
 
 from .algebra import (complex_mul, distribute, install_prelude,
                       make_interpreter, promote, simplify)
-from .evaluator import Interpreter, classify_binding, substitute
+from .evaluator import Interpreter, classify_binding
 from .lexer import tokenize
 from .monomials import (MonomialRegister, RepLabel, format_monomial,
                         parse_monomial, register_conjugate, register_mul,
@@ -11,11 +11,11 @@ from .monomials import (MonomialRegister, RepLabel, format_monomial,
 from .objects import ObjectDescriptor, Registry
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
-from .values import (FAIL, ComplexV, Environment, FreeVarV, FunctionalObject,
-                     RegisterV, ThunkV, Value)
+from .values import (FAIL, ComplexV, Environment, FreeVarV, RegisterV,
+                     ThunkV, Value)
 
 __all__ = [
-    "FAIL", "ComplexV", "Environment", "FreeVarV", "FunctionalObject",
+    "FAIL", "ComplexV", "Environment", "FreeVarV",
     "Interpreter", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
     "Value", "classify_binding", "complex_mul",
@@ -23,5 +23,5 @@ __all__ = [
     "parse_expression", "parse_juxtaposition", "parse_monomial",
     "parse_program", "promote", "register_conjugate", "register_mul",
     "rep_label", "render_expr", "render_value", "show_tree", "simplify",
-    "substitute", "tokenize",
+    "tokenize",
 ]

@@ -217,7 +217,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     # holds an input node, and the node is rebuilt only when an operand
     # changes
     path: list[list] = []
-    e, operands_normal = v.fo.body, False
+    e, operands_normal = v.body, False
     while True:
         if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
                 and id(e) not in normal:
@@ -264,7 +264,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf
-    return thunk(e, v.fo.capture_map())
+    return thunk(e, v.capture_map())
 
 
 # --- prelude installation ---

@@ -117,15 +117,13 @@ def operands(e: Expr) -> tuple[Expr, ...]:
 
 
 def with_operand(e: Expr, slot: int, new: Expr) -> Expr:
-    """The operator application or field access ``e`` rebuilt, without a
-    span, with ``new`` in place of its operand ``slot``."""
+    """The operator application ``e`` rebuilt, without a span, with ``new``
+    in place of its operand ``slot``."""
     if isinstance(e, Infix):
         if slot == 0:
             return Infix(e.op, new, e.rhs)
         return Infix(e.op, e.lhs, new)
-    if isinstance(e, Prefix):
-        return Prefix(e.op, new)
-    return FieldAccess(new, e.field)
+    return Prefix(e.op, new)
 
 
 # --- statements ---

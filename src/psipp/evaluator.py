@@ -23,9 +23,8 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
 from .objects import NativeMethod, Registry, UserMethod
 from .pretty import render_value
 from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
-                     FreeVarV, FunctionalObject, ThunkV, Value, arith,
-                     classify_binding, int_arith, promote, thunk,
-                     type_name_of)
+                     FreeVarV, ThunkV, Value, arith, classify_binding,
+                     int_arith, promote, thunk, type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
@@ -39,7 +38,7 @@ def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
     """Operand representation for thunk bodies: sub-thunks inline their
     body, free variables stay identifier leaves, values become leaves."""
     if isinstance(v, ThunkV):
-        return v.fo.body, v.fo.capture_map()
+        return v.body, v.capture_map()
     if isinstance(v, FreeVarV):
         return ast.Ident(v.name), {v.name: v}
     return ast.ValueLeaf(v), {}
@@ -81,38 +80,6 @@ def free_idents(expr: ast.Expr) -> set[str]:
     return out
 
 
-def substitute(fo: FunctionalObject, name: str, v: Value) -> FunctionalObject:
-    """Splice ``v`` into the body for the free variable ``name``, as the
-    evaluator would have done had ``name`` been bound to ``v`` when the
-    object was made, but leave the body unevaluated. A shared node is
-    rebuilt once, and a subterm without ``name`` is kept as is; the
-    original is unchanged."""
-    captures = fo.capture_map()
-    if captures.pop(name, None) is None:
-        raise UnknownIdentifier(f"{name!r} is not captured by this "
-                                f"functional object")
-    leaf, v_captures = as_repr(v)
-    # post-order on a stack; ``done`` maps a node's id to it rebuilt
-    done: dict[int, ast.Expr] = {}
-    pending = [fo.body]
-    while pending:
-        e = pending.pop()
-        if id(e) in done:
-            continue
-        parts = ast.operands(e)
-        waiting = [part for part in parts if id(part) not in done]
-        if waiting:
-            pending += [e, *waiting]
-            continue
-        new = leaf if isinstance(e, ast.Ident) and e.name == name else e
-        for slot, part in enumerate(parts):
-            if done[id(part)] is not part:
-                new = ast.with_operand(new, slot, done[id(part)])
-        done[id(e)] = new
-    captures.update(v_captures)
-    return thunk(done[id(fo.body)], captures).fo
-
-
 def value_equal(a: Value, b: Value) -> bool:
     if a is FAIL or b is FAIL:
         return a is b
@@ -120,12 +87,12 @@ def value_equal(a: Value, b: Value) -> bool:
         a, b = promote(a), promote(b)
     if not (isinstance(a, ThunkV) and isinstance(b, ThunkV)):
         return a == b
-    if a.fo.captures != b.fo.captures:
+    if a.captures != b.captures:
         return False
     # ``==`` would unfold bodies built apart into trees: compare each pair
     # of nodes once, by type and every field but the operands
     seen: set[tuple[int, int]] = set()
-    pending = [(a.fo.body, b.fo.body)]
+    pending = [(a.body, b.body)]
     while pending:
         x, y = pending.pop()
         if x is not y and (id(x), id(y)) not in seen:
@@ -484,10 +451,10 @@ class Interpreter:
         if isinstance(pattern, (ast.Infix, ast.Prefix)):
             if not isinstance(subject, ThunkV):
                 return False
-            body = subject.fo.body
+            body = subject.body
             if type(body) is not type(pattern) or body.op != pattern.op:
                 return False
-            captures = subject.fo.capture_map()
+            captures = subject.capture_map()
             pairs = zip(ast.operands(body), ast.operands(pattern))
             return all(self._match(value_of_repr(part, captures), sub, env,
                                    trial) for part, sub in pairs)
@@ -514,7 +481,7 @@ class Interpreter:
         if not isinstance(v, ThunkV):
             return v
         overlay = Environment()
-        for name, captured in v.fo.captures:
+        for name, captured in v.captures:
             bound = env.find(name)
             if bound is not None and not isinstance(bound, FreeVarV):
                 overlay.define(name, self.force(bound, env))
@@ -525,7 +492,7 @@ class Interpreter:
         # the memo's keys are ids of body nodes, which outlive it
         memo: dict[int, Value] = {}
         values: list[Value] = []
-        pending: list[tuple[ast.Expr, Optional[int]]] = [(v.fo.body, None)]
+        pending: list[tuple[ast.Expr, Optional[int]]] = [(v.body, None)]
         while pending:
             e, runs = pending.pop()
             if runs is None:

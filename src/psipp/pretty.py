@@ -181,7 +181,7 @@ def expr_text(e: ast.Expr, spaced: bool,
 
 def render_value(v: Value, spaced: bool = False) -> str:
     if isinstance(v, ThunkV):
-        return expr_text(v.fo.body, spaced)[0]
+        return expr_text(v.body, spaced)[0]
     return _value_text(v)[0]
 
 
@@ -194,7 +194,7 @@ def show_tree(v: Value) -> str:
     if not isinstance(v, ThunkV):
         return render_value(v)
     lines: list[str] = []
-    pending = [(v.fo.body, 0)]
+    pending = [(v.body, 0)]
     while pending:
         e, depth = pending.pop()
         pad = "  " * depth

@@ -65,8 +65,9 @@ FAIL = _Fail()
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class FunctionalObject:
-    """An unevaluated expression over its free variables.
+class ThunkV(Value):
+    """A lazy functional object: an unevaluated expression over its free
+    variables.
 
     ``body`` leaves are either ``ValueLeaf`` (a concrete value, never a
     thunk or a free variable) or ``Ident`` (a free variable). ``captures``
@@ -81,11 +82,6 @@ class FunctionalObject:
 
     def capture_map(self) -> dict[str, Value]:
         return dict(self.captures)
-
-
-@dataclass(unsafe_hash=True, slots=True)
-class ThunkV(Value):
-    fo: FunctionalObject
 
 
 def classify_binding(v: Value) -> str:
@@ -110,7 +106,7 @@ def type_name_of(v: Value) -> str:
     if isinstance(v, FreeVarV):
         return v.type_name
     if isinstance(v, ThunkV):
-        return type_of_body(v.fo.body, v.fo.capture_map())
+        return type_of_body(v.body, v.capture_map())
     return "Algebra"  # fail
 
 
@@ -160,7 +156,7 @@ def thunk(body: ast.Expr, *captures: dict[str, Value]) -> ThunkV:
     merged: dict[str, Value] = {}
     for caps in captures:
         merged.update(caps)
-    return ThunkV(FunctionalObject(body, tuple(sorted(merged.items()))))
+    return ThunkV(body, tuple(sorted(merged.items())))
 
 
 def promote(v: Value) -> Value:

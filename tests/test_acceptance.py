@@ -90,7 +90,7 @@ def _gauss_eval(expr, captures, assignment):
         if isinstance(v, FreeVarV):
             return assignment[v.name]
         if isinstance(v, ThunkV):
-            return _gauss_eval(v.fo.body, v.fo.capture_map(), assignment)
+            return _gauss_eval(v.body, v.capture_map(), assignment)
         raise AssertionError(v)
     if isinstance(expr, ast.Ident):
         bound = captures.get(expr.name)
@@ -105,7 +105,7 @@ def _gauss_eval(expr, captures, assignment):
 
 def _gauss_value(v, assignment):
     if isinstance(v, ThunkV):
-        return _gauss_eval(v.fo.body, v.fo.capture_map(), assignment)
+        return _gauss_eval(v.body, v.capture_map(), assignment)
     if type(v) is int:
         return _gauss(v)
     if isinstance(v, ComplexV):

@@ -39,7 +39,7 @@ def test_distribute_left_sum(interp):
 def test_distribute_right_sum(interp):
     result = distribute(FreeVarV("x"), ev(interp, "y + y"))
     assert isinstance(result, ThunkV)
-    body = result.fo.body
+    body = result.body
     assert body.op == "+"
     assert body.lhs == ast.Infix("*", ast.Ident("x"), ast.Ident("y"))
     assert body.rhs == ast.Infix("*", ast.Ident("x"), ast.Ident("y"))
@@ -64,7 +64,7 @@ def test_distribute_single_layer(interp):
     # only the root is distributed; the inner sum survives in the terms
     nested = ev(interp, "(x + y) + x")
     result = distribute(nested, FreeVarV("y"))
-    body = result.fo.body
+    body = result.body
     assert body.lhs == ast.Infix(
         "*", ast.Infix("+", ast.Ident("x"), ast.Ident("y")), ast.Ident("y"))
 
@@ -123,7 +123,7 @@ def test_product_with_a_free_variable_stays_lazy(interp):
     runs = interp.method_runs
     result = ev(interp, "i * x")
     assert isinstance(result, ThunkV)
-    assert result.fo.body == ast.Infix(
+    assert result.body == ast.Infix(
         "*", ast.ValueLeaf(ComplexV(0, 1)), ast.Ident("x"))
     assert render_value(result) == "i*x"
     assert interp.method_runs == runs
@@ -203,7 +203,7 @@ def oracle_eval(expr, captures, assignment):
         if isinstance(v, FreeVarV):
             return assignment[v.name]
         if isinstance(v, ThunkV):
-            return oracle_eval(v.fo.body, v.fo.capture_map(), assignment)
+            return oracle_eval(v.body, v.capture_map(), assignment)
         raise AssertionError(v)
     if isinstance(expr, ast.Ident):
         bound = captures.get(expr.name)
@@ -246,7 +246,7 @@ def matrix_ring():
 def value_in_ring(v, assignment):
     ring = assignment["__ring__"]
     if isinstance(v, ThunkV):
-        return oracle_eval(v.fo.body, v.fo.capture_map(), assignment)
+        return oracle_eval(v.body, v.capture_map(), assignment)
     if type(v) is int:
         return ring["scalar"](complex(v))
     if isinstance(v, ComplexV):
@@ -300,8 +300,8 @@ def test_simplify_captures_exactly_its_free_identifiers(interp):
     for source in ["(z.Re + y) * (y + 2)", *sources]:
         simplified = simplify(ev(interp, source))
         if isinstance(simplified, ThunkV):
-            assert {name for name, _ in simplified.fo.captures} \
-                == free_idents(simplified.fo.body)
+            assert {name for name, _ in simplified.captures} \
+                == free_idents(simplified.body)
 
 
 def test_simplify_reaches_fixed_point(interp):

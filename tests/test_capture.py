@@ -1,22 +1,23 @@
 """Captures are free variables: a functional object captures exactly the
 free variables of its body, each as the ``FreeVarV`` of its own name, and
-a value leaf holds only a concrete value. ``substitute`` splices a value
-into the body, so combining substituted objects never mixes up their
-variables."""
+a value leaf holds only a concrete value. A name bound when an object is
+made is spliced into its body as that value, so combining such objects
+never mixes up their variables."""
 
 from hypothesis import example, given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import make_interpreter, simplify
 from psipp.cli import Session
-from psipp.errors import PsiError
-from psipp.evaluator import free_idents, operator_thunk, substitute, value_equal
+from psipp.errors import PsiError, RewriteLimitExceeded
+from psipp.evaluator import (DEFAULT_REWRITE_LIMIT, free_idents,
+                             operator_thunk, value_equal)
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
 from psipp.values import ComplexV, Environment, FreeVarV, ThunkV
 
 from bindings import lookup
-from test_force import budget, doubling_chain, run, shared_programs
+from test_force import run, shared_programs, steps_needed
 from test_totality import near_valid
 
 DECLS = "var x, y : Algebra; var z : Complex;"
@@ -32,10 +33,6 @@ def ev(interp, source):
     return interp.eval_expr(parse_expression(source), interp.globals)
 
 
-def substituted(v, name, value):
-    return ThunkV(substitute(v.fo, name, value))
-
-
 # --- the invariant ---
 
 def assert_captures_are_free_variables(v):
@@ -44,12 +41,12 @@ def assert_captures_are_free_variables(v):
     body is concrete."""
     if not isinstance(v, ThunkV):
         return
-    for name, captured in v.fo.captures:
+    for name, captured in v.captures:
         assert isinstance(captured, FreeVarV) and captured.name == name, \
             (name, captured)
-    assert {name for name, _ in v.fo.captures} == free_idents(v.fo.body)
+    assert {name for name, _ in v.captures} == free_idents(v.body)
     seen: set[int] = set()
-    pending = [v.fo.body]
+    pending = [v.body]
     while pending:
         e = pending.pop()
         if id(e) in seen:
@@ -75,6 +72,9 @@ def test_programs_build_only_free_variable_captures(source):
 
 @settings(max_examples=100, deadline=None)
 @given(shared_programs())
+@example(("var z : Complex;\nt0 := z + z;\nt1 := t0 + t0;\nt2 := t1 + t1;\n"
+          "t3 := t2 + t2;\nt4 := t3 * t3;\nt5 := t4 * t4;", [],
+          ["t0", "t1", "t2", "t3", "t4", "t5"]))
 def test_shared_temporaries_capture_free_variables(program):
     source, rebinds, temps = program
     interp = run(source)
@@ -83,17 +83,22 @@ def test_shared_temporaries_capture_free_variables(program):
         for name in temps:
             value = lookup(interp.globals, name)
             assert_captures_are_free_variables(value)
-            assert_captures_are_free_variables(simplify(value))
+            try:
+                assert_captures_are_free_variables(simplify(value))
+            except RewriteLimitExceeded:
+                # a chain of squarings outgrows any rewrite limit
+                assert steps_needed(value.body) > DEFAULT_REWRITE_LIMIT
             assert_captures_are_free_variables(interp.force(value))
 
 
 # --- substitution ---
 
 def test_substitution_survives_combination():
-    # a5 is x + y with x := 5; b's x is still free
+    # a5 is x + y made with x bound to 5; b, made before, keeps x free
     interp = session()
-    a5 = substituted(ev(interp, "x + y"), "x", 5)
     b = ev(interp, "x * y")
+    interp.run_program(parse_program("x := 5; a5 := x + y;"))
+    a5 = lookup(interp.globals, "a5")
     a5_b = simplify(operator_thunk("*", "infix", [a5, b]))
     b_a5 = simplify(operator_thunk("*", "infix", [b, a5]))
     assert render_value(a5_b) == "5*(x*y) + y*(x*y)"
@@ -106,44 +111,11 @@ def test_substitution_survives_combination():
 
 def test_substituted_object_keeps_declared_types():
     interp = session()
-    nested = substituted(ev(interp, "x * y"), "x", ev(interp, "z + y"))
-    simplified = simplify(nested)
+    interp.run_program(parse_program("x := z + y; nested := x * y;"))
+    simplified = simplify(lookup(interp.globals, "nested"))
     assert render_value(simplified) == "z*y + y*y"
-    assert dict(simplified.fo.captures) == {"y": FreeVarV("y", "Algebra"),
-                                            "z": FreeVarV("z", "Complex")}
-
-
-def test_substitute_reaches_field_access():
-    interp = session()
-    spliced = substituted(ev(interp, "z.Re * y"), "z", ComplexV(2, 3))
-    assert_captures_are_free_variables(spliced)
-    assert render_value(interp.force(spliced)) == "2*y"
-
-
-def test_substitute_into_shared_chain_is_linear(monkeypatch):
-    # the assertions name no node: the repr of one unfolds the whole DAG
-    depth = 40
-    interp = run(doubling_chain(depth))
-    chain = lookup(interp.globals, f"a{depth}").fo
-    monkeypatch.setattr(ast, "operands",
-                        budget(10 * depth, ast.operands))
-    spliced = substitute(chain, "x", 1)
-    sharing_kept = spliced.body.lhs is spliced.body.rhs
-    assert sharing_kept
-    spliced_captures, chain_captures = spliced.captures, chain.captures
-    assert spliced_captures == ()
-    assert chain_captures == (("x", FreeVarV("x", "integer")),)
-    monkeypatch.undo()
-    forced = interp.force(ThunkV(spliced))
-    assert forced == 1
-
-
-def test_substitute_into_a_body_1500_deep():
-    interp = run("var x : integer;\na := x;\n" + "a := a + x;\n" * 1500)
-    spliced = substitute(lookup(interp.globals, "a").fo, "x", 1)
-    assert interp.force(ThunkV(spliced)) == 1501
-    interp.run_program(parse_program("x := 1;"))
-    assert ev(interp, "EVAL(a)") == 1501
+    assert dict(simplified.captures) == {"y": FreeVarV("y", "Algebra"),
+                                         "z": FreeVarV("z", "Complex")}
 
 
 # --- forcing commutes with combining, under substitution ---
@@ -165,7 +137,7 @@ def sources(max_leaves=6):
 
 gaussian = st.one_of(small.map(lambda n: ("int", n)),
                      st.tuples(small, small).map(lambda c: ("complex", c)))
-# what is substituted: a concrete value, a variable, or an expression
+# what a name is bound to: a concrete value, a variable, or an expression
 replacements = st.one_of(gaussian, st.sampled_from(NAMES).map(
     lambda n: ("var", n)), sources(3).map(lambda s: ("expr", s)))
 
@@ -181,11 +153,15 @@ def make_value(interp, spec):
     return ev(interp, data)
 
 
-def substitute_all(interp, v, substitutions):
+def ev_bound(interp, source, substitutions):
+    """``source`` evaluated with each name of ``substitutions`` bound first,
+    to its value made over the free variables; a name's first binding
+    wins."""
+    env = Environment(interp.globals)
     for name, spec in substitutions:
-        if isinstance(v, ThunkV) and name in dict(v.fo.captures):
-            v = substituted(v, name, make_value(interp, spec))
-    return v
+        if name not in env.bindings:
+            env.define(name, make_value(interp, spec))
+    return interp.eval_expr(parse_expression(source), env)
 
 
 substitution_lists = st.lists(st.tuples(st.sampled_from(NAMES), replacements),
@@ -201,8 +177,8 @@ substitution_lists = st.lists(st.tuples(st.sampled_from(NAMES), replacements),
 def test_force_commutes_with_combining(a_src, b_src, op, a_subs, b_subs,
                                        bound):
     interp = session()
-    a = substitute_all(interp, ev(interp, a_src), a_subs)
-    b = substitute_all(interp, ev(interp, b_src), b_subs)
+    a = ev_bound(interp, a_src, a_subs)
+    b = ev_bound(interp, b_src, b_subs)
     assert_captures_are_free_variables(a)
     assert_captures_are_free_variables(b)
     env = Environment()

@@ -5,7 +5,7 @@ from psipp import ast, cli, evaluator
 from psipp.algebra import make_interpreter, simplify
 from psipp.errors import (EvalError, UnassignedReturn, UnknownIdentifier,
                           line_col)
-from psipp.evaluator import substitute, value_equal
+from psipp.evaluator import value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
 from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, ThunkV,
@@ -89,8 +89,8 @@ def test_unbound_operands_build_thunk():
     interp.run_program(parse_program("var c, d : integer;"))
     value = ev(interp, "c + d")
     assert isinstance(value, ThunkV)
-    assert value.fo.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
-    assert dict(value.fo.captures) == {"c": FreeVarV("c", "integer"),
+    assert value.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
+    assert dict(value.captures) == {"c": FreeVarV("c", "integer"),
                                        "d": FreeVarV("d", "integer")}
     assert type_name_of(value) == "integer"
 
@@ -99,7 +99,7 @@ def test_thunk_built_without_invoking_user_code(interp):
     # no distribution happens at evaluation time
     value = ev(interp, "(i + x) * i")
     assert isinstance(value, ThunkV)
-    assert isinstance(value.fo.body, ast.Infix) and value.fo.body.op == "*"
+    assert isinstance(value.body, ast.Infix) and value.body.op == "*"
 
 
 def test_fail_absorbs(interp):
@@ -116,8 +116,17 @@ def test_unknown_identifier(interp):
 def test_eager_inner_concrete_subexpressions(interp):
     value = ev(interp, "2*3 + x")
     assert isinstance(value, ThunkV)
-    assert value.fo.body == ast.Infix("+", ast.ValueLeaf(6),
-                                      ast.Ident("x"))
+    assert value.body == ast.Infix("+", ast.ValueLeaf(6), ast.Ident("x"))
+
+
+def test_a_value_leaf_types_the_body():
+    # a name bound when the object is made is a value leaf, typed by its
+    # value; the free d stays an integer capture
+    interp = make_interpreter()
+    interp.run_program(parse_program(
+        "var d : integer; c := (1, 2); b := c + d; c := 1; e := c + d;"))
+    assert type_name_of(lookup(interp.globals, "b")) == "Complex"
+    assert type_name_of(lookup(interp.globals, "e")) == "integer"
 
 
 def test_an_integer_is_a_python_int_at_every_exit(interp, tmp_path, capsys,
@@ -295,40 +304,6 @@ def test_force_idempotent(interp):
         assert value_equal(interp.force(once), once)
 
 
-# --- substitute ---
-
-def test_substitute_rebinds_capture():
-    interp = make_interpreter()
-    interp.run_program(parse_program("var c, d : integer;"))
-    thunk = ev(interp, "c + d")
-    fo = substitute(thunk.fo, "c", 1)
-    # the value is spliced into the body and c is no longer captured
-    assert fo.body == ast.Infix("+", ast.ValueLeaf(1),
-                                ast.Ident("d"))
-    assert dict(fo.captures) == {"d": FreeVarV("d", "integer")}
-    assert thunk.fo.body == ast.Infix("+", ast.Ident("c"), ast.Ident("d"))
-    assert dict(thunk.fo.captures) == {"c": FreeVarV("c", "integer"),
-                                       "d": FreeVarV("d", "integer")}
-
-
-def test_substitute_types_the_spliced_body():
-    interp = make_interpreter()
-    interp.run_program(parse_program("var c, d : integer;"))
-    thunk = ev(interp, "c + d")
-    fo = substitute(thunk.fo, "c", ComplexV(1, 2))
-    assert type_name_of(ThunkV(fo)) == "Complex"
-    assert type_name_of(ThunkV(substitute(thunk.fo, "c", 1))) \
-        == "integer"
-
-
-def test_substitute_unknown_name():
-    interp = make_interpreter()
-    interp.run_program(parse_program("var c, d : integer;"))
-    thunk = ev(interp, "c + d")
-    with pytest.raises(UnknownIdentifier):
-        substitute(thunk.fo, "z", 1)
-
-
 # --- laziness soundness ---
 
 ops = st.sampled_from(["+", "-", "*"])
@@ -369,22 +344,3 @@ def test_laziness_soundness(expr, u, v):
     expected = direct_int_eval(expr, {"u": u, "v": v})
     assert forced == expected
 
-
-@settings(max_examples=100, deadline=None)
-@given(exprs(5), st.integers(-9, 9), st.integers(-9, 9))
-def test_substitute_then_force_equals_force_in_env(expr, u, v):
-    interp = make_interpreter()
-    interp.run_program(parse_program("var u, v : integer;"))
-    value = interp.eval_expr(expr, interp.globals)
-    if not isinstance(value, ThunkV):
-        return
-    fo = value.fo
-    for name, bound in (("u", u), ("v", v)):
-        if name in dict(fo.captures):
-            fo = substitute(fo, name, bound)
-    via_substitute = interp.force(ThunkV(fo), Environment())
-    env = Environment()
-    env.define("u", u)
-    env.define("v", v)
-    via_env = interp.force(value, env)
-    assert value_equal(via_substitute, via_env)

@@ -15,8 +15,8 @@ from psipp.algebra import make_interpreter, simplify
 from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, value_equal
 from psipp.parser import parse_program
-from psipp.values import (FAIL, ComplexV, Environment, FreeVarV,
-                          FunctionalObject, ThunkV, type_name_of)
+from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, ThunkV,
+                          type_name_of)
 
 from bindings import lookup
 
@@ -48,7 +48,7 @@ def tree_force(interp: Interpreter, v):
     if not isinstance(v, ThunkV):
         return v
     overlay = Environment()
-    for name, captured in v.fo.captures:
+    for name, captured in v.captures:
         bound = interp.globals.find(name)
         if bound is not None and not isinstance(bound, FreeVarV):
             overlay.define(name, tree_force(interp, bound))
@@ -63,7 +63,7 @@ def tree_force(interp: Interpreter, v):
             return interp.apply_operator(e.op, "prefix", [walk(e.operand)], e)
         return interp.eval_expr(e, overlay)
 
-    return walk(v.fo.body)
+    return walk(v.body)
 
 
 # --- differential test ---
@@ -161,11 +161,11 @@ t5 := t4 * t4;
     steps: list[str] = []
     assert type_name_of(simplify(t4, trace=steps.append)) == "Complex"
     # 16 summands squared: from 1 summand to 256, one step each
-    assert len(steps) == steps_needed(t4.fo.body) == 255
+    assert len(steps) == steps_needed(t4.body) == 255
     assert type_name_of(t4) == "Complex"
     # both operands normalised, then 256 * 256 summands
-    assert steps_needed(t5.fo.body) == 2 * 255 + 256 * 256 - 1
-    assert steps_needed(t5.fo.body) > DEFAULT_REWRITE_LIMIT
+    assert steps_needed(t5.body) == 2 * 255 + 256 * 256 - 1
+    assert steps_needed(t5.body) > DEFAULT_REWRITE_LIMIT
     with pytest.raises(RewriteLimitExceeded):
         simplify(t5)
     assert type_name_of(t5) == "Complex"
@@ -188,7 +188,7 @@ def test_type_predicts_simplify_and_force(program, data):
         try:
             assert type_name_of(simplify(value)) == type_name
         except RewriteLimitExceeded:
-            assert steps_needed(value.fo.body) > DEFAULT_REWRITE_LIMIT
+            assert steps_needed(value.body) > DEFAULT_REWRITE_LIMIT
     small = st.integers(-3, 3)
     binds = [f"{var} := {data.draw(small)};" for var in INT_VARS]
     binds += [f"{var} := ({data.draw(small)}, {data.draw(small)});"
@@ -270,8 +270,8 @@ b := left(a{depth});
 kind(b);
 """, output)
     assert output == ["b: functional object"]
-    assert lookup(interp.globals, "b").fo.body is \
-        lookup(interp.globals, f"a{depth - 1}").fo.body
+    assert lookup(interp.globals, "b").body is \
+        lookup(interp.globals, f"a{depth - 1}").body
     interp.run_program(parse_program("x := 1;"))
     assert interp.force(lookup(interp.globals, "b")) == 1
 
@@ -377,9 +377,9 @@ def test_value_equal_agrees_with_dataclass_equality(body, other, caps, caps2):
     seconds += [tree_copy(body, at, field)
                 for at in range(min(tree_size(body), 30))
                 for field in range(3)]
-    a = ThunkV(FunctionalObject(body, caps))
+    a = ThunkV(body, caps)
     for second in seconds:
-        b = ThunkV(FunctionalObject(second, caps2))
+        b = ThunkV(second, caps2)
         assert value_equal(a, b) is value_equal(b, a) is (a == b)
 
 

@@ -103,7 +103,7 @@ def record_classes():
 
 def test_every_record_class_is_slotted_and_unfrozen():
     classes = list(record_classes())
-    assert len(classes) == 17 + 5 + 2
+    assert len(classes) == 17 + 4 + 2
     for cls in classes:
         assert not cls.__dataclass_params__.frozen, cls
         assert cls.__hash__ is not None, cls

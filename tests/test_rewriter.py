@@ -59,7 +59,7 @@ def oracle_simplify(v, max_steps, trace=None):
     and rendering the whole term from scratch."""
     if not isinstance(v, ThunkV):
         return v
-    body = v.fo.body
+    body = v.body
     steps = 0
     while True:
         rewritten = _rewrite_once(body)
@@ -74,7 +74,7 @@ def oracle_simplify(v, max_steps, trace=None):
     leaf = _concrete_leaf(body)
     if leaf is not None:
         return leaf
-    return thunk(body, v.fo.capture_map())
+    return thunk(body, v.capture_map())
 
 
 def outcome(normalise, v, max_steps, traced):
