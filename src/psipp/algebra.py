@@ -275,12 +275,11 @@ def _native_distribute(args, interp):
     return distribute(args[0], args[1])
 
 
-def _complex_native(op: str, fixity: str):
+def _complex_native(op: str):
     """Complex ``op``: the kernel on promoted operands, else a thunk."""
     def native(args, interp):
         result = arith(op, [promote(a) for a in args])
-        return result if result is not None \
-            else interp.make_thunk(op, fixity, args)
+        return result if result is not None else interp.make_thunk(op, args)
     return native
 
 
@@ -333,13 +332,11 @@ def install_prelude(interp: Interpreter):
     """Run the parsed prelude, then attach the native kernels and the
     constant i = Complex(0, 1)."""
     interp.run_program(PRELUDE)
-    interp.registry.set_native("Algebra", "*", "infix", _native_distribute, 2)
-    for op, fixity, arity in (("+", "infix", 2), ("-", "infix", 2),
-                              ("-", "prefix", 1)):
-        interp.registry.set_native("Complex", op, fixity,
-                                   _complex_native(op, fixity), arity)
-    interp.registry.set_native("Monomial", "*", "infix",
-                               _native_register_mul, 2)
+    attach = interp.registry.attach_method
+    attach("Algebra", "*", "infix", _native_distribute)
+    for op, fixity in (("+", "infix"), ("-", "infix"), ("-", "prefix")):
+        attach("Complex", op, fixity, _complex_native(op))
+    attach("Monomial", "*", "infix", _native_register_mul)
     interp.globals.define("i", ComplexV(0, 1))
 
 

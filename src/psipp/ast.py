@@ -25,6 +25,8 @@ LEVEL_MUL = 2
 LEVEL_PREFIX = 3  # prefix minus and its operand
 LEVEL_ATOM = 4
 INFIX_LEVELS = {"=": LEVEL_EQ, "+": LEVEL_ADD, "-": LEVEL_ADD, "*": LEVEL_MUL}
+# an operator application's fixity, fixed by its number of operands
+FIXITY = {1: "prefix", 2: "infix"}
 
 
 class Node:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from . import ast
 from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
-from .objects import NativeMethod, Registry, UserMethod
+from .objects import Registry, UserMethod
 from .pretty import render_value
 from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
                      FreeVarV, ThunkV, Value, arith, classify_binding,
@@ -29,7 +29,7 @@ from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
 STATEMENT_CALLS = ("print", "kind")
-_FIXITY = {ast.Infix: "infix", ast.Prefix: "prefix"}
+_OPERATORS = (ast.Infix, ast.Prefix)
 # the fields of a complex value, each an integer component
 _COMPLEX_FIELDS = {"Re": attrgetter("re"), "Im": attrgetter("im")}
 
@@ -53,11 +53,11 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
     return thunk(expr, {name: captures[name] for name in free_idents(expr)})
 
 
-def operator_thunk(op: str, fixity: str, args: list[Value]) -> ThunkV:
-    """The symbolic application ``op(args)``; on a capture clash the
-    right operand wins."""
+def operator_thunk(op: str, args: list[Value]) -> ThunkV:
+    """The symbolic application ``op(args)``, infix on two operands and
+    prefix on one; on a capture clash the right operand wins."""
     exprs, captures = zip(*map(as_repr, args))
-    node = ast.Infix if fixity == "infix" else ast.Prefix
+    node = ast.Infix if len(exprs) == 2 else ast.Prefix
     return thunk(node(op, *exprs), *captures)
 
 
@@ -264,7 +264,7 @@ class Interpreter:
                                 expr.span)
             lhs = self.eval_expr(expr.lhs, env)
             rhs = self.eval_expr(expr.rhs, env)
-            return self.apply_operator(expr.op, "infix", [lhs, rhs], expr)
+            return self.apply_operator(expr.op, [lhs, rhs], expr)
         if kind is ast.FieldAccess:
             return self.field_of(self.eval_expr(expr.obj, env), expr)
         if kind is ast.PairLit:
@@ -272,11 +272,11 @@ class Interpreter:
                               self.eval_expr(expr.second, env), expr)
         if kind is ast.Prefix:
             operand = self.eval_expr(expr.operand, env)
-            return self.apply_operator(expr.op, "prefix", [operand], expr)
+            return self.apply_operator(expr.op, [operand], expr)
         if kind is ast.Call:
             return self.eval_call(expr, env)
         if kind is ast.InheritedCall:
-            if type(expr.expr) not in _FIXITY:
+            if type(expr.expr) not in _OPERATORS:
                 raise EvalError("inherited call requires an operator "
                                 "application", expr.span)
             args = [self.eval_expr(a, env) for a in ast.operands(expr.expr)]
@@ -325,12 +325,11 @@ class Interpreter:
         on, on the values ``args`` of the operands of ``expr.expr``."""
         if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
             return FAIL
-        inner = expr.expr
         impl = self.registry.resolve_method(
-            expr.ancestor, inner.op, _FIXITY[type(inner)], span=expr.span)
+            expr.ancestor, expr.expr.op, ast.FIXITY[len(args)], span=expr.span)
         return self.invoke_method(impl, args, expr.span)
 
-    def apply_operator(self, op: str, fixity: str, args: list[Value],
+    def apply_operator(self, op: str, args: list[Value],
                        expr: ast.Expr) -> Value:
         concrete = integers = True
         for a in args:
@@ -342,13 +341,12 @@ class Interpreter:
             elif kind is not int:
                 integers = False
         if not concrete:
-            return self.make_thunk(op, fixity, args)
+            return self.make_thunk(op, args)
         if integers:
             return int_arith(op, args)
-        return self.dispatch(op, fixity, args, expr)
+        return self.dispatch(op, args, expr)
 
-    def dispatch(self, op: str, fixity: str, args: list[Value],
-                 expr: ast.Expr) -> Value:
+    def dispatch(self, op: str, args: list[Value], expr: ast.Expr) -> Value:
         types = [type_name_of(a) for a in args]
         receiver = types[0]
         if receiver == INTEGER:
@@ -357,7 +355,7 @@ class Interpreter:
             if receiver == "Complex":
                 args = [promote(a) for a in args]
                 types = ["Complex"] * len(args)
-        span = getattr(expr, "span", None)
+        fixity, span = ast.FIXITY[len(args)], expr.span
         if receiver not in self.registry.types:
             native = arith(op, args)
             if native is not None:
@@ -366,8 +364,8 @@ class Interpreter:
         impl = self.registry.resolve_method(receiver, op, fixity, types, span)
         return self.invoke_method(impl, args, span)
 
-    def make_thunk(self, op: str, fixity: str, args: list[Value]) -> Value:
-        return operator_thunk(op, fixity, args)
+    def make_thunk(self, op: str, args: list[Value]) -> Value:
+        return operator_thunk(op, args)
 
     # --- method invocation ---
 
@@ -377,12 +375,12 @@ class Interpreter:
         prelude's methods have no positions of their own. An error that
         leaves a user body is named after the innermost one."""
         try:
-            if isinstance(impl, NativeMethod):
-                return impl.fn(args, self)
+            if not isinstance(impl, UserMethod):
+                return impl(args, self)  # a native
             decl = impl.decl
             if decl.body is None:
                 # abstract signature: the application stays symbolic
-                return self.make_thunk(decl.symbol, decl.fixity, args)
+                return self.make_thunk(decl.symbol, args)
             self.method_runs += 1
             # one frame for the parameters, the locals and the par variables
             frame = Environment(self.globals, impl.par_names)
@@ -422,22 +420,19 @@ class Interpreter:
             return value_equal(subject, self.eval_expr(pattern, env))
         trial: dict[str, Value] = {}
         if self._match(subject, pattern, env, trial):
-            for name, value in trial.items():
-                env.par_frame_declaring(name).define(name, value)
+            env.bindings.update(trial)
             return True
         return False
 
     def _has_unbound_par(self, pattern: ast.Expr, env: Environment) -> bool:
-        return any(env.par_frame_declaring(name) is not None
-                   and env.find(name) is None
+        return any(name in env.par_names and name not in env.bindings
                    for name in free_idents(pattern))
 
     def _match(self, subject: Value, pattern: ast.Expr, env: Environment,
                trial: dict[str, Value]) -> bool:
         if isinstance(pattern, ast.Ident):
-            frame = env.par_frame_declaring(pattern.name)
-            if frame is not None:
-                if env.find(pattern.name) is not None:
+            if pattern.name in env.par_names:
+                if pattern.name in env.bindings:
                     raise ReboundParVariable(
                         f"par variable {pattern.name!r} already bound",
                         pattern.span)
@@ -502,7 +497,8 @@ class Interpreter:
                     continue
                 runs = self.method_runs
                 kind = type(e)  # eval_expr rejects an '=' application
-                if kind in _FIXITY and e.op != "=" or kind is ast.FieldAccess:
+                if kind in _OPERATORS and e.op != "=" \
+                        or kind is ast.FieldAccess:
                     pending.append((e, runs))
                     pending.extend((a, None) for a in reversed(ast.operands(e)))
                     continue
@@ -512,7 +508,7 @@ class Interpreter:
             else:
                 args = values[-len(ast.operands(e)):]
                 del values[-len(args):]
-                value = self.apply_operator(e.op, _FIXITY[type(e)], args, e)
+                value = self.apply_operator(e.op, args, e)
             if runs == self.method_runs:
                 memo[id(e)] = value
             values.append(value)
@@ -593,7 +589,7 @@ def compile_expr(expr: ast.Expr) -> Code:
             a, b = lhs(interp, env), rhs(interp, env)
             if kernel is not None and type(a) is int and type(b) is int:
                 return kernel(a, b)  # apply_operator's case
-            return interp.apply_operator(op, "infix", [a, b], expr)
+            return interp.apply_operator(op, [a, b], expr)
         return infix
     if kind is ast.FieldAccess:
         obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
@@ -611,8 +607,8 @@ def compile_expr(expr: ast.Expr) -> Code:
     if kind is ast.Prefix:
         op, operand = expr.op, compile_expr(expr.operand)
         return lambda interp, env: interp.apply_operator(
-            op, "prefix", [operand(interp, env)], expr)
-    if kind is ast.InheritedCall and type(expr.expr) in _FIXITY:
+            op, [operand(interp, env)], expr)
+    if kind is ast.InheritedCall and type(expr.expr) in _OPERATORS:
         parts = tuple(map(compile_expr, ast.operands(expr.expr)))
         return lambda interp, env: interp.apply_inherited(
             expr, [part(interp, env) for part in parts])

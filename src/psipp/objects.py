@@ -3,8 +3,9 @@
 Everything here is resolved by type name. Method resolution walks the
 receiver's ancestor chain; an explicitly qualified call
 (``Ancestor.(A * B)``) starts the walk at the named ancestor instead.
-Implementations are either user bodies (parsed declarations) or native
-Python callables.
+Implementations are either user bodies (parsed declarations) or natives,
+plain Python functions ``fn(args, interp)``. A method's key ``(symbol,
+fixity)`` fixes its number of operands, by ``ast.FIXITY``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ class UserMethod:
         return self._code
 
 
-@dataclass
-class NativeMethod:
-    fn: Callable  # (args: list[Value], interp) -> Value
-    arity: int
-
-
-MethodImpl = object  # UserMethod | NativeMethod
+MethodImpl = object  # UserMethod | a native fn(args, interp) -> Value
 
 
 @dataclass
@@ -100,10 +95,6 @@ class Registry:
         self.descriptor(owner).methods[(symbol, fixity)] = impl
         self._resolved.clear()
 
-    def set_native(self, owner: str, symbol: str, fixity: str,
-                   fn: Callable, arity: int):
-        self.attach_method(owner, symbol, fixity, NativeMethod(fn, arity))
-
     def resolve_method(self, receiver: str, symbol: str, fixity: str,
                        arg_types: Optional[list[str]] = None,
                        span=None) -> MethodImpl:
@@ -117,8 +108,8 @@ class Registry:
             return found
         for desc in self._chain(receiver, span):
             impl = desc.methods.get((symbol, fixity))
-            if impl is not None and (arg_types is None
-                                     or self._accepts(impl, arg_types)):
+            if impl is not None and (arg_types is None or self._accepts(
+                    impl, fixity, arg_types)):
                 self._resolved[key] = impl
                 return impl
         if arg_types is not None:
@@ -127,15 +118,15 @@ class Registry:
         raise NoSuchMethod(f"no {fixity} {symbol!r} on {receiver} "
                            f"or its ancestors", span)
 
-    def _accepts(self, impl: MethodImpl, arg_types: list[str]) -> bool:
-        """Whether ``impl`` takes arguments of ``arg_types``: a native by
-        its arity, a user method by its parameter slots."""
-        if isinstance(impl, NativeMethod):
-            return impl.arity == len(arg_types)
-        params = impl.decl.params
-        return len(params) == len(arg_types) and all(
-            self.kind_compatible(slot, arg)
-            for (_, slot), arg in zip(params, arg_types))
+    def _accepts(self, impl: MethodImpl, fixity: str,
+                 arg_types: list[str]) -> bool:
+        """Whether ``impl`` of ``fixity`` takes arguments of ``arg_types``:
+        as many as the fixity fixes, and a user method's parameter slots
+        accept their types."""
+        return ast.FIXITY.get(len(arg_types)) == fixity and (
+            not isinstance(impl, UserMethod) or all(
+                self.kind_compatible(slot, arg)
+                for (_, slot), arg in zip(impl.decl.params, arg_types)))
 
     def is_descendant(self, a: str, b: str) -> bool:
         """True iff ``b`` lies on ``a``'s ancestor chain (reflexively)."""

@@ -205,26 +205,15 @@ def arith(op: str, args: list[Value]) -> Optional[Value]:
 
 class Environment:
     """Stack of frames mapping names to values; lookup is innermost-first.
-    A ``par`` frame carries the names it declares, so pattern matching can
-    tell pattern variables apart."""
+    A method's frame also carries the names its ``par`` block declares: a
+    pattern variable is one of them not yet bound in that frame, whatever
+    the globals bind."""
 
     def __init__(self, parent: Optional["Environment"] = None,
                  par_names: frozenset[str] = frozenset()):
         self.parent = parent
         self.par_names = par_names
         self.bindings: dict[str, Value] = {}
-
-    def par_frame_declaring(self, name: str) -> Optional["Environment"]:
-        """Innermost par frame declaring ``name``, or None. Stops at the
-        first ordinary binding of the name, which shadows par scopes."""
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.par_names:
-                return env
-            if name in env.bindings:
-                return None
-            env = env.parent
-        return None
 
     def define(self, name: str, value: Value):
         self.bindings[name] = value

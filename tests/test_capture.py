@@ -99,8 +99,8 @@ def test_substitution_survives_combination():
     b = ev(interp, "x * y")
     interp.run_program(parse_program("x := 5; a5 := x + y;"))
     a5 = lookup(interp.globals, "a5")
-    a5_b = simplify(operator_thunk("*", "infix", [a5, b]))
-    b_a5 = simplify(operator_thunk("*", "infix", [b, a5]))
+    a5_b = simplify(operator_thunk("*", [a5, b]))
+    b_a5 = simplify(operator_thunk("*", [b, a5]))
     assert render_value(a5_b) == "5*(x*y) + y*(x*y)"
     assert render_value(b_a5) == "5*(x*y) + x*y*y"
     # forcing binds only the free variables left: a later x := 7 is b's x
@@ -184,7 +184,7 @@ def test_force_commutes_with_combining(a_src, b_src, op, a_subs, b_subs,
     env = Environment()
     for name, spec in bound.items():
         env.define(name, make_value(interp, spec))
-    combined = interp.force(operator_thunk(op, "infix", [a, b]), env)
-    separately = operator_thunk(op, "infix", [interp.force(a, env),
-                                              interp.force(b, env)])
+    combined = interp.force(operator_thunk(op, [a, b]), env)
+    separately = operator_thunk(op, [interp.force(a, env),
+                                     interp.force(b, env)])
     assert value_equal(simplify(combined), simplify(separately))

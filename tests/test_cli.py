@@ -312,6 +312,32 @@ def test_a_method_activation_is_scoped_to_its_call(tmp_path):
         "error: 8:92: unknown identifier 'loc'\n")
 
 
+def test_a_global_neither_blocks_nor_receives_a_par_binding(tmp_path):
+    # a par variable belongs to its activation: a global of its name, a
+    # free variable or a value, is not a binding of it
+    script = tmp_path / "par_scope.psi"
+    script.write_text(
+        "function left(A : Algebra) : Algebra; par P, Q : Algebra; "
+        "begin if A = P * Q then Return := P else Return := A end;\n"
+        "var x, y, P : Algebra;\nprint(left(x * y));\n"
+        "P := 5;\nprint(left(x * y));\nprint(P);\n")
+    assert run_to_strings(script) == (0, "x\nx\n5\n", "")
+    assert repl_to_strings(
+        "P := 2;\nfunction f(A : integer) : integer; par P : integer; "
+        "begin if A = P then Return := P end;\nf(3)\n:quit\n") == (
+        0, "3\n", "")
+
+
+def test_a_par_variable_bound_in_its_activation_is_not_rebound(tmp_path):
+    script = tmp_path / "rebound.psi"
+    script.write_text(
+        "function f(A, B : Algebra) : Algebra; par P, Q, R : Algebra;\n"
+        "begin if A = P * Q then Return := Q; if B = P * R then Return := R "
+        "end;\nvar x, y, z : Algebra;\nprint(f(x * y, x * z));\n")
+    assert run_to_strings(script) == (
+        3, "", "error: 2:45: par variable 'P' already bound (in f)\n")
+
+
 def test_no_prelude_flag(tmp_path):
     script = tmp_path / "wants_i.psi"
     script.write_text("print(i);\n")

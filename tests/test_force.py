@@ -57,10 +57,10 @@ def tree_force(interp: Interpreter, v):
 
     def walk(e: ast.Expr):
         if isinstance(e, ast.Infix):
-            return interp.apply_operator(e.op, "infix",
-                                         [walk(e.lhs), walk(e.rhs)], e)
+            return interp.apply_operator(e.op, [walk(e.lhs), walk(e.rhs)],
+                                         e)
         if isinstance(e, ast.Prefix):
-            return interp.apply_operator(e.op, "prefix", [walk(e.operand)], e)
+            return interp.apply_operator(e.op, [walk(e.operand)], e)
         return interp.eval_expr(e, overlay)
 
     return walk(v.body)

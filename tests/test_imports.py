@@ -2,13 +2,15 @@
 ``from .x import _name`` anywhere in the package. And each module uses
 what it imports: it reads the name, lists it in ``__all__``, or another
 psipp module imports the name from it. And every name that the bench
-tracer wraps exists."""
+tracer wraps exists and is counted where a program calls it."""
 
 import ast
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
+from psipp.cli import run_file
 from psipp.evaluator import Interpreter
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "psipp"
@@ -81,17 +83,45 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "mutant.py:4: I"]
 
 
-def test_every_name_the_bench_tracer_wraps_exists():
-    # the tracer skips a name it cannot find, so a renamed function would
-    # read 0 under ``--trace 1`` with no error; the dead kernel names are
-    # the benchmark's to drop
+def load_tracer():
     spec = importlib.util.spec_from_file_location("tracer",
                                                   BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the tracer skips a name it cannot find, so a renamed function would
+    # read 0 under ``--trace 1`` with no error; the dead kernel names are
+    # the benchmark's to drop
+    tracer = load_tracer()
     missing = [f"{module}.{name}" for _, module, names in tracer._FUNCTIONS
                for name in names if name not in tracer.KERNELS
                and not hasattr(importlib.import_module(module), name)]
     missing += [f"Interpreter.{name}" for name in tracer._INTERPRETER_METHODS
                 if name not in vars(Interpreter)]
     assert tracer._FUNCTIONS and missing == []
+
+
+def test_the_bench_tracer_counts_a_program_s_calls(tmp_path):
+    # a wrapper that a call no longer goes through reads 0 with no error:
+    # a changed signature or call path must change these counts here
+    script = tmp_path / "traced.psi"
+    script.write_text("var x : Algebra;\nz := (1, 2) * (3, 4);\n"
+                      "a := -(x + z);\nx := 2;\nprint(EVAL(a));\n")
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        code = run_file(str(script), stdout=out, stderr=err)
+    finally:
+        tracer.uninstall()
+    assert (code, out.getvalue(), err.getvalue()) == (0, "3 - 10*i\n", "")
+    calls = tracer.calls[module.PROGRAM]
+    assert {name: calls[name] for name in (
+        "dispatch", "invoke_method", "make_thunk", "force")} == {
+        # Complex * and, forced, Complex + and prefix -; the user body of
+        # Complex * and the three natives; x + z and its negation; a and x
+        "dispatch": 3, "invoke_method": 4, "make_thunk": 2, "force": 2}

@@ -7,7 +7,7 @@ from psipp.algebra import make_interpreter
 from psipp.cli import run_file, run_repl
 from psipp.errors import (DuplicateType, FieldShadowing, NoSuchMethod,
                           UnknownAncestor)
-from psipp.objects import NativeMethod, Registry, UserMethod
+from psipp.objects import Registry, UserMethod
 from psipp.parser import parse_expression, parse_program
 from psipp.values import FAIL
 
@@ -61,7 +61,7 @@ def test_resolve_walks_to_ancestor(prelude):
     # Complex declares no infix +, so resolution lands on the Complex
     # native attached below Group's signature level
     impl = prelude.resolve_method("Complex", "+", "infix")
-    assert isinstance(impl, NativeMethod)
+    assert callable(impl) and not isinstance(impl, UserMethod)
 
 
 def test_resolve_no_such_method(prelude):
@@ -81,6 +81,19 @@ def test_resolution_skips_methods_whose_slots_reject_the_arguments(prelude):
     with pytest.raises(NoSuchMethod, match="no applicable"):
         prelude.resolve_method("Complex", "-", "prefix",
                                ["Complex", "Complex"])
+    # nor does a user method: its fixity fixes its number of operands
+    define(prelude, "Vec = Object;\nend;")
+    for head in ["prefix -(A : Vec)", "infix +(A, B : Vec)"]:
+        source = f"function {head} : Vec; begin Return := A end;"
+        (decl,) = parse_program(source).items
+        method = UserMethod(decl)
+        prelude.attach_method("Vec", decl.symbol, decl.fixity, method)
+        assert prelude.resolve_method("Vec", decl.symbol, decl.fixity,
+                                      ["Vec"] * len(decl.params)) is method
+    with pytest.raises(NoSuchMethod, match="no applicable"):
+        prelude.resolve_method("Vec", "-", "prefix", ["Vec", "Vec"])
+    with pytest.raises(NoSuchMethod, match="no applicable"):
+        prelude.resolve_method("Vec", "+", "infix", ["Vec"])
 
 
 def test_is_descendant_examples(prelude):
