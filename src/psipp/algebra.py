@@ -29,7 +29,7 @@ from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
 from .lexer import tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
-from .pretty import expr_text, layout, operator_level
+from .pretty import expr_text, head, layout
 # complex_mul is not called here: the package and bench/tracer.py read it
 from .values import (FAIL, ComplexV, RegisterV, ThunkV, Value, arith,
                      complex_mul, promote, thunk)
@@ -176,7 +176,7 @@ def _traced_line(path: list[list], lefts: list[str], rights: list[str],
         frame = path[k]
         if k < top:
             child = path[k + 1][0]
-            left, right = _context(frame, child, operator_level(child), memo)
+            left, right = _context(frame, child, head(child)[1], memo)
         else:
             left, right = _context(frame, new, level, memo)
         frame[3] = frame[1]

@@ -16,9 +16,10 @@ from typing import Optional, Union
 Span = int
 
 # Precedence levels of the surface syntax, loosest first, read by both the
-# parser and ``pretty.layout``. An infix operator of level L takes a right
-# operand of level L + 1, so ``+``, ``-`` and ``*`` associate to the left;
-# ``=`` takes a left operand of level L + 1 too, so it does not associate.
+# parser and ``pretty._parenthesised``. An infix operator of level L takes
+# a right operand of level L + 1, so ``+``, ``-`` and ``*`` associate to the
+# left; ``=`` takes a left operand of level L + 1 too, so it does not
+# associate.
 LEVEL_EQ = 0
 LEVEL_ADD = 1
 LEVEL_MUL = 2

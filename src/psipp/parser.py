@@ -4,9 +4,10 @@ Programs are sequences of object declarations, function definitions,
 ``var`` blocks, and statements, parsed by recursive descent. An
 expression is parsed by one loop over an explicit stack, so it nests to
 any depth. Its levels are the table in ``ast`` (``INFIX_LEVELS``), which
-``pretty.layout`` reads too: prefix minus binds tightest, then ``*``,
-then ``+`` and binary ``-``; ``=`` is the (single, non-associative)
-comparison at the bottom. ``*``, ``+`` and ``-`` associate left.
+``pretty._parenthesised`` reads too: prefix minus binds tightest, then
+``*``, then ``+`` and binary ``-``; ``=`` is the (single,
+non-associative) comparison at the bottom. ``*``, ``+`` and ``-``
+associate left.
 
 ``parse_juxtaposition`` implements the convention that a word of
 single-letter names denotes a right-nested application of a binary
@@ -217,12 +218,10 @@ class _Parser:
             self.expect(")")
         self.expect(":")
         result_type = self.type_name()
-        if fixity == "infix" and len(params) != 2:
-            raise ArityError("infix function requires exactly 2 parameters",
-                             start)
-        if fixity == "prefix" and len(params) != 1:
-            raise ArityError("prefix function requires exactly 1 parameter",
-                             start)
+        if fixity != "ordinary" and ast.FIXITY.get(len(params)) != fixity:
+            count = next(n for n, f in ast.FIXITY.items() if f == fixity)
+            raise ArityError(f"{fixity} function requires exactly {count} "
+                             f"parameter{'s' * (count != 1)}", start)
         return ast.FunctionDecl(symbol, fixity, owner, tuple(params),
                                 result_type, span=start)
 

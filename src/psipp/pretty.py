@@ -5,6 +5,14 @@ trace mode spaces every operator, matching the typography of rewrite
 chains (``i * i + i * x``). Parentheses are minimal under the surface
 precedence of ``ast.INFIX_LEVELS``, the table the parser reads: prefix
 minus tightest, then ``*``, then ``+``/``-``, then ``=``.
+
+The parenthesis rule is ``_parenthesised``, made once into two tables
+indexed by an operator's level and its operand's; the scalar-first rule is
+``_scalar_first``; ``head`` gives a node's level, and a leaf's text. Two
+renderers read them. Printing (``render_value``, ``render_expr``) emits
+pieces in pre-order into one list, joined a chunk at a time. A trace
+splice keeps ``expr_text``, a post-order walk that memoises each node's
+text, and ``layout``: a step renders only the nodes it made.
 """
 
 from __future__ import annotations
@@ -60,133 +68,227 @@ def _value_text(v: Value) -> tuple[str, int]:
 _SCALARS = (int, ComplexV)
 _LAYOUT = object()  # on the stack above an Infix whose operands are done
 _COMPOSE = object()  # the same for any other node with operands
+_CHUNK = 128  # pieces an emitter joins into one chunk
 
 
-def operator_level(e: ast.Expr) -> int:
-    """Precedence level of the text of an ``Infix`` or ``Prefix`` node,
-    which its operands do not change."""
-    if isinstance(e, ast.Prefix):
-        return LEVEL_PREFIX
-    return INFIX_LEVELS[e.op]
+def _parenthesised(level: int, operand_level: int, right: bool) -> bool:
+    """Whether an operand of ``operand_level`` prints in parentheses on
+    the ``right`` (or left) of an operator of ``level``. Every operator
+    takes a right operand of a tighter level; + - * take a left operand of
+    their own level (they associate to the left), and = does not
+    associate. Prefix minus and a field access read the left rule, at
+    their own levels: ``--x``, ``(x + y).f``."""
+    if right:
+        return operand_level <= level
+    return operand_level < level or operand_level == level == LEVEL_EQ
+
+
+# [level][operand_level]: the parenthesis rule, made once
+_LEVELS = range(LEVEL_ATOM + 1)
+_LEFT_PARENS = tuple(tuple(_parenthesised(level, operand, False)
+                          for operand in _LEVELS) for level in _LEVELS)
+_RIGHT_PARENS = tuple(tuple(_parenthesised(level, operand, True)
+                           for operand in _LEVELS) for level in _LEVELS)
+# the operator between an Infix node's operands, by op, unspaced and spaced
+_SEPARATORS = ({op: "*" if op == "*" else f" {op} " for op in INFIX_LEVELS},
+               {op: f" {op} " for op in INFIX_LEVELS})
+
+
+def _scalar_first(first: ast.Expr, second: ast.Expr) -> bool:
+    """Whether the product ``first * second`` prints its factors swapped.
+    Display convention: central scalar coefficients (integers, complex
+    constants) print first, as in -1 + i*x; the tree itself keeps true
+    factor order. Only value leaves are scalars: source trees never
+    contain them, so parsed expressions always round-trip unchanged."""
+    return (type(second) is ast.ValueLeaf and type(second.value) in _SCALARS
+            and not (type(first) is ast.ValueLeaf
+                     and type(first.value) in _SCALARS))
+
+
+def head(e: ast.Expr) -> tuple[Optional[str], int]:
+    """The whole text of the leaf ``e`` (None for a node with operands) and
+    the precedence level of ``e``'s text, which operands do not change."""
+    kind = type(e)
+    if kind is ast.Infix:
+        return None, INFIX_LEVELS[e.op]
+    if kind is ast.Ident:
+        return e.name, LEVEL_ATOM
+    if kind is ast.ValueLeaf:
+        return _value_text(e.value)
+    if kind is ast.IntLit:
+        return _int_text(e.value), LEVEL_ATOM
+    if kind is ast.FailLit:
+        return "fail", LEVEL_ATOM
+    if kind is ast.Prefix:
+        return None, LEVEL_PREFIX
+    return None, LEVEL_ATOM  # Call, FieldAccess, InheritedCall, PairLit
 
 
 def layout(e: ast.Expr, kids: Sequence[ast.Expr],
            texts: Sequence[tuple[str, int]], spaced: bool) -> tuple[str, int]:
     """Text and level of the ``Infix`` or ``Prefix`` node ``e`` applied to
-    ``kids``, whose texts and levels are ``texts``. The one home of the
-    parenthesis and scalar-first rules: a rendering passes ``e``'s own
-    operands, a trace splice the operands as they stand after a rewrite
-    below ``e``."""
+    ``kids``, whose texts and levels are ``texts``: a memoised rendering
+    passes ``e``'s own operands, a trace splice the operands as they stand
+    after a rewrite below ``e``."""
     if not isinstance(e, ast.Infix):
         text, level = texts[0]
-        if level < LEVEL_PREFIX:
+        if _LEFT_PARENS[LEVEL_PREFIX][level]:
             return f"-({text})", LEVEL_PREFIX
         return f"-{text}", LEVEL_PREFIX
     (lhs, lhs_level), (rhs, rhs_level) = texts
     level = INFIX_LEVELS[e.op]
-    if level == LEVEL_MUL:
-        # display convention: central scalar coefficients (integers,
-        # complex constants) print first, as in -1 + i*x; the tree
-        # itself keeps true factor order. Only value leaves are scalars:
-        # source trees never contain them, so parsed expressions always
-        # round-trip unchanged
-        first, second = kids
-        if (isinstance(second, ast.ValueLeaf)
-                and type(second.value) in _SCALARS
-                and not (isinstance(first, ast.ValueLeaf)
-                         and type(first.value) in _SCALARS)):
-            lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
-        sep = " * " if spaced else "*"
-    else:
-        sep = f" {e.op} "
-    # every operator takes a right operand of a tighter level; + - * take
-    # a left operand of their own level (they associate to the left), and
-    # = does not associate
-    if lhs_level < level or lhs_level == level == LEVEL_EQ:
+    if level == LEVEL_MUL and _scalar_first(*kids):
+        lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
+    if _LEFT_PARENS[level][lhs_level]:
         lhs = f"({lhs})"
-    if rhs_level <= level:
+    if _RIGHT_PARENS[level][rhs_level]:
         rhs = f"({rhs})"
-    return f"{lhs}{sep}{rhs}", level
+    return f"{lhs}{_SEPARATORS[spaced][e.op]}{rhs}", level
 
 
-def _compose(e: ast.Expr, texts: Sequence[tuple[str, int]],
-             spaced: bool) -> tuple[str, int]:
-    """Text and level of a node other than an ``Infix`` or an ``Ident``,
-    whose operands' texts and levels are ``texts`` (none for a leaf)."""
-    if isinstance(e, ast.ValueLeaf):
-        return _value_text(e.value)
-    if isinstance(e, ast.IntLit):
-        return _int_text(e.value), LEVEL_ATOM
-    if isinstance(e, ast.FailLit):
-        return "fail", LEVEL_ATOM
-    if isinstance(e, ast.Prefix):
-        return layout(e, (e.operand,), texts, spaced)
-    if isinstance(e, ast.Call):
-        return f"{e.name}({', '.join(text for text, _ in texts)})", LEVEL_ATOM
-    if isinstance(e, ast.FieldAccess):
-        obj, level = texts[0]
-        if level < LEVEL_ATOM:
-            return f"({obj}).{e.field}", LEVEL_ATOM
-        return f"{obj}.{e.field}", LEVEL_ATOM
-    if isinstance(e, ast.InheritedCall):
-        return f"{e.ancestor}.({texts[0][0]})", LEVEL_ATOM
-    return f"({texts[0][0]}, {texts[1][0]})", LEVEL_ATOM  # PairLit
+def _spread(e: ast.Expr) -> tuple:
+    """The pieces of text and the operands of a node with operands other
+    than an ``Infix``, left to right; an operand that needs them comes
+    between parentheses."""
+    kind = type(e)
+    if kind is ast.Prefix:
+        return ("-", *_wrapped(e.operand, LEVEL_PREFIX))
+    if kind is ast.FieldAccess:
+        return (*_wrapped(e.obj, LEVEL_ATOM), f".{e.field}")
+    if kind is ast.Call:
+        args = [piece for arg in e.args for piece in (", ", arg)][1:]
+        return (f"{e.name}(", *args, ")")
+    if kind is ast.InheritedCall:
+        return (f"{e.ancestor}.(", e.expr, ")")
+    return ("(", e.first, ", ", e.second, ")")  # PairLit
 
 
-def expr_text(e: ast.Expr, spaced: bool,
-              memo: Optional[dict] = None) -> tuple[str, int]:
-    """Text and precedence level of ``e``. ``memo`` maps ``id(node)`` to
-    ``(node, text, level)`` for the nodes rendered before in this style:
-    a text does not depend on the parent, and holding the node keeps its
-    id from being reused while the entry lives.
+def _wrapped(operand: ast.Expr, level: int) -> tuple:
+    """``operand`` as the left operand of a node of ``level``."""
+    if _LEFT_PARENS[level][head(operand)[1]]:
+        return "(", operand, ")"
+    return (operand,)
+
+
+def expr_text(e: ast.Expr, spaced: bool, memo: dict) -> tuple[str, int]:
+    """Text and precedence level of ``e``, for a trace splice. ``memo``
+    maps ``id(node)`` to ``(node, text, level)`` for the nodes rendered
+    before in this style: a text does not depend on the parent, and
+    holding the node keeps its id from being reused while the entry lives.
 
     One post-order walk on an explicit stack, so any depth renders. A node
-    with operands is pushed below a marker and its operands; when the
-    marker comes back up, the operands' texts are the last on ``texts``."""
-    if memo is not None and id(e) in memo:
-        return memo[id(e)][1:]
+    with operands is pushed below its id, a marker and its operands; when
+    the marker comes back up, the operands' texts are the last on
+    ``texts``."""
     texts: list[tuple[str, int]] = []
     stack: list = [e]
     while stack:
         node = stack.pop()
         if node is _LAYOUT:
-            node = stack.pop()
+            node, key = stack.pop(), stack.pop()
             rhs = texts.pop()
             texts[-1] = layout(node, (node.lhs, node.rhs), (texts[-1], rhs),
                                spaced)
-        elif memo is not None and id(node) in memo:
-            texts.append(memo[id(node)][1:])
-            continue
-        elif type(node) is ast.Infix:  # the most common node
-            stack += (node, _LAYOUT, node.rhs, node.lhs)
-            continue
-        elif type(node) is ast.Ident:
-            texts.append((node.name, LEVEL_ATOM))
         elif node is _COMPOSE:
-            node = stack.pop()
-            count = len(ast.operands(node))
-            kids = texts[-count:]
-            del texts[-count:]
-            texts.append(_compose(node, kids, spaced))
+            node, key = stack.pop(), stack.pop()
+            start = len(texts) - len(ast.operands(node))
+            kids = iter(texts[start:])
+            del texts[start:]
+            text = "".join(piece if type(piece) is str else next(kids)[0]
+                           for piece in _spread(node))
+            texts.append((text, head(node)[1]))
         else:
-            kids = ast.operands(node)
-            if kids:
-                stack += (node, _COMPOSE, *reversed(kids))
+            key = id(node)
+            hit = memo.get(key)
+            if hit is not None:
+                texts.append(hit[1:])
                 continue
-            texts.append(_compose(node, (), spaced))
-        if memo is not None:
-            memo[id(node)] = (node, *texts[-1])
+            if type(node) is ast.Infix:  # the most common node
+                stack += (key, node, _LAYOUT, node.rhs, node.lhs)
+                continue
+            text, level = head(node)
+            if text is None:
+                stack += (key, node, _COMPOSE, *reversed(ast.operands(node)))
+                continue
+            texts.append((text, level))
+        memo[key] = (node, *texts[-1])
     return texts[0]
+
+
+def _emit(e: ast.Expr, spaced: bool) -> str:
+    """Text of ``e``, written in pre-order on an explicit stack of pending
+    nodes and pieces, right to left, so any depth renders. A node decides
+    each operand's parentheses from the operand's level before it writes
+    the operand; a leaf's text goes on the stack in place of the leaf.
+    Pieces are joined into a chunk every ``_CHUNK`` or so, which keeps the
+    list from costing a pointer for every few characters of text."""
+    separators = _SEPARATORS[spaced]
+    chunks: list[str] = []
+    pieces: list[str] = []
+    put = pieces.append
+    stack: list = [e]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        kind = type(item)
+        if kind is str:
+            put(item)
+            continue
+        if kind is ast.Infix:  # the most common node
+            lhs, rhs, op = item.lhs, item.rhs, item.op
+            level = INFIX_LEVELS[op]
+            # only a value leaf on the right swaps: testing it here saves
+            # a call for almost every product
+            if (level == LEVEL_MUL and type(rhs) is ast.ValueLeaf
+                    and _scalar_first(lhs, rhs)):
+                lhs, rhs = rhs, lhs
+            if type(rhs) is ast.Infix:
+                rhs_level = INFIX_LEVELS[rhs.op]
+            elif type(rhs) is ast.Ident:
+                rhs, rhs_level = rhs.name, LEVEL_ATOM
+            else:
+                text, rhs_level = head(rhs)
+                if text is not None:
+                    rhs = text
+            if _RIGHT_PARENS[level][rhs_level]:
+                stack += (")", rhs, "(", separators[op])
+            else:
+                stack += (rhs, separators[op])
+            if type(lhs) is ast.Infix:
+                lhs_level = INFIX_LEVELS[lhs.op]
+            elif type(lhs) is ast.Ident:
+                lhs, lhs_level = lhs.name, LEVEL_ATOM
+            else:
+                text, lhs_level = head(lhs)
+                if text is not None:
+                    lhs = text
+            if _LEFT_PARENS[level][lhs_level]:
+                put("(")
+                stack += (")", lhs)
+            else:
+                push(lhs)
+        else:
+            text, _ = head(item)
+            if text is not None:
+                put(text)
+                continue
+            stack += reversed(_spread(item))
+        if len(pieces) >= _CHUNK:
+            chunks.append("".join(pieces))
+            pieces.clear()
+    chunks.append("".join(pieces))
+    del pieces[:]  # frees the list before the text is made
+    return "".join(chunks)
 
 
 def render_value(v: Value, spaced: bool = False) -> str:
     if isinstance(v, ThunkV):
-        return expr_text(v.body, spaced)[0]
+        return _emit(v.body, spaced)
     return _value_text(v)[0]
 
 
 def render_expr(e: ast.Expr, spaced: bool = False) -> str:
-    return expr_text(e, spaced)[0]
+    return _emit(e, spaced)
 
 
 def show_tree(v: Value) -> str:

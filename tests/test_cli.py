@@ -192,6 +192,19 @@ def test_builtin_misuse_is_a_runtime_error(tmp_path, call, code):
     assert "Traceback" not in result.stderr
 
 
+def test_thunk_leaf_past_the_digit_limit_is_a_runtime_error(tmp_path):
+    # the product folds to a 6000-digit leaf of the thunk x + ..., which
+    # Python refuses to convert to text
+    script = tmp_path / "leaf.psi"
+    script.write_text(f"var x : Algebra;\n"
+                      f"print(x + {'9' * 3000} * {'9' * 3000});\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "psipp.cli", "run", str(script)],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, "", "error: 2:1: integer has too many digits to print\n")
+
+
 @pytest.mark.parametrize("depth", [
     pytest.param(300, id="parentheses-300-deep"),
     pytest.param(600, id="parentheses-600-deep"),

@@ -1,15 +1,22 @@
-"""The renderer on its explicit stack against the recursive renderer it
-replaced, kept here as the oracle, on random trees and DAGs of every
-expression kind."""
+"""Both renderers against the recursive renderer they replaced, kept here
+as the oracle, on random trees and DAGs of every expression kind: the
+pre-order emitter behind ``render_expr`` and ``render_value``, and the
+memoised post-order ``expr_text`` that trace splices read."""
+
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
 from psipp import ast
+from psipp.algebra import simplify
 from psipp.ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL,
                        LEVEL_PREFIX)
 from psipp.monomials import MonomialRegister
-from psipp.pretty import _int_text, _value_text, expr_text
+from psipp.pretty import (_int_text, _value_text, expr_text, render_expr,
+                          render_value)
 from psipp.values import FAIL, ComplexV, FreeVarV, RegisterV
+
+from test_rewriter import expand_term
 
 
 # --- the oracle: the recursive renderer, one Python frame per level ---
@@ -135,7 +142,7 @@ def dags(draw):
 @given(dags(), st.booleans())
 def test_renderer_matches_the_recursive_oracle(dag, spaced):
     root, _ = dag
-    assert expr_text(root, spaced) == oracle_expr_text(root, spaced)
+    assert render_expr(root, spaced) == oracle_expr_text(root, spaced)[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -153,3 +160,18 @@ def test_memoised_renderer_matches_the_recursive_oracle(dag, spaced, data):
     assert memo == oracle_memo
     # a hit returns the stored text
     assert expr_text(root, spaced, memo) == oracle_expr_text(root, spaced)
+
+
+def test_emitter_memory_stays_near_the_text():
+    # pieces are joined into chunks as they come, so no list holds a
+    # pointer for every few characters of text: the memoised renderer
+    # peaks at about 2x the text, one flat list of pieces at about 4.4x
+    result = simplify(expand_term(64))
+    render_value(result)  # so that no one-time allocation is counted
+    tracemalloc.start()
+    try:
+        text = render_value(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text) + 4096
