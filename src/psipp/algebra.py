@@ -132,19 +132,22 @@ def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
 _HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
 
 
-def _context(frame: list, child: ast.Expr, level: int,
-             memo: dict) -> tuple[str, str]:
+def _context(frame: list, child: ast.Expr, level: int, memo: dict,
+             finished: Optional[str]) -> tuple[str, str]:
     """The spaced text left and right of ``child``, of precedence
-    ``level``, in the operand slot of ``frame``'s node. The layout gets
-    the operands as they stand, so the scalar-first swap and the
-    parentheses follow ``child``."""
+    ``level``, in the operand slot of ``frame``'s node; ``finished`` is the
+    text of the node's left operand, if known. The layout gets the operands
+    as they stand, so the scalar-first swap and the parentheses follow
+    ``child``."""
     node, slot = frame[0], frame[1]
     hole = (_HOLE, level)
     if type(node) is not ast.Infix:
         kids, texts = (child,), (hole,)
     elif slot:
         kids = (node.lhs, child)
-        texts = (expr_text(node.lhs, True, memo), hole)
+        lhs = expr_text(node.lhs, True, memo) if finished is None \
+            else (finished, head(node.lhs)[1])
+        texts = (lhs, hole)
     else:
         kids = (child, node.rhs)
         texts = (hole, expr_text(node.rhs, True, memo))
@@ -153,32 +156,45 @@ def _context(frame: list, child: ast.Expr, level: int,
 
 
 def _traced_line(path: list[list], lefts: list[str], rights: list[str],
-                 old: ast.Expr, new: ast.Expr, memo: dict) -> str:
+                 old: ast.Expr, new: ast.Expr, memo: dict, normal: set[int],
+                 line: Optional[str]) -> str:
     """The whole term after ``old``, below the frames on ``path``, was
     rewritten to ``new``: ``new``'s text spliced between the frames' texts,
     which ``lefts`` and ``rights`` keep for a prefix of ``path``. A frame's
     text is stale if it has none or its slot has moved since it was made.
     A slot moves only in the innermost frame, so the stale frames lie below
     the first current one up from there; only they and the innermost frame
-    get their text made again. The render memo then forgets ``old``, its
+    get their text made again. Of them, only the outermost can have text
+    for its old slot: its finished left operand is then the text between
+    its own and the outer frames' texts in ``line``, the line before, and
+    is not rendered again. The render memo then forgets ``old``, its
     operands and ``new``, whose text no frame asks for while it is on the
-    path: no node the walk dropped stays alive in it."""
+    path, but keeps an input node found normal (in ``normal``), which the
+    term may still hold and the input keeps alive anyway: no node the walk
+    dropped stays alive in it, and no such input node is rendered twice."""
     text, level = expr_text(new, True, memo)
     for done in (old, *operands(old), new):
-        memo.pop(id(done), None)
+        if id(done) not in normal:
+            memo.pop(id(done), None)
     if not path:
         return text
     top = first = len(path) - 1
     while first and path[first - 1][3] != path[first - 1][1]:
         first -= 1
+    finished = None
+    if path[first][3] == 0 and path[first][1]:
+        finished = line[sum(map(len, lefts[:first + 1])):
+                        len(line) - sum(map(len, rights[:first + 1]))]
     del lefts[first:], rights[first:]
     for k in range(first, top + 1):
         frame = path[k]
         if k < top:
             child = path[k + 1][0]
-            left, right = _context(frame, child, head(child)[1], memo)
+            left, right = _context(frame, child, head(child)[1], memo,
+                                   finished)
         else:
-            left, right = _context(frame, new, level, memo)
+            left, right = _context(frame, new, level, memo, finished)
+        finished = None
         frame[3] = frame[1]
         lefts.append(left)
         rights.append(right)
@@ -202,14 +218,18 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     stack whose frames are the path from the root. ``trace`` gets the
     whole term after each step: the frames keep the text left and right
     of their operand slots, made again only where a slot has moved, so a
-    step renders only the new subterm and joins the texts. That is
-    amortised O(1) frames plus the printed line a step, and the text
-    stored is O(printed line)."""
+    step renders only the new subterm and joins the texts. A finished
+    operand whose slot moves takes its text from the line before, and the
+    render memo keeps the input nodes found normal until the pass ends,
+    so no node the term still holds is rendered twice. That is amortised
+    O(1) frames plus the printed line a step, and the text stored is
+    O(printed line) beside the texts of the input nodes rendered."""
     if not isinstance(v, ThunkV):
         return v
     if trace is not None:
-        # by node id (see pretty); the text around the frames' slots
-        memo, lefts, rights = {}, [], []
+        # by node id (see pretty); the text around the frames' slots; the
+        # line printed last
+        memo, lefts, rights, line = {}, [], [], None
     normal: set[int] = set()  # ids of input nodes found normal
     steps = 0
     # the ancestors of ``e``: frames [node, operand slot, operands normal,
@@ -229,7 +249,9 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
             if new is not None:
                 steps += 1
                 if trace is not None:
-                    trace(_traced_line(path, lefts, rights, e, new, memo))
+                    line = _traced_line(path, lefts, rights, e, new, memo,
+                                        normal, line)
+                    trace(line)
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
@@ -256,10 +278,10 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
         else:
             path.pop()
             e, operands_normal = parent, True
-            if not path:
+            if not path and trace is None:
                 # not read after the root: freed before the result thunk
                 # is built, it stays out of the peak allocation (3 kB on
-                # expand)
+                # expand); a trace keeps it for the render memo
                 normal.clear()
     leaf = _concrete_leaf(e)
     if leaf is not None:

@@ -3,10 +3,11 @@
 ``psi run <file>`` executes a script (prelude loaded first unless
 ``--no-prelude``); ``psi repl`` starts the interactive loop. Exit codes:
 1 for lex/parse errors, unreadable files and a closed standard output, 2
-for type/registry errors, 3 for runtime errors, 130 for an interrupt. Each
-output line is written as it is made; ``--trace`` prints every rewrite step
-of simplification. A diagnostic names the line and column of its error's
-offset in the script, or in the REPL line as typed.
+for type/registry errors, 3 for runtime errors and running out of memory,
+130 for an interrupt. Each output line is written as it is made;
+``--trace`` prints every rewrite step of simplification. A diagnostic
+names the line and column of its error's offset in the script, or in the
+REPL line as typed.
 """
 
 from __future__ import annotations
@@ -41,14 +42,21 @@ class Session:
     # --- script execution ---
 
     def run_source(self, source: str):
-        self.interp.run_program(parse_program(source))
+        """Run a script, or a REPL statement. Running out of memory is an
+        error: nothing bounds what a program allocates, but it ends in a
+        diagnostic, not a traceback."""
+        try:
+            self.interp.run_program(parse_program(source))
+        except MemoryError:
+            raise EvalError("out of memory") from None
 
     # --- REPL ---
 
     def repl_step(self, line: str) -> bool:
         """Process one REPL input, writing its output lines to the sink;
         False on ``:quit``. Offsets count in ``line`` as typed. Nesting too
-        deep for the Python stack is an error."""
+        deep for the Python stack is an error, and so is running out of
+        memory."""
         line = line.rstrip()
         start = len(line) - len(line.lstrip())
         cmd = line[start:].partition(" ")[0]
@@ -70,6 +78,8 @@ class Session:
                 self.run_source(line if line.endswith(";") else line + ";")
         except RecursionError:
             raise EvalError("expression nested too deeply") from None
+        except MemoryError:
+            raise EvalError("out of memory") from None
         return True
 
     def _command(self, cmd: str, line: str, start: int) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from psipp import cli, lexer, parser
+from psipp import cli, evaluator, lexer, parser
 from psipp.cli import Session, run_file, run_repl
 from psipp.lexer import scan_into
 
@@ -503,6 +503,19 @@ def test_repl_survives_unbounded_recursion():
     assert (code, out) == (0, "2\n")
     assert err == ("error: 1:1: expression nested too deeply\n"
                    "error: expression nested too deeply\n")
+
+
+def test_running_out_of_memory_is_a_runtime_error(tmp_path, monkeypatch):
+    # the walker's integer kernel stands in for a product too large for
+    # memory: really exhausting it would starve the machine's other work
+    def exhausted(op, args):
+        raise MemoryError
+    monkeypatch.setattr(evaluator, "int_arith", exhausted)
+    script = tmp_path / "square.psi"
+    script.write_text("x := 3;\nx := x * x;\nprint(1);\n")
+    assert run_to_strings(script) == (3, "", "error: out of memory\n")
+    code, out, err = repl_to_strings("x := 3 * 3;\n3 * 3\nprint(1);\n")
+    assert (code, out, err) == (0, "1\n", "error: out of memory\n" * 2)
 
 
 def test_repl_reports_an_error_in_a_body_where_the_body_was_typed():

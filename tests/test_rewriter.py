@@ -207,6 +207,19 @@ def leaf(n: int) -> ast.ValueLeaf:
     "-", ast.Ident("x"), ast.Infix("*", ast.Ident("a"), ast.Infix(
         "-", ast.Ident("z"), ast.Infix("*", ast.Ident("b"), ast.Infix(
             "+", leaf(1), ast.Ident("c"))))))))), 10_000, True)
+# a finished left operand whose frame's slot moves takes its text from the
+# line before: parenthesised there, and printed second after the fold
+@example(over_free(ast.Infix("*", ast.Infix(
+    "+", ast.Ident("x"), ast.Infix("*", leaf(1), leaf(2))), ast.Infix(
+        "+", leaf(1), leaf(2)))), 10_000, True)
+# the same under the rhs of -, and under a Prefix frame
+@example(over_free(ast.Infix("-", ast.Ident("x"), ast.Infix("*", ast.Infix(
+    "+", ast.Ident("a"), ast.Infix("*", leaf(1), leaf(2))), ast.Infix(
+        "+", ast.Ident("b"), ast.Ident("c"))))), 10_000, True)
+@example(over_free(ast.Prefix("-", ast.Infix("*", ast.Infix(
+    "+", ast.Ident("a"), ast.Infix("*", leaf(1), leaf(2))), ast.Infix(
+        "+", ast.Ident("b"), ast.Infix("*", leaf(2), leaf(3)))))),
+         10_000, True)
 def test_simplify_matches_restarting_oracle(v, max_steps, traced):
     expected = outcome(oracle_simplify, v, max_steps, traced)
     assert outcome(simplify, v, max_steps, traced) == expected
@@ -292,13 +305,44 @@ def test_traced_expand_renders_linear_nodes(monkeypatch):
     # the texts the path's frames keep: amortised O(1) frames plus the
     # printed line. Rendering the rebuilt path from the root instead costs
     # O(depth) nodes a step, about n. The renderer calls layout once per
-    # operator node it renders, and a frame's text once (6103 calls at
-    # n = 32)
+    # operator node it renders: the new sum and its two products, then
+    # the innermost frame's text, 4 a step, plus the input once at the
+    # first step (4152 calls at n = 32). Rendering the y-sum again at each
+    # row, or a finished operand again when its frame's slot moves, costs
+    # about 6 a step
     n = 32
     steps, input_nodes = n * n - 1, 4 * n
-    layout = budget(6 * (steps + input_nodes), pretty.layout)
+    layout = budget(4 * steps + input_nodes, pretty.layout)
     traced_expand(monkeypatch, n, [(pretty, "layout", layout),
                                    (algebra, "layout", layout)])
+
+
+def test_traced_expand_lays_out_each_input_node_once(monkeypatch):
+    # the render memo keeps the input nodes found normal for the whole
+    # pass: the y-sum, which the products of every row hold, is laid out
+    # at the first step only, not again at the start of each row
+    n = 16
+    v = expand_term(n)
+    inputs, pending = {}, [v.body]
+    while pending:
+        e = pending.pop()
+        if type(e) is ast.Infix:
+            inputs[id(e)] = 0
+            pending += (e.lhs, e.rhs)
+    render = pretty.layout
+
+    def layout(e, *args):
+        if id(e) in inputs:
+            inputs[id(e)] += 1
+        return render(e, *args)
+
+    monkeypatch.setattr(pretty, "layout", layout)
+    monkeypatch.setattr(algebra, "layout", layout)
+    lines = []
+    simplify(v, trace=lines.append)
+    monkeypatch.undo()
+    assert len(lines) == n * n - 1
+    assert max(inputs.values()) == 1
 
 
 def test_traced_expand_makes_amortised_constant_frame_texts(monkeypatch):
