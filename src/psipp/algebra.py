@@ -85,7 +85,7 @@ def distribute(a: Value, b: Value) -> Value:
     """One layer of distributivity on values, or fail when neither operand
     is a sum-rooted thunk. The factor that is not a sum wins a capture
     clash."""
-    if not (isinstance(a, ThunkV) or isinstance(b, ThunkV)):
+    if type(a) is not ThunkV and type(b) is not ThunkV:
         return FAIL  # only a thunk can be a sum
     (a_expr, a_caps), (b_expr, b_caps) = as_repr(a), as_repr(b)
     body = distribute_expr(a_expr, b_expr)
@@ -101,7 +101,8 @@ def _fold(op: str, args: list[Value]) -> Optional[Value]:
     """Concrete evaluation of one application, or None if no kernel. The
     register product folds here only: without the prelude, evaluating
     ``mono(..) * mono(..)`` stays a dispatch error."""
-    if op == "*" and all(isinstance(a, RegisterV) for a in args):
+    if op == "*" and type(args[0]) is RegisterV \
+            and type(args[1]) is RegisterV:
         return RegisterV(register_mul(args[0].register, args[1].register))
     return arith(op, args)
 

@@ -10,6 +10,10 @@ call, so it is compiled at its first run and its closures are kept with
 its ``UserMethod``. The walker and the compiler are each one type switch
 per statement and one per expression, and apply each node's rule through
 the same helper; a level of nesting costs one Python frame on either.
+An application on concrete operands, not all integers, runs the method
+that ``Registry.decide`` picks for their types; the decision, and an
+inherited call's method, are memoised in the registry by operator and
+operand types until a type or a method is added.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
 from .objects import Registry, UserMethod
 from .pretty import render_value
-from .values import (FAIL, INT_INFIX, INTEGER, ComplexV, Environment,
-                     FreeVarV, ThunkV, Value, arith, classify_binding,
-                     int_arith, promote, thunk, type_name_of)
+from .values import (FAIL, INT_INFIX, ComplexV, Environment, FreeVarV,
+                     ThunkV, Value, arith, classify_binding, int_arith,
+                     promote, thunk, type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
@@ -110,6 +114,8 @@ def value_equal(a: Value, b: Value) -> bool:
 def pair_value(first: Value, second: Value, expr: ast.PairLit) -> Value:
     """The complex value ``(first, second)``, of the components' values;
     ``fail`` if either is."""
+    if type(first) is int and type(second) is int:
+        return ComplexV(first, second)
     if first is FAIL or second is FAIL:
         return FAIL
     components = []
@@ -172,12 +178,13 @@ class Interpreter:
     def run_item(self, item: ast.Item):
         """Run one top-level item. An error raised without a span gets the
         item's; so does nesting too deep for the Python stack."""
+        kind = type(item)
         try:
-            if isinstance(item, ast.ObjectDecl):
+            if kind is ast.ObjectDecl:
                 self.registry.define_object(item)
-            elif isinstance(item, ast.FunctionDecl):
+            elif kind is ast.FunctionDecl:
                 self.define_function(item)
-            elif isinstance(item, ast.VarBlock):
+            elif kind is ast.VarBlock:
                 for name, type_name in item.decls:
                     self.globals.define(name, FreeVarV(name, type_name))
             else:
@@ -262,9 +269,16 @@ class Interpreter:
             if expr.op == "=":
                 raise EvalError("'=' is only valid in an if condition",
                                 expr.span)
-            lhs = self.eval_expr(expr.lhs, env)
-            rhs = self.eval_expr(expr.rhs, env)
-            return self.apply_operator(expr.op, [lhs, rhs], expr)
+            # an identifier operand is read here, and an unbound one, which
+            # finds None (0 is a value), evaluated for its error
+            lhs, rhs = expr.lhs, expr.rhs
+            a = env.find(lhs.name) if type(lhs) is ast.Ident else None
+            if a is None:
+                a = self.eval_expr(lhs, env)
+            b = env.find(rhs.name) if type(rhs) is ast.Ident else None
+            if b is None:
+                b = self.eval_expr(rhs, env)
+            return self.apply_operator(expr.op, [a, b], expr)
         if kind is ast.FieldAccess:
             return self.field_of(self.eval_expr(expr.obj, env), expr)
         if kind is ast.PairLit:
@@ -322,11 +336,16 @@ class Interpreter:
     def apply_inherited(self, expr: ast.InheritedCall,
                         args: list[Value]) -> Value:
         """``Ancestor.(op args)``: the operator resolved from the ancestor
-        on, on the values ``args`` of the operands of ``expr.expr``."""
+        on, on the values ``args`` of the operands of ``expr.expr``. The
+        method is memoised in the registry until it changes."""
         if args[0] is FAIL or args[-1] is FAIL:  # one or two operands
             return FAIL
-        impl = self.registry.resolve_method(
-            expr.ancestor, expr.expr.op, ast.FIXITY[len(args)], span=expr.span)
+        registry, op = self.registry, expr.expr.op
+        key = (expr.ancestor, op, len(args))
+        impl = registry.memo.get(key)
+        if impl is None:
+            impl = registry.memo[key] = registry.resolve_method(
+                expr.ancestor, op, ast.FIXITY[len(args)], span=expr.span)
         return self.invoke_method(impl, args, expr.span)
 
     def apply_operator(self, op: str, args: list[Value],
@@ -347,22 +366,27 @@ class Interpreter:
         return self.dispatch(op, args, expr)
 
     def dispatch(self, op: str, args: list[Value], expr: ast.Expr) -> Value:
-        types = [type_name_of(a) for a in args]
-        receiver = types[0]
-        if receiver == INTEGER:
-            # mixed integer/object operands dispatch on the promoted type
-            receiver = types[1] if len(types) > 1 else INTEGER
-            if receiver == "Complex":
-                args = [promote(a) for a in args]
-                types = ["Complex"] * len(args)
-        fixity, span = ast.FIXITY[len(args)], expr.span
-        if receiver not in self.registry.types:
-            native = arith(op, args)
-            if native is not None:
-                return native
-            raise NoSuchMethod(f"no {fixity} {op!r} for {receiver}", span)
-        impl = self.registry.resolve_method(receiver, op, fixity, types, span)
-        return self.invoke_method(impl, args, span)
+        """``op`` on concrete operands, integers, complex values and
+        registers, not all integers, as ``Registry.decide`` decides for
+        their types. The decision is memoised in the registry by the
+        operator and the operands' Python types, which fix their type
+        names, until the registry changes; an error is raised every time."""
+        registry, span = self.registry, expr.span
+        key = (op, *map(type, args))
+        decision = registry.memo.get(key)
+        if decision is None:
+            decision = registry.memo[key] = registry.decide(
+                op, [type_name_of(a) for a in args], span)
+        impl, promotes, receiver = decision
+        if promotes:
+            args = [promote(a) for a in args]
+        if impl is not None:
+            return self.invoke_method(impl, args, span)
+        native = arith(op, args)
+        if native is None:
+            raise NoSuchMethod(f"no {ast.FIXITY[len(args)]} {op!r} for "
+                               f"{receiver}", span)
+        return native
 
     def make_thunk(self, op: str, args: list[Value]) -> Value:
         return operator_thunk(op, args)
@@ -375,19 +399,18 @@ class Interpreter:
         prelude's methods have no positions of their own. An error that
         leaves a user body is named after the innermost one."""
         try:
-            if not isinstance(impl, UserMethod):
+            if type(impl) is not UserMethod:
                 return impl(args, self)  # a native
             decl = impl.decl
             if decl.body is None:
                 # abstract signature: the application stays symbolic
                 return self.make_thunk(decl.symbol, args)
             self.method_runs += 1
-            # one frame for the parameters, the locals and the par variables
-            frame = Environment(self.globals, impl.par_names)
-            for (name, slot_type), arg in zip(decl.params, args):
-                if slot_type == "Complex":
-                    arg = promote(arg)
-                frame.define(name, arg)
+            # one frame for the parameters, the locals and the par
+            # variables; an integer in a Complex slot is promoted
+            frame = Environment(self.globals, impl.par_names, {
+                name: promote(arg) if slot == "Complex" and type(arg) is int
+                else arg for (name, slot), arg in zip(decl.params, args)})
             self.run_body(impl, frame)
         except PsiError as err:
             err.span = span if err.span is None else err.span
@@ -523,9 +546,10 @@ class Interpreter:
 # None. ``compile_stmt`` and ``compile_expr`` switch on the walker's cases,
 # and each closure applies its node's rule by the helper the walker calls;
 # an infix operator, a field and an ``= fail`` condition first test inline
-# the helper's case that the Complex product runs. Compiling raises
-# nothing: a call, an ``=`` outside a condition, an inherited call of a
-# non-operator and a node of no case compile to a run of the walker,
+# the helper's case that the Complex product runs, and an identifier and a
+# field of one first read a name bound in the innermost frame. Compiling
+# raises nothing: a call, an ``=`` outside a condition, an inherited call
+# of a non-operator and a node of no case compile to a run of the walker,
 # which raises its error when, and only if, it is reached.
 
 Code = Callable[[Interpreter, Environment], Optional[Value]]
@@ -577,7 +601,8 @@ def compile_expr(expr: ast.Expr) -> Code:
         name = expr.name
 
         def ident(interp, env):
-            value = env.find(name)
+            bindings = env.bindings  # the innermost frame, tested inline
+            value = bindings[name] if name in bindings else env.find(name)
             # the walker raises the error of an unbound name
             return value if value is not None else interp.eval_expr(expr, env)
         return ident
@@ -593,9 +618,12 @@ def compile_expr(expr: ast.Expr) -> Code:
         return infix
     if kind is ast.FieldAccess:
         obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
+        # ``Name.Field`` reads a name of the innermost frame inline
+        name = expr.obj.name if type(expr.obj) is ast.Ident else None
 
         def field(interp, env):
-            value = obj(interp, env)
+            bindings = env.bindings
+            value = bindings[name] if name in bindings else obj(interp, env)
             if part is not None and type(value) is ComplexV:
                 return part(value)  # field_of's case
             return interp.field_of(value, expr)

@@ -24,6 +24,11 @@ class MonomialRegister:
     n: int
 
     def __post_init__(self):
+        k, l, m, n = self.k, self.l, self.m, self.n
+        if type(k) is type(l) is type(m) is type(n) is int \
+                and 0 <= k <= l <= COMPONENT_MAX \
+                and 0 <= m <= n <= COMPONENT_MAX:
+            return  # the checks below, passed by exact ints
         for name, value in (("k", self.k), ("l", self.l),
                             ("m", self.m), ("n", self.n)):
             if not isinstance(value, int) or value < 0:

@@ -5,7 +5,8 @@ receiver's ancestor chain; an explicitly qualified call
 (``Ancestor.(A * B)``) starts the walk at the named ancestor instead.
 Implementations are either user bodies (parsed declarations) or natives,
 plain Python functions ``fn(args, interp)``. A method's key ``(symbol,
-fixity)`` fixes its number of operands, by ``ast.FIXITY``.
+fixity)`` fixes its number of operands, by ``ast.FIXITY``. The evaluator
+memoises what it resolves here, until a type or a method is added.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ class ObjectDescriptor:
 class Registry:
     def __init__(self):
         self.types: dict[str, ObjectDescriptor] = {}
-        # resolve_method's results by (receiver, symbol, fixity, argument
-        # types); defining a type or attaching a method clears it
-        self._resolved: dict[tuple, MethodImpl] = {}
+        # the evaluator's memo: ``decide``'s decision by (symbol, the
+        # operands' Python types), and an inherited call's method by
+        # (ancestor, symbol, operand count), a key with no Python type;
+        # defining a type or attaching a method clears it
+        self.memo: dict[tuple, object] = {}
 
     def _chain(self, name: Optional[str],
                span=None) -> Iterator[ObjectDescriptor]:
@@ -84,7 +87,7 @@ class Registry:
         for sig in decl.method_sigs:
             descriptor.methods[(sig.symbol, sig.fixity)] = UserMethod(sig)
         self.types[decl.name] = descriptor
-        self._resolved.clear()
+        self.memo.clear()
         return decl.name
 
     def descriptor(self, name: str) -> ObjectDescriptor:
@@ -93,30 +96,41 @@ class Registry:
     def attach_method(self, owner: str, symbol: str, fixity: str,
                       impl: MethodImpl):
         self.descriptor(owner).methods[(symbol, fixity)] = impl
-        self._resolved.clear()
+        self.memo.clear()
 
     def resolve_method(self, receiver: str, symbol: str, fixity: str,
                        arg_types: Optional[list[str]] = None,
                        span=None) -> MethodImpl:
         """Nearest method up the receiver's chain; with ``arg_types``, the
-        nearest one whose parameters accept arguments of those types. A
-        found method is remembered until the registry changes."""
-        key = (receiver, symbol, fixity,
-               None if arg_types is None else tuple(arg_types))
-        found = self._resolved.get(key)
-        if found is not None:
-            return found
+        nearest one whose parameters accept arguments of those types."""
         for desc in self._chain(receiver, span):
             impl = desc.methods.get((symbol, fixity))
             if impl is not None and (arg_types is None or self._accepts(
                     impl, fixity, arg_types)):
-                self._resolved[key] = impl
                 return impl
         if arg_types is not None:
             raise NoSuchMethod(f"no applicable {fixity} {symbol!r} on "
                                f"{receiver}", span)
         raise NoSuchMethod(f"no {fixity} {symbol!r} on {receiver} "
                            f"or its ancestors", span)
+
+    def decide(self, symbol: str, arg_types: list[str],
+               span=None) -> tuple[Optional[MethodImpl], bool, str]:
+        """How ``symbol`` applies to concrete operands of ``arg_types``, not
+        all integers: the method, whether integer operands promote to
+        Complex first, and the receiver, the first operand's type or, past
+        an integer, the second's. The method is None when the receiver is
+        no object type, so the native kernel applies."""
+        receiver, promotes = arg_types[0], False
+        if receiver == INTEGER:
+            receiver = arg_types[-1]
+            if receiver == "Complex":
+                promotes, arg_types = True, [receiver] * len(arg_types)
+        if receiver not in self.types:
+            return None, promotes, receiver
+        fixity = ast.FIXITY[len(arg_types)]
+        return (self.resolve_method(receiver, symbol, fixity, arg_types, span),
+                promotes, receiver)
 
     def _accepts(self, impl: MethodImpl, fixity: str,
                  arg_types: list[str]) -> bool:

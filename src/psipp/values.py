@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ast
+from .errors import EvalError
 from .monomials import MonomialRegister
 
 # the type name of integers, which is no object type
@@ -165,12 +166,27 @@ def promote(v: Value) -> Value:
     return ComplexV(v, 0) if type(v) is int else v
 
 
+# the most bits an integer product may have: 80 times the 12 985 bits of
+# 3^(2^13), the largest integer a workload makes, and few enough that the
+# product takes milliseconds. A sum grows by one bit, so it is unbounded.
+MAX_PRODUCT_BITS = 1 << 20
+
+
+def int_mul(a: int, b: int) -> int:
+    """The integer product, which every product of integers goes through;
+    one past ``MAX_PRODUCT_BITS`` is an error, raised before it is made."""
+    if a.bit_length() + b.bit_length() > MAX_PRODUCT_BITS:
+        raise EvalError(f"integer product exceeds {MAX_PRODUCT_BITS} bits")
+    return a * b
+
+
 def complex_mul(a: ComplexV, b: ComplexV) -> ComplexV:
-    return ComplexV(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    return ComplexV(int_mul(a.re, b.re) - int_mul(a.im, b.im),
+                    int_mul(a.re, b.im) + int_mul(a.im, b.re))
 
 
 # the integer kernel of each infix operator
-INT_INFIX = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+INT_INFIX = {"+": operator.add, "-": operator.sub, "*": int_mul}
 
 
 def int_arith(op: str, args: list[int]) -> Optional[int]:
@@ -210,10 +226,11 @@ class Environment:
     the globals bind."""
 
     def __init__(self, parent: Optional["Environment"] = None,
-                 par_names: frozenset[str] = frozenset()):
+                 par_names: frozenset[str] = frozenset(),
+                 bindings: Optional[dict[str, Value]] = None):
         self.parent = parent
         self.par_names = par_names
-        self.bindings: dict[str, Value] = {}
+        self.bindings: dict[str, Value] = {} if bindings is None else bindings
 
     def define(self, name: str, value: Value):
         self.bindings[name] = value
@@ -235,4 +252,4 @@ class Environment:
                 env.bindings[name] = value
                 return
             env = env.parent
-        self.define(name, value)
+        self.bindings[name] = value

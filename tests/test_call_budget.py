@@ -1,0 +1,54 @@
+"""How many Python calls one warm product makes, counted with
+``sys.setprofile``: calls of Python functions and of built-in functions
+and methods. The two statements are the ``concrete`` workload's, so work
+added on their path shows here as a count, not as a slower benchmark."""
+
+import sys
+
+import pytest
+
+from psipp.cli import Session
+from psipp.parser import parse_program
+
+
+def calls_of(statement: str, setup: str) -> list[str]:
+    """The calls that one run of ``statement`` makes in a session that
+    ran ``setup`` and the statement twice already, so that the body it
+    runs is compiled and its dispatch decided."""
+    session = Session(emit=lambda line: None)
+    session.run_source(setup)
+    program = parse_program(statement)
+    for _ in range(2):
+        session.interp.run_program(program)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+        elif event == "c_call" and arg is not sys.setprofile:
+            calls.append(arg.__qualname__)
+    sys.setprofile(profile)
+    try:
+        session.interp.run_program(program)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("statement, setup, budget", [
+    # Complex.infix*: Algebra.(A * B) is fail, then four integer products
+    ("z := z * w;", "z := (3, 4); w := (1, 2);", 75),
+    # the Monomial native: one register product
+    ("m := m * u;", "m := mono(1, 2, 1, 2); u := mono(0, 1, 0, 1);", 24),
+], ids=["complex", "monomial"])
+def test_a_warm_product_stays_within_its_call_budget(statement, setup,
+                                                      budget):
+    calls = calls_of(statement, setup)
+    assert len(calls) <= budget, calls
+
+
+def test_a_warm_product_decides_its_method_without_the_registry():
+    calls = calls_of("z := z * w;", "z := (3, 4); w := (1, 2);")
+    assert "Interpreter.dispatch" in calls
+    assert not [name for name in calls if name.startswith("Registry.")]
+    assert "type_name_of" not in calls

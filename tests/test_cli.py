@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -516,6 +517,23 @@ def test_running_out_of_memory_is_a_runtime_error(tmp_path, monkeypatch):
     assert run_to_strings(script) == (3, "", "error: out of memory\n")
     code, out, err = repl_to_strings("x := 3 * 3;\n3 * 3\nprint(1);\n")
     assert (code, out, err) == (0, "1\n", "error: out of memory\n" * 2)
+
+
+@pytest.mark.parametrize("first, square, line", [
+    ("x := 3;", "x := x * x;", "error: 21:1: integer product exceeds "
+                               "1048576 bits\n"),
+    ("x := (3, 1);", "x := x * x;", "error: 21:8: integer product exceeds "
+                                    "1048576 bits (in Complex.infix*)\n"),
+], ids=["integers", "complex"])
+def test_squaring_forty_times_ends_at_the_product_bound(tmp_path, first,
+                                                        square, line):
+    # each line doubles the size: 2^40 bits would exhaust any memory, and
+    # the kernel refuses the product at line 21, before it is made
+    script = tmp_path / "square.psi"
+    script.write_text("\n".join([first] + [square] * 40 + ["print(1);\n"]))
+    start = time.perf_counter()
+    assert run_to_strings(script) == (3, "", line)
+    assert time.perf_counter() - start < 2
 
 
 def test_repl_reports_an_error_in_a_body_where_the_body_was_typed():

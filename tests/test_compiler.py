@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from psipp import algebra, evaluator
@@ -223,6 +224,33 @@ def test_each_inlined_case_and_its_fallback_runs_the_same_both_ways():
     assert compiled == walked == (
         "0\n0\n1\n2\n0\n7\n1\n",
         "error: 4:48: complex components must be integers (in f)\n", 3)
+
+
+@pytest.mark.parametrize("statement, argument, expected", [
+    ("Return := A.Im", "fail", ("fail\n", "", 0)),
+    ("Return := A.Re", "x", ("x.Re\n", "", 0)),
+    ("Return := x.Im", "1", ("x.Im\n", "", 0)),
+    ("Return := A.Re", "3",
+     ("", "error: 2:53: no field 'Re' on this value (in f)\n", 3)),
+    ("Return := A.Foo", "(1, 2)",
+     ("", "error: 2:53: Complex has no field 'Foo' (in f)\n", 3)),
+    ("Return := zz.Re", "(1, 2)",
+     ("", "error: 2:52: unknown identifier 'zz' (in f)\n", 3)),
+    ("Return := Return.Re", "(1, 2)",
+     ("", "error: 2:52: Return read before assignment (in f)\n", 3)),
+], ids=["of-fail", "of-a-free-variable-argument", "of-a-free-variable",
+        "of-an-integer", "no-such-field", "of-an-unbound-name",
+        "of-an-unassigned-Return"])
+def test_a_field_of_a_name_runs_the_same_both_ways(statement, argument,
+                                                    expected):
+    """``Name.Field`` compiles to one closure, which reads the name and
+    takes a complex value's field inline: every other case reaches the
+    walker's, with its error and its span."""
+    source = ("var x : Algebra;\n"
+              f"function f(A : Algebra) : Algebra; begin {statement} end;\n"
+              f"print(f({argument}));\n")
+    compiled, walked = run_both(source)
+    assert compiled == walked == expected
 
 
 def test_a_body_sum_of_900_terms_runs_the_same_both_ways():

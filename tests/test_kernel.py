@@ -1,16 +1,18 @@
 """The arithmetic kernel, checked through every path that reaches it:
 evaluation with and without the prelude, the native Complex methods, and
-the ``simplify`` fold."""
+the ``simplify`` fold; and the bound on an integer product, on each of its
+three routes."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import make_interpreter, simplify
 from psipp.cli import Session
-from psipp.errors import NoSuchMethod
+from psipp.errors import EvalError, NoSuchMethod
 from psipp.parser import parse_expression
-from psipp.values import ComplexV, RegisterV, thunk
+from psipp.values import (MAX_PRODUCT_BITS, ComplexV, RegisterV, complex_mul,
+                          int_mul, thunk)
 
 OPERATORS = ["a + b", "a - b", "a * b", "-a"]
 
@@ -91,3 +93,55 @@ def test_register_product_needs_the_prelude_to_evaluate():
         ev(bare, "a * b", a=a, b=b)
     # the rewriter folds register products with or without the prelude
     assert folded("a * b", a, b) == product
+
+
+# --- the bound on an integer product ---
+
+def of_bits(bits: int, low: int, negative: bool) -> int:
+    """An integer of exactly ``bits`` bits, ``low`` above the least one."""
+    value = (1 << bits - 1) + low % (1 << bits - 1) if bits else 0
+    return -value if negative else value
+
+
+@st.composite
+def factors(draw, total: int):
+    """Two integers whose bit lengths sum to ``total``."""
+    bits = draw(st.integers(0, total))
+    return tuple(of_bits(n, draw(st.integers(0, 2**64)), draw(st.booleans()))
+                 for n in (bits, total - bits))
+
+
+def product_routes(a: int, b: int) -> list:
+    """``a * b`` by each route to the integer kernel: the walker's integer
+    case, the complex product without the prelude and the compiled body
+    of ``Complex.infix*``, and the kernel itself."""
+    prelude, bare = interpreters()
+    x, y = ComplexV(a, 0), ComplexV(b, 0)
+    return [lambda: ev(bare, "a * b", a=a, b=b),
+            lambda: ev(bare, "a * b", a=x, b=y).re,
+            lambda: ev(prelude, "a * b", a=x, b=y).re,
+            lambda: complex_mul(x, y).re, lambda: int_mul(a, b)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, MAX_PRODUCT_BITS).flatmap(factors))
+@example((1 << MAX_PRODUCT_BITS // 2 - 1, -(1 << MAX_PRODUCT_BITS // 2 - 1)))
+def test_a_product_within_the_bound_is_unchanged(pair):
+    a, b = pair
+    for route in product_routes(a, b):
+        assert route() == a * b
+
+
+@settings(max_examples=10, deadline=None)
+@given(factors(MAX_PRODUCT_BITS + 1))
+def test_a_product_past_the_bound_is_an_error_on_every_route(pair):
+    for route in product_routes(*pair):
+        with pytest.raises(EvalError, match=f"integer product exceeds "
+                                            f"{MAX_PRODUCT_BITS} bits"):
+            route()
+
+
+def test_the_bound_is_far_above_the_largest_integer_a_workload_makes():
+    # shared_force squares 3 thirteen times: 3^(2^13) has 12 985 bits
+    assert (3 ** 2**13).bit_length() == 12985
+    assert MAX_PRODUCT_BITS >= 64 * 12985

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from psipp.algebra import make_interpreter
+from psipp import cli
 from psipp.cli import run_file, run_repl
 from psipp.errors import (DuplicateType, FieldShadowing, NoSuchMethod,
                           UnknownAncestor)
@@ -233,3 +234,53 @@ def test_products_walk_the_ancestor_chain_a_constant_number_of_times(
     # one walk per resolved key: Complex *, the inherited Algebra.(A * B)
     # in its body, and Monomial *
     assert walks <= 3
+
+
+# --- the dispatch memo: by operator and operand types, until a change ---
+
+def session_lines(prelude=True):
+    lines = []
+    return cli.Session(prelude=prelude, emit=lines.append), lines
+
+
+def test_a_complex_product_defined_after_products_is_used_by_the_next():
+    session, lines = session_lines()
+    session.run_source("z := (1, 2) * (3, 4);\nprint(z);\nprint(z * 2);\n")
+    assert session.interp.registry.memo  # the decisions are memoised
+    session.run_source("function Complex.infix* (A, B : Complex) : Complex;"
+                       " begin Return := (A.Re + B.Re, 7) end;\n"
+                       "print((1, 2) * (3, 4));\nprint(z * 2);\n")
+    assert lines == ["-5 + 10*i", "-10 + 20*i", "4 + 7*i", "-3 + 7*i"]
+
+
+def test_a_type_declared_after_a_dispatch_gets_its_products():
+    # without the prelude, a complex product is the native kernel's until
+    # Complex is a type; then its own infix * applies, to a promoted
+    # integer too
+    session, lines = session_lines(prelude=False)
+    session.run_source("print((1, 2) * (3, 4));\nprint(2 * (3, 4));\n")
+    session.run_source("Complex = Object;\n  Re, Im : integer;\nend;\n"
+                       "function Complex.infix* (A, B : Complex) : Complex;"
+                       " begin Return := (B.Im, A.Re) end;\n"
+                       "print((1, 2) * (3, 4));\nprint(2 * (3, 4));\n")
+    assert lines == ["-5 + 10*i", "6 + 8*i", "4 + i", "4 + 2*i"]
+
+
+def test_a_resolution_error_is_raised_every_time_and_never_memoised():
+    session, lines = session_lines(prelude=False)
+    session.run_source("Complex = Object;\n  Re, Im : integer;\nend;\n")
+    for _ in range(2):
+        with pytest.raises(NoSuchMethod, match="no applicable infix '\\+' "
+                                               "on Complex"):
+            session.run_source("print((1, 2) + (3, 4));\n")
+        assert session.interp.registry.memo == {}
+    session.run_source("function Complex.infix+ (A, B : Complex) : Complex;"
+                       " begin Return := (A.Re, B.Re) end;\n"
+                       "print((1, 2) + (3, 4));\n")
+    assert lines == ["1 + 3*i"]
+    # an inherited call that resolves nothing is not memoised either
+    decided = dict(session.interp.registry.memo)
+    for _ in range(2):
+        with pytest.raises(NoSuchMethod, match="no infix '-' on Complex"):
+            session.run_source("print(Complex.((1, 2) - (3, 4)));\n")
+        assert session.interp.registry.memo == decided
