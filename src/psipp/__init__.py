@@ -11,12 +11,10 @@ from .monomials import (MonomialRegister, RepLabel, format_monomial,
 from .objects import ObjectDescriptor, Registry
 from .parser import parse_expression, parse_juxtaposition, parse_program
 from .pretty import render_expr, render_value, show_tree
-from .values import (FAIL, ComplexV, Environment, FreeVarV, RegisterV,
-                     ThunkV, Value)
+from .values import FAIL, ComplexV, FreeVarV, RegisterV, ThunkV, Value
 
 __all__ = [
-    "FAIL", "ComplexV", "Environment", "FreeVarV",
-    "Interpreter", "MonomialRegister",
+    "FAIL", "ComplexV", "FreeVarV", "Interpreter", "MonomialRegister",
     "ObjectDescriptor", "Registry", "RegisterV", "RepLabel", "ThunkV",
     "Value", "classify_binding", "complex_mul",
     "distribute", "format_monomial", "install_prelude", "make_interpreter",

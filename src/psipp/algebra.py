@@ -360,7 +360,7 @@ def install_prelude(interp: Interpreter):
     for op, fixity in (("+", "infix"), ("-", "infix"), ("-", "prefix")):
         attach("Complex", op, fixity, _complex_native(op))
     attach("Monomial", "*", "infix", _native_register_mul)
-    interp.globals.define("i", ComplexV(0, 1))
+    interp.globals["i"] = ComplexV(0, 1)
 
 
 def install_builtins(interp: Interpreter):

@@ -4,8 +4,9 @@ statements and forcing, and user method bodies compiled to closures.
 Evaluation is eager on concrete operands and lazy otherwise: the first
 operator application that sees a free variable or a thunk among its
 operands becomes a thunk itself, without invoking any user code. ``fail``
-is absorbing in operand position. Method bodies run in a fresh frame with
-``par`` pattern variables scoped to one activation. A body runs once per
+is absorbing in operand position. A method body runs in a fresh frame,
+a dict of its parameters, locals and ``par`` pattern variables, read
+before the globals; ``Return`` is the frame's own. A body runs once per
 call, so it is compiled at its first run and its closures are kept with
 its ``UserMethod``. The walker and the compiler are each one type switch
 per statement and one per expression, and apply each node's rule through
@@ -26,9 +27,9 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
 from .objects import Registry, UserMethod
 from .pretty import render_value
-from .values import (FAIL, INT_INFIX, ComplexV, Environment, FreeVarV,
-                     ThunkV, Value, arith, classify_binding, int_arith,
-                     promote, thunk, type_name_of)
+from .values import (FAIL, INT_INFIX, ComplexV, FreeVarV, ThunkV, Value,
+                     arith, classify_binding, int_arith, promote, thunk,
+                     type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
@@ -36,6 +37,7 @@ STATEMENT_CALLS = ("print", "kind")
 _OPERATORS = (ast.Infix, ast.Prefix)
 # the fields of a complex value, each an integer component
 _COMPLEX_FIELDS = {"Re": attrgetter("re"), "Im": attrgetter("im")}
+Frame = dict[str, Value]  # a method's names, or the globals at top level
 
 
 def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
@@ -152,14 +154,14 @@ def leaf_value(expr: ast.Expr) -> Optional[Value]:
 
 
 class Interpreter:
-    """One evaluation session: a type registry, a global environment, the
+    """One evaluation session: a type registry, the globals, the
     line sink ``emit`` that ``print``/``kind`` statements write to, and the
     settings of ``simplify``: its step limit and its trace into the sink."""
 
     def __init__(self, max_rewrites: int = DEFAULT_REWRITE_LIMIT,
                  trace: bool = False, emit: Callable[[str], None] = print):
         self.registry = Registry()
-        self.globals = Environment()
+        self.globals: Frame = {}
         self.functions: dict[str, UserMethod] = {}
         self.emit = emit
         self.builtins: dict[str, Callable] = {}
@@ -186,7 +188,7 @@ class Interpreter:
                 self.define_function(item)
             elif kind is ast.VarBlock:
                 for name, type_name in item.decls:
-                    self.globals.define(name, FreeVarV(name, type_name))
+                    self.globals[name] = FreeVarV(name, type_name)
             else:
                 self.exec_stmt(item, self.globals)
         except PsiError as err:
@@ -212,10 +214,22 @@ class Interpreter:
 
     # --- statements and expressions, walked ---
 
-    def exec_stmt(self, stmt: ast.Stmt, env: Environment):
+    def scope(self, env: Frame, name: str) -> Frame:
+        """Where ``name`` is read and assigned from the frame ``env``: the
+        frame if it binds the name, else the globals if they do, else the
+        frame. ``Return`` is always the frame's own."""
+        if name in env or name == "Return" or name not in self.globals:
+            return env
+        return self.globals
+
+    def exec_stmt(self, stmt: ast.Stmt, env: Frame,
+                  par_names: frozenset[str] = frozenset()):
+        """Run ``stmt`` in ``env``, with the par variables ``par_names``."""
         kind = type(stmt)
         if kind is ast.Assign:
-            env.assign(stmt.target, self.eval_expr(stmt.expr, env))
+            # the value first: evaluating it may bind the target
+            self.scope(env, stmt.target)[stmt.target] = \
+                self.eval_expr(stmt.expr, env)
         elif kind is ast.Call:
             if stmt.name not in STATEMENT_CALLS:
                 self.eval_expr(stmt, env)
@@ -239,25 +253,25 @@ class Interpreter:
             cond = stmt.cond
             if type(cond) is ast.Infix and cond.op == "=":
                 holds = self.match_pattern(self.eval_expr(cond.lhs, env),
-                                           cond.rhs, env)
+                                           cond.rhs, env, par_names)
             else:
                 holds = truth(self.eval_expr(cond, env))
             if holds:
-                self.exec_stmt(stmt.then, env)
+                self.exec_stmt(stmt.then, env, par_names)
             elif stmt.els is not None:
-                self.exec_stmt(stmt.els, env)
+                self.exec_stmt(stmt.els, env, par_names)
         elif kind is ast.Compound:
             for inner in stmt.body:
-                self.exec_stmt(inner, env)
+                self.exec_stmt(inner, env, par_names)
         else:
             raise EvalError(f"cannot execute {kind.__name__}", stmt.span)
 
-    def eval_expr(self, expr: ast.Expr, env: Environment) -> Value:
+    def eval_expr(self, expr: ast.Expr, env: Frame) -> Value:
         """The value of ``expr``; each operand is evaluated by
         ``eval_expr`` again, so a level of nesting costs one frame."""
         kind = type(expr)
         if kind is ast.Ident:
-            value = env.find(expr.name)
+            value = self.scope(env, expr.name).get(expr.name)
             if value is None:
                 if expr.name == "Return":
                     raise UnassignedReturn("Return read before assignment",
@@ -272,10 +286,12 @@ class Interpreter:
             # an identifier operand is read here, and an unbound one, which
             # finds None (0 is a value), evaluated for its error
             lhs, rhs = expr.lhs, expr.rhs
-            a = env.find(lhs.name) if type(lhs) is ast.Ident else None
+            a = self.scope(env, lhs.name).get(lhs.name) \
+                if type(lhs) is ast.Ident else None
             if a is None:
                 a = self.eval_expr(lhs, env)
-            b = env.find(rhs.name) if type(rhs) is ast.Ident else None
+            b = self.scope(env, rhs.name).get(rhs.name) \
+                if type(rhs) is ast.Ident else None
             if b is None:
                 b = self.eval_expr(rhs, env)
             return self.apply_operator(expr.op, [a, b], expr)
@@ -316,7 +332,7 @@ class Interpreter:
             return thunk(ast.FieldAccess(body, field), captures)
         raise EvalError(f"no field {field!r} on this value", expr.span)
 
-    def eval_call(self, expr: ast.Call, env: Environment) -> Value:
+    def eval_call(self, expr: ast.Call, env: Frame) -> Value:
         builtin = self.builtins.get(expr.name)
         if builtin is not None:
             args = [self.eval_expr(a, env) for a in expr.args]
@@ -362,7 +378,11 @@ class Interpreter:
         if not concrete:
             return self.make_thunk(op, args)
         if integers:
-            return int_arith(op, args)
+            try:
+                return int_arith(op, args)
+            except EvalError as err:  # the product bound, at the product
+                err.span = expr.span
+                raise
         return self.dispatch(op, args, expr)
 
     def dispatch(self, op: str, args: list[Value], expr: ast.Expr) -> Value:
@@ -379,7 +399,7 @@ class Interpreter:
                 op, [type_name_of(a) for a in args], span)
         impl, promotes, receiver = decision
         if promotes:
-            args = [promote(a) for a in args]
+            args = [promote(a) if p else a for a, p in zip(args, promotes)]
         if impl is not None:
             return self.invoke_method(impl, args, span)
         native = arith(op, args)
@@ -408,9 +428,9 @@ class Interpreter:
             self.method_runs += 1
             # one frame for the parameters, the locals and the par
             # variables; an integer in a Complex slot is promoted
-            frame = Environment(self.globals, impl.par_names, {
-                name: promote(arg) if slot == "Complex" and type(arg) is int
-                else arg for (name, slot), arg in zip(decl.params, args)})
+            frame = {name: promote(arg)
+                     if slot == "Complex" and type(arg) is int else arg
+                     for (name, slot), arg in zip(decl.params, args)}
             self.run_body(impl, frame)
         except PsiError as err:
             err.span = span if err.span is None else err.span
@@ -419,43 +439,41 @@ class Interpreter:
                 fixity = "" if decl.fixity == "ordinary" else decl.fixity
                 err.method = owner + fixity + decl.symbol
             raise
-        result = frame.find("Return")
+        result = frame.get("Return")
         if result is None:
             raise UnassignedReturn(f"{decl.symbol!r} never assigned Return",
                                    decl.span)
         return result
 
-    def run_body(self, impl: UserMethod, frame: Environment):
+    def run_body(self, impl: UserMethod, frame: Frame):
         """Run a user body in its frame, compiled at the body's first run."""
         impl.compiled(compile_stmt)(self, frame)
 
     # --- pattern matching ---
 
-    def match_pattern(self, subject: Value, pattern: ast.Expr,
-                      env: Environment) -> bool:
-        """Match a subject value against a pattern whose unbound leaves are
-        ``par`` variables. On success the variables are bound; on failure
-        the environment is untouched. ``= fail`` is an identity test and a
-        pattern without par variables is a structural equality test."""
+    def match_pattern(self, subject: Value, pattern: ast.Expr, env: Frame,
+                      par_names: frozenset[str] = frozenset()) -> bool:
+        """Match a subject value against a pattern whose leaves among
+        ``par_names`` not bound in ``env`` are ``par`` variables. On
+        success the variables are bound in ``env``; on failure nothing
+        changes. ``= fail`` is an identity test and a pattern without par
+        variables is a structural equality test."""
         if isinstance(pattern, ast.FailLit):
             return subject is FAIL
-        if not self._has_unbound_par(pattern, env):
+        if not any(name in par_names and name not in env
+                   for name in free_idents(pattern)):
             return value_equal(subject, self.eval_expr(pattern, env))
         trial: dict[str, Value] = {}
-        if self._match(subject, pattern, env, trial):
-            env.bindings.update(trial)
+        if self._match(subject, pattern, env, par_names, trial):
+            env.update(trial)
             return True
         return False
 
-    def _has_unbound_par(self, pattern: ast.Expr, env: Environment) -> bool:
-        return any(name in env.par_names and name not in env.bindings
-                   for name in free_idents(pattern))
-
-    def _match(self, subject: Value, pattern: ast.Expr, env: Environment,
-               trial: dict[str, Value]) -> bool:
+    def _match(self, subject: Value, pattern: ast.Expr, env: Frame,
+               par_names: frozenset[str], trial: dict[str, Value]) -> bool:
         if isinstance(pattern, ast.Ident):
-            if pattern.name in env.par_names:
-                if pattern.name in env.bindings:
+            if pattern.name in par_names:
+                if pattern.name in env:
                     raise ReboundParVariable(
                         f"par variable {pattern.name!r} already bound",
                         pattern.span)
@@ -475,36 +493,39 @@ class Interpreter:
             captures = subject.capture_map()
             pairs = zip(ast.operands(body), ast.operands(pattern))
             return all(self._match(value_of_repr(part, captures), sub, env,
-                                   trial) for part, sub in pairs)
+                                   par_names, trial) for part, sub in pairs)
         raise EvalError(f"unsupported pattern {type(pattern).__name__}")
 
     # --- forcing ---
 
-    def force(self, v: Value, env: Optional[Environment] = None) -> Value:
-        """Re-evaluate a thunk with current bindings overlaid on its
-        captures. Thunks with remaining free variables come back as
-        residual thunks; non-thunks are returned unchanged. A free
-        variable that has since been assigned yields its current value.
+    def force(self, v: Value, env: Optional[Frame] = None) -> Value:
+        """Re-evaluate a thunk with the bindings seen from ``env``, by
+        default the globals, overlaid on its captures. Thunks with
+        remaining free variables come back as residual thunks; non-thunks
+        are returned unchanged. A free variable that has since been
+        assigned yields its current value. Every identifier of a body is
+        captured, so the overlay binds each name the body reads and no
+        read falls through it to the globals.
 
         A subterm shared by several parents is evaluated once per force,
         so the cost is linear in the body's DAG. A subterm whose
         evaluation ran a user method body is evaluated again at each
         occurrence, so its effects happen once per occurrence."""
-        env = env if env is not None else self.globals
+        env = self.globals if env is None else env
         if isinstance(v, FreeVarV):
-            bound = env.find(v.name)
+            bound = self.scope(env, v.name).get(v.name)
             if bound is not None and not isinstance(bound, FreeVarV):
                 return self.force(bound, env)
             return v
         if not isinstance(v, ThunkV):
             return v
-        overlay = Environment()
+        overlay: Frame = {}
         for name, captured in v.captures:
-            bound = env.find(name)
+            bound = self.scope(env, name).get(name)
             if bound is not None and not isinstance(bound, FreeVarV):
-                overlay.define(name, self.force(bound, env))
+                overlay[name] = self.force(bound, env)
             else:
-                overlay.define(name, captured)
+                overlay[name] = captured
         # post-order on an explicit stack of (node, None) to enter and
         # (node, method runs at its entry) to apply to its operands' values;
         # the memo's keys are ids of body nodes, which outlive it
@@ -547,19 +568,24 @@ class Interpreter:
 # and each closure applies its node's rule by the helper the walker calls;
 # an infix operator, a field and an ``= fail`` condition first test inline
 # the helper's case that the Complex product runs, and an identifier and a
-# field of one first read a name bound in the innermost frame. Compiling
-# raises nothing: a call, an ``=`` outside a condition, an inherited call
-# of a non-operator and a node of no case compile to a run of the walker,
-# which raises its error when, and only if, it is reached.
+# field of one first read a name bound in the frame. A body's par variables
+# are fixed when it is compiled. Compiling raises nothing: a call, an ``=``
+# outside a condition, an inherited call of a non-operator and a node of
+# no case compile to a run of the walker, which raises its error when, and
+# only if, it is reached.
 
-Code = Callable[[Interpreter, Environment], Optional[Value]]
+Code = Callable[[Interpreter, Frame], Optional[Value]]
 
 
-def compile_stmt(stmt: ast.Stmt) -> Code:
+def compile_stmt(stmt: ast.Stmt,
+                 par_names: frozenset[str] = frozenset()) -> Code:
     kind = type(stmt)
     if kind is ast.Assign:
         target, value = stmt.target, compile_expr(stmt.expr)
-        return lambda interp, env: env.assign(target, value(interp, env))
+
+        def assign(interp, env):
+            interp.scope(env, target)[target] = value(interp, env)
+        return assign
     if kind is ast.If:
         cond = stmt.cond
         if type(cond) is ast.Infix and cond.op == "=":
@@ -570,14 +596,14 @@ def compile_stmt(stmt: ast.Stmt) -> Code:
             else:
                 def holds(interp, env):
                     return interp.match_pattern(subject(interp, env), pattern,
-                                                env)
+                                                env, par_names)
         else:
             value = compile_expr(cond)
 
             def holds(interp, env):
                 return truth(value(interp, env))
-        then = compile_stmt(stmt.then)
-        els = compile_stmt(stmt.els) if stmt.els is not None else None
+        then = compile_stmt(stmt.then, par_names)
+        els = compile_stmt(stmt.els, par_names) if stmt.els else None
 
         def run_if(interp, env):
             if holds(interp, env):
@@ -586,7 +612,7 @@ def compile_stmt(stmt: ast.Stmt) -> Code:
                 els(interp, env)
         return run_if
     if kind is ast.Compound:
-        body = tuple(map(compile_stmt, stmt.body))
+        body = tuple(compile_stmt(inner, par_names) for inner in stmt.body)
 
         def run_compound(interp, env):
             for inner in body:
@@ -601,8 +627,8 @@ def compile_expr(expr: ast.Expr) -> Code:
         name = expr.name
 
         def ident(interp, env):
-            bindings = env.bindings  # the innermost frame, tested inline
-            value = bindings[name] if name in bindings else env.find(name)
+            value = env[name] if name in env \
+                else interp.scope(env, name).get(name)
             # the walker raises the error of an unbound name
             return value if value is not None else interp.eval_expr(expr, env)
         return ident
@@ -613,17 +639,20 @@ def compile_expr(expr: ast.Expr) -> Code:
         def infix(interp, env):
             a, b = lhs(interp, env), rhs(interp, env)
             if kernel is not None and type(a) is int and type(b) is int:
-                return kernel(a, b)  # apply_operator's case
+                try:
+                    return kernel(a, b)  # apply_operator's case
+                except EvalError as err:  # the product bound, at the product
+                    err.span = expr.span
+                    raise
             return interp.apply_operator(op, [a, b], expr)
         return infix
     if kind is ast.FieldAccess:
         obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
-        # ``Name.Field`` reads a name of the innermost frame inline
+        # ``Name.Field`` reads a name of the frame inline
         name = expr.obj.name if type(expr.obj) is ast.Ident else None
 
         def field(interp, env):
-            bindings = env.bindings
-            value = bindings[name] if name in bindings else obj(interp, env)
+            value = env[name] if name in env else obj(interp, env)
             if part is not None and type(value) is ComplexV:
                 return part(value)  # field_of's case
             return interp.field_of(value, expr)

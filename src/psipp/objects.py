@@ -12,7 +12,6 @@ memoises what it resolves here, until a type or a method is added.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from . import ast
@@ -28,15 +27,12 @@ class UserMethod:
         self.decl = decl
         self._code: Optional[Callable] = None
 
-    @cached_property
-    def par_names(self) -> frozenset[str]:
-        """The names the body's ``par`` block declares."""
-        return frozenset(name for name, _ in self.decl.par_decls)
-
     def compiled(self, compile_body: Callable) -> Callable:
-        """``compile_body`` of the body, called at the first request only."""
+        """``compile_body`` of the body and the names its ``par`` block
+        declares, called at the first request only."""
         if self._code is None:
-            self._code = compile_body(self.decl.body)
+            self._code = compile_body(self.decl.body, frozenset(
+                name for name, _ in self.decl.par_decls))
         return self._code
 
 
@@ -115,22 +111,23 @@ class Registry:
                            f"or its ancestors", span)
 
     def decide(self, symbol: str, arg_types: list[str],
-               span=None) -> tuple[Optional[MethodImpl], bool, str]:
+               span=None) -> tuple[Optional[MethodImpl], tuple, str]:
         """How ``symbol`` applies to concrete operands of ``arg_types``, not
-        all integers: the method, whether integer operands promote to
-        Complex first, and the receiver, the first operand's type or, past
-        an integer, the second's. The method is None when the receiver is
-        no object type, so the native kernel applies."""
-        receiver, promotes = arg_types[0], False
-        if receiver == INTEGER:
-            receiver = arg_types[-1]
-            if receiver == "Complex":
-                promotes, arg_types = True, [receiver] * len(arg_types)
-        if receiver not in self.types:
-            return None, promotes, receiver
-        fixity = ast.FIXITY[len(arg_types)]
-        return (self.resolve_method(receiver, symbol, fixity, arg_types, span),
-                promotes, receiver)
+        all integers: the method; whether each operand, if an integer,
+        promotes to Complex first, as it does at a Complex receiver but into
+        a user method's integer slot; and the receiver, the first operand's
+        type or, past an integer, the second's. The method is None when the
+        receiver is no object type, so the native kernel applies."""
+        receiver = arg_types[-1] if arg_types[0] == INTEGER else arg_types[0]
+        impl = None
+        if receiver in self.types:
+            impl = self.resolve_method(receiver, symbol, ast.FIXITY[
+                len(arg_types)], arg_types, span)
+        if receiver != "Complex" or INTEGER not in arg_types:
+            return impl, (), receiver
+        slots = [slot for _, slot in impl.decl.params] \
+            if isinstance(impl, UserMethod) else [None] * len(arg_types)
+        return impl, tuple(slot != INTEGER for slot in slots), receiver
 
     def _accepts(self, impl: MethodImpl, fixity: str,
                  arg_types: list[str]) -> bool:

@@ -1,5 +1,5 @@
-"""Runtime values, functional objects, environments, and the kernel below
-both the evaluator and the rewriter.
+"""Runtime values, functional objects, and the kernel below both the
+evaluator and the rewriter.
 
 Every runtime datum is one of: integer, complex value, monomial register,
 free variable, thunk (lazy functional object), or the universal ``fail``
@@ -218,38 +218,3 @@ def arith(op: str, args: list[Value]) -> Optional[Value]:
         return complex_mul(a, b)
     return None
 
-
-class Environment:
-    """Stack of frames mapping names to values; lookup is innermost-first.
-    A method's frame also carries the names its ``par`` block declares: a
-    pattern variable is one of them not yet bound in that frame, whatever
-    the globals bind."""
-
-    def __init__(self, parent: Optional["Environment"] = None,
-                 par_names: frozenset[str] = frozenset(),
-                 bindings: Optional[dict[str, Value]] = None):
-        self.parent = parent
-        self.par_names = par_names
-        self.bindings: dict[str, Value] = {} if bindings is None else bindings
-
-    def define(self, name: str, value: Value):
-        self.bindings[name] = value
-
-    def find(self, name: str) -> Optional[Value]:
-        """The innermost value bound to ``name``, or None if unbound."""
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        return None
-
-    def assign(self, name: str, value: Value):
-        """Rebind the innermost existing binding, or bind it in this frame."""
-        env: Optional[Environment] = self
-        while env is not None:
-            if name in env.bindings:
-                env.bindings[name] = value
-                return
-            env = env.parent
-        self.bindings[name] = value

@@ -1,22 +1,21 @@
-"""Reading an environment from a test. The interpreter itself needs only
-``Environment.find``."""
+"""Reading frames, which are dicts, from a test."""
 
-from psipp.values import Environment, Value
+from psipp.values import Value
 
 
-def lookup(env: Environment, name: str) -> Value:
-    """The innermost value bound to ``name``, which must be bound."""
-    value = env.find(name)
+def lookup(env: dict[str, Value], name: str) -> Value:
+    """The value that ``env`` binds to ``name``, which must be bound."""
+    value = env.get(name)
     assert value is not None, f"{name!r} is unbound"
     return value
 
 
-def snapshot(env: Environment) -> dict[str, Value]:
-    """Flattened view, innermost bindings winning, to check that a failed
-    match leaves the environment untouched."""
+def snapshot(*frames: dict[str, Value]) -> dict[str, Value]:
+    """Flattened copy of a frame and the frames read after it (a method's
+    frame, then the globals), the first binding of a name winning, to
+    check that a failed match leaves every one of them untouched."""
     merged: dict[str, Value] = {}
-    while env is not None:
-        for name, value in env.bindings.items():
+    for env in frames:
+        for name, value in env.items():
             merged.setdefault(name, value)
-        env = env.parent
     return merged

@@ -14,7 +14,7 @@ from psipp.evaluator import (DEFAULT_REWRITE_LIMIT, free_idents,
                              operator_thunk, value_equal)
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import ComplexV, Environment, FreeVarV, ThunkV
+from psipp.values import ComplexV, FreeVarV, ThunkV
 
 from bindings import lookup
 from test_force import run, shared_programs, steps_needed
@@ -66,7 +66,7 @@ def test_programs_build_only_free_variable_captures(source):
             run_session.run_source(source)
         except PsiError:
             pass
-        for value in run_session.interp.globals.bindings.values():
+        for value in run_session.interp.globals.values():
             assert_captures_are_free_variables(value)
 
 
@@ -157,10 +157,10 @@ def ev_bound(interp, source, substitutions):
     """``source`` evaluated with each name of ``substitutions`` bound first,
     to its value made over the free variables; a name's first binding
     wins."""
-    env = Environment(interp.globals)
+    env = {}  # a frame, read before the globals
     for name, spec in substitutions:
-        if name not in env.bindings:
-            env.define(name, make_value(interp, spec))
+        if name not in env:
+            env[name] = make_value(interp, spec)
     return interp.eval_expr(parse_expression(source), env)
 
 
@@ -181,9 +181,7 @@ def test_force_commutes_with_combining(a_src, b_src, op, a_subs, b_subs,
     b = ev_bound(interp, b_src, b_subs)
     assert_captures_are_free_variables(a)
     assert_captures_are_free_variables(b)
-    env = Environment()
-    for name, spec in bound.items():
-        env.define(name, make_value(interp, spec))
+    env = {name: make_value(interp, spec) for name, spec in bound.items()}
     combined = interp.force(operator_thunk(op, [a, b]), env)
     separately = operator_thunk(op, [interp.force(a, env),
                                      interp.force(b, env)])

@@ -352,6 +352,34 @@ def test_a_par_variable_bound_in_its_activation_is_not_rebound(tmp_path):
         3, "", "error: 2:45: par variable 'P' already bound (in f)\n")
 
 
+@pytest.mark.parametrize("body, uses, expected", [
+    # a method that never assigns Return has no result, whatever a global
+    # Return holds
+    ("begin print(A) end", "print(f(1));",
+     (3, "1\n", "error: 2:1: 'f' never assigned Return\n")),
+    # assigning Return sets the method's own, not the global
+    ("begin Return := A + 1 end", "print(f(1));\nprint(Return);",
+     (0, "2\n5\n", "")),
+    # reading Return reads the method's own, unassigned here
+    ("begin Return := Return + A end", "print(f(1));",
+     (3, "", "error: 2:52: Return read before assignment (in f)\n")),
+], ids=["never-assigned", "assigned", "read-first"])
+def test_return_is_the_method_frames_own(tmp_path, body, uses, expected):
+    script = tmp_path / "return.psi"
+    script.write_text(f"Return := 5;\nfunction f(A : integer) : integer; "
+                      f"{body};\n{uses}\n")
+    assert run_to_strings(script) == expected
+
+
+def test_a_body_that_assigns_a_global_rebinds_it(tmp_path):
+    script = tmp_path / "globals.psi"
+    script.write_text(
+        "g := 1;\nfunction f(A : integer) : integer;\n"
+        "begin g := g + A; Return := g end;\n"
+        "print(f(2)); print(f(3)); print(g);\n")
+    assert run_to_strings(script) == (0, "3\n6\n6\n", "")
+
+
 def test_no_prelude_flag(tmp_path):
     script = tmp_path / "wants_i.psi"
     script.write_text("print(i);\n")
@@ -520,7 +548,7 @@ def test_running_out_of_memory_is_a_runtime_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("first, square, line", [
-    ("x := 3;", "x := x * x;", "error: 21:1: integer product exceeds "
+    ("x := 3;", "x := x * x;", "error: 21:8: integer product exceeds "
                                "1048576 bits\n"),
     ("x := (3, 1);", "x := x * x;", "error: 21:8: integer product exceeds "
                                     "1048576 bits (in Complex.infix*)\n"),
@@ -534,6 +562,16 @@ def test_squaring_forty_times_ends_at_the_product_bound(tmp_path, first,
     start = time.perf_counter()
     assert run_to_strings(script) == (3, "", line)
     assert time.perf_counter() - start < 2
+
+
+def test_the_product_bound_is_reported_at_the_product_in_a_body(tmp_path):
+    # the compiled body and the walker both name the product, not the call
+    script = tmp_path / "square.psi"
+    script.write_text("function sq(A : integer) : integer;\nbegin\n"
+                      "  Return := A * A\nend;\n"
+                      "print(" + "sq(" * 22 + "3" + ")" * 22 + ");\n")
+    assert run_to_strings(script) == (
+        3, "", "error: 3:15: integer product exceeds 1048576 bits (in sq)\n")
 
 
 def test_repl_reports_an_error_in_a_body_where_the_body_was_typed():

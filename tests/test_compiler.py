@@ -23,7 +23,8 @@ class WalkingInterpreter(Interpreter):
     """The reference: every user body runs on the tree walker."""
 
     def run_body(self, impl, frame):
-        self.exec_stmt(impl.decl.body, frame)
+        par_names = frozenset(name for name, _ in impl.decl.par_decls)
+        self.exec_stmt(impl.decl.body, frame, par_names)
 
 
 def run_both(source: str, trace: bool = False):
@@ -123,7 +124,7 @@ TOP_LEVEL = [
     "print({a} * {b});", "print({a} + {b});", "print({a} - {b});",
     "print(-{a});", "print(Complex.({a} * {b}));",
     "print(Algebra.({a} * {b}));", "z := {a} * {b};", "print(EVAL(z));",
-    "kind(z);", "n := 2;",
+    "kind(z);", "n := 2;", "Return := 5;",
 ]
 # every function is defined before the items, so that a call reaches it
 HEADER = ["var x, y : Algebra;", "var n : integer;", "z := (1, 2);"] + [
@@ -269,9 +270,9 @@ def counting_compiles(monkeypatch) -> list:
     calls = []
     original = evaluator.compile_stmt
 
-    def compile_stmt(stmt):
+    def compile_stmt(stmt, *par_names):
         calls.append(stmt)
-        return original(stmt)
+        return original(stmt, *par_names)
     monkeypatch.setattr(evaluator, "compile_stmt", compile_stmt)
     return calls
 

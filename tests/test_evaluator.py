@@ -8,8 +8,8 @@ from psipp.errors import (EvalError, UnassignedReturn, UnknownIdentifier,
 from psipp.evaluator import value_equal
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, ThunkV,
-                          classify_binding, thunk, type_name_of)
+from psipp.values import (FAIL, ComplexV, FreeVarV, ThunkV, classify_binding,
+                          thunk, type_name_of)
 
 from bindings import lookup, snapshot
 
@@ -194,37 +194,32 @@ b := c + d;
 
 # --- match_pattern ---
 
-def par_env(interp, names, parent=None):
-    return Environment(parent if parent is not None else interp.globals,
-                       frozenset(names))
-
-
 def test_match_binds_operands(interp):
     subject = ev(interp, "i + x")
-    env = par_env(interp, ["C", "D"])
-    assert interp.match_pattern(subject, parse_expression("C + D"), env)
+    env = {}
+    assert interp.match_pattern(subject, parse_expression("C + D"), env,
+                                frozenset({"C", "D"}))
     assert lookup(env, "C") == ComplexV(0, 1)
     assert lookup(env, "D") == FreeVarV("x", "Algebra")
 
 
 def test_non_thunk_never_matches_structurally(interp):
-    env = par_env(interp, ["C", "D"])
-    before = snapshot(env)
+    env = {}
+    before = snapshot(env, interp.globals)
     assert not interp.match_pattern(3, parse_expression("C + D"),
-                                    env)
-    assert snapshot(env) == before
+                                    env, frozenset({"C", "D"}))
+    assert snapshot(env, interp.globals) == before
 
 
 def test_fail_pattern_is_identity_test(interp):
-    env = par_env(interp, [])
+    env = {}
     assert interp.match_pattern(FAIL, parse_expression("fail"), env)
     assert not interp.match_pattern(0, parse_expression("fail"),
                                     env)
 
 
 def test_structural_equality_between_bound_values(interp):
-    env = Environment(parent=interp.globals)
-    env.define("A", ComplexV(2, 4))
+    env = {"A": ComplexV(2, 4)}
     assert interp.match_pattern(ComplexV(2, 4), parse_expression("A"), env)
     assert not interp.match_pattern(ComplexV(2, 5), parse_expression("A"),
                                     env)
@@ -234,10 +229,11 @@ def test_failed_match_leaves_par_frame_unchanged(interp):
     # the left operand matches C but the literal 7 does not match the i
     # inside the subject, so the partial binding of C must be rolled back
     subject = ev(interp, "x + i")
-    env = par_env(interp, ["C"])
-    before = snapshot(env)
-    assert not interp.match_pattern(subject, parse_expression("C + 7"), env)
-    assert snapshot(env) == before
+    env = {}
+    before = snapshot(env, interp.globals)
+    assert not interp.match_pattern(subject, parse_expression("C + 7"), env,
+                                    frozenset({"C"}))
+    assert snapshot(env, interp.globals) == before
 
 
 # --- invoke_method ---

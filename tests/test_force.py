@@ -15,8 +15,7 @@ from psipp.algebra import make_interpreter, simplify
 from psipp.errors import EvalError, RewriteLimitExceeded
 from psipp.evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, value_equal
 from psipp.parser import parse_program
-from psipp.values import (FAIL, ComplexV, Environment, FreeVarV, ThunkV,
-                          type_name_of)
+from psipp.values import FAIL, ComplexV, FreeVarV, ThunkV, type_name_of
 
 from bindings import lookup
 
@@ -43,17 +42,17 @@ def tree_force(interp: Interpreter, v):
     """Force ``v`` by walking its body as a tree: every occurrence of a
     shared node is evaluated again, as forcing did before memoisation."""
     if isinstance(v, FreeVarV):
-        bound = interp.globals.find(v.name)
+        bound = interp.globals.get(v.name)
         return v if isinstance(bound, (ThunkV, FreeVarV)) else bound
     if not isinstance(v, ThunkV):
         return v
-    overlay = Environment()
+    overlay = {}
     for name, captured in v.captures:
-        bound = interp.globals.find(name)
+        bound = interp.globals.get(name)
         if bound is not None and not isinstance(bound, FreeVarV):
-            overlay.define(name, tree_force(interp, bound))
+            overlay[name] = tree_force(interp, bound)
         else:
-            overlay.define(name, captured)
+            overlay[name] = captured
 
     def walk(e: ast.Expr):
         if isinstance(e, ast.Infix):

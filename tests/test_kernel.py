@@ -24,7 +24,7 @@ def interpreters():
 
 def ev(interp, source, **operands):
     for name, value in operands.items():
-        interp.globals.define(name, value)
+        interp.globals[name] = value
     return interp.eval_expr(parse_expression(source), interp.globals)
 
 

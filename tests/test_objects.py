@@ -266,6 +266,24 @@ def test_a_type_declared_after_a_dispatch_gets_its_products():
     assert lines == ["-5 + 10*i", "6 + 8*i", "4 + i", "4 + 2*i"]
 
 
+def test_an_integer_promotes_on_either_side_of_a_complex_receiver():
+    session, lines = session_lines()
+    session.run_source("function Complex.infix* (A : Algebra; B : Algebra) "
+                       ": Algebra; begin Return := B.Re end;\n"
+                       "print(2 * (1, 1)); print((1, 1) * 2);\n")
+    assert lines == ["1", "2"]
+
+
+def test_an_integer_slot_keeps_its_integer_at_a_complex_receiver():
+    # the method takes (1, 1) * 2 with B the integer 2; on the other side
+    # its integer slot rejects (1, 1), so the prelude's product applies
+    session, lines = session_lines()
+    session.run_source("function Complex.infix* (A : Complex; B : integer) "
+                       ": Complex; begin Return := (A.Re * B, A.Im * B) end;\n"
+                       "print((1, 1) * 2); print(2 * (1, 1));\n")
+    assert lines == ["2 + 2*i", "fail"]
+
+
 def test_a_resolution_error_is_raised_every_time_and_never_memoised():
     session, lines = session_lines(prelude=False)
     session.run_source("Complex = Object;\n  Re, Im : integer;\nend;\n")
