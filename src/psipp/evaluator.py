@@ -228,8 +228,9 @@ class Interpreter:
         kind = type(stmt)
         if kind is ast.Assign:
             # the value first: evaluating it may bind the target
-            self.scope(env, stmt.target)[stmt.target] = \
-                self.eval_expr(stmt.expr, env)
+            target, value = stmt.target, self.eval_expr(stmt.expr, env)
+            # a target the frame binds is assigned here (scope's first rule)
+            (env if target in env else self.scope(env, target))[target] = value
         elif kind is ast.Call:
             if stmt.name not in STATEMENT_CALLS:
                 self.eval_expr(stmt, env)
@@ -283,17 +284,13 @@ class Interpreter:
             if expr.op == "=":
                 raise EvalError("'=' is only valid in an if condition",
                                 expr.span)
-            # an identifier operand is read here, and an unbound one, which
-            # finds None (0 is a value), evaluated for its error
+            # an identifier operand the frame binds is read here (scope's
+            # first rule), and any other operand evaluated
             lhs, rhs = expr.lhs, expr.rhs
-            a = self.scope(env, lhs.name).get(lhs.name) \
-                if type(lhs) is ast.Ident else None
-            if a is None:
-                a = self.eval_expr(lhs, env)
-            b = self.scope(env, rhs.name).get(rhs.name) \
-                if type(rhs) is ast.Ident else None
-            if b is None:
-                b = self.eval_expr(rhs, env)
+            a = env[lhs.name] if type(lhs) is ast.Ident and lhs.name in env \
+                else self.eval_expr(lhs, env)
+            b = env[rhs.name] if type(rhs) is ast.Ident and rhs.name in env \
+                else self.eval_expr(rhs, env)
             return self.apply_operator(expr.op, [a, b], expr)
         if kind is ast.FieldAccess:
             return self.field_of(self.eval_expr(expr.obj, env), expr)
@@ -566,13 +563,17 @@ class Interpreter:
 # closures for code generation", 1987); a statement's closure returns
 # None. ``compile_stmt`` and ``compile_expr`` switch on the walker's cases,
 # and each closure applies its node's rule by the helper the walker calls;
-# an infix operator, a field and an ``= fail`` condition first test inline
-# the helper's case that the Complex product runs, and an identifier and a
-# field of one first read a name bound in the frame. A body's par variables
-# are fixed when it is compiled. Compiling raises nothing: a call, an ``=``
-# outside a condition, an inherited call of a non-operator and a node of
-# no case compile to a run of the walker, which raises its error when, and
-# only if, it is reached.
+# an infix operator, a pair and an ``= fail`` condition first test inline
+# the helper's case that the Complex product runs. An identifier operand,
+# and the complex field of an operand, get no closure of their own: the
+# closure that uses them reads the name in the frame and takes a complex
+# value's field in place, and runs the operand's code or ``field_of`` for
+# any other case (see ``in_place``). ``Return`` is assigned in the frame,
+# whose own it always is. A body's par variables
+# are fixed when it is compiled. Compiling raises nothing: a call, an
+# ``=`` outside a condition, an inherited call of a non-operator and a
+# node of no case compile to a run of the walker, which raises its error
+# when, and only if, it is reached.
 
 Code = Callable[[Interpreter, Frame], Optional[Value]]
 
@@ -582,18 +583,33 @@ def compile_stmt(stmt: ast.Stmt,
     kind = type(stmt)
     if kind is ast.Assign:
         target, value = stmt.target, compile_expr(stmt.expr)
+        own = target == "Return"
 
         def assign(interp, env):
-            interp.scope(env, target)[target] = value(interp, env)
+            result = value(interp, env)  # first: it may bind the target
+            if own or target in env:  # scope's first rules
+                env[target] = result
+            else:
+                interp.scope(env, target)[target] = result
         return assign
     if kind is ast.If:
         cond = stmt.cond
         if type(cond) is ast.Infix and cond.op == "=":
-            subject, pattern = compile_expr(cond.lhs), cond.rhs
+            pattern = cond.rhs
             if type(pattern) is ast.FailLit:
+                lhs = cond.lhs
+                an, ap, node = in_place(lhs)
+                ac = compile_expr(node)
+
                 def holds(interp, env):
-                    return subject(interp, env) is FAIL  # match_pattern's case
+                    a = env[an] if an in env else ac(interp, env)
+                    if ap is not None:
+                        a = ap(a) if type(a) is ComplexV \
+                            else interp.field_of(a, lhs)
+                    return a is FAIL  # match_pattern's case
             else:
+                subject = compile_expr(cond.lhs)
+
                 def holds(interp, env):
                     return interp.match_pattern(subject(interp, env), pattern,
                                                 env, par_names)
@@ -621,34 +637,70 @@ def compile_stmt(stmt: ast.Stmt,
     return lambda interp, env: interp.exec_stmt(stmt, env)
 
 
+def in_place(expr: ast.Expr) -> tuple[Optional[str], Optional[Callable],
+                                      ast.Expr]:
+    """How the closure that uses the operand ``expr`` reads it in place:
+    the name it reads in the frame, if it reads an identifier, else None;
+    the getter of the complex field it then takes, or None; and the node
+    whose code it runs when the frame does not bind the name. The closure
+    takes the field of a value that is no ``ComplexV`` by ``field_of``."""
+    part = None
+    if type(expr) is ast.FieldAccess and expr.field in _COMPLEX_FIELDS:
+        part, expr = _COMPLEX_FIELDS[expr.field], expr.obj
+    return expr.name if type(expr) is ast.Ident else None, part, expr
+
+
 def compile_expr(expr: ast.Expr) -> Code:
     kind = type(expr)
+    if kind is ast.Infix and expr.op != "=" or kind is ast.PairLit \
+            or kind is ast.InheritedCall and type(expr.expr) is ast.Infix:
+        # two operands, each read in place; an integer kernel on two
+        # integers, the case the helper tests first; else the helper
+        lhs, rhs = ast.operands(expr.expr if kind is ast.InheritedCall
+                                else expr)
+        (an, ap, a_node), (bn, bp, b_node) = in_place(lhs), in_place(rhs)
+        ac, bc = compile_expr(a_node), compile_expr(b_node)
+        if kind is ast.Infix:
+            op, kernel = expr.op, INT_INFIX.get(expr.op)
+
+            def rest(interp, a, b):
+                return interp.apply_operator(op, [a, b], expr)
+        elif kind is ast.PairLit:
+            kernel = ComplexV  # pair_value's case
+
+            def rest(interp, a, b):
+                return pair_value(a, b, expr)
+        else:
+            kernel = None
+
+            def rest(interp, a, b):
+                return interp.apply_inherited(expr, [a, b])
+
+        def binary(interp, env):
+            a = env[an] if an in env else ac(interp, env)
+            if ap is not None:
+                a = ap(a) if type(a) is ComplexV else interp.field_of(a, lhs)
+            b = env[bn] if bn in env else bc(interp, env)
+            if bp is not None:
+                b = bp(b) if type(b) is ComplexV else interp.field_of(b, rhs)
+            if kernel is not None and type(a) is int and type(b) is int:
+                try:
+                    return kernel(a, b)
+                except EvalError as err:  # the product bound, at the product
+                    err.span = expr.span
+                    raise
+            return rest(interp, a, b)
+        return binary
     if kind is ast.Ident:
         name = expr.name
 
         def ident(interp, env):
-            value = env[name] if name in env \
-                else interp.scope(env, name).get(name)
-            # the walker raises the error of an unbound name
-            return value if value is not None else interp.eval_expr(expr, env)
+            # the walker reads the globals and raises an unbound name's error
+            return env[name] if name in env else interp.eval_expr(expr, env)
         return ident
-    if kind is ast.Infix and expr.op != "=":
-        op, lhs, rhs = expr.op, compile_expr(expr.lhs), compile_expr(expr.rhs)
-        kernel = INT_INFIX.get(op)
-
-        def infix(interp, env):
-            a, b = lhs(interp, env), rhs(interp, env)
-            if kernel is not None and type(a) is int and type(b) is int:
-                try:
-                    return kernel(a, b)  # apply_operator's case
-                except EvalError as err:  # the product bound, at the product
-                    err.span = expr.span
-                    raise
-            return interp.apply_operator(op, [a, b], expr)
-        return infix
     if kind is ast.FieldAccess:
         obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
-        # ``Name.Field`` reads a name of the frame inline
+        # ``Name.Field`` reads a name of the frame in place
         name = expr.obj.name if type(expr.obj) is ast.Ident else None
 
         def field(interp, env):
@@ -657,10 +709,6 @@ def compile_expr(expr: ast.Expr) -> Code:
                 return part(value)  # field_of's case
             return interp.field_of(value, expr)
         return field
-    if kind is ast.PairLit:
-        first, second = compile_expr(expr.first), compile_expr(expr.second)
-        return lambda interp, env: pair_value(first(interp, env),
-                                              second(interp, env), expr)
     if kind is ast.Prefix:
         op, operand = expr.op, compile_expr(expr.operand)
         return lambda interp, env: interp.apply_operator(

@@ -79,6 +79,10 @@ METHOD_STATEMENTS = [
     "Return := (A.Re, 0)",
     "if A.Im = fail then Return := B",
     "begin print(B); Return := B end",
+    # operands read in place: fields of parameters and of a global
+    "Return := A.Re * B.Im - z.Re",
+    "Return := (A.Im * n, z.Im)",
+    "Return := Algebra.(A.Re * z)",
 ]
 FUNCTION_STATEMENTS = [
     "Return := A * A",
@@ -104,6 +108,8 @@ FUNCTION_STATEMENTS = [
     "if A.Re then print(1) else print(0)",
     "Return := (A.Re, 0)",
     "if A.Im = fail then Return := A",
+    "Return := A.Re * A.Im - z.Re",
+    "Return := (z.Re, A.Im * n)",
 ]
 # each fails at run time, if it is reached
 FAILING_STATEMENTS = [
@@ -251,6 +257,44 @@ def test_a_field_of_a_name_runs_the_same_both_ways(statement, argument,
               f"function f(A : Algebra) : Algebra; begin {statement} end;\n"
               f"print(f({argument}));\n")
     compiled, walked = run_both(source)
+    assert compiled == walked == expected
+
+
+# a global named like the parameter A, which the parameter shadows
+IN_PLACE_HEADER = ("var x : Algebra;\ng := (5, 6);\nA := (7, 0);\n"
+                   "function f(A, B : Algebra) : Algebra; begin {} end;\n")
+
+
+@pytest.mark.parametrize("statement, rest, expected", [
+    ("Return := A.Re * B.Re + 1", "print(f(fail, (1, 2)));\n",
+     ("fail\n", "", 0)),
+    ("Return := A.Re * B.Im", "print(f(x, (1, 2)));\n", ("2*x.Re\n", "", 0)),
+    ("Return := Algebra.(A.Re * B)", "print(f(3, (1, 2)));\n",
+     ("", "error: 4:65: no field 'Re' on this value (in f)\n", 3)),
+    ("Return := (A.Foo * B, 0)", "print(f((1, 2), 3));\n",
+     ("", "error: 4:57: Complex has no field 'Foo' (in f)\n", 3)),
+    ("Return := (B.Re, zz * A)", "print(f((1, 2), (3, 4)));\n",
+     ("", "error: 4:62: unknown identifier 'zz' (in f)\n", 3)),
+    ("Return := A.Re * B.Im - g.Re", "print(f((1, 2), (3, 4)));\n",
+     ("-1\n", "", 0)),
+    ("Return := A.Re * A.Im + B.Re", "print(f((2, 3), (4, 0)));\n",
+     ("10\n", "", 0)),
+    ("if Return.Re = fail then Return := A", "print(f(1, 2));\n",
+     ("", "error: 4:48: Return read before assignment (in f)\n", 3)),
+    # 3^(2^19) has 830 979 bits: the product of two is past the bound
+    ("Return := (A.Re * B.Re, 0)",
+     "p := 3;\n" + "p := p * p;\n" * 19 + "print(f((p, 0), (p, 1)));\n",
+     ("", "error: 4:61: integer product exceeds 1048576 bits (in f)\n", 3)),
+], ids=["field-of-fail", "field-of-a-free-variable", "field-of-an-integer",
+        "no-such-field", "unbound-name", "field-of-a-global",
+        "parameter-shadows-a-global", "Return-before-assignment",
+        "product-bound"])
+def test_an_operand_read_in_place_falls_back_as_the_walker_does(
+        statement, rest, expected):
+    """An operator, a pair, an inherited call and ``= fail`` read a name
+    and a complex field of one in place; every other case takes the
+    walker's way, with its value, its error and its span."""
+    compiled, walked = run_both(IN_PLACE_HEADER.format(statement) + rest)
     assert compiled == walked == expected
 
 
