@@ -587,10 +587,9 @@ def compile_stmt(stmt: ast.Stmt,
 
         def assign(interp, env):
             result = value(interp, env)  # first: it may bind the target
-            if own or target in env:  # scope's first rules
-                env[target] = result
-            else:
-                interp.scope(env, target)[target] = result
+            # scope's first two rules: the frame's own Return, a name it binds
+            (env if own or target in env
+             else interp.scope(env, target))[target] = result
         return assign
     if kind is ast.If:
         cond = stmt.cond
