@@ -64,7 +64,7 @@ class Session:
             return False
         try:
             if cmd.startswith(":"):
-                self.interp.emit(self._command(cmd, line, start + len(cmd)))
+                self.interp.emit(self._command(cmd, line, start))
                 return True
             try:
                 expr = parse_expression(line.rstrip(";"))
@@ -82,13 +82,16 @@ class Session:
             raise EvalError("out of memory") from None
         return True
 
-    def _command(self, cmd: str, line: str, start: int) -> str:
-        """The result line of a REPL command other than ``:quit``, whose
-        argument is ``line`` from offset ``start``."""
+    def _command(self, cmd: str, line: str, at: int) -> str:
+        """The result line of a REPL command other than ``:quit``, typed at
+        offset ``at`` of ``line`` and followed by its argument. An error of
+        the command itself is located at the command."""
+        start = at + len(cmd)
         if cmd == ":word":
             parts = line[start:].split()
             if len(parts) != 2:
-                raise ParseError(":word takes a word and an operation name")
+                raise ParseError(":word takes a word and an operation name",
+                                 at)
             word, op_name = parts
             return render_expr(parse_juxtaposition(word, op_name))
         if cmd in (":type", ":show", ":eval"):
@@ -101,7 +104,7 @@ class Session:
             value = simplify(self.interp.force(value),
                              self.interp.max_rewrites, self.interp.trace)
             return render_value(value)
-        raise ParseError(f"unknown command {cmd!r}")
+        raise ParseError(f"unknown command {cmd!r}", at)
 
 
 def _report(err: PsiError, text: str, stderr) -> int:

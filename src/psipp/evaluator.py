@@ -1,5 +1,6 @@
-"""Evaluator with lazy functional objects: a tree walker for top-level
-statements and forcing, and user method bodies compiled to closures.
+"""Evaluator with lazy functional objects: a tree walker for statements,
+expressions and forcing, and the shapes of the Complex product in user
+method bodies compiled to closures.
 
 Evaluation is eager on concrete operands and lazy otherwise: the first
 operator application that sees a free variable or a thunk among its
@@ -7,10 +8,11 @@ operands becomes a thunk itself, without invoking any user code. ``fail``
 is absorbing in operand position. A method body runs in a fresh frame,
 a dict of its parameters, locals and ``par`` pattern variables, read
 before the globals; ``Return`` is the frame's own. A body runs once per
-call, so it is compiled at its first run and its closures are kept with
-its ``UserMethod``. The walker and the compiler are each one type switch
-per statement and one per expression, and apply each node's rule through
-the same helper; a level of nesting costs one Python frame on either.
+call, so it is compiled at its first run and its code is kept with its
+``UserMethod``. One rule picks what is compiled: a node is compiled where
+``concrete`` shows it pays, in the shapes that ``Complex.infix*`` runs,
+and walked elsewhere; a compiled node applies its rule through the
+walker's helper. A level of nesting costs one Python frame either way.
 An application on concrete operands, not all integers, runs the method
 that ``Registry.decide`` picks for their types; the decision, and an
 inherited call's method, are memoised in the registry by operator and
@@ -116,8 +118,6 @@ def value_equal(a: Value, b: Value) -> bool:
 def pair_value(first: Value, second: Value, expr: ast.PairLit) -> Value:
     """The complex value ``(first, second)``, of the components' values;
     ``fail`` if either is."""
-    if type(first) is int and type(second) is int:
-        return ComplexV(first, second)
     if first is FAIL or second is FAIL:
         return FAIL
     components = []
@@ -129,28 +129,6 @@ def pair_value(first: Value, second: Value, expr: ast.PairLit) -> Value:
         else:
             raise EvalError("complex components must be integers", expr.span)
     return ComplexV(components[0], components[1])
-
-
-def truth(value: Value) -> bool:
-    """Whether a condition of this value holds: not for fail or 0."""
-    if value is FAIL:
-        return False
-    if type(value) is int:
-        return value != 0
-    return True
-
-
-def leaf_value(expr: ast.Expr) -> Optional[Value]:
-    """The value of a leaf that reads no environment: an integer literal,
-    ``fail`` or a value leaf; None for any other node."""
-    kind = type(expr)
-    if kind is ast.IntLit:
-        return expr.value
-    if kind is ast.FailLit:
-        return FAIL
-    if kind is ast.ValueLeaf:
-        return expr.value
-    return None
 
 
 class Interpreter:
@@ -256,7 +234,8 @@ class Interpreter:
                 holds = self.match_pattern(self.eval_expr(cond.lhs, env),
                                            cond.rhs, env, par_names)
             else:
-                holds = truth(self.eval_expr(cond, env))
+                value = self.eval_expr(cond, env)
+                holds = value is not FAIL and value != 0  # not on fail or 0
             if holds:
                 self.exec_stmt(stmt.then, env, par_names)
             elif stmt.els is not None:
@@ -308,10 +287,11 @@ class Interpreter:
                                 "application", expr.span)
             args = [self.eval_expr(a, env) for a in ast.operands(expr.expr)]
             return self.apply_inherited(expr, args)
-        value = leaf_value(expr)
-        if value is None:
-            raise EvalError(f"cannot evaluate {kind.__name__}")
-        return value
+        if kind is ast.IntLit or kind is ast.ValueLeaf:
+            return expr.value
+        if kind is ast.FailLit:
+            return FAIL
+        raise EvalError(f"cannot evaluate {kind.__name__}")
 
     def field_of(self, obj: Value, expr: ast.FieldAccess) -> Value:
         """The field ``expr.field`` of ``obj``, the value of ``expr.obj``."""
@@ -444,7 +424,7 @@ class Interpreter:
 
     def run_body(self, impl: UserMethod, frame: Frame):
         """Run a user body in its frame, compiled at the body's first run."""
-        impl.compiled(compile_stmt)(self, frame)
+        (impl.code or impl.compile(compile_stmt))(self, frame)
 
     # --- pattern matching ---
 
@@ -556,24 +536,23 @@ class Interpreter:
         return values[0]
 
 
-# --- user method bodies, compiled to closures ---
+# --- user method bodies: compiled where ``concrete`` shows it pays ---
 #
 # A body runs once per call, so at its first run it is compiled once to a
 # tree of closures ``(interp, env) -> Value`` (Feeley and Lapalme, "Using
 # closures for code generation", 1987); a statement's closure returns
-# None. ``compile_stmt`` and ``compile_expr`` switch on the walker's cases,
-# and each closure applies its node's rule by the helper the walker calls;
-# an infix operator, a pair and an ``= fail`` condition first test inline
-# the helper's case that the Complex product runs. An identifier operand,
-# and the complex field of an operand, get no closure of their own: the
-# closure that uses them reads the name in the frame and takes a complex
-# value's field in place, and runs the operand's code or ``field_of`` for
-# any other case (see ``in_place``). ``Return`` is assigned in the frame,
-# whose own it always is. A body's par variables
-# are fixed when it is compiled. Compiling raises nothing: a call, an
-# ``=`` outside a condition, an inherited call of a non-operator and a
-# node of no case compile to a run of the walker, which raises its error
-# when, and only if, it is reached.
+# None. The rule: compiled where ``concrete`` shows it pays, walked
+# elsewhere. ``Complex.infix*`` runs an assignment, a compound, an ``if``
+# on ``X = fail``, and two-operand infix operators, pairs and inherited
+# calls, so those are compiled: each closure applies its node's rule by
+# the helper the walker calls, after testing inline the helper's case that
+# the product runs. An identifier operand, and the complex field of an
+# operand, are read in place by the closure that uses them, which runs
+# the operand's code or ``field_of`` for any other case (see ``in_place``).
+# ``Return`` is assigned in the frame, whose own it always is. Every other
+# node compiles to one run of the walker, given the body's par variables,
+# which raises the node's error when, and only if, it is reached; so
+# compiling raises nothing.
 
 Code = Callable[[Interpreter, Frame], Optional[Value]]
 
@@ -591,41 +570,6 @@ def compile_stmt(stmt: ast.Stmt,
             (env if own or target in env
              else interp.scope(env, target))[target] = result
         return assign
-    if kind is ast.If:
-        cond = stmt.cond
-        if type(cond) is ast.Infix and cond.op == "=":
-            pattern = cond.rhs
-            if type(pattern) is ast.FailLit:
-                lhs = cond.lhs
-                an, ap, node = in_place(lhs)
-                ac = compile_expr(node)
-
-                def holds(interp, env):
-                    a = env[an] if an in env else ac(interp, env)
-                    if ap is not None:
-                        a = ap(a) if type(a) is ComplexV \
-                            else interp.field_of(a, lhs)
-                    return a is FAIL  # match_pattern's case
-            else:
-                subject = compile_expr(cond.lhs)
-
-                def holds(interp, env):
-                    return interp.match_pattern(subject(interp, env), pattern,
-                                                env, par_names)
-        else:
-            value = compile_expr(cond)
-
-            def holds(interp, env):
-                return truth(value(interp, env))
-        then = compile_stmt(stmt.then, par_names)
-        els = compile_stmt(stmt.els, par_names) if stmt.els else None
-
-        def run_if(interp, env):
-            if holds(interp, env):
-                then(interp, env)
-            elif els is not None:
-                els(interp, env)
-        return run_if
     if kind is ast.Compound:
         body = tuple(compile_stmt(inner, par_names) for inner in stmt.body)
 
@@ -633,7 +577,25 @@ def compile_stmt(stmt: ast.Stmt,
             for inner in body:
                 inner(interp, env)
         return run_compound
-    return lambda interp, env: interp.exec_stmt(stmt, env)
+    cond = stmt.cond if kind is ast.If else None
+    if type(cond) is ast.Infix and cond.op == "=" \
+            and type(cond.rhs) is ast.FailLit:
+        lhs = cond.lhs
+        name, part, node = in_place(lhs)
+        subject = compile_expr(node)
+        then = compile_stmt(stmt.then, par_names)
+        els = compile_stmt(stmt.els, par_names) if stmt.els else None
+
+        def run_if(interp, env):
+            a = env[name] if name in env else subject(interp, env)
+            if part is not None:
+                a = part(a) if type(a) is ComplexV else interp.field_of(a, lhs)
+            if a is FAIL:  # match_pattern's case
+                then(interp, env)
+            elif els is not None:
+                els(interp, env)
+        return run_if
+    return lambda interp, env: interp.exec_stmt(stmt, env, par_names)
 
 
 def in_place(expr: ast.Expr) -> tuple[Optional[str], Optional[Callable],
@@ -651,72 +613,42 @@ def in_place(expr: ast.Expr) -> tuple[Optional[str], Optional[Callable],
 
 def compile_expr(expr: ast.Expr) -> Code:
     kind = type(expr)
-    if kind is ast.Infix and expr.op != "=" or kind is ast.PairLit \
-            or kind is ast.InheritedCall and type(expr.expr) is ast.Infix:
-        # two operands, each read in place; an integer kernel on two
-        # integers, the case the helper tests first; else the helper
-        lhs, rhs = ast.operands(expr.expr if kind is ast.InheritedCall
-                                else expr)
-        (an, ap, a_node), (bn, bp, b_node) = in_place(lhs), in_place(rhs)
-        ac, bc = compile_expr(a_node), compile_expr(b_node)
-        if kind is ast.Infix:
-            op, kernel = expr.op, INT_INFIX.get(expr.op)
+    if not (kind is ast.Infix and expr.op != "=" or kind is ast.PairLit
+            or kind is ast.InheritedCall and type(expr.expr) is ast.Infix):
+        return lambda interp, env: interp.eval_expr(expr, env)
+    # two operands, each read in place; an integer kernel on two integers,
+    # the case the helper tests first; else the helper
+    lhs, rhs = ast.operands(expr.expr if kind is ast.InheritedCall else expr)
+    (an, ap, a_node), (bn, bp, b_node) = in_place(lhs), in_place(rhs)
+    ac, bc = compile_expr(a_node), compile_expr(b_node)
+    if kind is ast.Infix:
+        op, kernel = expr.op, INT_INFIX.get(expr.op)
 
-            def rest(interp, a, b):
-                return interp.apply_operator(op, [a, b], expr)
-        elif kind is ast.PairLit:
-            kernel = ComplexV  # pair_value's case
+        def rest(interp, a, b):
+            return interp.apply_operator(op, [a, b], expr)
+    elif kind is ast.PairLit:
+        kernel = ComplexV  # two integer components
 
-            def rest(interp, a, b):
-                return pair_value(a, b, expr)
-        else:
-            kernel = None
+        def rest(interp, a, b):
+            return pair_value(a, b, expr)
+    else:
+        kernel = None
 
-            def rest(interp, a, b):
-                return interp.apply_inherited(expr, [a, b])
+        def rest(interp, a, b):
+            return interp.apply_inherited(expr, [a, b])
 
-        def binary(interp, env):
-            a = env[an] if an in env else ac(interp, env)
-            if ap is not None:
-                a = ap(a) if type(a) is ComplexV else interp.field_of(a, lhs)
-            b = env[bn] if bn in env else bc(interp, env)
-            if bp is not None:
-                b = bp(b) if type(b) is ComplexV else interp.field_of(b, rhs)
-            if kernel is not None and type(a) is int and type(b) is int:
-                try:
-                    return kernel(a, b)
-                except EvalError as err:  # the product bound, at the product
-                    err.span = expr.span
-                    raise
-            return rest(interp, a, b)
-        return binary
-    if kind is ast.Ident:
-        name = expr.name
-
-        def ident(interp, env):
-            # the walker reads the globals and raises an unbound name's error
-            return env[name] if name in env else interp.eval_expr(expr, env)
-        return ident
-    if kind is ast.FieldAccess:
-        obj, part = compile_expr(expr.obj), _COMPLEX_FIELDS.get(expr.field)
-        # ``Name.Field`` reads a name of the frame in place
-        name = expr.obj.name if type(expr.obj) is ast.Ident else None
-
-        def field(interp, env):
-            value = env[name] if name in env else obj(interp, env)
-            if part is not None and type(value) is ComplexV:
-                return part(value)  # field_of's case
-            return interp.field_of(value, expr)
-        return field
-    if kind is ast.Prefix:
-        op, operand = expr.op, compile_expr(expr.operand)
-        return lambda interp, env: interp.apply_operator(
-            op, [operand(interp, env)], expr)
-    if kind is ast.InheritedCall and type(expr.expr) in _OPERATORS:
-        parts = tuple(map(compile_expr, ast.operands(expr.expr)))
-        return lambda interp, env: interp.apply_inherited(
-            expr, [part(interp, env) for part in parts])
-    value = leaf_value(expr)
-    if value is not None:
-        return lambda interp, env: value
-    return lambda interp, env: interp.eval_expr(expr, env)
+    def binary(interp, env):
+        a = env[an] if an in env else ac(interp, env)
+        if ap is not None:
+            a = ap(a) if type(a) is ComplexV else interp.field_of(a, lhs)
+        b = env[bn] if bn in env else bc(interp, env)
+        if bp is not None:
+            b = bp(b) if type(b) is ComplexV else interp.field_of(b, rhs)
+        if kernel is not None and type(a) is int and type(b) is int:
+            try:
+                return kernel(a, b)
+            except EvalError as err:  # the product bound, at the product
+                err.span = expr.span
+                raise
+        return rest(interp, a, b)
+    return binary

@@ -21,19 +21,18 @@ from .values import INTEGER
 
 class UserMethod:
     """A method or function written in ψ++, and its body compiled at its
-    first run (``compiled``)."""
+    first run (``code``, None until then)."""
 
     def __init__(self, decl: ast.FunctionDecl):
         self.decl = decl
-        self._code: Optional[Callable] = None
+        self.code: Optional[Callable] = None
 
-    def compiled(self, compile_body: Callable) -> Callable:
+    def compile(self, compile_body: Callable) -> Callable:
         """``compile_body`` of the body and the names its ``par`` block
-        declares, called at the first request only."""
-        if self._code is None:
-            self._code = compile_body(self.decl.body, frozenset(
-                name for name, _ in self.decl.par_decls))
-        return self._code
+        declares, kept as ``code``."""
+        self.code = compile_body(self.decl.body, frozenset(
+            name for name, _ in self.decl.par_decls))
+        return self.code
 
 
 MethodImpl = object  # UserMethod | a native fn(args, interp) -> Value

@@ -40,8 +40,8 @@ def calls_of(statement: str, setup: str) -> list[str]:
 
 @pytest.mark.parametrize("statement, setup, budget", [
     # Complex.infix*: Algebra.(A * B) is fail, then four integer products;
-    # 47 calls
-    (*COMPLEX, 50),
+    # 45 calls
+    (*COMPLEX, 47),
     # the Monomial native: one register product; 14 calls
     ("m := m * u;", "m := mono(1, 2, 1, 2); u := mono(0, 1, 0, 1);", 17),
 ], ids=["complex", "monomial"])
@@ -61,9 +61,9 @@ def test_a_warm_product_decides_its_method_without_the_registry():
 def test_a_warm_product_reads_its_names_and_fields_in_place():
     """``A``, ``B``, ``Return`` and their fields are read by the closures
     that use them, and every name the statement and the body read or
-    assign is bound where it is looked for first: no closure of a name or
-    a field runs, and no ``Interpreter.scope``."""
+    assign is bound where it is looked for first: the walker evaluates
+    only the statement's own expression, and no ``Interpreter.scope``
+    runs."""
     calls = Counter(calls_of(*COMPLEX))
-    assert calls["compile_expr.<locals>.ident"] == 0, calls
-    assert calls["compile_expr.<locals>.field"] == 0, calls
+    assert calls["Interpreter.eval_expr"] == 1, calls
     assert calls["Interpreter.scope"] == 0, calls

@@ -595,6 +595,14 @@ def test_repl_columns_count_in_the_line_as_typed():
                    "error: 1:6: expected expression\n")
 
 
+def test_repl_command_errors_are_located_at_the_command():
+    code, out, err = repl_to_strings(":foo\n  :word ab\n:word\n:quit\n")
+    assert (code, out) == (0, "")
+    assert err == ("error: 1:1: unknown command ':foo'\n"
+                   "error: 1:3: :word takes a word and an operation name\n"
+                   "error: 1:1: :word takes a word and an operation name\n")
+
+
 def test_readme_repl_transcript():
     readme = (DEMOS.parent / "README.md").read_text()
     command, expected = re.search(r"\n\$ (printf .*\| psi repl --trace)\n"

@@ -103,7 +103,7 @@ FUNCTION_STATEMENTS = [
     "kind(Return)",
     "Return := A",
     "Return := mono(1, 0, 1, 0) * A",
-    # a field the closures inline, of a thunk or of fail, as a condition,
+    # a field of a thunk or of fail: walked as a condition, read in place
     # in a pair and in an identity test
     "if A.Re then print(1) else print(0)",
     "Return := (A.Re, 0)",
@@ -250,9 +250,9 @@ def test_each_inlined_case_and_its_fallback_runs_the_same_both_ways():
         "of-an-unassigned-Return"])
 def test_a_field_of_a_name_runs_the_same_both_ways(statement, argument,
                                                     expected):
-    """``Name.Field`` compiles to one closure, which reads the name and
-    takes a complex value's field inline: every other case reaches the
-    walker's, with its error and its span."""
+    """A standalone ``Name.Field`` is walked; read in place as an operand
+    it takes a complex value's field inline. Each case of a field reaches
+    the walker's value, error and span either way."""
     source = ("var x : Algebra;\n"
               f"function f(A : Algebra) : Algebra; begin {statement} end;\n"
               f"print(f({argument}));\n")
@@ -296,6 +296,23 @@ def test_an_operand_read_in_place_falls_back_as_the_walker_does(
     walker's way, with its value, its error and its span."""
     compiled, walked = run_both(IN_PLACE_HEADER.format(statement) + rest)
     assert compiled == walked == expected
+
+
+def test_a_walked_statement_in_a_compiled_one_sees_the_par_variables():
+    """The ``else`` of a compiled ``if A = fail`` is a walked ``if`` whose
+    pattern binds the par variables ``C`` and ``D``; a prefix minus and a
+    standalone ``A.Re`` are walked from compiled assignments."""
+    source = (
+        "var x, y : Algebra;\n"
+        "function f(A : Algebra) : Algebra;\npar C, D : Algebra;\n"
+        "begin Return := -A; if A = fail then Return := 0 "
+        "else if A = C * D then Return := C - D else Return := A.Re end;\n"
+        "print(f(x * y));\nprint(f((1, 2)));\nprint(f(fail));\n"
+        "print(f(x + y));\nprint(f(3));\n")
+    compiled, walked = run_both(source)
+    assert compiled == walked == (
+        "x - y\n1\n0\n(x + y).Re\n",
+        "error: 4:105: no field 'Re' on this value (in f)\n", 3)
 
 
 def test_a_body_sum_of_900_terms_runs_the_same_both_ways():
