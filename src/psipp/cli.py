@@ -125,7 +125,8 @@ def run_file(path: str, prelude: bool = True, trace: bool = False,
     stderr = stderr if stderr is not None else sys.stderr
     try:
         # undecodable bytes become lone surrogates, which the lexer rejects
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        with open(path, encoding="utf-8-sig",
+                  errors="surrogateescape") as handle:
             source = handle.read()
     except OSError as err:
         print(f"error: cannot read {path}: {err.strerror or err}", file=stderr)

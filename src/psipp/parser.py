@@ -24,21 +24,26 @@ from .lexer import IDENT, INT, scan_into, tokenize
 # about 4% slower on short scripts
 _BATCH = 64
 
+# the tag of the pad entries that end the lists while text remains
+_MORE = object()
+
 
 class _Parser:
     """A parser over text from offset ``start``, or over a sequence of
     ``(tag, lexeme, offset)`` triples. A token is an index into three
-    lists, ``tags``, ``lexemes`` and ``offsets``, which end in the
-    end-of-input entry: tag ``None``, at the offset after the last token
-    (``None`` for triples without offsets). Text is scanned into the lists
-    a batch at a time, only when a lookahead passes their end, and the
-    tokens of each finished top-level item are dropped."""
+    lists, ``tags``, ``lexemes`` and ``offsets``, which end in three pads,
+    so a read two tokens past the next stays in them: entries tagged
+    ``_MORE`` while text remains to be scanned, then end-of-input entries:
+    tag ``None``, at the offset after the last token (``None`` for triples
+    without offsets). Text is scanned a batch at a time, and the tokens of
+    finished top-level items are dropped a few batches at a time."""
 
     def __init__(self, source, start: int = 0):
         self.pos = 0  # the index of the next token
         if isinstance(source, str):
             self.source, self.scanned = source, start
-            self.tags, self.lexemes, self.offsets = [], [], []
+            self.tags, self.lexemes, self.offsets = (
+                [_MORE] * 3, [""] * 3, [start] * 3)
             return
         tokens = list(source)  # all read here, so nothing is scanned
         end = start
@@ -46,45 +51,50 @@ class _Parser:
             _, lexeme, end = tokens[-1]
             end = None if end is None else end + len(lexeme)
         self.tags, self.lexemes, self.offsets = map(
-            list, zip(*tokens, (None, "", end)))
+            list, zip(*tokens, *[(None, "", end)] * 3))
 
     # --- token helpers ---
 
     def peek(self, offset: int = 0) -> int:
-        """The index of the token ``offset`` after the next one. A
-        lookahead goes at most one token past those scanned, so one batch
-        reaches it. Nesting too deep for the Python stack stops a scan
-        before it appends a token, as every call in ``scan_into`` is made
-        at one depth, so the scan can be made again once the stack
-        unwinds."""
+        """The index of the token ``offset`` (at most 2) after the next
+        one: the cold paths read through this, the hot paths only when they
+        find ``_MORE``. Then the next ``_BATCH`` tokens are scanned into
+        fresh lists and stored over the pads by slice, with plain stores at
+        this depth: nesting too deep for the Python stack stops a scan
+        before it appends a token (every call in ``scan_into`` is made at
+        one depth), so the lists stay whole and the scan can be made again
+        once the stack unwinds."""
         i = self.pos + offset
-        if i >= len(self.tags):
-            self.scanned = scan_into(self.source, self.scanned, self.tags,
-                                     self.lexemes, self.offsets, _BATCH)
+        while self.tags[i] is _MORE:
+            batch = [], [], []
+            scanned = scan_into(self.source, self.scanned, *batch, _BATCH)
+            n = len(self.tags) - 3  # the first pad
+            ended = batch[0][-1] is None
+            columns = self.tags, self.lexemes, self.offsets
+            for column, new, pad in zip(columns, batch, (_MORE, "", scanned)):
+                # the end entry and two copies, or three pads of ``_MORE``
+                column[n:] = new + (new[-1:] * 2 if ended else [pad] * 3)
+            self.scanned = scanned
         return i
 
-    def at_end(self) -> bool:
-        return self.tags[self.peek()] is None
-
-    def span(self) -> ast.Span:
-        return self.offsets[self.peek()]
-
     def error(self, message: str, expected=()) -> ParseError:
-        return ParseError(message, self.span(), expected)
+        """An error at the next token."""
+        return ParseError(message, self.offsets[self.peek()], expected)
 
     def check(self, tag: str, offset: int = 0) -> bool:
         return self.tags[self.peek(offset)] == tag
 
+    # a tag read in place that is not ``tag`` may be ``_MORE``
     def accept(self, tag: str) -> bool:
-        if self.tags[self.peek()] != tag:
+        if self.tags[self.pos] != tag and self.tags[self.peek()] != tag:
             return False
         self.pos += 1
         return True
 
     def expect(self, tag: str) -> int:
         """The index of the next token, which must be tagged ``tag``."""
-        i = self.peek()
-        if self.tags[i] != tag:
+        i = self.pos
+        if self.tags[i] != tag and self.tags[self.peek()] != tag:
             found = ("end of input" if self.tags[i] is None
                      else repr(self.lexemes[i]))
             raise self.error(f"expected {tag!r}, found {found}", {tag})
@@ -94,25 +104,34 @@ class _Parser:
     # --- program structure ---
 
     def program(self) -> ast.Program:
+        tags = self.tags
         items = []
-        while not self.at_end():
-            if self.accept(";"):
+        while True:
+            pos = self.pos
+            if tags[pos + 2] is _MORE:  # as far as ``item`` reads
+                self.peek(2)
+            tag = tags[pos]
+            if tag is None:
+                return ast.Program(tuple(items))
+            if tag == ";":
+                self.pos = pos + 1
                 continue  # empty statement
             items.append(self.item())
-            # the item's tokens are done with; they are dropped only here,
-            # as expression frames and ``_object_body_follows``'s
-            # backtrack hold indices into the lists
-            pos, self.pos = self.pos, 0
-            del self.tags[:pos], self.lexemes[:pos], self.offsets[:pos]
-        return ast.Program(tuple(items))
+            # finished items' tokens are dropped only here, as expression
+            # frames and ``_object_body_follows``'s backtrack hold indices
+            # into the lists
+            if self.pos > 4 * _BATCH:
+                pos, self.pos = self.pos, 0
+                del tags[:pos], self.lexemes[:pos], self.offsets[:pos]
 
     def item(self):
-        tag = self.tags[self.pos]  # read by ``program``
+        pos = self.pos
+        tag = self.tags[pos]  # read by ``program``, with the two after it
         if tag == "var":
             return self.var_block()
         if tag == "function":
             return self.function_def()
-        if tag == IDENT and self.check("=", offset=1):
+        if tag == IDENT and self.tags[pos + 1] == "=":
             return self.object_decl()
         stmt = self.statement()
         self.expect(";")
@@ -265,8 +284,10 @@ class _Parser:
         return ast.Compound(tuple(body), self.offsets[start])
 
     def statement(self) -> ast.Stmt:
-        i = self.peek()
-        tag = self.tags[i]
+        i, tags = self.pos, self.tags
+        if tags[i + 1] is _MORE:
+            self.peek(1)
+        tag = tags[i]
         if tag == "begin":
             return self.compound()
         if tag == "if":
@@ -276,11 +297,11 @@ class _Parser:
             self.expect(":=")
             return ast.Assign("Return", self.expression(), self.offsets[i])
         if tag == IDENT:
-            if self.check(":=", offset=1):
+            if tags[i + 1] == ":=":
                 self.pos += 2
                 return ast.Assign(self.lexemes[i], self.expression(),
                                   self.offsets[i])
-            if self.check("(", offset=1):
+            if tags[i + 1] == "(":
                 self.pos += 2
                 return ast.Call(self.lexemes[i], tuple(self.call_args()),
                                 self.offsets[i])
@@ -301,7 +322,7 @@ class _Parser:
 
     def sole_expression(self) -> ast.Expr:
         expr = self.expression()
-        if not self.at_end():
+        if self.tags[self.pos] is not None:  # read by ``expression``
             raise self.error("trailing input after expression")
         return expr
 
@@ -317,16 +338,18 @@ class _Parser:
         expr = None  # the operand just read; None while one is wanted
         while True:
             i = self.pos
-            tag = tags[i] if i < len(tags) else tags[self.peek()]
+            if tags[i + 2] is _MORE:  # as far as this step reads
+                self.peek(2)
+            tag = tags[i]
             if expr is None:
                 if tag is None:
                     raise self.error("expected expression")
-                self.pos += 1
+                self.pos = i + 1
                 if tag == "-":
                     stack.append((ast.LEVEL_PREFIX, i, None))
-                elif tag == IDENT and not self.check("("):
+                elif tag == IDENT and tags[i + 1] != "(":
                     expr = ast.Ident(lexemes[i], offsets[i])
-                elif tag == IDENT and self.check(")", offset=1):
+                elif tag == IDENT and tags[i + 2] == ")":
                     self.pos += 2
                     expr = ast.Call(lexemes[i], (), offsets[i])
                 elif tag in ("(", "EVAL", IDENT):

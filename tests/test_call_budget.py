@@ -1,10 +1,12 @@
-"""How many Python calls one warm product makes, counted with
-``sys.setprofile``: calls of Python functions and of built-in functions
-and methods. The two statements are the ``concrete`` workload's, so work
-added on their path shows here as a count, not as a slower benchmark."""
+"""How many Python calls one warm product makes, and how many parsing
+one statement makes, counted with ``sys.setprofile``: calls of Python
+functions and of built-in functions and methods. The statements are the
+``concrete`` workload's, so work added on their path, in the evaluator or
+in the front end, shows here as a count, not as a slower benchmark."""
 
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -12,6 +14,26 @@ from psipp.cli import Session
 from psipp.parser import parse_program
 
 COMPLEX = ("z := z * w;", "z := (3, 4); w := (1, 2);")
+# the two lines that ``concrete`` repeats, each with its comment
+CONCRETE_PAIR = ("z := z * w; { Gaussian product j }\n"
+                 "m := m * u; { register sum j }\n")
+
+
+def profiled(run) -> list[str]:
+    """The names of the calls that ``run()`` makes."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+        elif event == "c_call" and arg is not sys.setprofile:
+            calls.append(arg.__qualname__)
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def calls_of(statement: str, setup: str) -> list[str]:
@@ -23,19 +45,7 @@ def calls_of(statement: str, setup: str) -> list[str]:
     program = parse_program(statement)
     for _ in range(2):
         session.interp.run_program(program)
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_qualname)
-        elif event == "c_call" and arg is not sys.setprofile:
-            calls.append(arg.__qualname__)
-    sys.setprofile(profile)
-    try:
-        session.interp.run_program(program)
-    finally:
-        sys.setprofile(None)
-    return calls
+    return profiled(partial(session.interp.run_program, program))
 
 
 @pytest.mark.parametrize("statement, setup, budget", [
@@ -67,3 +77,11 @@ def test_a_warm_product_reads_its_names_and_fields_in_place():
     calls = Counter(calls_of(*COMPLEX))
     assert calls["Interpreter.eval_expr"] == 1, calls
     assert calls["Interpreter.scope"] == 0, calls
+
+
+def test_parsing_a_statement_stays_within_its_call_budget():
+    # lexing and parsing, about 45 calls a statement: the tags are read in
+    # place, and ``peek`` is called only at the end of a batch of tokens
+    statements = 2 * 640
+    calls = profiled(partial(parse_program, CONCRETE_PAIR * 640))
+    assert len(calls) <= 50 * statements, Counter(calls)

@@ -73,6 +73,17 @@ def test_an_undecodable_byte_is_a_lexical_error(tmp_path):
         1, "", "error: 2:9: unexpected character '\\udcff'\n")
 
 
+@pytest.mark.parametrize("text, result", [
+    ("x := 2;\nprint(x * 3);\n", (0, "6\n", "")),
+    ("x := zz;\n", (3, "", "error: 1:6: unknown identifier 'zz'\n")),
+    ("print(1);\nx := 1 +", (1, "", "error: 2:9: expected expression\n")),
+], ids=["runs", "error-on-its-line", "error-on-a-later-line"])
+def test_a_byte_order_mark_is_skipped(tmp_path, text, result):
+    script = tmp_path / "bom.psi"
+    script.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run_to_strings(script) == result
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param("x := 1;\n{ a two-line\n comment } y := zz;\n",
                  "3:17: unknown identifier 'zz'", id="after-a-two-line-comment"),

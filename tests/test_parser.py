@@ -10,7 +10,7 @@ from psipp import ast, parser
 from psipp.algebra import make_interpreter
 from psipp.errors import (ArityError, EmptyWordError, LexError, ParseError,
                           PsiError, line_col)
-from psipp.lexer import IDENT, INT, tokenize
+from psipp.lexer import IDENT, INT, scan_into, tokenize
 from psipp.parser import (_Parser, parse_expression, parse_juxtaposition,
                           parse_program)
 from psipp.pretty import render_expr
@@ -520,6 +520,26 @@ def test_statements_nested_too_deeply_are_an_error_at_the_token_reached():
             assert streamed == listed, k
 
 
+def test_a_scan_stopped_by_the_python_stack_leaves_the_lists_whole():
+    # the stack may run out in any scan of a read, even after the read's
+    # first batches; the parse then goes on as if it had not
+    source = "x := 1; f(x, y);"
+    for scans in range(3):
+        reader = _Parser(source)
+        with pytest.MonkeyPatch.context() as patch:
+            left = iter(range(scans))
+
+            def stopped(*args):
+                if next(left, None) is None:
+                    raise RecursionError
+                return scan_into(*args)
+            patch.setattr(parser, "scan_into", stopped)
+            patch.setattr(parser, "_BATCH", 1)
+            with pytest.raises(RecursionError):
+                reader.peek(2)
+        assert reader.program() == parse_program(source), scans
+
+
 def recursion_error_uses(path: Path) -> list[str]:
     """Each mention of ``RecursionError`` in ``path``, named by the
     function, and the class, that it is in."""
@@ -656,6 +676,27 @@ def test_a_lexical_error_anywhere_in_a_batch_is_reported_as_listed():
             source = valid + "a + " * (tokens // 2) + "a" * (tokens % 2) + "?"
             for streamed, listed in stream_and_list(source):
                 assert streamed == listed, source
+
+
+@pytest.mark.parametrize("shape", [
+    "A = Object(Algebra);\n",
+    "A = Object(Algebra);\n  function infix *(X, Y : A) : A;\nend;\n",
+    "A = Object(Algebra);\n"
+    "function A.infix *(X, Y : A) : A; begin Return := X end;\n",
+    "x := f() * y.Re;\n",
+    "f(x, g());\n",
+    "var x, y : Algebra;\n",
+    "if x then f(x) else begin y := 1; Return := y end;\n",
+], ids=["object", "object-with-a-member", "qualified-definition", "assign",
+        "call", "var-block", "nested-statements"])
+def test_a_lookahead_reads_across_every_batch_boundary(shape):
+    # the k empty statements move the shape along a batch, so that each
+    # read one or two tokens ahead lands past the tokens scanned at some k
+    for k in range(64):
+        source = ";" * k + shape
+        for streamed, listed in stream_and_list(source, [parse_program]):
+            assert streamed == listed, k
+        assert isinstance(listed, ast.Program), listed
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
