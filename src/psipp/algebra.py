@@ -5,17 +5,24 @@ through the ordinary parser, so the hierarchy and the Complex
 multiplication body are genuinely interpreted. Natives implement the
 abstract ``Algebra.infix*`` (distributivity, one layer per call), Complex
 ``+``/``-`` and the monomial register product. Concrete arithmetic is the
-one kernel in ``values``, and distributivity is one tree rule shared by
-``distribute`` and the rewriter.
+one kernel in ``values``, and distributivity is one rule, a split of a
+product over a sum into two factor pairs, shared by ``distribute`` and
+the rewriter.
 
 ``simplify`` rewrites to a normal form innermost-leftmost, in one pass
 over the term: distribute products over sums, fold all-concrete
 applications, promote integers that meet complex values. Factor and
 summand order are never changed. The pass visits O(DAG size + steps)
-nodes. Traced, a step costs amortised O(1) frames plus the printed line,
-and the text stored is O(printed line): the frames of the walk keep the
-text around their operand slots, and a step's line is the text of the
-subterm it made spliced between them.
+nodes. It has two walks over the same rules, and whether a trace sink is
+given selects one. Untraced, the walk is big-step: operands are
+normalised before their root is tried, a distribution's products are
+tried as factor pairs before they are made, and its sum is made after
+them, so each node of the normal form is made once. Traced, the walk is
+small-step, since each step's term is printed. A step costs amortised
+O(1) frames plus the printed line, and the text stored is O(printed
+line): the frames of the walk keep the text around their operand slots,
+and a step's line is the text of the subterm it made spliced between
+them.
 """
 
 from __future__ import annotations
@@ -68,17 +75,29 @@ PRELUDE = parse_program([(tag, lexeme, None)
 
 # --- distributivity ---
 
+def _split(lhs: ast.Expr, rhs: ast.Expr) -> Optional[tuple[tuple, tuple]]:
+    """One layer of distributivity as two factor pairs: (C + D) * B splits
+    into (C, B) and (D, B), A * (E + F) into (A, E) and (A, F); None when
+    neither factor is a sum. Factor order is preserved
+    (noncommutative-safe)."""
+    if type(lhs) is ast.Infix and lhs.op == "+":
+        return (lhs.lhs, rhs), (lhs.rhs, rhs)
+    if type(rhs) is ast.Infix and rhs.op == "+":
+        return (lhs, rhs.lhs), (lhs, rhs.rhs)
+    return None
+
+
+def _distributed(split: tuple[tuple, tuple]) -> ast.Infix:
+    """The sum of the products of a split's two factor pairs."""
+    (a, b), (c, d) = split
+    return ast.Infix("+", ast.Infix("*", a, b), ast.Infix("*", c, d))
+
+
 def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
     """One layer of distributivity on trees: (C + D) * B -> C*B + D*B, or
-    A * (E + F) -> A*E + A*F; None when neither factor is a sum. Factor
-    order is preserved (noncommutative-safe)."""
-    if type(lhs) is ast.Infix and lhs.op == "+":
-        return ast.Infix("+", ast.Infix("*", lhs.lhs, rhs),
-                         ast.Infix("*", lhs.rhs, rhs))
-    if type(rhs) is ast.Infix and rhs.op == "+":
-        return ast.Infix("+", ast.Infix("*", lhs, rhs.lhs),
-                         ast.Infix("*", lhs, rhs.rhs))
-    return None
+    A * (E + F) -> A*E + A*F; None when neither factor is a sum."""
+    split = _split(lhs, rhs)
+    return None if split is None else _distributed(split)
 
 
 def distribute(a: Value, b: Value) -> Value:
@@ -112,22 +131,19 @@ def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
     return e.value if isinstance(e, ast.ValueLeaf) else None
 
 
-def _root_rewrite(e: ast.Expr) -> Optional[ast.Expr]:
-    """One rewrite at the root of an operator node whose operands are
-    normal: fold concrete operands, else distribute a product over a sum.
-    None when the root is no redex. A value leaf is always concrete."""
-    if type(e) is ast.Infix:
-        lhs, rhs = e.lhs, e.rhs
-        if type(lhs) is ast.ValueLeaf and type(rhs) is ast.ValueLeaf:
-            folded = _fold(e.op, [lhs.value, rhs.value])
-            if folded is not None:
-                return ast.ValueLeaf(folded)
-        return distribute_expr(lhs, rhs) if e.op == "*" else None
-    if type(e.operand) is ast.ValueLeaf:
-        folded = _fold(e.op, [e.operand.value])
+def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
+                  ) -> Optional[ast.ValueLeaf | tuple[tuple, tuple]]:
+    """One rewrite at the root of an application of ``op`` to normal
+    operands, ``rhs`` None for a prefix one: fold concrete operands to a
+    leaf, else split a product over a sum into two factor pairs. None when
+    the root is no redex. A value leaf is always concrete."""
+    if type(lhs) is ast.ValueLeaf \
+            and (rhs is None or type(rhs) is ast.ValueLeaf):
+        folded = _fold(op, [lhs.value] if rhs is None
+                       else [lhs.value, rhs.value])
         if folded is not None:
             return ast.ValueLeaf(folded)
-    return None
+    return _split(lhs, rhs) if op == "*" else None
 
 
 _HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
@@ -202,35 +218,94 @@ def _traced_line(path: list[list], lefts: list[str], rights: list[str],
     return "".join([*lefts, text, *reversed(rights)])
 
 
-def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
-             trace: Optional[Callable[[str], None]] = None) -> Value:
-    """Normal form of a value. Values other than thunks are already normal
-    forms. A thunk's body is rewritten as built: its leaves are concrete
-    values and its own free variables, and rewriting neither adds nor
-    drops an identifier, so the normal form keeps the thunk's captures. A
-    fold gives a value of its operands' joined type, so it keeps the type.
+_SUM = object()  # on the big-step stack above the factor pairs of a split
 
-    Each step rewrites the first redex in post-order, but the walk resumes
-    at the node just rewritten, since everything before it is normal. A
-    distribution ``C*B + D*B`` fires only on normal operands, so only its
-    new products' roots are tried and ``B`` is not walked again. A node of
-    the input found normal is not walked again either, where the body
-    shares it. That is O(DAG size + steps) node visits, on an explicit
-    stack whose frames are the path from the root. ``trace`` gets the
-    whole term after each step: the frames keep the text left and right
-    of their operand slots, made again only where a slot has moved, so a
-    step renders only the new subterm and joins the texts. A finished
-    operand whose slot moves takes its text from the line before, and the
-    render memo keeps the input nodes found normal until the pass ends,
-    so no node the term still holds is rendered twice. That is amortised
-    O(1) frames plus the printed line a step, and the text stored is
-    O(printed line) beside the texts of the input nodes rendered."""
-    if not isinstance(v, ThunkV):
-        return v
-    if trace is not None:
-        # by node id (see pretty); the text around the frames' slots; the
-        # line printed last
-        memo, lefts, rights, line = {}, [], [], None
+
+def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
+    """The normal form of ``body``, untraced: a big-step walk that
+    normalises an application's operands first and then tries its root
+    once. A distribution gives two factor pairs, not nodes: each pair is
+    tried as a product before it is made, and the sum is made after both
+    of its products are normal. An input node whose operands stay as they
+    are is kept, and not walked again where the body shares it."""
+    normal: set[int] = set()  # ids of input nodes found normal
+    steps = 0
+    # innermost last: an input node to normalise; [node], an input
+    # application whose operands' normal forms are on ``done``; a factor
+    # pair, a product not made yet; _SUM above the two factor pairs of a
+    # split, whose products' normal forms are then on ``done``
+    todo: list = [body]
+    done: list[ast.Expr] = []
+    while todo:
+        task = todo.pop()
+        kind = type(task)
+        if kind is tuple:
+            node, op, (lhs, rhs) = None, "*", task
+        elif task is _SUM:
+            node, op = None, "+"
+            rhs, lhs = done.pop(), done.pop()
+        elif kind is list:
+            node = task[0]
+            op = node.op
+            if type(node) is ast.Infix:
+                rhs, lhs = done.pop(), done.pop()
+            else:
+                lhs, rhs = done.pop(), None
+        elif (kind is ast.Infix or kind is ast.Prefix) \
+                and id(task) not in normal:
+            todo.append([task])
+            if kind is ast.Infix:
+                todo += (task.rhs, task.lhs)
+            else:
+                todo.append(task.operand)
+            continue
+        else:  # a leaf, or an input node found normal
+            done.append(task)
+            continue
+        new = _root_rewrite(op, lhs, rhs)
+        if new is None:
+            if node is None:
+                new = ast.Infix(op, lhs, rhs)
+            elif rhs is None:
+                new = node if lhs is node.operand else ast.Prefix(op, lhs)
+            elif lhs is node.lhs and rhs is node.rhs:
+                new = node
+            else:
+                new = ast.Infix(op, lhs, rhs)
+            if new is node:
+                normal.add(id(node))  # body keeps it, so its id stays unique
+            done.append(new)
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RewriteLimitExceeded(f"more than {max_steps} rewrite steps")
+        if type(new) is tuple:
+            todo += (_SUM, new[1], new[0])
+        else:
+            done.append(new)  # a folded leaf
+    return done[0]
+
+
+def _traced_normalise(body: ast.Expr, max_steps: int,
+                      trace: Callable[[str], None]) -> ast.Expr:
+    """The normal form of ``body``, with ``trace`` given the whole term
+    after each step: a small-step walk that rewrites the first redex in
+    post-order and resumes at the node just rewritten, since everything
+    before it is normal. A distribution ``C*B + D*B`` is made as nodes and
+    fires only on normal operands, so only its new products' roots are
+    tried and ``B`` is not walked again. An input node found normal is not
+    walked again either. The walk's frames are the path from the root, and
+    they keep the text left and right of their operand slots, made again
+    only where a slot has moved, so a step renders only the new subterm
+    and joins the texts. A finished operand whose slot moves takes its
+    text from the line before, and the render memo keeps the input nodes
+    found normal until the pass ends, so no node the term still holds is
+    rendered twice. That is amortised O(1) frames plus the printed line a
+    step, and the text stored is O(printed line) beside the texts of the
+    input nodes rendered."""
+    # by node id (see pretty); the text around the frames' slots; the
+    # line printed last
+    memo, lefts, rights, line = {}, [], [], None
     normal: set[int] = set()  # ids of input nodes found normal
     steps = 0
     # the ancestors of ``e``: frames [node, operand slot, operands normal,
@@ -238,7 +313,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     # holds an input node, and the node is rebuilt only when an operand
     # changes
     path: list[list] = []
-    e, operands_normal = v.body, False
+    e, operands_normal = body, False
     while True:
         if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
                 and id(e) not in normal:
@@ -246,13 +321,17 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
             e = e.lhs if type(e) is ast.Infix else e.operand
             continue
         if operands_normal:
-            new = _root_rewrite(e)
+            if type(e) is ast.Infix:
+                new = _root_rewrite(e.op, e.lhs, e.rhs)
+            else:
+                new = _root_rewrite(e.op, e.operand)
             if new is not None:
+                if type(new) is tuple:
+                    new = _distributed(new)
                 steps += 1
-                if trace is not None:
-                    line = _traced_line(path, lefts, rights, e, new, memo,
-                                        normal, line)
-                    trace(line)
+                line = _traced_line(path, lefts, rights, e, new, memo,
+                                    normal, line)
+                trace(line)
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
@@ -264,7 +343,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
                 e = new  # a folded leaf
         # e is normal: hand it to its parent
         if not path:
-            break
+            return e
         frame = path[-1]
         parent, slot, operands_normal, _ = frame
         siblings = (parent.lhs, parent.rhs) if type(parent) is ast.Infix \
@@ -272,18 +351,38 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
         if e is not siblings[slot]:
             parent = frame[0] = with_operand(parent, slot, e)
         elif not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
-            normal.add(id(e))  # v keeps it, so its id stays unique
+            normal.add(id(e))  # body keeps it, so its id stays unique
         if slot + 1 < len(siblings):
             frame[1] = slot + 1
             e = siblings[slot + 1]
         else:
             path.pop()
             e, operands_normal = parent, True
-            if not path and trace is None:
-                # not read after the root: freed before the result thunk
-                # is built, it stays out of the peak allocation (3 kB on
-                # expand); a trace keeps it for the render memo
-                normal.clear()
+
+
+def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
+             trace: Optional[Callable[[str], None]] = None) -> Value:
+    """Normal form of a value. Values other than thunks are already normal
+    forms. A thunk's body is rewritten as built: its leaves are concrete
+    values and its own free variables, and rewriting neither adds nor
+    drops an identifier, so the normal form keeps the thunk's captures. A
+    fold gives a value of its operands' joined type, so it keeps the type.
+
+    Rewriting is innermost-leftmost, by the rules of ``_root_rewrite``,
+    on an explicit stack, so a body of any depth is walked without
+    recursion, in O(DAG size + steps) node visits. Whether ``trace`` is
+    given selects the walk. Untraced, ``_normalise`` makes each node of
+    the normal form once. Traced, ``_traced_normalise`` makes each step's
+    term, which ``trace`` gets as a line. Both take the same steps and
+    raise the same error at the same step. A walk's stacks and ids are
+    freed when it returns, before the result thunk is built, so they stay
+    out of the peak allocation."""
+    if not isinstance(v, ThunkV):
+        return v
+    if trace is None:
+        e = _normalise(v.body, max_steps)
+    else:
+        e = _traced_normalise(v.body, max_steps, trace)
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf

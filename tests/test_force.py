@@ -232,15 +232,15 @@ def test_forcing_an_abstract_comparison_is_the_condition_error():
 
 def budget(limit: int, fn):
     """``fn``, failing the test on call ``limit + 1``: a walk that unfolds
-    the DAG into a tree fails at once instead of running for hours."""
-    calls = 0
-
+    the DAG into a tree fails at once instead of running for hours. Its
+    ``calls`` are the calls so far, so that a test can check the budget
+    was not met by a walk that no longer calls ``fn``."""
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        assert calls <= limit, f"more than {limit} calls"
+        counted.calls += 1
+        assert counted.calls <= limit, f"more than {limit} calls"
         return fn(*args)
 
+    counted.calls = 0
     return counted
 
 

@@ -1,13 +1,14 @@
-"""The one-pass normaliser in ``algebra.simplify`` against the rewriter it
-replaced: ``_rewrite_once`` below applies one rewrite at the first redex
-in post-order, and the oracle restarts it from the root after every step.
-Both must take the same steps, print the same trace, reach the same normal
-form and fail at the same step."""
+"""The two walks of ``algebra.simplify``, untraced and traced, against the
+rewriter they replaced: ``_rewrite_once`` below applies one rewrite at the
+first redex in post-order, and the oracle restarts it from the root after
+every step. All must take the same steps, print the same trace, reach the
+same normal form and fail at the same step."""
 
 import io
 from functools import partial, reduce
 from typing import Optional
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from psipp import algebra, ast, pretty
@@ -220,6 +221,12 @@ def leaf(n: int) -> ast.ValueLeaf:
     "+", ast.Ident("a"), ast.Infix("*", leaf(1), leaf(2))), ast.Infix(
         "+", ast.Ident("b"), ast.Infix("*", leaf(2), leaf(3)))))),
          10_000, True)
+# untraced, the budget runs out between the two products of one
+# distribution: x * BIG is normal, and BIG * BIG overflows before its fold
+# would take a second step
+@example(over_free(ast.Infix("*", ast.Infix(
+    "+", ast.Ident("x"), ast.ValueLeaf(RegisterV(BIG))),
+    ast.ValueLeaf(RegisterV(BIG)))), 1, False)
 def test_simplify_matches_restarting_oracle(v, max_steps, traced):
     expected = outcome(oracle_simplify, v, max_steps, traced)
     assert outcome(simplify, v, max_steps, traced) == expected
@@ -248,6 +255,17 @@ def test_overflow_example_fails_after_two_steps():
         == ["2 * x + 1 * 2", "2 * x + 2"]
 
 
+def test_untraced_overflow_example_fails_after_two_steps():
+    # the overflowing fold is the third root rewrite: with two steps
+    # allowed it raises its own error, with one the budget runs out first
+    v = overflow_after_a_step()
+    traced = outcome(simplify, v, 10_000, True)[1:]
+    assert outcome(simplify, v, 10_000, False) == ([], *traced)
+    assert outcome(simplify, v, 2, False)[1] is RegisterOverflow
+    assert outcome(simplify, v, 1, False)[1:] \
+        == (RewriteLimitExceeded, "more than 1 rewrite steps")
+
+
 # --- cost and depth ---
 
 def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
@@ -262,12 +280,29 @@ def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
     script.write_text(f"var {', '.join(xs + ys)} : Algebra;\n"
                       f"print(simplify(({' + '.join(xs)}) * "
                       f"({' + '.join(ys)})));\n")
-    monkeypatch.setattr(algebra, "_root_rewrite",
-                        budget(7 * n * n // 2, algebra._root_rewrite))
+    tries = budget(7 * n * n // 2, algebra._root_rewrite)
+    monkeypatch.setattr(algebra, "_root_rewrite", tries)
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     printed = out.getvalue().strip().replace("(", "").replace(")", "")
     assert printed.split(" + ") == [f"{x}*{y}" for x in xs for y in ys]
+    assert tries.calls > n * n  # each step is a try
+
+
+def test_expand_makes_each_node_of_its_normal_form_once(monkeypatch):
+    # the normal form holds n*n products and n*n - 1 sums, 2047 nodes at
+    # n = 32; a walk that makes C*B at each distribution and then rebuilds
+    # the sum around its normal form makes about 4*n*n
+    n = 32
+    v = expand_term(n)
+    made = budget(2 * n * n - 1, ast.Infix.__init__)
+    monkeypatch.setattr(ast.Infix, "__init__", made)
+    result = simplify(v)
+    monkeypatch.undo()
+    assert made.calls == 2 * n * n - 1
+    printed = render_value(result).replace("(", "").replace(")", "")
+    assert printed.split(" + ") \
+        == [f"x{a}*y{b}" for a in range(n) for b in range(n)]
 
 
 def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
@@ -280,11 +315,12 @@ def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
                       + "".join(f"a{j} := a{j - 1} * a{j - 1};\n"
                                 for j in range(1, k + 1))
                       + f"b := simplify(a{k}); print(1);\n")
-    monkeypatch.setattr(algebra, "_root_rewrite",
-                        budget(k + 3, algebra._root_rewrite))
+    tries = budget(k + 3, algebra._root_rewrite)
+    monkeypatch.setattr(algebra, "_root_rewrite", tries)
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     assert out.getvalue() == "1\n"
+    assert tries.calls >= k + 1
 
 
 def traced_expand(monkeypatch, n, patches):
@@ -365,3 +401,44 @@ def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
     out, err = io.StringIO(), io.StringIO()
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     assert out.getvalue() == "1\n"
+
+
+DEEP = 1500  # beyond the default recursion limit of 1000
+
+
+def right_distribution():
+    # y * (x + ... + x) distributes on the right at each of its steps
+    x, y = ast.Ident("x"), ast.Ident("y")
+    total = reduce(partial(ast.Infix, "+"), [x] * DEEP)
+    return (over_free(ast.Infix("*", y, total)), DEEP - 1,
+            " + ".join(["y*x"] * DEEP))
+
+
+def negations_over(inner: ast.Expr) -> ThunkV:
+    return over_free(reduce(lambda e, _: ast.Prefix("-", e), range(DEEP),
+                            inner))
+
+
+def remade_negations():
+    # the fold below remakes each prefix minus above it
+    x, three = ast.Ident("x"), ast.Infix("+", leaf(1), leaf(2))
+    return (negations_over(ast.Infix("*", x, three)), 1,
+            "-" * DEEP + "(3*x)")
+
+
+def folded_negations():
+    # the fold's result folds again at each prefix minus
+    return negations_over(ast.Infix("+", leaf(1), leaf(2))), DEEP + 1, "3"
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("case", [right_distribution, remade_negations,
+                                  folded_negations])
+def test_deep_body_simplifies_in_both_walks(case, traced):
+    v, steps, printed = case()
+    lines = []
+    result = simplify(v, trace=lines.append if traced else None)
+    assert render_value(result) == printed
+    if traced:
+        assert len(lines) == steps
+        assert lines[-1] == render_value(result, spaced=True)
