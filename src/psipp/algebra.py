@@ -18,11 +18,13 @@ given selects one. Untraced, the walk is big-step: operands are
 normalised before their root is tried, a distribution's products are
 tried as factor pairs before they are made, and its sum is made after
 them, so each node of the normal form is made once. Traced, the walk is
-small-step, since each step's term is printed. A step costs amortised
-O(1) frames plus the printed line, and the text stored is O(printed
-line): the frames of the walk keep the text around their operand slots,
-and a step's line is the text of the subterm it made spliced between
-them.
+small-step, since each step's term is printed. A step lays out only the
+nodes it made, from the texts of their operands that the walk holds, and
+splices that text between the texts its frames keep around their operand
+slots. A subtree whose text it does not hold is rendered whole when first
+asked for. A step costs amortised O(1) frames plus the printed line, and
+the text held is O(printed line), but for the operands of a factor that
+several products share.
 """
 
 from __future__ import annotations
@@ -147,75 +149,112 @@ def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
 
 
 _HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
+_REMADE = object()  # a frame's own held text when the walk made its node
 
 
-def _context(frame: list, child: ast.Expr, level: int, memo: dict,
-             finished: Optional[str]) -> tuple[str, str]:
+def _settled(e: ast.Expr, held: Optional[list]) -> list:
+    """``held``, the held text ``[text, level, operand texts]`` of ``e``,
+    with its text made: an input subtree with none, or a node the walk
+    made again, is rendered whole."""
+    if held is None:
+        return [*expr_text(e, True), None]
+    if held[0] is None:
+        held[0] = expr_text(e, True)[0]
+    return held
+
+
+def _operand_texts(e: ast.Infix, held: Optional[list]) -> list:
+    """The held texts of the operands of ``e``, whose held text is
+    ``held``, with their texts made: those it keeps, else cut out of its
+    text where a layout puts a hole in their place (rendering the right one
+    first if neither is a leaf), and kept; else rendered whole."""
+    if held is None:
+        return [_settled(op, None) for op in operands(e)]
+    kids = held[2]
+    if kids is not None:
+        if len(held) > 3:  # a frame, whose operands may have no text yet
+            kids[:] = map(_settled, operands(e), kids)
+        return kids
+    ops = operands(e)
+    kids = held[2] = [[*head(op), None] for op in ops]
+    if kids[0][0] is None and kids[1][0] is None:
+        kids[1] = _settled(e.rhs, None)
+    for kid in kids:
+        if kid[0] is None:
+            kid[0] = _HOLE
+            left, _, right = layout(e, ops, kids, True)[0].partition(_HOLE)
+            kid[0] = held[0][len(left):len(held[0]) - len(right)]
+    return kids
+
+
+def _laid_out(new: ast.Infix, old: ast.Infix, held: Optional[list]) -> list:
+    """The held text of ``new``, the distribution ``C*B + D*B`` or ``A*E +
+    A*F`` of ``old``, whose held text is ``held``: the two products and the
+    sum are laid out from the factors' held texts."""
+    lhs, rhs = _operand_texts(old, held)
+    if new.lhs.lhs is old.lhs:  # A * (E + F)
+        a = c = lhs
+        b, d = _operand_texts(old.rhs, rhs)
+    else:  # (C + D) * B
+        a, c = _operand_texts(old.lhs, lhs)
+        b = d = rhs
+    p1, p2 = new.lhs, new.rhs
+    first = [*layout(p1, (p1.lhs, p1.rhs), (a, b), True), [a, b]]
+    second = [*layout(p2, (p2.lhs, p2.rhs), (c, d), True), [c, d]]
+    return [*layout(new, (p1, p2), (first, second), True), [first, second]]
+
+
+def _context(frame: list, child: ast.Expr, level: int) -> tuple[str, str]:
     """The spaced text left and right of ``child``, of precedence
-    ``level``, in the operand slot of ``frame``'s node; ``finished`` is the
-    text of the node's left operand, if known. The layout gets the operands
-    as they stand, so the scalar-first swap and the parentheses follow
-    ``child``."""
-    node, slot = frame[0], frame[1]
+    ``level``, in the operand slot of ``frame``'s node, laid out with the
+    held text of the other operand, as they stand: the scalar-first swap
+    and the parentheses follow ``child``."""
+    node, texts, slot = frame[3], frame[2], frame[4]
     hole = (_HOLE, level)
     if type(node) is not ast.Infix:
-        kids, texts = (child,), (hole,)
+        kids, laid = (child,), (hole,)
     elif slot:
-        kids = (node.lhs, child)
-        lhs = expr_text(node.lhs, True, memo) if finished is None \
-            else (finished, head(node.lhs)[1])
-        texts = (lhs, hole)
+        texts[0] = _settled(node.lhs, texts[0])
+        kids, laid = (node.lhs, child), (texts[0], hole)
     else:
-        kids = (child, node.rhs)
-        texts = (hole, expr_text(node.rhs, True, memo))
-    left, _, right = layout(node, kids, texts, True)[0].partition(_HOLE)
+        texts[1] = _settled(node.rhs, texts[1])
+        kids, laid = (child, node.rhs), (hole, texts[1])
+    left, _, right = layout(node, kids, laid, True)[0].partition(_HOLE)
     return left, right
 
 
 def _traced_line(path: list[list], lefts: list[str], rights: list[str],
-                 old: ast.Expr, new: ast.Expr, memo: dict, normal: set[int],
-                 line: Optional[str]) -> str:
-    """The whole term after ``old``, below the frames on ``path``, was
-    rewritten to ``new``: ``new``'s text spliced between the frames' texts,
-    which ``lefts`` and ``rights`` keep for a prefix of ``path``. A frame's
-    text is stale if it has none or its slot has moved since it was made.
-    A slot moves only in the innermost frame, so the stale frames lie below
-    the first current one up from there; only they and the innermost frame
-    get their text made again. Of them, only the outermost can have text
-    for its old slot: its finished left operand is then the text between
-    its own and the outer frames' texts in ``line``, the line before, and
-    is not rendered again. The render memo then forgets ``old``, its
-    operands and ``new``, whose text no frame asks for while it is on the
-    path, but keeps an input node found normal (in ``normal``), which the
-    term may still hold and the input keeps alive anyway: no node the walk
-    dropped stays alive in it, and no such input node is rendered twice."""
-    text, level = expr_text(new, True, memo)
-    for done in (old, *operands(old), new):
-        if id(done) not in normal:
-            memo.pop(id(done), None)
+                 new: ast.Expr, held: list, line: Optional[str]) -> str:
+    """The whole term after the subterm below the frames on ``path`` was
+    rewritten to ``new``, of held text ``held``: that text spliced between
+    the frames' texts, which ``lefts`` and ``rights`` keep for a prefix of
+    ``path``. A frame's text is stale if it has none or its slot has moved
+    since it was made. A slot moves only in the innermost frame, so only
+    the frames below the first current one up from there, and the
+    innermost, get their text made again. Only the outermost of them can
+    have text for its old slot: a finished left operand the walk made
+    again then takes its text from where it stands in ``line``."""
     if not path:
-        return text
+        return held[0]
     top = first = len(path) - 1
-    while first and path[first - 1][3] != path[first - 1][1]:
+    while first and path[first - 1][6] != path[first - 1][4]:
         first -= 1
-    finished = None
-    if path[first][3] == 0 and path[first][1]:
-        finished = line[sum(map(len, lefts[:first + 1])):
-                        len(line) - sum(map(len, rights[:first + 1]))]
+    frame = path[first]
+    if frame[6] == 0 and frame[4] and frame[2][0][0] is None:
+        frame[2][0][0] = line[sum(map(len, lefts[:first + 1])):
+                              len(line) - sum(map(len, rights[:first + 1]))]
     del lefts[first:], rights[first:]
     for k in range(first, top + 1):
         frame = path[k]
         if k < top:
-            child = path[k + 1][0]
-            left, right = _context(frame, child, head(child)[1], memo,
-                                   finished)
+            child = path[k + 1][3]
+            left, right = _context(frame, child, head(child)[1])
         else:
-            left, right = _context(frame, new, level, memo, finished)
-        finished = None
-        frame[3] = frame[1]
+            left, right = _context(frame, new, held[1])
+        frame[6] = frame[4]
         lefts.append(left)
         rights.append(right)
-    return "".join([*lefts, text, *reversed(rights)])
+    return "".join([*lefts, held[0], *reversed(rights)])
 
 
 _SUM = object()  # on the big-step stack above the factor pairs of a split
@@ -294,31 +333,39 @@ def _traced_normalise(body: ast.Expr, max_steps: int,
     before it is normal. A distribution ``C*B + D*B`` is made as nodes and
     fires only on normal operands, so only its new products' roots are
     tried and ``B`` is not walked again. An input node found normal is not
-    walked again either. The walk's frames are the path from the root, and
-    they keep the text left and right of their operand slots, made again
-    only where a slot has moved, so a step renders only the new subterm
-    and joins the texts. A finished operand whose slot moves takes its
-    text from the line before, and the render memo keeps the input nodes
-    found normal until the pass ends, so no node the term still holds is
-    rendered twice. That is amortised O(1) frames plus the printed line a
-    step, and the text stored is O(printed line) beside the texts of the
-    input nodes rendered."""
-    # by node id (see pretty); the text around the frames' slots; the
-    # line printed last
-    memo, lefts, rights, line = {}, [], [], None
+    walked again either.
+
+    Texts are held as ``[text, level, operand texts]``. A step lays out
+    only what it made: a distribution's products and sum from its factors'
+    held texts, a fold's leaf from ``head``. A text the walk does not hold
+    is cut out of its parent's, or rendered whole: an input subtree handed
+    over whole, or a node made again when an operand changed. The frames
+    of the walk are the path from the root; each keeps its operands' held
+    texts and the text left and right of its slot, made again only where
+    the slot has moved, and a step joins them around its text. A finished
+    left operand made again takes its text from the line before. That is
+    amortised O(1) frames plus the printed line a step. The texts held are
+    those of the nodes beside the path and their operands, O(printed
+    line), and those cut out of a factor that several products share,
+    kept while it is in the term."""
+    lefts: list[str] = []  # the text left of each frame's slot
+    rights: list[str] = []  # and right of it
+    line = None  # the line printed last
     normal: set[int] = set()  # ids of input nodes found normal
     steps = 0
-    # the ancestors of ``e``: frames [node, operand slot, operands normal,
-    # slot of the trace text]; a frame whose operands are not known normal
-    # holds an input node, and the node is rebuilt only when an operand
-    # changes
+    # the ancestors of ``e``, whose held text is ``held``: frames [None,
+    # level, operand texts, node, operand slot, operands normal, slot of
+    # the trace text, held text of the node]. A frame whose node the walk
+    # made is that node's held text; one whose operands are not known
+    # normal holds an input node, rebuilt only when an operand changes
     path: list[list] = []
-    e, operands_normal = body, False
+    e, held, operands_normal = body, None, False
     while True:
         if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
                 and id(e) not in normal:
-            path.append([e, 0, False, None])
-            e = e.lhs if type(e) is ast.Infix else e.operand
+            path.append([None, head(e)[1], [None, None], e, 0, False, None,
+                         held])
+            e, held = e.lhs if type(e) is ast.Infix else e.operand, None
             continue
         if operands_normal:
             if type(e) is ast.Infix:
@@ -328,36 +375,43 @@ def _traced_normalise(body: ast.Expr, max_steps: int,
             if new is not None:
                 if type(new) is tuple:
                     new = _distributed(new)
+                    held = _laid_out(new, e, held)
+                else:
+                    held = [*head(new), None]
                 steps += 1
-                line = _traced_line(path, lefts, rights, e, new, memo,
-                                    normal, line)
+                line = _traced_line(path, lefts, rights, new, held, line)
                 trace(line)
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
                 if type(new) is ast.Infix:
                     # C*B + D*B: the products' operands are normal
-                    path.append([new, 0, True, None])
-                    e = new.lhs
+                    first, second = held[2]
+                    path.append([None, held[1], [None, second], new, 0, True,
+                                 None, _REMADE])
+                    e, held = new.lhs, first
                     continue
                 e = new  # a folded leaf
         # e is normal: hand it to its parent
         if not path:
             return e
         frame = path[-1]
-        parent, slot, operands_normal, _ = frame
+        _, _, texts, parent, slot, operands_normal, _, _ = frame
         siblings = (parent.lhs, parent.rhs) if type(parent) is ast.Infix \
             else (parent.operand,)
         if e is not siblings[slot]:
-            parent = frame[0] = with_operand(parent, slot, e)
+            parent = frame[3] = with_operand(parent, slot, e)
+            frame[7] = _REMADE
         elif not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
             normal.add(id(e))  # body keeps it, so its id stays unique
+        texts[slot] = held
         if slot + 1 < len(siblings):
-            frame[1] = slot + 1
-            e = siblings[slot + 1]
+            frame[4] = slot + 1
+            e, held, texts[slot + 1] = siblings[slot + 1], texts[slot + 1], None
         else:
             path.pop()
             e, operands_normal = parent, True
+            held = frame if frame[7] is _REMADE else frame[7]
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,

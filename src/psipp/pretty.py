@@ -8,11 +8,12 @@ minus tightest, then ``*``, then ``+``/``-``, then ``=``.
 
 The parenthesis rule is ``_parenthesised``, made once into two tables
 indexed by an operator's level and its operand's; the scalar-first rule is
-``_scalar_first``; ``head`` gives a node's level, and a leaf's text. Two
-renderers read them. Printing (``render_value``, ``render_expr``) emits
-pieces in pre-order into one list, joined a chunk at a time. A trace
-splice keeps ``expr_text``, a post-order walk that memoises each node's
-text, and ``layout``: a step renders only the nodes it made.
+``_scalar_first``; ``head`` gives a node's level, and a leaf's text. The
+emitter reads them to print (``render_value``, ``render_expr``): it
+writes pieces in pre-order into one list, joined a chunk at a time. A
+trace step reads them through ``layout``, which lays out one node from
+the texts of its operands that the step holds, and ``expr_text``, the
+emitter for an input subtree whose text the step does not hold yet.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ def _value_text(v: Value) -> tuple[str, int]:
 
 
 _SCALARS = (int, ComplexV)
-_LAYOUT = object()  # on the stack above an Infix whose operands are done
-_COMPOSE = object()  # the same for any other node with operands
 _CHUNK = 128  # pieces an emitter joins into one chunk
 
 
@@ -124,18 +123,19 @@ def head(e: ast.Expr) -> tuple[Optional[str], int]:
     return None, LEVEL_ATOM  # Call, FieldAccess, InheritedCall, PairLit
 
 
-def layout(e: ast.Expr, kids: Sequence[ast.Expr],
-           texts: Sequence[tuple[str, int]], spaced: bool) -> tuple[str, int]:
+def layout(e: ast.Expr, kids: Sequence[ast.Expr], texts: Sequence[Sequence],
+           spaced: bool) -> tuple[str, int]:
     """Text and level of the ``Infix`` or ``Prefix`` node ``e`` applied to
-    ``kids``, whose texts and levels are ``texts``: a memoised rendering
-    passes ``e``'s own operands, a trace splice the operands as they stand
-    after a rewrite below ``e``."""
+    ``kids``, whose texts and levels lead the entries of ``texts``: a
+    trace step passes the operands as they stand after a rewrite, or a
+    hole in place of one of them."""
     if not isinstance(e, ast.Infix):
-        text, level = texts[0]
+        text, level = texts[0][0], texts[0][1]
         if _LEFT_PARENS[LEVEL_PREFIX][level]:
             return f"-({text})", LEVEL_PREFIX
         return f"-{text}", LEVEL_PREFIX
-    (lhs, lhs_level), (rhs, rhs_level) = texts
+    first, second = texts
+    lhs, lhs_level, rhs, rhs_level = first[0], first[1], second[0], second[1]
     level = INFIX_LEVELS[e.op]
     if level == LEVEL_MUL and _scalar_first(*kids):
         lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
@@ -170,49 +170,11 @@ def _wrapped(operand: ast.Expr, level: int) -> tuple:
     return (operand,)
 
 
-def expr_text(e: ast.Expr, spaced: bool, memo: dict) -> tuple[str, int]:
-    """Text and precedence level of ``e``, for a trace splice. ``memo``
-    maps ``id(node)`` to ``(node, text, level)`` for the nodes rendered
-    before in this style: a text does not depend on the parent, and
-    holding the node keeps its id from being reused while the entry lives.
-
-    One post-order walk on an explicit stack, so any depth renders. A node
-    with operands is pushed below its id, a marker and its operands; when
-    the marker comes back up, the operands' texts are the last on
-    ``texts``."""
-    texts: list[tuple[str, int]] = []
-    stack: list = [e]
-    while stack:
-        node = stack.pop()
-        if node is _LAYOUT:
-            node, key = stack.pop(), stack.pop()
-            rhs = texts.pop()
-            texts[-1] = layout(node, (node.lhs, node.rhs), (texts[-1], rhs),
-                               spaced)
-        elif node is _COMPOSE:
-            node, key = stack.pop(), stack.pop()
-            start = len(texts) - len(ast.operands(node))
-            kids = iter(texts[start:])
-            del texts[start:]
-            text = "".join(piece if type(piece) is str else next(kids)[0]
-                           for piece in _spread(node))
-            texts.append((text, head(node)[1]))
-        else:
-            key = id(node)
-            hit = memo.get(key)
-            if hit is not None:
-                texts.append(hit[1:])
-                continue
-            if type(node) is ast.Infix:  # the most common node
-                stack += (key, node, _LAYOUT, node.rhs, node.lhs)
-                continue
-            text, level = head(node)
-            if text is None:
-                stack += (key, node, _COMPOSE, *reversed(ast.operands(node)))
-                continue
-            texts.append((text, level))
-        memo[key] = (node, *texts[-1])
-    return texts[0]
+def expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
+    """Text and precedence level of ``e``, rendered whole: for a trace
+    step, which lays out its new nodes from the texts it holds, this
+    renders an input subtree whose text it does not hold yet."""
+    return _emit(e, spaced), head(e)[1]
 
 
 def _emit(e: ast.Expr, spaced: bool) -> str:

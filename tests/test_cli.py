@@ -438,8 +438,10 @@ def python310_environ():
 
 
 def test_golden_demos_on_the_oldest_supported_python():
-    """``requires-python`` is 3.10, which ``dataclass(slots=True)`` needs:
-    run every demo there too, when a ``python3.10`` is on the PATH."""
+    """Run every demo on Python 3.10 too, when one is found on the PATH or
+    through pyenv: a check older than the supported floor, which
+    ``requires-python`` sets at 3.11. 3.10 is the oldest with
+    ``dataclass(slots=True)``, which the tree needs."""
     env = python310_environ()
     if env is None:
         pytest.skip("no usable python3.10 on the PATH")

@@ -1,14 +1,14 @@
-"""Both renderers against the recursive renderer they replaced, kept here
-as the oracle, on random trees and DAGs of every expression kind: the
-pre-order emitter behind ``render_expr`` and ``render_value``, and the
-memoised post-order ``expr_text`` that trace splices read."""
+"""The renderer against the recursive renderer it replaced, kept here as
+the oracle, on random trees and DAGs of every expression kind: the
+pre-order emitter behind ``render_expr``, ``render_value`` and
+``expr_text``, and the operand texts a trace step cuts out of a layout."""
 
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
 from psipp import ast
-from psipp.algebra import simplify
+from psipp.algebra import _operand_texts, simplify
 from psipp.ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL,
                        LEVEL_PREFIX)
 from psipp.monomials import MonomialRegister
@@ -146,26 +146,32 @@ def test_renderer_matches_the_recursive_oracle(dag, spaced):
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(dags(), st.booleans(), st.data())
-def test_memoised_renderer_matches_the_recursive_oracle(dag, spaced, data):
-    # as a trace splice does: some node is rendered into the memo first,
-    # then the root finds it there; both memos end up holding every node
-    root, pool = dag
-    first = data.draw(st.sampled_from(pool))
-    memo, oracle_memo = {}, {}
-    assert (expr_text(first, spaced, memo)
-            == oracle_expr_text(first, spaced, oracle_memo))
-    assert (expr_text(root, spaced, memo)
-            == oracle_expr_text(root, spaced, oracle_memo))
-    assert memo == oracle_memo
-    # a hit returns the stored text
-    assert expr_text(root, spaced, memo) == oracle_expr_text(root, spaced)
+@given(dags(), st.booleans())
+def test_whole_text_and_level_match_the_recursive_oracle(dag, spaced):
+    root, _ = dag
+    assert expr_text(root, spaced) == oracle_expr_text(root, spaced)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(dags())
+def test_operand_texts_cut_out_of_a_held_text_match_the_oracle(dag):
+    # a trace step takes its factors' texts out of the text it holds for
+    # their parent, where a layout with a hole in their place leaves room:
+    # parentheses, separator and scalar-first swap come off as laid on
+    _, pool = dag
+    for node in pool:
+        if isinstance(node, ast.Infix):
+            text, level = oracle_expr_text(node, True)
+            assert [entry[:2] for entry in _operand_texts(
+                node, [text, level, None])] == [
+                    list(oracle_expr_text(kid, True))
+                    for kid in ast.operands(node)]
 
 
 def test_emitter_memory_stays_near_the_text():
     # pieces are joined into chunks as they come, so no list holds a
-    # pointer for every few characters of text: the memoised renderer
-    # peaks at about 2x the text, one flat list of pieces at about 4.4x
+    # pointer for every few characters of text: a memoised post-order
+    # renderer peaks at about 2x the text, one flat list of pieces at 4.4x
     result = simplify(expand_term(64))
     render_value(result)  # so that no one-time allocation is counted
     tracemalloc.start()

@@ -5,6 +5,7 @@ every step. All must take the same steps, print the same trace, reach the
 same normal form and fail at the same step."""
 
 import io
+import tracemalloc
 from functools import partial, reduce
 from typing import Optional
 
@@ -391,6 +392,41 @@ def test_traced_expand_makes_amortised_constant_frame_texts(monkeypatch):
     frames_pushed = 2 * n - 1 + steps
     traced_expand(monkeypatch, n, [(algebra, "_context", budget(
         steps + frames_pushed, algebra._context))])
+
+
+def test_traced_expand_renders_each_input_node_whole_once_at_most(
+        monkeypatch):
+    # a step lays out its new nodes from the texts the walk holds, so the
+    # renderer of whole subtrees runs only on input nodes, and at most once
+    # for each: at most 4n times for the 4n - 1 nodes of the input (twice
+    # here, for the left operands of the x- and y-sums at the first step).
+    # Rendering the new subterm and a frame's other operand through a
+    # render memo at each step enters it about twice a step
+    n = 32
+    renders = budget(4 * n, pretty.expr_text)
+    traced_expand(monkeypatch, n, [(pretty, "expr_text", renders),
+                                   (algebra, "expr_text", renders)])
+    assert renders.calls > 0
+
+
+def test_traced_left_deep_chain_holds_text_linear_in_its_line():
+    # (x + ... + x) * y distributes down the chain: the texts held are
+    # those of the nodes beside the path, not of every prefix of the chain.
+    # 1.53 MB measured with 1500 sums (Python 3.11), and linear in them;
+    # keeping each prefix's text, as a render memo does, peaks at 5.91 MB
+    sums = 1500
+    x, y = ast.Ident("x"), ast.Ident("y")
+    v = over_free(ast.Infix("*", reduce(partial(ast.Infix, "+"),
+                                        [x] * (sums + 1)), y))
+    lines = []
+    tracemalloc.start()
+    try:
+        simplify(v, trace=lambda line: lines.append(len(line)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == sums
+    assert peak <= 1.25 * 1.53e6
 
 
 def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
