@@ -13,7 +13,7 @@ emitter reads them to print (``render_value``, ``render_expr``): it
 writes pieces in pre-order into one list, joined a chunk at a time. A
 trace step reads them through ``layout``, which lays out one node from
 the texts of its operands that the step holds, and ``expr_text``, the
-emitter for an input subtree whose text the step does not hold yet.
+emitter for a subtree whose text the step does not hold.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _wrapped(operand: ast.Expr, level: int) -> tuple:
 def expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
     """Text and precedence level of ``e``, rendered whole: for a trace
     step, which lays out its new nodes from the texts it holds, this
-    renders an input subtree whose text it does not hold yet."""
+    renders a subtree whose text it does not hold."""
     return _emit(e, spaced), head(e)[1]
 
 

@@ -399,9 +399,9 @@ def test_traced_expand_renders_each_input_node_whole_once_at_most(
     # a step lays out its new nodes from the texts the walk holds, so the
     # renderer of whole subtrees runs only on input nodes, and at most once
     # for each: at most 4n times for the 4n - 1 nodes of the input (twice
-    # here, for the left operands of the x- and y-sums at the first step).
-    # Rendering the new subterm and a frame's other operand through a
-    # render memo at each step enters it about twice a step
+    # here, the x- and y-sums at the first step; their operands' texts are
+    # cut out of theirs). Rendering the new subterm and a frame's other
+    # operand through a render memo at each step enters it twice a step
     n = 32
     renders = budget(4 * n, pretty.expr_text)
     traced_expand(monkeypatch, n, [(pretty, "expr_text", renders),
