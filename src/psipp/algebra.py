@@ -440,7 +440,7 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf
-    return thunk(e, v.capture_map())
+    return thunk(e, v.captures)
 
 
 # --- prelude installation ---

@@ -29,9 +29,9 @@ from .errors import (EvalError, NoSuchMethod, PsiError, ReboundParVariable,
                      UnassignedReturn, UnknownIdentifier)
 from .objects import Registry, UserMethod
 from .pretty import render_value
-from .values import (FAIL, INT_INFIX, ComplexV, FreeVarV, ThunkV, Value,
-                     arith, classify_binding, int_arith, promote, thunk,
-                     type_name_of)
+from .values import (FAIL, INT_INFIX, CaptureSource, ComplexV, FreeVarV,
+                     ThunkV, Value, arith, classify_binding, int_arith,
+                     promote, thunk, type_name_of)
 
 DEFAULT_REWRITE_LIMIT = 10_000
 # calls that are statements writing to the line sink, never expressions
@@ -42,13 +42,15 @@ _COMPLEX_FIELDS = {"Re": attrgetter("re"), "Im": attrgetter("im")}
 Frame = dict[str, Value]  # a method's names, or the globals at top level
 
 
-def as_repr(v: Value) -> tuple[ast.Expr, dict[str, Value]]:
-    """Operand representation for thunk bodies: sub-thunks inline their
-    body, free variables stay identifier leaves, values become leaves."""
+def as_repr(v: Value) -> tuple[ast.Expr, CaptureSource]:
+    """Operand representation for thunk bodies and the source of its
+    captures: sub-thunks inline their body and hand over their captures
+    record, free variables stay identifier leaves and capture themselves,
+    values become leaves and capture nothing."""
     if isinstance(v, ThunkV):
-        return v.body, v.capture_map()
+        return v.body, v.captures
     if isinstance(v, FreeVarV):
-        return ast.Ident(v.name), {v.name: v}
+        return ast.Ident(v.name), v
     return ast.ValueLeaf(v), {}
 
 
@@ -63,7 +65,8 @@ def value_of_repr(expr: ast.Expr, captures: dict[str, Value]) -> Value:
 
 def operator_thunk(op: str, args: list[Value]) -> ThunkV:
     """The symbolic application ``op(args)``, infix on two operands and
-    prefix on one; on a capture clash the right operand wins."""
+    prefix on one, over its operands' captures, merged when first read; on
+    a capture clash the right operand wins."""
     exprs, captures = zip(*map(as_repr, args))
     node = ast.Infix if len(exprs) == 2 else ast.Prefix
     return thunk(node(op, *exprs), *captures)

@@ -6,16 +6,18 @@ free variable, thunk (lazy functional object), or the universal ``fail``
 sentinel. An integer is a plain Python ``int``, tested by exact type, so
 a ``bool`` is never one, and never by truth, as ``0`` is falsy. The other
 values are slotted dataclasses, immutable by convention as
-``tests/test_immutability.py`` checks, and may be shared. The kernel holds
-the one definition of concrete Gaussian-integer arithmetic, of thunk
-construction, and of a functional object's type, read off its body.
+``tests/test_immutability.py`` checks, and may be shared. A functional
+object's captures are a ``Captures`` record, which merges the captures of
+its operands once, when first read. The kernel holds the one definition of
+concrete Gaussian-integer arithmetic, of thunk construction, and of a
+functional object's type, read off its body.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import ast
 from .errors import EvalError
@@ -65,21 +67,87 @@ class _Fail(Value):
 FAIL = _Fail()
 
 
+class Captures:
+    """A functional object's captures, sorted ``(name, FreeVarV)`` pairs
+    merged from its sources when first read.
+
+    A source is another record, a ``FreeVarV`` or a dict of name to value.
+    The later source wins a clash, at any depth: the merge walks the
+    sources right to left on an explicit stack, keeps the first binding it
+    meets for each name, and walks a shared record once, as its first walk
+    bound all its names. So building a record is O(1), and its first read
+    is linear in the records and bindings it reaches and drops its
+    sources. Equality, hashing and iteration are those of the pairs."""
+
+    __slots__ = ("_pairs", "_sources")
+
+    def __init__(self, *sources: CaptureSource):
+        self._pairs: Optional[tuple[tuple[str, Value], ...]] = None
+        self._sources = sources
+
+    @property
+    def pairs(self) -> tuple[tuple[str, Value], ...]:
+        """The merged pairs. Records are told apart by ``id``, as hashing
+        one merges it."""
+        if self._pairs is not None:
+            return self._pairs
+        bound: dict[str, Value] = {}
+        seen: set[int] = set()
+        pending = list(self._sources)
+        while pending:
+            source = pending.pop()
+            if type(source) is Captures:
+                if id(source) in seen:
+                    continue
+                seen.add(id(source))
+                if source._pairs is None:
+                    pending += source._sources
+                    continue
+                pairs = source._pairs
+            elif type(source) is FreeVarV:
+                pairs = ((source.name, source),)
+            else:
+                pairs = source.items()
+            for name, value in pairs:
+                bound.setdefault(name, value)
+        self._pairs, self._sources = tuple(sorted(bound.items())), ()
+        return self._pairs
+
+    def __iter__(self) -> Iterator[tuple[str, Value]]:
+        return iter(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Captures):
+            other = other.pairs
+        return self.pairs == other
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return repr(self.pairs)
+
+
+CaptureSource = Captures | FreeVarV | dict[str, Value]
+
+
 @dataclass(unsafe_hash=True, slots=True)
 class ThunkV(Value):
     """A lazy functional object: an unevaluated expression over its free
     variables.
 
     ``body`` leaves are either ``ValueLeaf`` (a concrete value, never a
-    thunk or a free variable) or ``Ident`` (a free variable). ``captures``
-    holds exactly the free identifiers, each bound to the ``FreeVarV`` of
-    its own name, which carries its declared type; forcing binds them by
-    name. Shared subterms stay shared: the body is a DAG. Its type is not
-    stored: ``type_name_of`` computes it from the body and the captures.
+    thunk or a free variable) or ``Ident`` (a free variable). ``captures``,
+    a ``Captures`` record, holds exactly the free identifiers, each bound
+    to the ``FreeVarV`` of its own name, which carries its declared type;
+    forcing binds them by name. Shared subterms stay shared: the body is a
+    DAG, and until first read the record is a DAG of the records of the
+    objects it was built from. Its type is not stored: ``type_name_of``
+    computes it from the body and the captures.
     """
 
     body: ast.Expr
-    captures: tuple[tuple[str, Value], ...]
+    captures: Captures
 
     def capture_map(self) -> dict[str, Value]:
         return dict(self.captures)
@@ -151,13 +219,12 @@ def type_of_body(body: ast.Expr, captures: dict[str, Value]) -> str:
     return join_types(leaf_types)
 
 
-def thunk(body: ast.Expr, *captures: dict[str, Value]) -> ThunkV:
-    """Build a lazy functional object over the merged capture maps; on a
-    name clash the later map wins."""
-    merged: dict[str, Value] = {}
-    for caps in captures:
-        merged.update(caps)
-    return ThunkV(body, tuple(sorted(merged.items())))
+def thunk(body: ast.Expr, *sources: CaptureSource) -> ThunkV:
+    """Build a lazy functional object over the captures of ``sources``; on
+    a name clash the later source wins. One record is taken as it is."""
+    if len(sources) == 1 and type(sources[0]) is Captures:
+        return ThunkV(body, sources[0])
+    return ThunkV(body, Captures(*sources))
 
 
 def promote(v: Value) -> Value:

@@ -2,11 +2,14 @@
 free variables of its body, each as the ``FreeVarV`` of its own name, and
 a value leaf holds only a concrete value. A name bound when an object is
 made is spliced into its body as that value, so combining such objects
-never mixes up their variables."""
+never mixes up their variables. An object's captures are merged from its
+operands' once, when first read, by the rule an eager merge at each
+application follows."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from psipp import ast
+from psipp import algebra, ast, evaluator
 from psipp.algebra import make_interpreter, simplify
 from psipp.cli import Session
 from psipp.errors import PsiError, RewriteLimitExceeded
@@ -14,10 +17,10 @@ from psipp.evaluator import (DEFAULT_REWRITE_LIMIT, free_idents,
                              operator_thunk, value_equal)
 from psipp.parser import parse_expression, parse_program
 from psipp.pretty import render_value
-from psipp.values import ComplexV, FreeVarV, ThunkV
+from psipp.values import ComplexV, FreeVarV, ThunkV, type_name_of
 
 from bindings import lookup
-from test_force import run, shared_programs, steps_needed
+from test_force import budget, run, shared_programs, steps_needed
 from test_totality import near_valid
 
 DECLS = "var x, y : Algebra; var z : Complex;"
@@ -186,3 +189,125 @@ def test_force_commutes_with_combining(a_src, b_src, op, a_subs, b_subs,
     separately = operator_thunk(op, [interp.force(a, env),
                                      interp.force(b, env)])
     assert value_equal(simplify(combined), simplify(separately))
+
+
+# --- merging captures when first read, against the eager merge ---
+
+def eager_thunk(body, *sources):
+    """The reference merge: at each application, the sources' captures in
+    turn, each a tuple of pairs, a dict or a free variable, the later
+    source winning a clash."""
+    merged = {}
+    for source in sources:
+        if isinstance(source, FreeVarV):
+            merged[source.name] = source
+        else:
+            merged.update(source)
+    return ThunkV(body, tuple(sorted(merged.items())))
+
+
+TYPES = ("Algebra", "Complex")
+SHAPES = ("{a} + {b}", "{a} - {b}", "{a} * {b}", "-{a}", "{a} * 2",
+          "{a} * ({b} - {a})", "{a}.Re", "{a}.Im * {b}",
+          "Algebra.({a} * {b})", "simplify({a} * {b})", "EVAL({a}) + {b}")
+
+
+@st.composite
+def clashing_programs(draw):
+    """Objects built from earlier objects and the variables ``x`` and
+    ``y``, where ``x`` is declared again between them, each time with the
+    other of two types, so that operands bind ``x`` to different types.
+    Operands are ``x`` or one of the two latest names, so an object is
+    often both operands of one application, or one and part of the
+    other; forcing an object reads its captures before later objects are
+    built on it."""
+    lines, names = ["var x, y : Algebra;"], ["x", "y"]
+    redeclared = 0
+    for k in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            redeclared += 1
+            lines.append(f"var x : {TYPES[redeclared % 2]};")
+        earlier = st.sampled_from(["x", *names[-2:]])
+        a = draw(earlier)
+        b = draw(st.one_of(st.just(a), earlier))
+        shape = draw(st.sampled_from(SHAPES))
+        lines.append(f"t{k} := {shape.format(a=a, b=b)};")
+        names.append(f"t{k}")
+    return "\n".join(lines)
+
+
+def describe(source: str) -> list:
+    """What a session shows of each name ``source`` binds: its captures,
+    ``kind``, ``:type`` and printed text, or the error it ends in."""
+    lines = []
+    session = Session(emit=lines.append)
+    try:
+        session.run_source(source)
+    except PsiError as err:
+        return [err.message]
+    shown = []
+    # the latest first, so that no record it reaches has been read before
+    for name, value in reversed(session.interp.globals.items()):
+        session.run_source(f"kind({name}); print({name});")
+        session.repl_step(f":type {name}")
+        captures = list(value.captures) if isinstance(value, ThunkV) else []
+        shown.append((name, captures))
+    return shown + lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(clashing_programs())
+@example("var x, y : Algebra;\ns := x + y;\nvar x : Complex;\n"
+         "u := x + s;\nt := s + u;")
+def test_captures_merged_when_read_match_the_eager_merge(source):
+    # t's operands s and u share s, which binds x to Algebra on the
+    # right, so t captures x as Algebra: a merge that takes s once,
+    # at its first place from the left, finds u's x : Complex later
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "thunk", eager_thunk)
+        patch.setattr(algebra, "thunk", eager_thunk)
+        expected = describe(source)
+    assert describe(source) == expected
+
+
+def test_the_factor_that_is_no_sum_wins_a_distribution_s_clash():
+    # the eager merge above takes its sources in the order distribute
+    # gives them, so it cannot check that order
+    interp = run("var x, y : Algebra; s := x + y; var x : Complex;"
+                 "d := Algebra.(x * s); e := Algebra.(s * x);")
+    for name, text in (("d", "x*x + x*y"), ("e", "x*x + y*x")):
+        value = lookup(interp.globals, name)
+        assert render_value(value) == text
+        assert value.capture_map()["x"] == FreeVarV("x", "Complex")
+
+
+def sum_of_variables(n: int, limit: int) -> int:
+    """The capture entries touched in building ``x0 + ... + x(n-1)`` and
+    reading its captures once; the test fails past ``limit`` of them. Each
+    entry stored in or looked up in a dict hashes its name once."""
+    hashes = budget(limit, str.__hash__)
+    name = type("CountedName", (str,), {"__hash__": hashes})
+    v = FreeVarV(name("x0"))
+    for k in range(1, n):
+        v = operator_thunk("+", [v, FreeVarV(name(f"x{k}"))])
+    assert len(dict(v.captures)) == n
+    return hashes.calls
+
+
+def test_building_a_sum_and_reading_its_captures_is_linear():
+    # an eager merge at each application touches every capture below it,
+    # about n**2/2 in all
+    at_400 = sum_of_variables(400, 10 * 400)
+    assert sum_of_variables(800, int(2.2 * at_400)) <= 2.2 * at_400
+
+
+def test_captures_of_an_object_50000_applications_deep():
+    # each object's captures record holds its operand's: the first read
+    # walks 50 000 of them, beyond the default recursion limit of 1000
+    x, y = FreeVarV("x"), FreeVarV("y", "Complex")
+    v = x
+    for k in range(50_000):
+        v = operator_thunk("-", [v]) if k % 3 else operator_thunk(
+            "+", [FreeVarV("y"), v] if k % 2 else [v, y])
+    assert v.capture_map() == {"x": x, "y": y}
+    assert type_name_of(v) == "Algebra"
