@@ -5,20 +5,27 @@ through the ordinary parser, so the hierarchy and the Complex
 multiplication body are genuinely interpreted. Natives implement the
 abstract ``Algebra.infix*`` (distributivity, one layer per call), Complex
 ``+``/``-`` and the monomial register product. Concrete arithmetic is the
-one kernel in ``values``, and distributivity is one rule, a split of a
-product over a sum into two factor pairs, shared by ``distribute`` and
-the rewriter.
+one kernel in ``values``, and the rewrite rules are one function,
+``_root_rewrite``: a fold, or distributivity as a split of a product over
+a sum into two factor pairs, which ``distribute`` also takes.
 
 ``simplify`` rewrites to a normal form innermost-leftmost, in one pass
 over the term: distribute products over sums, fold all-concrete
 applications, promote integers that meet complex values. Factor and
-summand order are never changed. The pass visits O(DAG size + steps)
-nodes. It has two walks over the same rules, and whether a trace sink is
-given selects one. Untraced, the walk is big-step: operands are
-normalised before their root is tried, a distribution's products are
-tried as factor pairs before they are made, and its sum is made after
-them, so each node of the normal form is made once. Traced, the walk is
-small-step, since each step's term is printed. A step lays out only the
+summand order are never changed. It has two walks over the same rules,
+and whether a trace sink is given selects one. Untraced, the walk is
+big-step: operands are normalised before their root is tried, a
+distribution's products are tried as factor pairs before they are made,
+and its sum is made after them, so each node of the normal form is made
+once. An input node is walked once however often the body shares it: one
+found normal is kept, and one rewritten keeps its normal form and its
+steps, which count again, against the limit, at each later place. So the
+untraced pass takes O(DAG size + steps) time with the steps below a shared
+node taken once, not once per place, and the normal form shares a
+repeated subterm's normal form. Traced, the walk
+is small-step, since each step's term is printed, and it rewrites a
+shared subterm that is not normal at each place: O(DAG size + steps)
+node visits, plus the printed lines. A step lays out only the
 nodes it made, from the texts of their operands that the walk holds, and
 splices that text between the texts its frames keep around their operand
 slots. A subtree whose text it does not hold is rendered whole when first
@@ -77,18 +84,6 @@ PRELUDE = parse_program([(tag, lexeme, None)
 
 # --- distributivity ---
 
-def _split(lhs: ast.Expr, rhs: ast.Expr) -> Optional[tuple[tuple, tuple]]:
-    """One layer of distributivity as two factor pairs: (C + D) * B splits
-    into (C, B) and (D, B), A * (E + F) into (A, E) and (A, F); None when
-    neither factor is a sum. Factor order is preserved
-    (noncommutative-safe)."""
-    if type(lhs) is ast.Infix and lhs.op == "+":
-        return (lhs.lhs, rhs), (lhs.rhs, rhs)
-    if type(rhs) is ast.Infix and rhs.op == "+":
-        return (lhs, rhs.lhs), (lhs, rhs.rhs)
-    return None
-
-
 def _distributed(split: tuple[tuple, tuple]) -> ast.Infix:
     """The sum of the products of a split's two factor pairs."""
     (a, b), (c, d) = split
@@ -97,8 +92,11 @@ def _distributed(split: tuple[tuple, tuple]) -> ast.Infix:
 
 def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
     """One layer of distributivity on trees: (C + D) * B -> C*B + D*B, or
-    A * (E + F) -> A*E + A*F; None when neither factor is a sum."""
-    split = _split(lhs, rhs)
+    A * (E + F) -> A*E + A*F; None when neither factor is a sum. Two value
+    leaves are no sum, and are not folded."""
+    if type(lhs) is ast.ValueLeaf and type(rhs) is ast.ValueLeaf:
+        return None
+    split = _root_rewrite("*", lhs, rhs)
     return None if split is None else _distributed(split)
 
 
@@ -137,15 +135,22 @@ def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
                   ) -> Optional[ast.ValueLeaf | tuple[tuple, tuple]]:
     """One rewrite at the root of an application of ``op`` to normal
     operands, ``rhs`` None for a prefix one: fold concrete operands to a
-    leaf, else split a product over a sum into two factor pairs. None when
-    the root is no redex. A value leaf is always concrete."""
+    leaf, else split a product over a sum, one layer of distributivity, into
+    two factor pairs: (C + D) * B into (C, B) and (D, B), A * (E + F) into
+    (A, E) and (A, F). Factor order is preserved (noncommutative-safe). None
+    when the root is no redex. A value leaf is always concrete, and never a
+    sum."""
     if type(lhs) is ast.ValueLeaf \
             and (rhs is None or type(rhs) is ast.ValueLeaf):
         folded = _fold(op, [lhs.value] if rhs is None
                        else [lhs.value, rhs.value])
-        if folded is not None:
-            return ast.ValueLeaf(folded)
-    return _split(lhs, rhs) if op == "*" else None
+        return None if folded is None else ast.ValueLeaf(folded)
+    if op == "*":
+        if type(lhs) is ast.Infix and lhs.op == "+":
+            return (lhs.lhs, rhs), (lhs.rhs, rhs)
+        if type(rhs) is ast.Infix and rhs.op == "+":
+            return (lhs, rhs.lhs), (lhs, rhs.rhs)
+    return None
 
 
 _HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
@@ -258,6 +263,7 @@ def _traced_line(path: list[list], lefts: list[str], rights: list[str],
 
 
 _SUM = object()  # on the big-step stack above the factor pairs of a split
+_KEEP = object()  # below them, when the split is an input application's
 
 
 def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
@@ -266,13 +272,24 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
     once. A distribution gives two factor pairs, not nodes: each pair is
     tried as a product before it is made, and the sum is made after both
     of its products are normal. An input node whose operands stay as they
-    are is kept, and not walked again where the body shares it."""
+    are is kept, and not walked again where the body shares it. An input
+    application that was rewritten keeps its normal form and the steps it
+    took: where the body shares it, those steps are counted again and
+    checked against the limit, and its kept normal form is shared. So each
+    distinct input node is walked once, and each node of the normal form
+    is made once."""
     normal: set[int] = set()  # ids of input nodes found normal
+    # id of an input application rewritten: its normal form, and the steps
+    # that took
+    kept: dict[int, tuple[ast.Expr, int]] = {}
+    splits: list[list] = []  # the entry of each _KEEP on ``todo``
     steps = 0
-    # innermost last: an input node to normalise; [node], an input
-    # application whose operands' normal forms are on ``done``; a factor
-    # pair, a product not made yet; _SUM above the two factor pairs of a
-    # split, whose products' normal forms are then on ``done``
+    # innermost last: an input node to normalise; [node, steps at its
+    # entry], an input application whose operands' normal forms are on
+    # ``done``; a factor pair, a product not made yet; _SUM above the two
+    # factor pairs of a split, whose products' normal forms are then on
+    # ``done``; _KEEP below them, when an input application split, whose
+    # normal form is then on top of ``done``
     todo: list = [body]
     done: list[ast.Expr] = []
     while todo:
@@ -290,15 +307,28 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
                 rhs, lhs = done.pop(), done.pop()
             else:
                 lhs, rhs = done.pop(), None
-        elif (kind is ast.Infix or kind is ast.Prefix) \
-                and id(task) not in normal:
-            todo.append([task])
-            if kind is ast.Infix:
-                todo += (task.rhs, task.lhs)
-            else:
-                todo.append(task.operand)
+        elif task is _KEEP:
+            node, start = splits.pop()
+            kept[id(node)] = done[-1], steps - start
             continue
-        else:  # a leaf, or an input node found normal
+        elif kind is ast.Infix or kind is ast.Prefix:
+            if id(task) in normal:
+                done.append(task)
+            elif id(task) in kept:
+                new, taken = kept[id(task)]
+                steps += taken
+                if steps > max_steps:
+                    raise RewriteLimitExceeded(
+                        f"more than {max_steps} rewrite steps")
+                done.append(new)
+            else:
+                todo.append([task, steps])
+                if kind is ast.Infix:
+                    todo += (task.rhs, task.lhs)
+                else:
+                    todo.append(task.operand)
+            continue
+        else:  # a leaf
             done.append(task)
             continue
         new = _root_rewrite(op, lhs, rhs)
@@ -313,15 +343,22 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
                 new = ast.Infix(op, lhs, rhs)
             if new is node:
                 normal.add(id(node))  # body keeps it, so its id stays unique
+            elif node is not None:
+                kept[id(node)] = new, steps - task[1]
             done.append(new)
             continue
         steps += 1
         if steps > max_steps:
             raise RewriteLimitExceeded(f"more than {max_steps} rewrite steps")
         if type(new) is tuple:
+            if node is not None:
+                splits.append(task)
+                todo.append(_KEEP)
             todo += (_SUM, new[1], new[0])
-        else:
-            done.append(new)  # a folded leaf
+        else:  # a folded leaf
+            if node is not None:
+                kept[id(node)] = new, steps - task[1]
+            done.append(new)
     return done[0]
 
 
@@ -424,13 +461,14 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
 
     Rewriting is innermost-leftmost, by the rules of ``_root_rewrite``,
     on an explicit stack, so a body of any depth is walked without
-    recursion, in O(DAG size + steps) node visits. Whether ``trace`` is
-    given selects the walk. Untraced, ``_normalise`` makes each node of
-    the normal form once. Traced, ``_traced_normalise`` makes each step's
-    term, which ``trace`` gets as a line. Both take the same steps and
-    raise the same error at the same step. A walk's stacks and ids are
-    freed when it returns, before the result thunk is built, so they stay
-    out of the peak allocation."""
+    recursion. Whether ``trace`` is given selects the walk. Untraced,
+    ``_normalise`` walks each distinct input node once and makes each node
+    of the normal form once, which shares a repeated subterm's normal form.
+    Traced, ``_traced_normalise`` makes each step's term, which ``trace``
+    gets as a line, in O(DAG size + steps) node visits. Both count the same
+    steps and raise the same error at the same step. A walk's stacks, ids
+    and kept normal forms are freed when it returns, before the result
+    thunk is built, so they stay out of the peak allocation."""
     if not isinstance(v, ThunkV):
         return v
     if trace is None:

@@ -67,9 +67,11 @@ def operator_thunk(op: str, args: list[Value]) -> ThunkV:
     """The symbolic application ``op(args)``, infix on two operands and
     prefix on one, over its operands' captures, merged when first read; on
     a capture clash the right operand wins."""
-    exprs, captures = zip(*map(as_repr, args))
-    node = ast.Infix if len(exprs) == 2 else ast.Prefix
-    return thunk(node(op, *exprs), *captures)
+    if len(args) == 2:
+        (lhs, lhs_captures), (rhs, rhs_captures) = map(as_repr, args)
+        return thunk(ast.Infix(op, lhs, rhs), lhs_captures, rhs_captures)
+    operand, captures = as_repr(args[0])
+    return thunk(ast.Prefix(op, operand), captures)
 
 
 def free_idents(expr: ast.Expr) -> set[str]:

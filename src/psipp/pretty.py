@@ -181,7 +181,9 @@ def _emit(e: ast.Expr, spaced: bool) -> str:
     """Text of ``e``, written in pre-order on an explicit stack of pending
     nodes and pieces, right to left, so any depth renders. A node decides
     each operand's parentheses from the operand's level before it writes
-    the operand; a leaf's text goes on the stack in place of the leaf.
+    the operand. An ``Infix`` node whose left operand is a leaf writes that
+    leaf, the separator and a leaf on its right in its own step; else a
+    leaf's text goes on the stack in place of the leaf.
     Pieces are joined into a chunk every ``_CHUNK`` or so, which keeps the
     list from costing a pointer for every few characters of text."""
     separators = _SEPARATORS[spaced]
@@ -205,30 +207,43 @@ def _emit(e: ast.Expr, spaced: bool) -> str:
                     and _scalar_first(lhs, rhs)):
                 lhs, rhs = rhs, lhs
             if type(rhs) is ast.Infix:
-                rhs_level = INFIX_LEVELS[rhs.op]
+                rhs_text, rhs_level = None, INFIX_LEVELS[rhs.op]
             elif type(rhs) is ast.Ident:
-                rhs, rhs_level = rhs.name, LEVEL_ATOM
+                rhs_text, rhs_level = rhs.name, LEVEL_ATOM
             else:
-                text, rhs_level = head(rhs)
-                if text is not None:
-                    rhs = text
-            if _RIGHT_PARENS[level][rhs_level]:
-                stack += (")", rhs, "(", separators[op])
-            else:
-                stack += (rhs, separators[op])
+                rhs_text, rhs_level = head(rhs)
             if type(lhs) is ast.Infix:
-                lhs_level = INFIX_LEVELS[lhs.op]
+                lhs_text, lhs_level = None, INFIX_LEVELS[lhs.op]
             elif type(lhs) is ast.Ident:
-                lhs, lhs_level = lhs.name, LEVEL_ATOM
+                lhs_text, lhs_level = lhs.name, LEVEL_ATOM
             else:
-                text, lhs_level = head(lhs)
-                if text is not None:
-                    lhs = text
-            if _LEFT_PARENS[level][lhs_level]:
-                put("(")
-                stack += (")", lhs)
+                lhs_text, lhs_level = head(lhs)
+            rhs_parens = _RIGHT_PARENS[level][rhs_level]
+            if lhs_text is not None:
+                # a leaf on the left: write it, the separator, and the
+                # right operand if it is a leaf too, in this step
+                put(f"({lhs_text})" if _LEFT_PARENS[level][lhs_level]
+                    else lhs_text)
+                put(separators[op])
+                if rhs_text is not None:
+                    put(f"({rhs_text})" if rhs_parens else rhs_text)
+                elif rhs_parens:
+                    put("(")
+                    stack += (")", rhs)
+                else:
+                    push(rhs)
             else:
-                push(lhs)
+                if rhs_text is not None:
+                    rhs = rhs_text
+                if rhs_parens:
+                    stack += (")", rhs, "(", separators[op])
+                else:
+                    stack += (rhs, separators[op])
+                if _LEFT_PARENS[level][lhs_level]:
+                    put("(")
+                    stack += (")", lhs)
+                else:
+                    push(lhs)
         else:
             text, _ = head(item)
             if text is not None:

@@ -5,7 +5,7 @@ pre-order emitter behind ``render_expr``, ``render_value`` and
 
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psipp import ast
 from psipp.algebra import _operand_texts, simplify
@@ -138,8 +138,25 @@ def dags(draw):
     return pool[-1], pool
 
 
+def leaf_operands(test):
+    """``test`` with examples, in both spacings, of nodes that the emitter
+    writes with their leaf operands in one step: a scalar on the right of
+    ``*``, which prints first and in parentheses; a leaf left of a right
+    operand that is no leaf and prints in parentheses; prefix minus over a
+    product."""
+    x, y = ast.Ident("x"), ast.Ident("y")
+    roots = (ast.Infix("*", x, ast.ValueLeaf(ComplexV(1, 2))),
+             ast.Infix("-", x, ast.Infix("+", ast.Infix("*", x, y), y)),
+             ast.Prefix("-", ast.Infix("*", x, y)))
+    for root in roots:
+        for spaced in (False, True):
+            test = example((root, [root]), spaced)(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(dags(), st.booleans())
+@leaf_operands
 def test_renderer_matches_the_recursive_oracle(dag, spaced):
     root, _ = dag
     assert render_expr(root, spaced) == oracle_expr_text(root, spaced)[0]
@@ -147,6 +164,7 @@ def test_renderer_matches_the_recursive_oracle(dag, spaced):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(dags(), st.booleans())
+@leaf_operands
 def test_whole_text_and_level_match_the_recursive_oracle(dag, spaced):
     root, _ = dag
     assert expr_text(root, spaced) == oracle_expr_text(root, spaced)

@@ -233,6 +233,69 @@ def test_simplify_matches_restarting_oracle(v, max_steps, traced):
     assert outcome(simplify, v, max_steps, traced) == expected
 
 
+# --- shared subterms that are not normal ---
+
+FOLDING_LEAVES = st.one_of(
+    st.integers(-3, 3).map(ast.ValueLeaf),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda c: ast.ValueLeaf(ComplexV(*c))),
+    st.sampled_from(["x", "y", "z"]).map(ast.Ident),
+)
+
+
+@st.composite
+def shared_redexes(draw):
+    """A thunk whose body holds a product over a sum, or one that folds, at
+    two places at least: nodes of sums, products and prefix minus are built
+    from a pool of earlier ones, and the body is the sum or product of two
+    that hold it. The tree it unfolds to has at most 64 leaves."""
+    redex = ast.Infix("*", ast.Infix("+", draw(FOLDING_LEAVES),
+                                     draw(FOLDING_LEAVES)),
+                      draw(FOLDING_LEAVES))
+    pool = [redex, draw(FOLDING_LEAVES)]
+    holders = [redex]  # the nodes of the pool that hold the redex
+    held = {id(redex)}
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["*", "+", "neg"]))
+        picks = [pool[-1 - draw(st.integers(0, len(pool) - 1))]
+                 for _ in range(1 if kind == "neg" else 2)]
+        if kind == "neg":
+            node = ast.Prefix("-", *picks)
+        else:
+            node = ast.Infix(kind, *picks)
+        if tree_leaves(node) <= 32:
+            pool.append(node)
+            if any(id(pick) in held for pick in picks):
+                holders.append(node)
+                held.add(id(node))
+    first, second = (holders[draw(st.integers(0, len(holders) - 1))]
+                     for _ in range(2))
+    return over_free(ast.Infix(draw(st.sampled_from("+*")), first, second))
+
+
+def normal_text_or_error(v, max_steps, traced):
+    """The text of the normal form, or the error raised."""
+    lines, *result = outcome(simplify, v, max_steps, traced)
+    return (render_value(result[0]),) if len(result) == 1 else tuple(result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_redexes())
+# (1 + 2) * (x + y) takes two steps at each of its two places: with three
+# steps allowed, the limit runs out inside the second, after its first step
+@example(over_free(ast.Infix("+", *[ast.Infix(
+    "*", ast.Infix("+", leaf(1), leaf(2)),
+    ast.Infix("+", ast.Ident("x"), ast.Ident("y")))] * 2)))
+def test_untraced_walk_matches_traced_on_shared_redexes(v):
+    # the untraced walk rewrites a shared subterm once and counts its steps
+    # at each place; the traced walk rewrites it at each place
+    steps = len(outcome(simplify, v, 10_000, True)[0])
+    assert steps > 0
+    for max_steps in (0, 1, steps - 1, steps, steps + 1):
+        assert normal_text_or_error(v, max_steps, False) \
+            == normal_text_or_error(v, max_steps, True)
+
+
 def expand_term(n: int) -> ThunkV:
     """``(x0 + ... + x{n-1}) * (y0 + ... + y{n-1})``"""
     def total(prefix):
@@ -322,6 +385,35 @@ def test_normal_shared_dag_is_walked_once(monkeypatch, tmp_path):
     assert run_file(str(script), stdout=out, stderr=err) == 0, err.getvalue()
     assert out.getvalue() == "1\n"
     assert tries.calls >= k + 1
+
+
+def doubling(k: int) -> ThunkV:
+    """``a0 := (x + y) * z; a{j+1} := a{j} + a{j};``, ``a{k}``: k + 4
+    nodes, and 2^k places of ``a0``, which takes a step at each"""
+    x, y, z = map(ast.Ident, "xyz")
+    a = ast.Infix("*", ast.Infix("+", x, y), z)
+    for _ in range(k):
+        a = ast.Infix("+", a, a)
+    return over_free(a)
+
+
+def test_shared_non_normal_dag_is_rewritten_once(monkeypatch):
+    # each distinct node is walked once: a0 takes 5 root tries, and each
+    # sum above it 1, so 11 at k = 6 and 17 at k = 12. A walk that rewrites
+    # a0 again at each of its 2^k places tries 5 * 2^k roots
+    def tries(k, limit):
+        counted = budget(limit, algebra._root_rewrite)
+        monkeypatch.setattr(algebra, "_root_rewrite", counted)
+        result = simplify(doubling(k))
+        monkeypatch.undo()
+        text = "x*z + y*z"
+        for _ in range(k):
+            text = f"{text} + ({text})"
+        assert render_value(result) == text
+        return counted.calls
+
+    small = tries(6, 10_000)
+    assert tries(12, int(2.2 * small)) <= 2.2 * small
 
 
 def traced_expand(monkeypatch, n, patches):
