@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from typing import Callable
 
 from . import ast
@@ -119,6 +118,19 @@ def _report(err: PsiError, text: str, stderr) -> int:
     return 2 if isinstance(err, RegistryError) else 3
 
 
+def _line_writer(stream) -> Callable[[str], None]:
+    """A session's ``emit``: it writes each line and a newline to
+    ``stream`` and flushes, so each line shows before the work that
+    follows it. With no stream it writes to ``sys.stdout`` as it is at
+    that line, as ``print`` does."""
+    def emit(line: str):
+        out = sys.stdout if stream is None else stream
+        out.write(line)
+        out.write("\n")
+        out.flush()
+    return emit
+
+
 def run_file(path: str, prelude: bool = True, trace: bool = False,
              max_rewrites: int = DEFAULT_REWRITE_LIMIT,
              stdout=None, stderr=None) -> int:
@@ -132,7 +144,7 @@ def run_file(path: str, prelude: bool = True, trace: bool = False,
         print(f"error: cannot read {path}: {err.strerror or err}", file=stderr)
         return 1
     session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites,
-                      emit=partial(print, file=stdout, flush=True))
+                      emit=_line_writer(stdout))
     try:
         session.run_source(source)
     except PsiError as err:
@@ -146,7 +158,7 @@ def run_repl(prelude: bool = True, trace: bool = False,
     stdin = stdin if stdin is not None else sys.stdin
     stderr = stderr if stderr is not None else sys.stderr
     session = Session(prelude=prelude, trace=trace, max_rewrites=max_rewrites,
-                      emit=partial(print, file=stdout, flush=True))
+                      emit=_line_writer(stdout))
     for line in stdin:
         try:
             if not session.repl_step(line):

@@ -10,10 +10,13 @@ The parenthesis rule is ``_parenthesised``, made once into two tables
 indexed by an operator's level and its operand's; the scalar-first rule is
 ``_scalar_first``; ``head`` gives a node's level, and a leaf's text. The
 emitter reads them to print (``render_value``, ``render_expr``): it
-writes pieces in pre-order into one list, joined a chunk at a time. A
-trace step reads them through ``layout``, which lays out one node from
-the texts of its operands that the step holds, and ``expr_text``, the
-emitter for a subtree whose text the step does not hold.
+writes pieces in pre-order into one list, joined a chunk at a time,
+going down each ``Infix`` node's left spine and back up, and writes a
+leaf or an ``Infix`` of two names in place, so a normal form's left-deep
+sums of products take a few steps a product. A trace step reads them
+through ``layout``, which lays out one node from the texts of its
+operands that the step holds, and ``expr_text``, the emitter for a
+subtree whose text the step does not hold.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ _LEFT_PARENS = tuple(tuple(_parenthesised(level, operand, False)
                           for operand in _LEVELS) for level in _LEVELS)
 _RIGHT_PARENS = tuple(tuple(_parenthesised(level, operand, True)
                            for operand in _LEVELS) for level in _LEVELS)
+_NO_PARENS = (False,) * len(_LEVELS)  # the row of a root
 # the operator between an Infix node's operands, by op, unspaced and spaced
 _SEPARATORS = ({op: "*" if op == "*" else f" {op} " for op in INFIX_LEVELS},
                {op: f" {op} " for op in INFIX_LEVELS})
@@ -178,14 +182,21 @@ def expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
 
 
 def _emit(e: ast.Expr, spaced: bool) -> str:
-    """Text of ``e``, written in pre-order on an explicit stack of pending
-    nodes and pieces, right to left, so any depth renders. A node decides
-    each operand's parentheses from the operand's level before it writes
-    the operand. An ``Infix`` node whose left operand is a leaf writes that
-    leaf, the separator and a leaf on its right in its own step; else a
-    leaf's text goes on the stack in place of the leaf.
-    Pieces are joined into a chunk every ``_CHUNK`` or so, which keeps the
-    list from costing a pointer for every few characters of text."""
+    """Text of ``e``, written in pre-order in one loop that goes down the
+    left spine of each ``Infix`` node and back up, so any depth renders.
+    Going down, a node that keeps its factor order goes on ``spine`` and
+    its left operand is written next; a product whose scalar prints first
+    writes the scalar and its separator, and its left operand comes next,
+    on its right. Going up, each node popped off ``spine`` writes its
+    separator, and its right operand is written next. An operand is
+    parenthesised by its parent's row of the parenthesis table: an
+    ``Infix`` one leaves its closing parenthesis on ``spine``. A leaf, or
+    an ``Infix`` of two names, is written in place. Any other operand goes
+    on ``stack`` as its pieces, above what is left of the spine, which
+    resumes once they are written; only pointers wait, never a string per
+    node. Pieces are joined into a chunk every ``_CHUNK`` or so, which
+    keeps the list from costing a pointer for every few characters of
+    text."""
     separators = _SEPARATORS[spaced]
     chunks: list[str] = []
     pieces: list[str] = []
@@ -198,61 +209,68 @@ def _emit(e: ast.Expr, spaced: bool) -> str:
         if kind is str:
             put(item)
             continue
-        if kind is ast.Infix:  # the most common node
-            lhs, rhs, op = item.lhs, item.rhs, item.op
-            level = INFIX_LEVELS[op]
-            # only a value leaf on the right swaps: testing it here saves
-            # a call for almost every product
-            if (level == LEVEL_MUL and type(rhs) is ast.ValueLeaf
-                    and _scalar_first(lhs, rhs)):
-                lhs, rhs = rhs, lhs
-            if type(rhs) is ast.Infix:
-                rhs_text, rhs_level = None, INFIX_LEVELS[rhs.op]
-            elif type(rhs) is ast.Ident:
-                rhs_text, rhs_level = rhs.name, LEVEL_ATOM
-            else:
-                rhs_text, rhs_level = head(rhs)
-            if type(lhs) is ast.Infix:
-                lhs_text, lhs_level = None, INFIX_LEVELS[lhs.op]
-            elif type(lhs) is ast.Ident:
-                lhs_text, lhs_level = lhs.name, LEVEL_ATOM
-            else:
-                lhs_text, lhs_level = head(lhs)
-            rhs_parens = _RIGHT_PARENS[level][rhs_level]
-            if lhs_text is not None:
-                # a leaf on the left: write it, the separator, and the
-                # right operand if it is a leaf too, in this step
-                put(f"({lhs_text})" if _LEFT_PARENS[level][lhs_level]
-                    else lhs_text)
-                put(separators[op])
-                if rhs_text is not None:
-                    put(f"({rhs_text})" if rhs_parens else rhs_text)
-                elif rhs_parens:
-                    put("(")
-                    stack += (")", rhs)
-                else:
-                    push(rhs)
-            else:
-                if rhs_text is not None:
-                    rhs = rhs_text
-                if rhs_parens:
-                    stack += (")", rhs, "(", separators[op])
-                else:
-                    stack += (rhs, separators[op])
-                if _LEFT_PARENS[level][lhs_level]:
-                    put("(")
-                    stack += (")", lhs)
-                else:
-                    push(lhs)
+        if kind is list:  # a spine that an operand interrupted
+            spine, operand = item, None
         else:
-            text, _ = head(item)
-            if text is not None:
-                put(text)
+            spine, operand, parens = [], item, _NO_PARENS
+        while True:
+            kind = type(operand)
+            if kind is ast.Infix:  # the most common node
+                lhs, rhs, op = operand.lhs, operand.rhs, operand.op
+                level = INFIX_LEVELS[op]
+                if type(lhs) is ast.Ident and type(rhs) is ast.Ident:
+                    if parens[level]:
+                        pieces += ("(", lhs.name, separators[op], rhs.name,
+                                   ")")
+                    else:
+                        pieces += (lhs.name, separators[op], rhs.name)
+                else:
+                    if parens[level]:
+                        put("(")
+                        spine.append(")")
+                    # only a value leaf on the right swaps: testing it
+                    # here saves a call for almost every product
+                    if (level == LEVEL_MUL and type(rhs) is ast.ValueLeaf
+                            and _scalar_first(lhs, rhs)):
+                        # the scalar prints first, and the left operand
+                        # on its right
+                        text, text_level = head(rhs)
+                        put(f"({text})" if _LEFT_PARENS[level][text_level]
+                            else text)
+                        put(separators[op])
+                        operand, parens = lhs, _RIGHT_PARENS[level]
+                    else:
+                        spine.append(operand)
+                        operand, parens = lhs, _LEFT_PARENS[level]
+                    continue
+            elif kind is ast.Ident:
+                put(operand.name)
+            elif operand is not None:  # None: a spine resumes
+                text, level = head(operand)
+                if text is not None:
+                    put(f"({text})" if parens[level] else text)
+                else:
+                    if parens[level]:
+                        put("(")
+                        spine.append(")")
+                    if spine:
+                        push(spine)
+                    stack += reversed(_spread(operand))
+                    break
+            # up the spine to the next node with a right operand
+            if len(pieces) >= _CHUNK:
+                chunks.append("".join(pieces))
+                pieces.clear()
+            if not spine:
+                break
+            node = spine.pop()
+            if type(node) is str:  # a closing parenthesis
+                put(node)
+                operand = None
                 continue
-            stack += reversed(_spread(item))
-        if len(pieces) >= _CHUNK:
-            chunks.append("".join(pieces))
-            pieces.clear()
+            op = node.op
+            put(separators[op])
+            operand, parens = node.rhs, _RIGHT_PARENS[INFIX_LEVELS[op]]
     chunks.append("".join(pieces))
     del pieces[:]  # frees the list before the text is made
     return "".join(chunks)

@@ -1,8 +1,9 @@
-"""How many Python calls one warm product makes, and how many parsing
-one statement makes, counted with ``sys.setprofile``: calls of Python
-functions and of built-in functions and methods. The statements are the
-``concrete`` workload's, so work added on their path, in the evaluator or
-in the front end, shows here as a count, not as a slower benchmark."""
+"""How many Python calls one warm product makes, how many parsing one
+statement makes, and how many printing a normal form makes, counted with
+``sys.setprofile``: calls of Python functions and of built-in functions
+and methods. The statements are the ``concrete`` workload's, so work
+added on their path, in the evaluator or in the front end, shows here as
+a count, not as a slower benchmark."""
 
 import sys
 from collections import Counter
@@ -10,8 +11,12 @@ from functools import partial
 
 import pytest
 
+from psipp.algebra import simplify
 from psipp.cli import Session
 from psipp.parser import parse_program
+from psipp.pretty import render_value
+
+from test_rewriter import expand_term
 
 COMPLEX = ("z := z * w;", "z := (3, 4); w := (1, 2);")
 # the two lines that ``concrete`` repeats, each with its comment
@@ -85,3 +90,12 @@ def test_parsing_a_statement_stays_within_its_call_budget():
     statements = 2 * 640
     calls = profiled(partial(parse_program, CONCRETE_PAIR * 640))
     assert len(calls) <= 50 * statements, Counter(calls)
+
+
+def test_printing_a_normal_form_stays_within_its_call_budget():
+    # 1024 products in 32 parenthesised rows: each row is a spine, whose
+    # two-name products are written in place, about 4.3 calls a product
+    # (10.2 when each node and separator went through the stack)
+    result = simplify(expand_term(32))
+    calls = profiled(partial(render_value, result))
+    assert len(calls) <= 8 * 32 * 32, Counter(calls)

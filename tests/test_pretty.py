@@ -1,9 +1,11 @@
 """The renderer against the recursive renderer it replaced, kept here as
-the oracle, on random trees and DAGs of every expression kind: the
-pre-order emitter behind ``render_expr``, ``render_value`` and
-``expr_text``, and the operand texts a trace step cuts out of a layout."""
+the oracle, on random trees and DAGs of every expression kind and on
+long left-deep chains: the pre-order emitter behind ``render_expr``,
+``render_value`` and ``expr_text``, and the operand texts a trace step
+cuts out of a layout."""
 
 import tracemalloc
+from functools import partial, reduce
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -170,6 +172,80 @@ def test_whole_text_and_level_match_the_recursive_oracle(dag, spaced):
     assert expr_text(root, spaced) == oracle_expr_text(root, spaced)
 
 
+# --- left-deep chains: the spines the emitter walks in one pass ---
+
+two_names = st.builds(ast.Infix, st.sampled_from(sorted(INFIX_LEVELS)),
+                      st.builds(ast.Ident, names), st.builds(ast.Ident, names))
+scalars = st.builds(ast.ValueLeaf,
+                    st.one_of(st.integers(-20, 20),
+                              st.builds(ComplexV, parts, parts)))
+# small operands, among them a product whose scalar prints first
+operands = st.one_of(
+    leaves, two_names,
+    st.builds(ast.Infix, st.just("*"), st.builds(ast.Ident, names), scalars),
+    st.builds(ast.Infix, st.sampled_from(["+", "-"]), two_names, leaves),
+    st.builds(ast.Prefix, st.just("-"), st.one_of(leaves, two_names)))
+
+
+@st.composite
+def chains(draw):
+    """A left-deep chain of 1 to 60 ``+``, ``-`` and ``*`` nodes over
+    small operands: a sum on the right prints in parentheses, and so does
+    a sum left of a product; a scalar on the right of a product prints
+    first."""
+    root = draw(operands)
+    for _ in range(draw(st.integers(1, 60))):
+        root = ast.Infix(draw(st.sampled_from(["+", "-", "*"])), root,
+                         draw(operands))
+    return root
+
+
+def chain(*links):
+    """The left-deep chain of ``links``: its first operand, then pairs of
+    an operator and a right operand."""
+    root = links[0]
+    for op, operand in zip(links[1::2], links[2::2]):
+        root = ast.Infix(op, root, operand)
+    return root
+
+
+def chain_shapes(test):
+    """``test`` with one chain of each shape, in both spacings, and the
+    normal form of an expansion: rows of products, summed."""
+    x, y = ast.Ident("x"), ast.Ident("y")
+    xy = ast.Infix("*", x, y)
+    gaussian = ast.ValueLeaf(ComplexV(1, 2))
+    roots = (chain(xy, "+", xy, "-", xy, "*", y),
+             chain(ast.Infix("*", x, ast.ValueLeaf(2)), "+",
+                   ast.Infix("*", y, ast.ValueLeaf(-3)), "*",
+                   ast.ValueLeaf(4)),
+             chain(x, "+", ast.Infix("+", x, y), "-", ast.Infix("-", xy, y),
+                   "*", ast.Infix("+", y, x)),
+             chain(ast.Infix("+", x, y), "*", x, "*", xy, "-", y),
+             chain(ast.Prefix("-", x), "+", ast.Prefix("-", xy), "*",
+                   ast.Prefix("-", ast.Prefix("-", y))),
+             chain(ast.Infix("*", gaussian, x), "+",
+                   ast.Infix("*", x, gaussian), "*", gaussian),
+             chain(ast.ValueLeaf(-1), "*", ast.ValueLeaf(FreeVarV("x")), "+",
+                   ast.ValueLeaf(RegisterV(MonomialRegister(1, 2, 0, 1))),
+                   "-", ast.ValueLeaf(FAIL), "*",
+                   ast.ValueLeaf(ComplexV(0, -1))),
+             simplify(expand_term(5)).body)
+    for root in roots:
+        for spaced in (False, True):
+            test = example(root, spaced)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(chains(), st.booleans())
+@chain_shapes
+def test_a_long_spine_matches_the_recursive_oracle(root, spaced):
+    expected = oracle_expr_text(root, spaced)
+    assert render_expr(root, spaced) == expected[0]
+    assert expr_text(root, spaced) == expected
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(dags())
 def test_operand_texts_cut_out_of_a_held_text_match_the_oracle(dag):
@@ -198,4 +274,21 @@ def test_emitter_memory_stays_near_the_text():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= 2.5 * len(text) + 4096
+
+
+def test_emitter_memory_stays_near_the_text_of_a_flat_chain():
+    # one spine of 3000 sums: the emitter pops each node as it writes it,
+    # so the pointers it holds for the spine shrink as the text grows
+    result = reduce(partial(ast.Infix, "+"),
+                    [ast.Infix("*", ast.Ident(f"x{k}"), ast.Ident(f"y{k}"))
+                     for k in range(3000)])
+    render_expr(result)
+    tracemalloc.start()
+    try:
+        text = render_expr(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 39_777
     assert peak <= 2.5 * len(text) + 4096
