@@ -22,16 +22,11 @@ found normal is kept, and one rewritten keeps its normal form and its
 steps, which count again, against the limit, at each later place. So the
 untraced pass takes O(DAG size + steps) time with the steps below a shared
 node taken once, not once per place, and the normal form shares a
-repeated subterm's normal form. Traced, the walk
-is small-step, since each step's term is printed, and it rewrites a
-shared subterm that is not normal at each place: O(DAG size + steps)
-node visits, plus the printed lines. A step lays out only the
-nodes it made, from the texts of their operands that the walk holds, and
-splices that text between the texts its frames keep around their operand
-slots. A subtree whose text it does not hold is rendered whole when first
-asked for. A step costs amortised O(1) frames plus the printed line, and
-the text held is O(printed line), but for the operands of a factor that
-several products share.
+repeated subterm's normal form. Traced, the walk is small-step, since
+each step's term is printed, and it rewrites a shared subterm that is not
+normal at each place: O(DAG size + steps) node visits, plus the printed
+lines. A step slices the texts it needs out of the line before, lays out
+only the nodes it made, and splices their text into that line.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
 from .lexer import tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
-from .pretty import expr_text, head, layout
+from .pretty import expr_text, extent, head, layout
 # complex_mul is not called here: the package and bench/tracer.py read it
 from .values import (FAIL, ComplexV, RegisterV, ThunkV, Value, arith,
                      complex_mul, promote, thunk)
@@ -153,113 +148,80 @@ def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
     return None
 
 
-_HOLE = "\0"  # marks the operand slot in a layout; no rendered text has it
-_REMADE = object()  # a frame's own held text when the walk made its node
+def _leaf_record(e: ast.Expr) -> list:
+    """The record ``[length, level]`` of a leaf's text."""
+    text, level = head(e)
+    return [len(text if text is not None else expr_text(e, True)[0]), level]
 
 
-def _settled(e: ast.Expr, held: Optional[list]) -> list:
-    """``held``, the held text ``[text, level, operand texts]`` of ``e``,
-    with its text made: an input subtree with none, or a node the walk
-    made again, is rendered whole."""
-    if held is None:
-        return [*expr_text(e, True), None]
-    if held[0] is None:
-        held[0] = expr_text(e, True)[0]
-    return held
+def _offset(frame: list, kid: ast.Expr, entry: list) -> int:
+    """Where the text of ``kid``, of record ``entry``, starts in the line
+    in the slot of ``frame``."""
+    node, slot, _, start, record = frame
+    if type(node) is not ast.Infix:
+        return start + extent(node, (kid,), (entry,))[2]
+    if slot:
+        return start + extent(node, (node.lhs, kid), (record[2], entry))[3]
+    rhs = record[3]
+    if rhs is None:  # not walked yet: only a value leaf can print first
+        rhs = _leaf_record(node.rhs) if type(node.rhs) is ast.ValueLeaf \
+            else entry
+    return start + extent(node, (kid, node.rhs), (entry, rhs))[2]
 
 
-def _operand_texts(e: ast.Infix, held: Optional[list]) -> list:
-    """The held texts of the operands of ``e``, whose held text is
-    ``held``, with their texts made: those it keeps, else cut out of its
-    text where a layout puts a hole in their place (rendering the right one
-    first if neither is a leaf), and kept; else rendered whole."""
-    if held is None:
-        return [_settled(op, None) for op in operands(e)]
-    kids = held[2]
-    if kids is not None:
-        if len(held) > 3:  # a frame, whose operands may have no text yet
-            kids[:] = map(_settled, operands(e), kids)
-        return kids
-    ops = operands(e)
-    kids = held[2] = [[*head(op), None] for op in ops]
-    if kids[0][0] is None and kids[1][0] is None:
-        kids[1] = _settled(e.rhs, None)
-    for kid in kids:
-        if kid[0] is None:
-            kid[0] = _HOLE
-            left, _, right = layout(e, ops, kids, True)[0].partition(_HOLE)
-            kid[0] = held[0][len(left):len(held[0]) - len(right)]
-    return kids
-
-
-def _laid_out(new: ast.Infix, old: ast.Infix, held: Optional[list]) -> list:
-    """The held text of ``new``, the distribution ``C*B + D*B`` or ``A*E +
-    A*F`` of ``old``, whose held text is ``held``: the two products and the
-    sum are laid out from the factors' held texts."""
-    lhs, rhs = _operand_texts(old, held)
+def _distributed_text(new: ast.Infix, old: ast.Infix, record: list,
+                      line: str, at: int) -> tuple[str, list]:
+    """The text and record of ``new``, the distribution ``C*B + D*B`` or
+    ``A*E + A*F`` of ``old``, from the factors' texts, sliced out of
+    ``line`` where ``old``'s text, at ``at``, and the records put them."""
+    lhs, rhs = record[2], record[3]
+    lhs_at, rhs_at = at + record[4], at + record[5]
     if new.lhs.lhs is old.lhs:  # A * (E + F)
         a = c = lhs
-        b, d = _operand_texts(old.rhs, rhs)
+        a_text = c_text = line[lhs_at:lhs_at + lhs[0]]
+        b, d, b_at, d_at = rhs[2], rhs[3], rhs_at + rhs[4], rhs_at + rhs[5]
+        b_text, d_text = line[b_at:b_at + b[0]], line[d_at:d_at + d[0]]
     else:  # (C + D) * B
-        a, c = _operand_texts(old.lhs, lhs)
         b = d = rhs
-    p1, p2 = new.lhs, new.rhs
-    first = [*layout(p1, (p1.lhs, p1.rhs), (a, b), True), [a, b]]
-    second = [*layout(p2, (p2.lhs, p2.rhs), (c, d), True), [c, d]]
-    return [*layout(new, (p1, p2), (first, second), True), [first, second]]
+        b_text = d_text = line[rhs_at:rhs_at + rhs[0]]
+        a, c, a_at, c_at = lhs[2], lhs[3], lhs_at + lhs[4], lhs_at + lhs[5]
+        a_text, c_text = line[a_at:a_at + a[0]], line[c_at:c_at + c[0]]
+    p, q = new.lhs, new.rhs
+    p_text, p_level, a_at, b_at = layout(p, (p.lhs, p.rhs),
+                                         ((a_text, a[1]), (b_text, b[1])))
+    q_text, q_level, c_at, d_at = layout(q, (q.lhs, q.rhs),
+                                         ((c_text, c[1]), (d_text, d[1])))
+    text, level, p_at, q_at = layout(new, (p, q), ((p_text, p_level),
+                                                   (q_text, q_level)))
+    return text, [len(text), level,
+                  [len(p_text), p_level, a, b, a_at, b_at],
+                  [len(q_text), q_level, c, d, c_at, d_at], p_at, q_at]
 
 
-def _context(frame: list, child: ast.Expr, level: int) -> tuple[str, str]:
-    """The spaced text left and right of ``child``, of precedence
-    ``level``, in the operand slot of ``frame``'s node, laid out with the
-    held text of the other operand, as they stand: the scalar-first swap
-    and the parentheses follow ``child``."""
-    node, texts, slot = frame[3], frame[2], frame[4]
-    hole = (_HOLE, level)
-    if type(node) is not ast.Infix:
-        kids, laid = (child,), (hole,)
-    elif slot:
-        texts[0] = _settled(node.lhs, texts[0])
-        kids, laid = (node.lhs, child), (texts[0], hole)
-    else:
-        texts[1] = _settled(node.rhs, texts[1])
-        kids, laid = (child, node.rhs), (hole, texts[1])
-    left, _, right = layout(node, kids, laid, True)[0].partition(_HOLE)
-    return left, right
-
-
-def _traced_line(path: list[list], lefts: list[str], rights: list[str],
-                 new: ast.Expr, held: list, line: Optional[str]) -> str:
-    """The whole term after the subterm below the frames on ``path`` was
-    rewritten to ``new``, of held text ``held``: that text spliced between
-    the frames' texts, which ``lefts`` and ``rights`` keep for a prefix of
-    ``path``. A frame's text is stale if it has none or its slot has moved
-    since it was made. A slot moves only in the innermost frame, so only
-    the frames below the first current one up from there, and the
-    innermost, get their text made again. Only the outermost of them can
-    have text for its old slot: a finished left operand the walk made
-    again then takes its text from where it stands in ``line``."""
-    if not path:
-        return held[0]
-    top = first = len(path) - 1
-    while first and path[first - 1][6] != path[first - 1][4]:
-        first -= 1
-    frame = path[first]
-    if frame[6] == 0 and frame[4] and frame[2][0][0] is None:
-        frame[2][0][0] = line[sum(map(len, lefts[:first + 1])):
-                              len(line) - sum(map(len, rights[:first + 1]))]
-    del lefts[first:], rights[first:]
-    for k in range(first, top + 1):
-        frame = path[k]
-        if k < top:
-            child = path[k + 1][3]
-            left, right = _context(frame, child, head(child)[1])
-        else:
-            left, right = _context(frame, new, held[1])
-        frame[6] = frame[4]
-        lefts.append(left)
-        rights.append(right)
-    return "".join([*lefts, held[0], *reversed(rights)])
+def _spliced(line: str, frame: list, record: list, at: int, new: ast.Expr,
+             text: str, new_record: list) -> tuple[str, int]:
+    """``line`` with ``text``, of ``new``, in place of the text at ``at``
+    in the slot of ``frame``, in the slot's parentheses for its level, and
+    where ``text`` starts. A fold that turns the frame's scalar-first swap
+    on or off moves it further: the frame's node is laid out again, with
+    the text of its other operand, which is finished or a scalar leaf."""
+    new_at = _offset(frame, new, new_record)
+    moved = new_at - at
+    if -1 <= moved <= 1:  # parentheses came, stayed or went
+        lo, hi = at - (moved < 0), at + record[0] + (moved < 0)
+        piece = f"({text})" if moved > 0 else text
+        return "".join((line[:lo], piece, line[hi:])), new_at
+    node, slot, start = frame[0], frame[1], frame[3]
+    if slot:
+        kids, sizes = (node.lhs, new), (frame[4][2], record)
+    else:  # the right operand is a scalar leaf
+        kids, sizes = (new, node.rhs), (record, _leaf_record(node.rhs))
+    length, _, *offsets = extent(node, (node.lhs, node.rhs), sizes)
+    other, other_at = sizes[1 - slot], start + offsets[1 - slot]
+    texts = [(text, new_record[1]),
+             (line[other_at:other_at + other[0]], other[1])]
+    laid = layout(node, kids, texts[::-1] if slot else texts)[0]
+    return "".join((line[:start], laid, line[start + length:])), new_at
 
 
 _SUM = object()  # on the big-step stack above the factor pairs of a split
@@ -372,83 +334,83 @@ def _traced_normalise(body: ast.Expr, max_steps: int,
     tried and ``B`` is not walked again. An input node found normal is not
     walked again either.
 
-    Texts are held as ``[text, level, operand texts]``. A step lays out
-    only what it made: a distribution's products and sum from its factors'
-    held texts, a fold's leaf from ``head``. A text the walk does not hold
-    is cut out of its parent's, or rendered whole: an input subtree handed
-    over whole, or a node made again when an operand changed. The frames
-    of the walk are the path from the root; each keeps its operands' held
-    texts and the text left and right of its slot, made again only where
-    the slot has moved, and a step joins them around its text. A finished
-    left operand made again takes its text from the line before. That is
-    amortised O(1) frames plus the printed line a step. The texts held are
-    those of the nodes beside the path and their operands, O(printed
-    line), and those cut out of a factor that several products share,
-    kept while it is in the term."""
-    lefts: list[str] = []  # the text left of each frame's slot
-    rights: list[str] = []  # and right of it
-    line = None  # the line printed last
-    normal: set[int] = set()  # ids of input nodes found normal
+    ``line`` is the text of the term. A node the walk finished has a record
+    ``[length, level, operand records, operand offsets]`` of its text, and
+    a frame of the path keeps where its node's text starts, which no step
+    below it moves. A step slices the texts it needs out of ``line``, lays
+    out the nodes it made and splices their text in: O(1) frames plus the
+    line."""
+    line = ""  # rendered whole at the first step
+    normal: dict[int, list] = {}  # input leaves and nodes found normal
     steps = 0
-    # the ancestors of ``e``, whose held text is ``held``: frames [None,
-    # level, operand texts, node, operand slot, operands normal, slot of
-    # the trace text, held text of the node]. A frame whose node the walk
-    # made is that node's held text; one whose operands are not known
-    # normal holds an input node, rebuilt only when an operand changes
+    # frames [node, slot, operands normal, start, record], the ancestors of
+    # ``e``; a record's length and offsets are 0 until its frame pops, but
+    # for a node the walk made. Where ``e``'s operands are normal, its text
+    # starts at ``at``
     path: list[list] = []
-    e, held, operands_normal = body, None, False
+    e, record, operands_normal, at = body, None, False, 0
     while True:
-        if not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)) \
-                and id(e) not in normal:
-            path.append([None, head(e)[1], [None, None], e, 0, False, None,
-                         held])
-            e, held = e.lhs if type(e) is ast.Infix else e.operand, None
-            continue
-        if operands_normal:
-            if type(e) is ast.Infix:
-                new = _root_rewrite(e.op, e.lhs, e.rhs)
-            else:
-                new = _root_rewrite(e.op, e.operand)
+        if not operands_normal:
+            record = normal.get(id(e))
+            if record is None:
+                if type(e) is ast.Infix or type(e) is ast.Prefix:
+                    record = [0, head(e)[1], None, None, 0, 0]
+                    path.append([e, 0, False, _offset(path[-1], e, record)
+                                 if path else 0, record])
+                    e = e.lhs if type(e) is ast.Infix else e.operand
+                    continue
+                record = normal[id(e)] = _leaf_record(e)
+        else:
+            new = _root_rewrite(e.op, e.lhs, e.rhs) if type(e) is ast.Infix \
+                else _root_rewrite(e.op, e.operand)
             if new is not None:
+                if not steps:
+                    line = expr_text(body, True)[0]
+                steps += 1
                 if type(new) is tuple:
                     new = _distributed(new)
-                    held = _laid_out(new, e, held)
+                    text, new_record = _distributed_text(new, e, record,
+                                                         line, at)
                 else:
-                    held = [*head(new), None]
-                steps += 1
-                line = _traced_line(path, lefts, rights, new, held, line)
+                    text, level = head(new)
+                    new_record = [len(text), level]
+                line, at = _spliced(line, path[-1], record, at, new, text,
+                                    new_record) if path else (text, 0)
                 trace(line)
                 if steps > max_steps:
                     raise RewriteLimitExceeded(
                         f"more than {max_steps} rewrite steps")
-                if type(new) is ast.Infix:
-                    # C*B + D*B: the products' operands are normal
-                    first, second = held[2]
-                    path.append([None, held[1], [None, second], new, 0, True,
-                                 None, _REMADE])
-                    e, held = new.lhs, first
+                if type(new) is ast.Infix:  # C*B + D*B, of normal operands
+                    path.append([new, 0, True, at, new_record])
+                    e, record = new.lhs, new_record[2]  # first, and bare
                     continue
-                e = new  # a folded leaf
+                e, record = new, new_record  # a folded leaf
         # e is normal: hand it to its parent
         if not path:
             return e
         frame = path[-1]
-        _, _, texts, parent, slot, operands_normal, _, _ = frame
-        siblings = (parent.lhs, parent.rhs) if type(parent) is ast.Infix \
-            else (parent.operand,)
+        node, slot, operands_normal, _, parent = frame
+        siblings = (node.lhs, node.rhs) if type(node) is ast.Infix \
+            else (node.operand,)
         if e is not siblings[slot]:
-            parent = frame[3] = with_operand(parent, slot, e)
-            frame[7] = _REMADE
-        elif not operands_normal and isinstance(e, (ast.Infix, ast.Prefix)):
-            normal.add(id(e))  # body keeps it, so its id stays unique
-        texts[slot] = held
+            node = frame[0] = with_operand(node, slot, e)
+            parent[0] = 0
+        elif not operands_normal:  # an input node, which body keeps
+            normal[id(e)] = record
+        parent[2 + slot] = record
         if slot + 1 < len(siblings):
-            frame[4] = slot + 1
-            e, held, texts[slot + 1] = siblings[slot + 1], texts[slot + 1], None
+            frame[1] = 1
+            e, record = siblings[1], parent[3]
+            if operands_normal:  # D*B: the sum's extent holds until then
+                parent[0], _, parent[4], parent[5] = extent(
+                    node, (node.lhs, e), (parent[2], record))
+                at = frame[3] + parent[5]
         else:
             path.pop()
-            e, operands_normal = parent, True
-            held = frame if frame[7] is _REMADE else frame[7]
+            if not parent[0]:
+                parent[0], _, *parent[4:6] = extent(node, operands(node),
+                                                    parent[2:4])
+            e, record, operands_normal, at = node, parent, True, frame[3]
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
@@ -464,11 +426,10 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     recursion. Whether ``trace`` is given selects the walk. Untraced,
     ``_normalise`` walks each distinct input node once and makes each node
     of the normal form once, which shares a repeated subterm's normal form.
-    Traced, ``_traced_normalise`` makes each step's term, which ``trace``
-    gets as a line, in O(DAG size + steps) node visits. Both count the same
-    steps and raise the same error at the same step. A walk's stacks, ids
-    and kept normal forms are freed when it returns, before the result
-    thunk is built, so they stay out of the peak allocation."""
+    Traced, ``_traced_normalise`` gives ``trace`` each step's term as a
+    line. Both count the same steps and raise the same error at the same
+    step. A walk's stacks, ids, records and kept normal forms are freed
+    when it returns, before the result thunk is built."""
     if not isinstance(v, ThunkV):
         return v
     if trace is None:

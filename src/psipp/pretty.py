@@ -14,9 +14,9 @@ writes pieces in pre-order into one list, joined a chunk at a time,
 going down each ``Infix`` node's left spine and back up, and writes a
 leaf or an ``Infix`` of two names in place, so a normal form's left-deep
 sums of products take a few steps a product. A trace step reads them
-through ``layout``, which lays out one node from the texts of its
-operands that the step holds, and ``expr_text``, the emitter for a
-subtree whose text the step does not hold.
+through ``layout``, which lays out a node it made from its operands'
+texts, and ``extent``, its twin from lengths; ``expr_text`` renders its
+input whole.
 """
 
 from __future__ import annotations
@@ -127,27 +127,41 @@ def head(e: ast.Expr) -> tuple[Optional[str], int]:
     return None, LEVEL_ATOM  # Call, FieldAccess, InheritedCall, PairLit
 
 
-def layout(e: ast.Expr, kids: Sequence[ast.Expr], texts: Sequence[Sequence],
-           spaced: bool) -> tuple[str, int]:
-    """Text and level of the ``Infix`` or ``Prefix`` node ``e`` applied to
-    ``kids``, whose texts and levels lead the entries of ``texts``: a
-    trace step passes the operands as they stand after a rewrite, or a
-    hole in place of one of them."""
-    if not isinstance(e, ast.Infix):
-        text, level = texts[0][0], texts[0][1]
-        if _LEFT_PARENS[LEVEL_PREFIX][level]:
-            return f"-({text})", LEVEL_PREFIX
-        return f"-{text}", LEVEL_PREFIX
-    first, second = texts
-    lhs, lhs_level, rhs, rhs_level = first[0], first[1], second[0], second[1]
+def layout(e: ast.Infix, kids: Sequence[ast.Expr],
+           texts: Sequence[Sequence]) -> tuple[str, int, int, int]:
+    """Spaced text and level of the ``Infix`` node ``e`` applied to
+    ``kids``, whose texts and levels lead the entries of ``texts``, then
+    where the kids' texts start in it."""
+    one, two = texts
     level = INFIX_LEVELS[e.op]
-    if level == LEVEL_MUL and _scalar_first(*kids):
-        lhs, lhs_level, rhs, rhs_level = rhs, rhs_level, lhs, lhs_level
-    if _LEFT_PARENS[level][lhs_level]:
-        lhs = f"({lhs})"
-    if _RIGHT_PARENS[level][rhs_level]:
-        rhs = f"({rhs})"
-    return f"{lhs}{_SEPARATORS[spaced][e.op]}{rhs}", level
+    swapped = level == LEVEL_MUL and _scalar_first(*kids)
+    if swapped:
+        one, two = two, one
+    left, right = _LEFT_PARENS[level][one[1]], _RIGHT_PARENS[level][two[1]]
+    lhs = f"({one[0]})" if left else one[0]
+    rhs = f"({two[0]})" if right else two[0]
+    text = f"{lhs}{_SEPARATORS[True][e.op]}{rhs}"
+    at = len(text) - len(rhs) + right
+    return (text, level, at, left) if swapped else (text, level, left, at)
+
+
+def extent(e: ast.Expr, kids: Sequence[ast.Expr],
+           sizes: Sequence[Sequence]) -> tuple[int, ...]:
+    """``layout``'s twin from lengths, for an ``Infix`` or ``Prefix`` node:
+    the length and level of its spaced text, then where the kids' texts
+    start in it."""
+    if not isinstance(e, ast.Infix):  # -x or -(x)
+        at = 1 + _LEFT_PARENS[LEVEL_PREFIX][sizes[0][1]]
+        return sizes[0][0] + 2 * at - 1, LEVEL_PREFIX, at
+    one, two = sizes
+    level = INFIX_LEVELS[e.op]
+    swapped = level == LEVEL_MUL and _scalar_first(*kids)
+    if swapped:
+        one, two = two, one
+    left, right = _LEFT_PARENS[level][one[1]], _RIGHT_PARENS[level][two[1]]
+    at = one[0] + 2 * left + len(_SEPARATORS[True][e.op]) + right
+    length = at + two[0] + right
+    return (length, level, at, left) if swapped else (length, level, left, at)
 
 
 def _spread(e: ast.Expr) -> tuple:
@@ -175,9 +189,7 @@ def _wrapped(operand: ast.Expr, level: int) -> tuple:
 
 
 def expr_text(e: ast.Expr, spaced: bool) -> tuple[str, int]:
-    """Text and precedence level of ``e``, rendered whole: for a trace
-    step, which lays out its new nodes from the texts it holds, this
-    renders a subtree whose text it does not hold."""
+    """Text and precedence level of ``e``, rendered whole."""
     return _emit(e, spaced), head(e)[1]
 
 

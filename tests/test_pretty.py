@@ -1,8 +1,8 @@
 """The renderer against the recursive renderer it replaced, kept here as
 the oracle, on random trees and DAGs of every expression kind and on
 long left-deep chains: the pre-order emitter behind ``render_expr``,
-``render_value`` and ``expr_text``, and the operand texts a trace step
-cuts out of a layout."""
+``render_value`` and ``expr_text``, and the layout of one node that a
+trace step makes, with its twin from lengths."""
 
 import tracemalloc
 from functools import partial, reduce
@@ -10,12 +10,12 @@ from functools import partial, reduce
 from hypothesis import example, given, settings, strategies as st
 
 from psipp import ast
-from psipp.algebra import _operand_texts, simplify
+from psipp.algebra import simplify
 from psipp.ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL,
                        LEVEL_PREFIX)
 from psipp.monomials import MonomialRegister
-from psipp.pretty import (_int_text, _value_text, expr_text, render_expr,
-                          render_value)
+from psipp.pretty import (_int_text, _value_text, expr_text, extent, layout,
+                          render_expr, render_value)
 from psipp.values import FAIL, ComplexV, FreeVarV, RegisterV
 
 from test_rewriter import expand_term
@@ -248,18 +248,25 @@ def test_a_long_spine_matches_the_recursive_oracle(root, spaced):
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(dags())
-def test_operand_texts_cut_out_of_a_held_text_match_the_oracle(dag):
-    # a trace step takes its factors' texts out of the text it holds for
-    # their parent, where a layout with a hole in their place leaves room:
-    # parentheses, separator and scalar-first swap come off as laid on
+def test_layout_and_its_twin_match_the_recursive_oracle(dag):
+    # a trace step lays out a node it made from its operands' texts, and
+    # slices an operand's text out of its parent's where extent, from
+    # lengths, says it starts: parentheses, separator and scalar-first
+    # swap as the oracle lays them
     _, pool = dag
     for node in pool:
-        if isinstance(node, ast.Infix):
+        if isinstance(node, (ast.Infix, ast.Prefix)):
             text, level = oracle_expr_text(node, True)
-            assert [entry[:2] for entry in _operand_texts(
-                node, [text, level, None])] == [
-                    list(oracle_expr_text(kid, True))
-                    for kid in ast.operands(node)]
+            kids = ast.operands(node)
+            texts = [oracle_expr_text(kid, True) for kid in kids]
+            sizes = [(len(kid_text), kid_level)
+                     for kid_text, kid_level in texts]
+            length, twin_level, *offsets = extent(node, kids, sizes)
+            assert (length, twin_level) == (len(text), level)
+            assert [text[at:at + len(kid_text)] for at, (kid_text, _) in
+                    zip(offsets, texts)] == [kid_text for kid_text, _ in texts]
+            if isinstance(node, ast.Infix):
+                assert layout(node, kids, texts) == (text, level, *offsets)
 
 
 def test_emitter_memory_stays_near_the_text():

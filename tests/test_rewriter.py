@@ -172,6 +172,10 @@ def leaf(n: int) -> ast.ValueLeaf:
     return ast.ValueLeaf(n)
 
 
+def register(*exponents: int) -> ast.ValueLeaf:
+    return ast.ValueLeaf(RegisterV(MonomialRegister(*exponents)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(terms(), st.sampled_from([5, 20, 10_000]), st.booleans())
 @example(worked_example(), 10_000, True)
@@ -222,6 +226,23 @@ def leaf(n: int) -> ast.ValueLeaf:
     "+", ast.Ident("a"), ast.Infix("*", leaf(1), leaf(2))), ast.Infix(
         "+", ast.Ident("b"), ast.Infix("*", leaf(2), leaf(3)))))),
          10_000, True)
+# a left operand folds to a scalar beside a scalar right operand, which
+# printed first: the swap turns off and the product is laid out again,
+# 4 * (1 + 2) to 3 * 4, alone and under x - ...
+@example(over_free(ast.Infix("*", ast.Infix("+", leaf(1), leaf(2)), leaf(4))),
+         10_000, True)
+@example(over_free(ast.Infix("-", ast.Ident("x"), ast.Infix(
+    "*", ast.Infix("+", leaf(1), leaf(2)), leaf(4)))), 10_000, True)
+# a fold to a register whose text has a space, so at the level of *, on
+# the right of a product
+@example(over_free(ast.Infix("*", ast.Ident("x"), ast.Infix(
+    "*", register(0, 1, 0, 0), register(1, 2, 0, 1)))), 10_000, True)
+# a field access, a leaf the walk renders for its length, beside a
+# distribution on either side
+@example(over_free(ast.Infix("+", ast.Infix(
+    "*", ast.FieldAccess(ast.Ident("z"), "Re"), distributed("a", "b", "c").lhs
+), ast.Infix("*", distributed("a", "b", "c").lhs,
+             ast.FieldAccess(ast.Ident("z"), "Re")))), 10_000, True)
 # untraced, the budget runs out between the two products of one
 # distribution: x * BIG is normal, and BIG * BIG overflows before its fold
 # would take a second step
@@ -430,15 +451,13 @@ def traced_expand(monkeypatch, n, patches):
 
 
 def test_traced_expand_renders_linear_nodes(monkeypatch):
-    # each step renders the few nodes it makes and splices them between
-    # the texts the path's frames keep: amortised O(1) frames plus the
-    # printed line. Rendering the rebuilt path from the root instead costs
-    # O(depth) nodes a step, about n. The renderer calls layout once per
-    # operator node it renders: the new sum and its two products, then
-    # the innermost frame's text, 4 a step, plus the input once at the
-    # first step (4152 calls at n = 32). Rendering the y-sum again at each
-    # row, or a finished operand again when its frame's slot moves, costs
-    # about 6 a step
+    # each step renders the few nodes it makes and splices them into the
+    # line: O(1) frames plus the printed line. Rendering the rebuilt path
+    # from the root instead costs O(depth) nodes a step, about n. The
+    # renderer calls layout once per operator node it makes: the new sum
+    # and its two products, 3 a step (3069 calls at n = 32), and never on
+    # the input, which is rendered whole. Laying out the y-sum again at
+    # each row, or each frame's node again at each step, costs more
     n = 32
     steps, input_nodes = n * n - 1, 4 * n
     layout = budget(4 * steps + input_nodes, pretty.layout)
@@ -446,54 +465,66 @@ def test_traced_expand_renders_linear_nodes(monkeypatch):
                                    (algebra, "layout", layout)])
 
 
-def test_traced_expand_lays_out_each_input_node_once(monkeypatch):
-    # the render memo keeps the input nodes found normal for the whole
-    # pass: the y-sum, which the products of every row hold, is laid out
-    # at the first step only, not again at the start of each row
+def test_traced_expand_lays_out_no_input_node_and_renders_the_input_once(
+        monkeypatch):
+    # a step lays out only the nodes it made and slices its operands' texts
+    # out of the line: no input node goes through layout, and the input is
+    # rendered whole once, at the first step, not again at each row, where
+    # the y-sum is a factor of every product
     n = 16
     v = expand_term(n)
-    inputs, pending = {}, [v.body]
+    inputs, pending = set(), [v.body]
     while pending:
         e = pending.pop()
+        inputs.add(id(e))
         if type(e) is ast.Infix:
-            inputs[id(e)] = 0
             pending += (e.lhs, e.rhs)
-    render = pretty.layout
+    laid_out, rendered = [], []
+    render_layout, render_whole = pretty.layout, pretty.expr_text
 
     def layout(e, *args):
         if id(e) in inputs:
-            inputs[id(e)] += 1
-        return render(e, *args)
+            laid_out.append(e)
+        return render_layout(e, *args)
 
-    monkeypatch.setattr(pretty, "layout", layout)
-    monkeypatch.setattr(algebra, "layout", layout)
+    def expr_text(e, *args):
+        rendered.append(e)
+        return render_whole(e, *args)
+
+    for module in (pretty, algebra):
+        monkeypatch.setattr(module, "layout", layout)
+        monkeypatch.setattr(module, "expr_text", expr_text)
     lines = []
     simplify(v, trace=lines.append)
     monkeypatch.undo()
     assert len(lines) == n * n - 1
-    assert max(inputs.values()) == 1
+    assert laid_out == []
+    assert rendered == [v.body]
 
 
-def test_traced_expand_makes_amortised_constant_frame_texts(monkeypatch):
-    # a frame's text is made when it is pushed or its slot moves, and the
-    # innermost frame's at each step (1022 texts at n = 32); making every
-    # frame's text again at each step costs about n texts a step. Frames
-    # pushed: the 2n - 1 operator nodes of the input and one sum a step
+def test_traced_expand_finds_amortised_constant_offsets(monkeypatch):
+    # where a node's text starts in the line is found when its frame is
+    # pushed, from the frame above, and where a step's new text starts,
+    # from the innermost frame (1084 offsets at n = 32); finding every
+    # frame's start again from the root at each step costs about n
+    # offsets a step. Frames pushed: the 2n - 1 operator nodes of the input
+    # and one sum a step
     n = 32
     steps = n * n - 1
     frames_pushed = 2 * n - 1 + steps
-    traced_expand(monkeypatch, n, [(algebra, "_context", budget(
-        steps + frames_pushed, algebra._context))])
+    offsets = budget(steps + frames_pushed, algebra._offset)
+    traced_expand(monkeypatch, n, [(algebra, "_offset", offsets)])
+    assert offsets.calls > steps
 
 
 def test_traced_expand_renders_each_input_node_whole_once_at_most(
         monkeypatch):
-    # a step lays out its new nodes from the texts the walk holds, so the
-    # renderer of whole subtrees runs only on input nodes, and at most once
-    # for each: at most 4n times for the 4n - 1 nodes of the input (twice
-    # here, the x- and y-sums at the first step; their operands' texts are
-    # cut out of theirs). Rendering the new subterm and a frame's other
-    # operand through a render memo at each step enters it twice a step
+    # a step lays out its new nodes from texts sliced out of the line, so
+    # the renderer of whole subtrees runs only on input nodes, and at most
+    # once for each: at most 4n times for the 4n - 1 nodes of the input
+    # (once here, the whole input at the first step). Rendering the new
+    # subterm and a frame's other operand through a render memo at each
+    # step enters it twice a step
     n = 32
     renders = budget(4 * n, pretty.expr_text)
     traced_expand(monkeypatch, n, [(pretty, "expr_text", renders),
@@ -502,10 +533,11 @@ def test_traced_expand_renders_each_input_node_whole_once_at_most(
 
 
 def test_traced_left_deep_chain_holds_text_linear_in_its_line():
-    # (x + ... + x) * y distributes down the chain: the texts held are
-    # those of the nodes beside the path, not of every prefix of the chain.
-    # 1.53 MB measured with 1500 sums (Python 3.11), and linear in them;
-    # keeping each prefix's text, as a render memo does, peaks at 5.91 MB
+    # (x + ... + x) * y distributes down the chain: the walk holds the
+    # line and records of lengths, not the text of every prefix of the
+    # chain. 1.53 MB measured with 1500 sums (Python 3.11) when the walk
+    # held the texts beside the path, 1.55 MB with records; keeping each
+    # prefix's text, as a render memo does, peaks at 5.91 MB
     sums = 1500
     x, y = ast.Ident("x"), ast.Ident("y")
     v = over_free(ast.Infix("*", reduce(partial(ast.Infix, "+"),
@@ -519,6 +551,32 @@ def test_traced_left_deep_chain_holds_text_linear_in_its_line():
         tracemalloc.stop()
     assert len(lines) == sums
     assert peak <= 1.25 * 1.53e6
+
+
+def test_traced_shared_factor_holds_memory_linear_in_its_terms():
+    # (a + b) * (y + ... + y) distributes over the m terms of a sum that
+    # every product of a row shares: the walk holds records of lengths,
+    # O(m), and slices a factor's text out of the line when a step needs
+    # it. Holding each cut prefix of the shared sum's text peaks at O(m^2):
+    # 3.20 and 10.47 MB for m = 1000 and 2000 (Python 3.11), 3.3x; 1.48 and
+    # 2.96 MB with records
+    def peak(m):
+        a, b, y = ast.Ident("a"), ast.Ident("b"), ast.Ident("y")
+        v = over_free(ast.Infix("*", ast.Infix("+", a, b), reduce(
+            partial(ast.Infix, "+"), [y] * m)))
+        lines = []
+        tracemalloc.start()
+        try:
+            simplify(v, trace=lambda line: lines.append(len(line)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 2 * m - 1
+        return peak
+
+    small, large = peak(1000), peak(2000)
+    assert large <= 2.5 * small
+    assert large <= 1.5 * 2.96e6
 
 
 def test_body_deeper_than_the_recursion_limit_simplifies(tmp_path):
