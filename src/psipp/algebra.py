@@ -12,21 +12,19 @@ a sum into two factor pairs, which ``distribute`` also takes.
 ``simplify`` rewrites to a normal form innermost-leftmost, in one pass
 over the term: distribute products over sums, fold all-concrete
 applications, promote integers that meet complex values. Factor and
-summand order are never changed. It has two walks over the same rules,
-and whether a trace sink is given selects one. Untraced, the walk is
-big-step: operands are normalised before their root is tried, a
-distribution's products are tried as factor pairs before they are made,
-and its sum is made after them, so each node of the normal form is made
-once. An input node is walked once however often the body shares it: one
-found normal is kept, and one rewritten keeps its normal form and its
-steps, which count again, against the limit, at each later place. So the
-untraced pass takes O(DAG size + steps) time with the steps below a shared
-node taken once, not once per place, and the normal form shares a
-repeated subterm's normal form. Traced, the walk is small-step, since
-each step's term is printed, and it rewrites a shared subterm that is not
-normal at each place: O(DAG size + steps) node visits, plus the printed
-lines. A step slices the texts it needs out of the line before, lays out
-only the nodes it made, and splices their text into that line.
+summand order are never changed. Its one walk is big-step: operands are
+normalised before their root is tried, a distribution's products are
+tried as factor pairs before they are made, and its sum is made after
+them, so each node of the normal form is made once. An input node found
+normal is not walked again where the body shares it. Untraced, one
+rewritten keeps its normal form and its steps, which count again, against
+the limit, at each later place: O(DAG size + steps) time, with the steps
+below a shared node taken once, and the normal form shares a repeated
+subterm's normal form. Traced, each step's term is printed, so a shared
+subterm that is not normal is rewritten at each place, and the walk keeps
+the term's text beside its stacks: a step slices the texts it needs out
+of the line before, lays out only the nodes it made, and splices their
+text into that line.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import ast
-from .ast import operands, with_operand
 from .errors import EvalError, RewriteLimitExceeded
 from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
 from .lexer import tokenize
@@ -79,12 +76,6 @@ PRELUDE = parse_program([(tag, lexeme, None)
 
 # --- distributivity ---
 
-def _distributed(split: tuple[tuple, tuple]) -> ast.Infix:
-    """The sum of the products of a split's two factor pairs."""
-    (a, b), (c, d) = split
-    return ast.Infix("+", ast.Infix("*", a, b), ast.Infix("*", c, d))
-
-
 def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
     """One layer of distributivity on trees: (C + D) * B -> C*B + D*B, or
     A * (E + F) -> A*E + A*F; None when neither factor is a sum. Two value
@@ -92,7 +83,10 @@ def distribute_expr(lhs: ast.Expr, rhs: ast.Expr) -> Optional[ast.Infix]:
     if type(lhs) is ast.ValueLeaf and type(rhs) is ast.ValueLeaf:
         return None
     split = _root_rewrite("*", lhs, rhs)
-    return None if split is None else _distributed(split)
+    if split is None:
+        return None
+    (a, b), (c, d) = split
+    return ast.Infix("+", ast.Infix("*", a, b), ast.Infix("*", c, d))
 
 
 def distribute(a: Value, b: Value) -> Value:
@@ -127,14 +121,14 @@ def _concrete_leaf(e: ast.Expr) -> Optional[Value]:
 
 
 def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
-                  ) -> Optional[ast.ValueLeaf | tuple[tuple, tuple]]:
+                  ) -> Optional[ast.ValueLeaf | list[tuple]]:
     """One rewrite at the root of an application of ``op`` to normal
     operands, ``rhs`` None for a prefix one: fold concrete operands to a
     leaf, else split a product over a sum, one layer of distributivity, into
-    two factor pairs: (C + D) * B into (C, B) and (D, B), A * (E + F) into
-    (A, E) and (A, F). Factor order is preserved (noncommutative-safe). None
-    when the root is no redex. A value leaf is always concrete, and never a
-    sum."""
+    a list of two factor pairs: (C + D) * B into (C, B) and (D, B),
+    A * (E + F) into (A, E) and (A, F). Factor order is preserved
+    (noncommutative-safe). None when the root is no redex. A value leaf is
+    always concrete, and never a sum."""
     if type(lhs) is ast.ValueLeaf \
             and (rhs is None or type(rhs) is ast.ValueLeaf):
         folded = _fold(op, [lhs.value] if rhs is None
@@ -142,9 +136,9 @@ def _root_rewrite(op: str, lhs: ast.Expr, rhs: Optional[ast.Expr] = None
         return None if folded is None else ast.ValueLeaf(folded)
     if op == "*":
         if type(lhs) is ast.Infix and lhs.op == "+":
-            return (lhs.lhs, rhs), (lhs.rhs, rhs)
+            return [(lhs.lhs, rhs), (lhs.rhs, rhs)]
         if type(rhs) is ast.Infix and rhs.op == "+":
-            return (lhs, rhs.lhs), (lhs, rhs.rhs)
+            return [(lhs, rhs.lhs), (lhs, rhs.rhs)]
     return None
 
 
@@ -154,29 +148,31 @@ def _leaf_record(e: ast.Expr) -> list:
     return [len(text if text is not None else expr_text(e, True)[0]), level]
 
 
-def _offset(frame: list, kid: ast.Expr, entry: list) -> int:
+def _offset(frame: list, kid, entry: list) -> int:
     """Where the text of ``kid``, of record ``entry``, starts in the line
     in the slot of ``frame``."""
-    node, slot, _, start, record = frame
-    if type(node) is not ast.Infix:
-        return start + extent(node, (kid,), (entry,))[2]
+    op, kids, slot, start, record = frame
+    if len(kids) == 1:
+        return start + extent(op, (kid,), (entry,))[2]
     if slot:
-        return start + extent(node, (node.lhs, kid), (record[2], entry))[3]
+        return start + extent(op, (kids[0], kid), (record[2], entry))[3]
     rhs = record[3]
     if rhs is None:  # not walked yet: only a value leaf can print first
-        rhs = _leaf_record(node.rhs) if type(node.rhs) is ast.ValueLeaf \
+        rhs = _leaf_record(kids[1]) if type(kids[1]) is ast.ValueLeaf \
             else entry
-    return start + extent(node, (kid, node.rhs), (entry, rhs))[2]
+    return start + extent(op, (kid, kids[1]), (entry, rhs))[2]
 
 
-def _distributed_text(new: ast.Infix, old: ast.Infix, record: list,
-                      line: str, at: int) -> tuple[str, list]:
-    """The text and record of ``new``, the distribution ``C*B + D*B`` or
-    ``A*E + A*F`` of ``old``, from the factors' texts, sliced out of
-    ``line`` where ``old``'s text, at ``at``, and the records put them."""
+def _distributed_text(split: list[tuple], right: bool,
+                      record: list, line: str, at: int) -> tuple[str, list]:
+    """The text and record of the sum of the products of ``split``'s two
+    factor pairs, the distribution of a product over the sum on its
+    ``right`` (``A*E + A*F``) or left (``C*B + D*B``), from the factors'
+    texts, sliced out of ``line`` where the product's text, at ``at``, and
+    its ``record`` put them."""
     lhs, rhs = record[2], record[3]
     lhs_at, rhs_at = at + record[4], at + record[5]
-    if new.lhs.lhs is old.lhs:  # A * (E + F)
+    if right:  # A * (E + F)
         a = c = lhs
         a_text = c_text = line[lhs_at:lhs_at + lhs[0]]
         b, d, b_at, d_at = rhs[2], rhs[3], rhs_at + rhs[4], rhs_at + rhs[5]
@@ -186,61 +182,86 @@ def _distributed_text(new: ast.Infix, old: ast.Infix, record: list,
         b_text = d_text = line[rhs_at:rhs_at + rhs[0]]
         a, c, a_at, c_at = lhs[2], lhs[3], lhs_at + lhs[4], lhs_at + lhs[5]
         a_text, c_text = line[a_at:a_at + a[0]], line[c_at:c_at + c[0]]
-    p, q = new.lhs, new.rhs
-    p_text, p_level, a_at, b_at = layout(p, (p.lhs, p.rhs),
-                                         ((a_text, a[1]), (b_text, b[1])))
-    q_text, q_level, c_at, d_at = layout(q, (q.lhs, q.rhs),
-                                         ((c_text, c[1]), (d_text, d[1])))
-    text, level, p_at, q_at = layout(new, (p, q), ((p_text, p_level),
-                                                   (q_text, q_level)))
+    p, q = split
+    p_text, p_level, a_at, b_at = layout("*", p, ((a_text, a[1]),
+                                                  (b_text, b[1])))
+    q_text, q_level, c_at, d_at = layout("*", q, ((c_text, c[1]),
+                                                  (d_text, d[1])))
+    text, level, p_at, q_at = layout("+", split, ((p_text, p_level),
+                                                  (q_text, q_level)))
     return text, [len(text), level,
                   [len(p_text), p_level, a, b, a_at, b_at],
                   [len(q_text), q_level, c, d, c_at, d_at], p_at, q_at]
 
 
-def _spliced(line: str, frame: list, record: list, at: int, new: ast.Expr,
+def _spliced(line: str, frame: list, record: list, at: int, new,
              text: str, new_record: list) -> tuple[str, int]:
     """``line`` with ``text``, of ``new``, in place of the text at ``at``
     in the slot of ``frame``, in the slot's parentheses for its level, and
     where ``text`` starts. A fold that turns the frame's scalar-first swap
-    on or off moves it further: the frame's node is laid out again, with
-    the text of its other operand, which is finished or a scalar leaf."""
+    on or off moves it further: the frame's application is laid out again,
+    with the text of its other operand, which is finished or a scalar
+    leaf."""
     new_at = _offset(frame, new, new_record)
     moved = new_at - at
     if -1 <= moved <= 1:  # parentheses came, stayed or went
         lo, hi = at - (moved < 0), at + record[0] + (moved < 0)
         piece = f"({text})" if moved > 0 else text
         return "".join((line[:lo], piece, line[hi:])), new_at
-    node, slot, start = frame[0], frame[1], frame[3]
+    op, kids, slot, start, parent = frame
     if slot:
-        kids, sizes = (node.lhs, new), (frame[4][2], record)
+        sizes = (parent[2], record)
     else:  # the right operand is a scalar leaf
-        kids, sizes = (new, node.rhs), (record, _leaf_record(node.rhs))
-    length, _, *offsets = extent(node, (node.lhs, node.rhs), sizes)
+        sizes = (record, _leaf_record(kids[1]))
+    length, _, *offsets = extent(op, kids, sizes)
     other, other_at = sizes[1 - slot], start + offsets[1 - slot]
     texts = [(text, new_record[1]),
              (line[other_at:other_at + other[0]], other[1])]
-    laid = layout(node, kids, texts[::-1] if slot else texts)[0]
+    laid = layout(op, (kids[0], new) if slot else (new, kids[1]),
+                  texts[::-1] if slot else texts)[0]
     return "".join((line[:start], laid, line[start + length:])), new_at
+
+
+def _hand(path: list[list], node: ast.Expr, record: list) -> None:
+    """Give the innermost frame of ``path`` its finished operand ``node``,
+    of ``record``, and move its slot on."""
+    frame = path[-1]
+    slot = frame[2]
+    frame[1][slot] = node
+    frame[4][2 + slot] = record
+    frame[2] = slot + 1
 
 
 _SUM = object()  # on the big-step stack above the factor pairs of a split
 _KEEP = object()  # below them, when the split is an input application's
 
 
-def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
-    """The normal form of ``body``, untraced: a big-step walk that
-    normalises an application's operands first and then tries its root
-    once. A distribution gives two factor pairs, not nodes: each pair is
-    tried as a product before it is made, and the sum is made after both
-    of its products are normal. An input node whose operands stay as they
-    are is kept, and not walked again where the body shares it. An input
-    application that was rewritten keeps its normal form and the steps it
-    took: where the body shares it, those steps are counted again and
-    checked against the limit, and its kept normal form is shared. So each
-    distinct input node is walked once, and each node of the normal form
-    is made once."""
-    normal: set[int] = set()  # ids of input nodes found normal
+def _normalise(body: ast.Expr, max_steps: int,
+               trace: Optional[Callable[[str], None]] = None) -> ast.Expr:
+    """The normal form of ``body``: a big-step walk that normalises an
+    application's operands first and then tries its root once. A
+    distribution gives two factor pairs, not nodes: each is tried as a
+    product before it is made, and the sum is made after both products are
+    normal, so each node of the normal form is made once. An input node
+    whose operands stay as they are is kept, and not walked again where
+    the body shares it. Untraced, an input application that was rewritten
+    keeps its normal form and the steps it took, which are counted again
+    and checked against the limit where the body shares it: each distinct
+    input node is walked once.
+
+    Traced, ``trace`` is given the whole term, ``line``, after each step,
+    and a kept normal form is not read, since each step is a line at each
+    place. A finished operand has a record ``[length, level, operand
+    records, operand offsets]`` of its text. A frame ``[op, operands, slot,
+    start, record]`` is pushed when the walk enters an input application
+    or a split makes a sum, whose slots then hold its factor pairs. It
+    keeps where its text starts in ``line``, which no step below it moves.
+    A step lays out the nodes it made from texts sliced out of ``line`` and
+    splices them into the innermost frame, whose length is found again
+    when it is popped: O(1) frames plus the line."""
+    # id of an input node found normal, a leaf included when traced: its
+    # record, traced, else None
+    normal: dict[int, Optional[list]] = {}
     # id of an input application rewritten: its normal form, and the steps
     # that took
     kept: dict[int, tuple[ast.Expr, int]] = {}
@@ -254,6 +275,9 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
     # normal form is then on top of ``done``
     todo: list = [body]
     done: list[ast.Expr] = []
+    # traced: the line, the frames, and the record of the application tried
+    # and where its text starts
+    line, path, record, at = "", [], None, 0
     while todo:
         task = todo.pop()
         kind = type(task)
@@ -273,26 +297,43 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
             node, start = splits.pop()
             kept[id(node)] = done[-1], steps - start
             continue
-        elif kind is ast.Infix or kind is ast.Prefix:
-            if id(task) in normal:
-                done.append(task)
-            elif id(task) in kept:
-                new, taken = kept[id(task)]
-                steps += taken
-                if steps > max_steps:
-                    raise RewriteLimitExceeded(
-                        f"more than {max_steps} rewrite steps")
-                done.append(new)
-            else:
-                todo.append([task, steps])
-                if kind is ast.Infix:
-                    todo += (task.rhs, task.lhs)
-                else:
-                    todo.append(task.operand)
-            continue
-        else:  # a leaf
+        elif kind is not ast.Infix and kind is not ast.Prefix \
+                or id(task) in normal:  # a leaf, or an input node found normal
             done.append(task)
+            if path:
+                if id(task) not in normal:  # a leaf met for the first time
+                    normal[id(task)] = _leaf_record(task)
+                _hand(path, task, normal[id(task)])
             continue
+        elif trace is None and id(task) in kept:
+            new, taken = kept[id(task)]
+            steps += taken
+            if steps > max_steps:
+                raise RewriteLimitExceeded(
+                    f"more than {max_steps} rewrite steps")
+            done.append(new)
+            continue
+        else:  # an input application
+            todo.append([task, steps])
+            if kind is ast.Infix:
+                todo += (task.rhs, task.lhs)
+            else:
+                todo.append(task.operand)
+            if trace is not None:
+                entry = [0, head(task)[1], None, None, 0, 0]
+                path.append([task.op, [task.lhs, task.rhs]
+                             if kind is ast.Infix else [task.operand], 0,
+                             _offset(path[-1], task, entry) if path else 0,
+                             entry])
+            continue
+        if trace is not None:  # the frame of the application, or its sum's
+            frame = path[-1] if kind is tuple else path.pop()
+            _, kids, slot, at, record = frame
+            if not record[0]:  # a step in one of its slots moved its text
+                record[0], _, *record[4:6] = extent(frame[0], kids,
+                                                    record[2:4])
+            if kind is tuple:  # the product in the sum's slot
+                at, record = at + record[4 + slot], record[2 + slot]
         new = _root_rewrite(op, lhs, rhs)
         if new is None:
             if node is None:
@@ -303,114 +344,45 @@ def _normalise(body: ast.Expr, max_steps: int) -> ast.Expr:
                 new = node
             else:
                 new = ast.Infix(op, lhs, rhs)
-            if new is node:
-                normal.add(id(node))  # body keeps it, so its id stays unique
-            elif node is not None:
-                kept[id(node)] = new, steps - task[1]
-            done.append(new)
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise RewriteLimitExceeded(f"more than {max_steps} rewrite steps")
-        if type(new) is tuple:
-            if node is not None:
-                splits.append(task)
-                todo.append(_KEEP)
-            todo += (_SUM, new[1], new[0])
-        else:  # a folded leaf
-            if node is not None:
-                kept[id(node)] = new, steps - task[1]
-            done.append(new)
-    return done[0]
-
-
-def _traced_normalise(body: ast.Expr, max_steps: int,
-                      trace: Callable[[str], None]) -> ast.Expr:
-    """The normal form of ``body``, with ``trace`` given the whole term
-    after each step: a small-step walk that rewrites the first redex in
-    post-order and resumes at the node just rewritten, since everything
-    before it is normal. A distribution ``C*B + D*B`` is made as nodes and
-    fires only on normal operands, so only its new products' roots are
-    tried and ``B`` is not walked again. An input node found normal is not
-    walked again either.
-
-    ``line`` is the text of the term. A node the walk finished has a record
-    ``[length, level, operand records, operand offsets]`` of its text, and
-    a frame of the path keeps where its node's text starts, which no step
-    below it moves. A step slices the texts it needs out of ``line``, lays
-    out the nodes it made and splices their text in: O(1) frames plus the
-    line."""
-    line = ""  # rendered whole at the first step
-    normal: dict[int, list] = {}  # input leaves and nodes found normal
-    steps = 0
-    # frames [node, slot, operands normal, start, record], the ancestors of
-    # ``e``; a record's length and offsets are 0 until its frame pops, but
-    # for a node the walk made. Where ``e``'s operands are normal, its text
-    # starts at ``at``
-    path: list[list] = []
-    e, record, operands_normal, at = body, None, False, 0
-    while True:
-        if not operands_normal:
-            record = normal.get(id(e))
-            if record is None:
-                if type(e) is ast.Infix or type(e) is ast.Prefix:
-                    record = [0, head(e)[1], None, None, 0, 0]
-                    path.append([e, 0, False, _offset(path[-1], e, record)
-                                 if path else 0, record])
-                    e = e.lhs if type(e) is ast.Infix else e.operand
-                    continue
-                record = normal[id(e)] = _leaf_record(e)
         else:
-            new = _root_rewrite(e.op, e.lhs, e.rhs) if type(e) is ast.Infix \
-                else _root_rewrite(e.op, e.operand)
-            if new is not None:
-                if not steps:
+            steps += 1
+            if trace is not None:
+                if steps == 1:
                     line = expr_text(body, True)[0]
-                steps += 1
-                if type(new) is tuple:
-                    new = _distributed(new)
-                    text, new_record = _distributed_text(new, e, record,
-                                                         line, at)
+                if type(new) is list:
+                    text, new_record = _distributed_text(
+                        new, new[0][0] is lhs, record, line, at)
                 else:
                     text, level = head(new)
                     new_record = [len(text), level]
-                line, at = _spliced(line, path[-1], record, at, new, text,
-                                    new_record) if path else (text, 0)
+                if path:
+                    line, at = _spliced(line, path[-1], record, at, new,
+                                        text, new_record)
+                    path[-1][4][0] = 0
+                else:
+                    line, at = text, 0
+                record = new_record
+                if type(new) is list:  # the sum, whose slots are its pairs
+                    path.append(["+", new, 0, at, record])
                 trace(line)
-                if steps > max_steps:
-                    raise RewriteLimitExceeded(
-                        f"more than {max_steps} rewrite steps")
-                if type(new) is ast.Infix:  # C*B + D*B, of normal operands
-                    path.append([new, 0, True, at, new_record])
-                    e, record = new.lhs, new_record[2]  # first, and bare
-                    continue
-                e, record = new, new_record  # a folded leaf
-        # e is normal: hand it to its parent
-        if not path:
-            return e
-        frame = path[-1]
-        node, slot, operands_normal, _, parent = frame
-        siblings = (node.lhs, node.rhs) if type(node) is ast.Infix \
-            else (node.operand,)
-        if e is not siblings[slot]:
-            node = frame[0] = with_operand(node, slot, e)
-            parent[0] = 0
-        elif not operands_normal:  # an input node, which body keeps
-            normal[id(e)] = record
-        parent[2 + slot] = record
-        if slot + 1 < len(siblings):
-            frame[1] = 1
-            e, record = siblings[1], parent[3]
-            if operands_normal:  # D*B: the sum's extent holds until then
-                parent[0], _, parent[4], parent[5] = extent(
-                    node, (node.lhs, e), (parent[2], record))
-                at = frame[3] + parent[5]
-        else:
-            path.pop()
-            if not parent[0]:
-                parent[0], _, *parent[4:6] = extent(node, operands(node),
-                                                    parent[2:4])
-            e, record, operands_normal, at = node, parent, True, frame[3]
+            if steps > max_steps:
+                raise RewriteLimitExceeded(
+                    f"more than {max_steps} rewrite steps")
+            if type(new) is list:
+                if node is not None:
+                    splits.append(task)
+                    todo.append(_KEEP)
+                todo += (_SUM, new[1], new[0])
+                continue
+        # new is normal: a node made or kept, or a folded leaf
+        if new is node:  # body keeps it, so its id stays unique
+            normal[id(node)] = record
+        elif node is not None:
+            kept[id(node)] = new, steps - task[1]
+        done.append(new)
+        if path:
+            _hand(path, new, record)
+    return done[0]
 
 
 def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
@@ -421,21 +393,18 @@ def simplify(v: Value, max_steps: int = DEFAULT_REWRITE_LIMIT,
     drops an identifier, so the normal form keeps the thunk's captures. A
     fold gives a value of its operands' joined type, so it keeps the type.
 
-    Rewriting is innermost-leftmost, by the rules of ``_root_rewrite``,
-    on an explicit stack, so a body of any depth is walked without
-    recursion. Whether ``trace`` is given selects the walk. Untraced,
-    ``_normalise`` walks each distinct input node once and makes each node
-    of the normal form once, which shares a repeated subterm's normal form.
-    Traced, ``_traced_normalise`` gives ``trace`` each step's term as a
-    line. Both count the same steps and raise the same error at the same
-    step. A walk's stacks, ids, records and kept normal forms are freed
-    when it returns, before the result thunk is built."""
+    Rewriting is innermost-leftmost, by the rules of ``_root_rewrite``, in
+    the one walk ``_normalise``, on explicit stacks, so a body of any depth
+    is walked without recursion. It makes each node of the normal form
+    once. Untraced, it walks each distinct input node once, which shares a
+    repeated subterm's normal form; traced, it gives ``trace`` each step's
+    term as a line, and rewrites a shared subterm at each place. Both
+    modes count the same steps and raise the same error at the same step.
+    The walk's stacks, ids, records and kept normal forms are freed when
+    it returns, before the result thunk is built."""
     if not isinstance(v, ThunkV):
         return v
-    if trace is None:
-        e = _normalise(v.body, max_steps)
-    else:
-        e = _traced_normalise(v.body, max_steps, trace)
+    e = _normalise(v.body, max_steps, trace)
     leaf = _concrete_leaf(e)
     if leaf is not None:
         return leaf

@@ -119,16 +119,6 @@ def operands(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def with_operand(e: Expr, slot: int, new: Expr) -> Expr:
-    """The operator application ``e`` rebuilt, without a span, with ``new``
-    in place of its operand ``slot``."""
-    if isinstance(e, Infix):
-        if slot == 0:
-            return Infix(e.op, new, e.rhs)
-        return Infix(e.op, e.lhs, new)
-    return Prefix(e.op, new)
-
-
 # --- statements ---
 
 class Stmt(Node):

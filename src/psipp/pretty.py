@@ -14,9 +14,10 @@ writes pieces in pre-order into one list, joined a chunk at a time,
 going down each ``Infix`` node's left spine and back up, and writes a
 leaf or an ``Infix`` of two names in place, so a normal form's left-deep
 sums of products take a few steps a product. A trace step reads them
-through ``layout``, which lays out a node it made from its operands'
-texts, and ``extent``, its twin from lengths; ``expr_text`` renders its
-input whole.
+through ``layout``, which lays out an operator's application from its
+operands' texts before the rewriter makes it a node, if it does, and
+``extent``, its twin from lengths; both take the operator, not a node.
+``expr_text`` renders the input of a trace whole.
 """
 
 from __future__ import annotations
@@ -127,39 +128,40 @@ def head(e: ast.Expr) -> tuple[Optional[str], int]:
     return None, LEVEL_ATOM  # Call, FieldAccess, InheritedCall, PairLit
 
 
-def layout(e: ast.Infix, kids: Sequence[ast.Expr],
-           texts: Sequence[Sequence]) -> tuple[str, int, int, int]:
-    """Spaced text and level of the ``Infix`` node ``e`` applied to
+def layout(op: str, kids: Sequence, texts: Sequence[Sequence]
+           ) -> tuple[str, int, int, int]:
+    """Spaced text and level of the infix application of ``op`` to
     ``kids``, whose texts and levels lead the entries of ``texts``, then
-    where the kids' texts start in it."""
+    where the kids' texts start in it. A kid need not be a node: only a
+    value leaf is a scalar."""
     one, two = texts
-    level = INFIX_LEVELS[e.op]
+    level = INFIX_LEVELS[op]
     swapped = level == LEVEL_MUL and _scalar_first(*kids)
     if swapped:
         one, two = two, one
     left, right = _LEFT_PARENS[level][one[1]], _RIGHT_PARENS[level][two[1]]
     lhs = f"({one[0]})" if left else one[0]
     rhs = f"({two[0]})" if right else two[0]
-    text = f"{lhs}{_SEPARATORS[True][e.op]}{rhs}"
+    text = f"{lhs}{_SEPARATORS[True][op]}{rhs}"
     at = len(text) - len(rhs) + right
     return (text, level, at, left) if swapped else (text, level, left, at)
 
 
-def extent(e: ast.Expr, kids: Sequence[ast.Expr],
-           sizes: Sequence[Sequence]) -> tuple[int, ...]:
-    """``layout``'s twin from lengths, for an ``Infix`` or ``Prefix`` node:
-    the length and level of its spaced text, then where the kids' texts
-    start in it."""
-    if not isinstance(e, ast.Infix):  # -x or -(x)
+def extent(op: str, kids: Sequence, sizes: Sequence[Sequence]
+           ) -> tuple[int, ...]:
+    """``layout``'s twin from lengths, for the application of ``op`` to
+    ``kids``, prefix on one and infix on two: the length and level of its
+    spaced text, then where the kids' texts start in it."""
+    if len(kids) == 1:  # -x or -(x)
         at = 1 + _LEFT_PARENS[LEVEL_PREFIX][sizes[0][1]]
         return sizes[0][0] + 2 * at - 1, LEVEL_PREFIX, at
     one, two = sizes
-    level = INFIX_LEVELS[e.op]
+    level = INFIX_LEVELS[op]
     swapped = level == LEVEL_MUL and _scalar_first(*kids)
     if swapped:
         one, two = two, one
     left, right = _LEFT_PARENS[level][one[1]], _RIGHT_PARENS[level][two[1]]
-    at = one[0] + 2 * left + len(_SEPARATORS[True][e.op]) + right
+    at = one[0] + 2 * left + len(_SEPARATORS[True][op]) + right
     length = at + two[0] + right
     return (length, level, at, left) if swapped else (length, level, left, at)
 

@@ -261,12 +261,12 @@ def test_layout_and_its_twin_match_the_recursive_oracle(dag):
             texts = [oracle_expr_text(kid, True) for kid in kids]
             sizes = [(len(kid_text), kid_level)
                      for kid_text, kid_level in texts]
-            length, twin_level, *offsets = extent(node, kids, sizes)
+            length, twin_level, *offsets = extent(node.op, kids, sizes)
             assert (length, twin_level) == (len(text), level)
             assert [text[at:at + len(kid_text)] for at, (kid_text, _) in
                     zip(offsets, texts)] == [kid_text for kid_text, _ in texts]
             if isinstance(node, ast.Infix):
-                assert layout(node, kids, texts) == (text, level, *offsets)
+                assert layout(node.op, kids, texts) == (text, level, *offsets)
 
 
 def test_emitter_memory_stays_near_the_text():

@@ -1,8 +1,8 @@
-"""The two walks of ``algebra.simplify``, untraced and traced, against the
-rewriter they replaced: ``_rewrite_once`` below applies one rewrite at the
+"""The walk of ``algebra.simplify``, untraced and traced, against the
+rewriter it replaced: ``_rewrite_once`` below applies one rewrite at the
 first redex in post-order, and the oracle restarts it from the root after
-every step. All must take the same steps, print the same trace, reach the
-same normal form and fail at the same step."""
+every step. Both modes must take the same steps, print the same trace,
+reach the same normal form and fail at the same step."""
 
 import io
 import tracemalloc
@@ -308,8 +308,8 @@ def normal_text_or_error(v, max_steps, traced):
     "*", ast.Infix("+", leaf(1), leaf(2)),
     ast.Infix("+", ast.Ident("x"), ast.Ident("y")))] * 2)))
 def test_untraced_walk_matches_traced_on_shared_redexes(v):
-    # the untraced walk rewrites a shared subterm once and counts its steps
-    # at each place; the traced walk rewrites it at each place
+    # untraced, the walk rewrites a shared subterm once and counts its
+    # steps at each place; traced, it rewrites it at each place
     steps = len(outcome(simplify, v, 10_000, True)[0])
     assert steps > 0
     for max_steps in (0, 1, steps - 1, steps, steps + 1):
@@ -374,15 +374,16 @@ def test_expand_visits_linear_nodes(monkeypatch, tmp_path):
     assert tries.calls > n * n  # each step is a try
 
 
-def test_expand_makes_each_node_of_its_normal_form_once(monkeypatch):
+@pytest.mark.parametrize("traced", [False, True])
+def test_expand_makes_each_node_of_its_normal_form_once(monkeypatch, traced):
     # the normal form holds n*n products and n*n - 1 sums, 2047 nodes at
-    # n = 32; a walk that makes C*B at each distribution and then rebuilds
-    # the sum around its normal form makes about 4*n*n
+    # n = 32, traced or not; a walk that makes C*B at each distribution and
+    # then rebuilds the sum around its normal form makes about 4*n*n (4091)
     n = 32
     v = expand_term(n)
     made = budget(2 * n * n - 1, ast.Infix.__init__)
     monkeypatch.setattr(ast.Infix, "__init__", made)
-    result = simplify(v)
+    result = simplify(v, trace=(lambda line: None) if traced else None)
     monkeypatch.undo()
     assert made.calls == 2 * n * n - 1
     printed = render_value(result).replace("(", "").replace(")", "")
@@ -468,37 +469,29 @@ def test_traced_expand_renders_linear_nodes(monkeypatch):
 def test_traced_expand_lays_out_no_input_node_and_renders_the_input_once(
         monkeypatch):
     # a step lays out only the nodes it made and slices its operands' texts
-    # out of the line: no input node goes through layout, and the input is
-    # rendered whole once, at the first step, not again at each row, where
-    # the y-sum is a factor of every product
+    # out of the line: each distribution lays out its sum and two products,
+    # 765 layout calls at n = 16, and no input node or frame's application
+    # is laid out again. The input is rendered whole once, at the first
+    # step, not again at each row, where the y-sum is a factor of every
+    # product
     n = 16
     v = expand_term(n)
-    inputs, pending = set(), [v.body]
-    while pending:
-        e = pending.pop()
-        inputs.add(id(e))
-        if type(e) is ast.Infix:
-            pending += (e.lhs, e.rhs)
-    laid_out, rendered = [], []
-    render_layout, render_whole = pretty.layout, pretty.expr_text
-
-    def layout(e, *args):
-        if id(e) in inputs:
-            laid_out.append(e)
-        return render_layout(e, *args)
+    laid_out = budget(3 * (n * n - 1), pretty.layout)
+    rendered = []
+    render_whole = pretty.expr_text
 
     def expr_text(e, *args):
         rendered.append(e)
         return render_whole(e, *args)
 
     for module in (pretty, algebra):
-        monkeypatch.setattr(module, "layout", layout)
+        monkeypatch.setattr(module, "layout", laid_out)
         monkeypatch.setattr(module, "expr_text", expr_text)
     lines = []
     simplify(v, trace=lines.append)
     monkeypatch.undo()
     assert len(lines) == n * n - 1
-    assert laid_out == []
+    assert laid_out.calls == 3 * (n * n - 1)
     assert rendered == [v.body]
 
 
@@ -536,7 +529,7 @@ def test_traced_left_deep_chain_holds_text_linear_in_its_line():
     # (x + ... + x) * y distributes down the chain: the walk holds the
     # line and records of lengths, not the text of every prefix of the
     # chain. 1.53 MB measured with 1500 sums (Python 3.11) when the walk
-    # held the texts beside the path, 1.55 MB with records; keeping each
+    # held the texts beside the path, 1.48 MB with records; keeping each
     # prefix's text, as a render memo does, peaks at 5.91 MB
     sums = 1500
     x, y = ast.Ident("x"), ast.Ident("y")
@@ -558,8 +551,8 @@ def test_traced_shared_factor_holds_memory_linear_in_its_terms():
     # every product of a row shares: the walk holds records of lengths,
     # O(m), and slices a factor's text out of the line when a step needs
     # it. Holding each cut prefix of the shared sum's text peaks at O(m^2):
-    # 3.20 and 10.47 MB for m = 1000 and 2000 (Python 3.11), 3.3x; 1.48 and
-    # 2.96 MB with records
+    # 3.20 and 10.47 MB for m = 1000 and 2000 (Python 3.11), 3.3x; 1.34 and
+    # 2.92 MB with records (2.96 MB when the bound below was set)
     def peak(m):
         a, b, y = ast.Ident("a"), ast.Ident("b"), ast.Ident("y")
         v = over_free(ast.Infix("*", ast.Infix("+", a, b), reduce(
