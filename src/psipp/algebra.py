@@ -23,8 +23,9 @@ below a shared node taken once, and the normal form shares a repeated
 subterm's normal form. Traced, each step's term is printed, so a shared
 subterm that is not normal is rewritten at each place, and the walk keeps
 the term's text beside its stacks: a step slices the texts it needs out
-of the line before, lays out only the nodes it made, and splices their
-text into that line.
+of the line before, lays out only the nodes it made, a distribution's
+sum and two products in one call, and splices their text into that line.
+Untraced, the walk tests for the sink once a root try.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .evaluator import DEFAULT_REWRITE_LIMIT, Interpreter, as_repr
 from .lexer import tokenize
 from .monomials import MonomialRegister, register_conjugate, register_mul
 from .parser import parse_program
-from .pretty import expr_text, extent, head, layout
+from .pretty import expr_text, extent, head, layout, layout_distribution
 # complex_mul is not called here: the package and bench/tracer.py read it
 from .values import (FAIL, ComplexV, RegisterV, ThunkV, Value, arith,
                      complex_mul, promote, thunk)
@@ -148,6 +149,25 @@ def _leaf_record(e: ast.Expr) -> list:
     return [len(text if text is not None else expr_text(e, True)[0]), level]
 
 
+def _frame(node: ast.Expr, path: list[list], records: dict) -> list:
+    """The frame ``[op, operands, slot, start, record]`` of the input
+    application ``node`` as the walk enters it, inside the innermost frame
+    of ``path``. Its leaf operands' records, kept by id in ``records``, are
+    in its record from the start, so no leaf is handed to it, and its slot
+    starts at its first operand that is not a leaf."""
+    kids = [node.lhs, node.rhs] if type(node) is ast.Infix \
+        else [node.operand]
+    record = [0, head(node)[1], None, None, 0, 0]
+    for slot, kid in enumerate(kids):
+        if type(kid) is not ast.Infix and type(kid) is not ast.Prefix:
+            leaf = records.get(id(kid))
+            if leaf is None:
+                leaf = records[id(kid)] = _leaf_record(kid)
+            record[2 + slot] = leaf
+    return [node.op, kids, 0 if record[2] is None else 1,
+            _offset(path[-1], node, record) if path else 0, record]
+
+
 def _offset(frame: list, kid, entry: list) -> int:
     """Where the text of ``kid``, of record ``entry``, starts in the line
     in the slot of ``frame``."""
@@ -156,11 +176,17 @@ def _offset(frame: list, kid, entry: list) -> int:
         return start + extent(op, (kid,), (entry,))[2]
     if slot:
         return start + extent(op, (kids[0], kid), (record[2], entry))[3]
-    rhs = record[3]
-    if rhs is None:  # not walked yet: only a value leaf can print first
-        rhs = _leaf_record(kids[1]) if type(kids[1]) is ast.ValueLeaf \
-            else entry
-    return start + extent(op, (kid, kids[1]), (entry, rhs))[2]
+    # an operand not walked yet is no leaf, so it cannot print first
+    return start + extent(op, (kid, kids[1]), (entry, record[3] or entry))[2]
+
+
+def _measured(frame: list) -> list:
+    """The record of ``frame``'s application, its length and offsets found
+    again if a step in one of its slots zeroed its length."""
+    record = frame[4]
+    if not record[0]:
+        record[0], _, *record[4:6] = extent(frame[0], frame[1], record[2:4])
+    return record
 
 
 def _distributed_text(split: list[tuple], right: bool,
@@ -173,25 +199,16 @@ def _distributed_text(split: list[tuple], right: bool,
     lhs, rhs = record[2], record[3]
     lhs_at, rhs_at = at + record[4], at + record[5]
     if right:  # A * (E + F)
-        a = c = lhs
-        a_text = c_text = line[lhs_at:lhs_at + lhs[0]]
+        a_text = line[lhs_at:lhs_at + lhs[0]]
         b, d, b_at, d_at = rhs[2], rhs[3], rhs_at + rhs[4], rhs_at + rhs[5]
-        b_text, d_text = line[b_at:b_at + b[0]], line[d_at:d_at + d[0]]
-    else:  # (C + D) * B
-        b = d = rhs
-        b_text = d_text = line[rhs_at:rhs_at + rhs[0]]
-        a, c, a_at, c_at = lhs[2], lhs[3], lhs_at + lhs[4], lhs_at + lhs[5]
-        a_text, c_text = line[a_at:a_at + a[0]], line[c_at:c_at + c[0]]
-    p, q = split
-    p_text, p_level, a_at, b_at = layout("*", p, ((a_text, a[1]),
-                                                  (b_text, b[1])))
-    q_text, q_level, c_at, d_at = layout("*", q, ((c_text, c[1]),
-                                                  (d_text, d[1])))
-    text, level, p_at, q_at = layout("+", split, ((p_text, p_level),
-                                                  (q_text, q_level)))
-    return text, [len(text), level,
-                  [len(p_text), p_level, a, b, a_at, b_at],
-                  [len(q_text), q_level, c, d, c_at, d_at], p_at, q_at]
+        return layout_distribution(split, a_text, lhs,
+                                   line[b_at:b_at + b[0]], b, a_text, lhs,
+                                   line[d_at:d_at + d[0]], d)
+    # (C + D) * B
+    b_text = line[rhs_at:rhs_at + rhs[0]]
+    a, c, a_at, c_at = lhs[2], lhs[3], lhs_at + lhs[4], lhs_at + lhs[5]
+    return layout_distribution(split, line[a_at:a_at + a[0]], a, b_text, rhs,
+                               line[c_at:c_at + c[0]], c, b_text, rhs)
 
 
 def _spliced(line: str, frame: list, record: list, at: int, new,
@@ -209,10 +226,8 @@ def _spliced(line: str, frame: list, record: list, at: int, new,
         piece = f"({text})" if moved > 0 else text
         return "".join((line[:lo], piece, line[hi:])), new_at
     op, kids, slot, start, parent = frame
-    if slot:
-        sizes = (parent[2], record)
-    else:  # the right operand is a scalar leaf
-        sizes = (record, _leaf_record(kids[1]))
+    sizes = parent[2:4]
+    sizes[slot] = record
     length, _, *offsets = extent(op, kids, sizes)
     other, other_at = sizes[1 - slot], start + offsets[1 - slot]
     texts = [(text, new_record[1]),
@@ -222,10 +237,9 @@ def _spliced(line: str, frame: list, record: list, at: int, new,
     return "".join((line[:start], laid, line[start + length:])), new_at
 
 
-def _hand(path: list[list], node: ast.Expr, record: list) -> None:
-    """Give the innermost frame of ``path`` its finished operand ``node``,
-    of ``record``, and move its slot on."""
-    frame = path[-1]
+def _hand(frame: list, node: ast.Expr, record: list) -> None:
+    """Give ``frame`` its finished operand ``node``, of ``record``, and
+    move its slot on."""
     slot = frame[2]
     frame[1][slot] = node
     frame[4][2 + slot] = record
@@ -247,23 +261,29 @@ def _normalise(body: ast.Expr, max_steps: int,
     the body shares it. Untraced, an input application that was rewritten
     keeps its normal form and the steps it took, which are counted again
     and checked against the limit where the body shares it: each distinct
-    input node is walked once.
+    input node is walked once. Untraced, a root try tests for the sink
+    once, after the try, and so does the entry of an input application.
 
     Traced, ``trace`` is given the whole term, ``line``, after each step,
-    and a kept normal form is not read, since each step is a line at each
+    and no kept normal form is read, since each step is a line at each
     place. A finished operand has a record ``[length, level, operand
     records, operand offsets]`` of its text. A frame ``[op, operands, slot,
-    start, record]`` is pushed when the walk enters an input application
-    or a split makes a sum, whose slots then hold its factor pairs. It
-    keeps where its text starts in ``line``, which no step below it moves.
-    A step lays out the nodes it made from texts sliced out of ``line`` and
-    splices them into the innermost frame, whose length is found again
-    when it is popped: O(1) frames plus the line."""
-    # id of an input node found normal, a leaf included when traced: its
-    # record, traced, else None
+    start, record]`` is pushed when the walk enters an input application,
+    with its leaf operands' records, so no leaf is handed to it; or when
+    a split makes a sum, whose slots then hold its factor pairs, and the
+    split's layout its products' records. A product tried without a step
+    only moves its sum's slot on: a sum never swaps, so no rule reads its
+    operands. A frame keeps where its text starts in ``line``, which no
+    step below it moves, and is popped when its root is tried; a product's
+    record and offset are read only when a step follows. A step lays out
+    the nodes it made from texts sliced out of ``line`` and splices them
+    into the innermost frame, whose length is found again when it is next
+    read: O(1) frames plus the line."""
+    # id of an input application found normal: its record, traced, else
+    # None; traced, id of an input leaf: its record
     normal: dict[int, Optional[list]] = {}
     # id of an input application rewritten: its normal form, and the steps
-    # that took
+    # that took; read untraced only
     kept: dict[int, tuple[ast.Expr, int]] = {}
     splits: list[list] = []  # the entry of each _KEEP on ``todo``
     steps = 0
@@ -275,9 +295,8 @@ def _normalise(body: ast.Expr, max_steps: int,
     # normal form is then on top of ``done``
     todo: list = [body]
     done: list[ast.Expr] = []
-    # traced: the line, the frames, and the record of the application tried
-    # and where its text starts
-    line, path, record, at = "", [], None, 0
+    # traced: the line, the frames, and the record of the node finished
+    line, path, record = "", [], None
     while todo:
         task = todo.pop()
         kind = type(task)
@@ -297,43 +316,32 @@ def _normalise(body: ast.Expr, max_steps: int,
             node, start = splits.pop()
             kept[id(node)] = done[-1], steps - start
             continue
-        elif kind is not ast.Infix and kind is not ast.Prefix \
-                or id(task) in normal:  # a leaf, or an input node found normal
+        elif kind is not ast.Infix and kind is not ast.Prefix:  # a leaf
+            done.append(task)
+            continue
+        elif id(task) in normal:  # an input application found normal
             done.append(task)
             if path:
-                if id(task) not in normal:  # a leaf met for the first time
-                    normal[id(task)] = _leaf_record(task)
-                _hand(path, task, normal[id(task)])
-            continue
-        elif trace is None and id(task) in kept:
-            new, taken = kept[id(task)]
-            steps += taken
-            if steps > max_steps:
-                raise RewriteLimitExceeded(
-                    f"more than {max_steps} rewrite steps")
-            done.append(new)
+                _hand(path[-1], task, normal[id(task)])
             continue
         else:  # an input application
+            if trace is None:
+                if id(task) in kept:  # rewritten before: count its steps
+                    new, taken = kept[id(task)]
+                    steps += taken
+                    if steps > max_steps:
+                        raise RewriteLimitExceeded(
+                            f"more than {max_steps} rewrite steps")
+                    done.append(new)
+                    continue
+            else:
+                path.append(_frame(task, path, normal))
             todo.append([task, steps])
             if kind is ast.Infix:
                 todo += (task.rhs, task.lhs)
             else:
                 todo.append(task.operand)
-            if trace is not None:
-                entry = [0, head(task)[1], None, None, 0, 0]
-                path.append([task.op, [task.lhs, task.rhs]
-                             if kind is ast.Infix else [task.operand], 0,
-                             _offset(path[-1], task, entry) if path else 0,
-                             entry])
             continue
-        if trace is not None:  # the frame of the application, or its sum's
-            frame = path[-1] if kind is tuple else path.pop()
-            _, kids, slot, at, record = frame
-            if not record[0]:  # a step in one of its slots moved its text
-                record[0], _, *record[4:6] = extent(frame[0], kids,
-                                                    record[2:4])
-            if kind is tuple:  # the product in the sum's slot
-                at, record = at + record[4 + slot], record[2 + slot]
         new = _root_rewrite(op, lhs, rhs)
         if new is None:
             if node is None:
@@ -344,44 +352,62 @@ def _normalise(body: ast.Expr, max_steps: int,
                 new = node
             else:
                 new = ast.Infix(op, lhs, rhs)
-        else:
-            steps += 1
+            done.append(new)
             if trace is not None:
-                if steps == 1:
-                    line = expr_text(body, True)[0]
-                if type(new) is list:
-                    text, new_record = _distributed_text(
-                        new, new[0][0] is lhs, record, line, at)
-                else:
-                    text, level = head(new)
-                    new_record = [len(text), level]
+                if kind is tuple:  # its record, the layout's, is in its slot
+                    path[-1][2] += 1
+                    continue
+                record = _measured(path.pop())
                 if path:
-                    line, at = _spliced(line, path[-1], record, at, new,
-                                        text, new_record)
-                    path[-1][4][0] = 0
-                else:
-                    line, at = text, 0
-                record = new_record
-                if type(new) is list:  # the sum, whose slots are its pairs
-                    path.append(["+", new, 0, at, record])
-                trace(line)
-            if steps > max_steps:
-                raise RewriteLimitExceeded(
-                    f"more than {max_steps} rewrite steps")
-            if type(new) is list:
-                if node is not None:
-                    splits.append(task)
-                    todo.append(_KEEP)
-                todo += (_SUM, new[1], new[0])
+                    _hand(path[-1], new, record)
+            if node is None:  # a product or sum made
                 continue
-        # new is normal: a node made or kept, or a folded leaf
-        if new is node:  # body keeps it, so its id stays unique
-            normal[id(node)] = record
-        elif node is not None:
+            if new is node:  # body keeps it, so its id stays unique
+                normal[id(node)] = record
+            else:
+                kept[id(node)] = new, steps - task[1]
+            continue
+        steps += 1
+        if trace is not None:
+            if steps == 1:
+                line = expr_text(body, True)[0]
+            if kind is tuple:  # the product in its sum's slot
+                frame = path[-1]
+                slot, total = frame[2], _measured(frame)
+                at, record = frame[3] + total[4 + slot], total[2 + slot]
+            else:
+                tried = path.pop()
+                at, record = tried[3], _measured(tried)
+                frame = path[-1] if path else None
+            if type(new) is list:
+                text, new_record = _distributed_text(
+                    new, new[0][0] is lhs, record, line, at)
+            else:
+                text, level = head(new)
+                new_record = [len(text), level]
+            if frame is None:
+                line, at = text, 0
+            else:
+                line, at = _spliced(line, frame, record, at, new, text,
+                                    new_record)
+                frame[4][0] = 0
+            if type(new) is list:  # the sum, whose slots are its pairs
+                path.append(["+", new, 0, at, new_record])
+            elif frame is not None:
+                _hand(frame, new, new_record)
+            trace(line)
+        if steps > max_steps:
+            raise RewriteLimitExceeded(
+                f"more than {max_steps} rewrite steps")
+        if type(new) is list:
+            if node is not None:
+                splits.append(task)
+                todo.append(_KEEP)
+            todo += (_SUM, new[1], new[0])
+            continue
+        if node is not None:
             kept[id(node)] = new, steps - task[1]
-        done.append(new)
-        if path:
-            _hand(path, new, record)
+        done.append(new)  # a folded leaf, normal
     return done[0]
 
 

@@ -17,7 +17,9 @@ sums of products take a few steps a product. A trace step reads them
 through ``layout``, which lays out an operator's application from its
 operands' texts before the rewriter makes it a node, if it does, and
 ``extent``, its twin from lengths; both take the operator, not a node.
-``expr_text`` renders the input of a trace whole.
+A distribution's sum and its two products are laid out in one call, by
+``layout_distribution``, from the four factors' texts. ``expr_text``
+renders the input of a trace whole.
 """
 
 from __future__ import annotations
@@ -145,6 +147,56 @@ def layout(op: str, kids: Sequence, texts: Sequence[Sequence]
     text = f"{lhs}{_SEPARATORS[True][op]}{rhs}"
     at = len(text) - len(rhs) + right
     return (text, level, at, left) if swapped else (text, level, left, at)
+
+
+# the rows of a product's factors, and where a sum of two products puts
+# them in parentheses: nowhere, as a product binds tighter, but the
+# parenthesis rule says so, not this function
+_FACTOR_PARENS = _LEFT_PARENS[LEVEL_MUL], _RIGHT_PARENS[LEVEL_MUL]
+_SUMMAND_PARENS = (_LEFT_PARENS[LEVEL_ADD][LEVEL_MUL],
+                   _RIGHT_PARENS[LEVEL_ADD][LEVEL_MUL])
+_TIMES, _PLUS = _SEPARATORS[True]["*"], _SEPARATORS[True]["+"]
+
+
+def layout_distribution(split: Sequence, a: str, a_entry: Sequence,
+                        b: str, b_entry: Sequence, c: str, c_entry: Sequence,
+                        d: str, d_entry: Sequence) -> tuple[str, list]:
+    """The three nodes of a distribution laid out in one call: the spaced
+    text of the sum ``A * B + C * D`` of the products of ``split``'s
+    factor pairs ``(A, B)`` and ``(C, D)``, from the factors' texts ``a``
+    to ``d`` and their entries, whose first two items are length and
+    level; then the sum's entry ``[length, level, P, Q, offsets]``, where
+    each product's entry ``P`` and ``Q`` is ``[length, level, its factors'
+    entries, their offsets]`` and the offsets say where each operand's
+    text starts in its parent's. The rules are ``layout``'s."""
+    left, right = _FACTOR_PARENS
+    (first, second), (third, fourth) = split
+    # only a value leaf on the right swaps: testing it here saves a call
+    # for almost every product
+    p_swapped = (type(second) is ast.ValueLeaf
+                 and _scalar_first(first, second))
+    if p_swapped:
+        a, a_entry, b, b_entry = b, b_entry, a, a_entry
+    q_swapped = (type(fourth) is ast.ValueLeaf
+                 and _scalar_first(third, fourth))
+    if q_swapped:
+        c, c_entry, d, d_entry = d, d_entry, c, c_entry
+    a_left, b_right = left[a_entry[1]], right[b_entry[1]]
+    c_left, d_right = left[c_entry[1]], right[d_entry[1]]
+    p = (f"({a})" if a_left else a) + _TIMES + (f"({b})" if b_right else b)
+    q = (f"({c})" if c_left else c) + _TIMES + (f"({d})" if d_right else d)
+    p_length, q_length = len(p), len(q)
+    b_at = p_length - b_entry[0] - b_right
+    d_at = q_length - d_entry[0] - d_right
+    p_entry = [p_length, LEVEL_MUL, b_entry, a_entry, b_at, a_left] \
+        if p_swapped else [p_length, LEVEL_MUL, a_entry, b_entry, a_left, b_at]
+    q_entry = [q_length, LEVEL_MUL, d_entry, c_entry, d_at, c_left] \
+        if q_swapped else [q_length, LEVEL_MUL, c_entry, d_entry, c_left, d_at]
+    p_left, q_right = _SUMMAND_PARENS
+    text = (f"({p})" if p_left else p) + _PLUS + (f"({q})" if q_right else q)
+    length = len(text)
+    return text, [length, LEVEL_ADD, p_entry, q_entry, p_left,
+                  length - q_length - q_right]
 
 
 def extent(op: str, kids: Sequence, sizes: Sequence[Sequence]

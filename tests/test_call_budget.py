@@ -1,9 +1,11 @@
 """How many Python calls one warm product makes, how many parsing one
-statement makes, and how many printing a normal form makes, counted with
-``sys.setprofile``: calls of Python functions and of built-in functions
-and methods. The statements are the ``concrete`` workload's, so work
-added on their path, in the evaluator or in the front end, shows here as
-a count, not as a slower benchmark."""
+statement makes, how many printing a normal form makes, and how many one
+step of a traced rewrite makes, counted with ``sys.setprofile``: calls of
+Python functions and of built-in functions and methods. The statements
+are the ``concrete`` workload's and the traced rewrite is the
+``expand_trace`` workload's term, so work added on their path, in the
+evaluator, in the front end or in a trace step, shows here as a count,
+not as a slower benchmark."""
 
 import sys
 from collections import Counter
@@ -99,3 +101,17 @@ def test_printing_a_normal_form_stays_within_its_call_budget():
     result = simplify(expand_term(32))
     calls = profiled(partial(render_value, result))
     assert len(calls) <= 8 * 32 * 32, Counter(calls)
+
+
+def test_a_traced_distribution_step_stays_within_its_call_budget():
+    # traced expand at n = 16 takes 255 steps, each a distribution: its
+    # three nodes laid out in one call, spliced into the line, and the
+    # root tries, frames and offsets around it. 9570 calls, 37.5 a step
+    # (46.3 when a distribution made three layout calls and each finished
+    # operand, a leaf included, was handed to its frame in a call)
+    n = 16
+    steps = n * n - 1
+    lines = []
+    calls = profiled(partial(simplify, expand_term(n), trace=lines.append))
+    assert len(lines) == steps
+    assert len(calls) <= 38 * steps, Counter(calls)

@@ -15,7 +15,7 @@ from psipp.ast import (INFIX_LEVELS, LEVEL_ADD, LEVEL_ATOM, LEVEL_MUL,
                        LEVEL_PREFIX)
 from psipp.monomials import MonomialRegister
 from psipp.pretty import (_int_text, _value_text, expr_text, extent, layout,
-                          render_expr, render_value)
+                          layout_distribution, render_expr, render_value)
 from psipp.values import FAIL, ComplexV, FreeVarV, RegisterV
 
 from test_rewriter import expand_term
@@ -267,6 +267,71 @@ def test_layout_and_its_twin_match_the_recursive_oracle(dag):
                     zip(offsets, texts)] == [kid_text for kid_text, _ in texts]
             if isinstance(node, ast.Infix):
                 assert layout(node.op, kids, texts) == (text, level, *offsets)
+
+
+# the factors of a distribution: names, scalars that print first or at
+# prefix or sum level (-3, 1 + 2*i), prefix minus, and nested sums and
+# products
+factors = st.recursive(
+    st.one_of(st.builds(ast.Ident, names), scalars),
+    lambda kids: st.one_of(
+        st.builds(ast.Prefix, st.just("-"), kids),
+        st.builds(ast.Infix, st.sampled_from(["+", "-", "*"]), kids, kids)),
+    max_leaves=6)
+
+
+def distribution_examples(test):
+    """``test`` with the distributions whose layout a rule changes, on
+    both sides: a scalar factor that prints first, and a complex constant
+    that prints in parentheses."""
+    x, y = ast.Ident("x"), ast.Ident("y")
+    two, minus = ast.ValueLeaf(2), ast.ValueLeaf(-3)
+    gaussian = ast.ValueLeaf(ComplexV(1, 2))
+    for shared, one, other in ((x, two, y), (two, x, minus),
+                               (gaussian, ast.Prefix("-", x), minus),
+                               (ast.Infix("+", x, y), gaussian, two)):
+        for right in (False, True):
+            test = example(shared, one, other, right)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(factors, factors, factors, st.booleans())
+@distribution_examples
+def test_a_distribution_laid_out_in_one_call_matches_the_whole_text(
+        shared, one, other, right):
+    # a trace step lays out the sum and two products of a distribution in
+    # one call from the factors' texts: A * (E + F) gives A * E + A * F,
+    # and (C + D) * B gives C * B + D * B. The text is the sum's, rendered
+    # whole, and each node's entry is extent's, from lengths: its length,
+    # its level and where its operands' texts start
+    split = ([(shared, one), (shared, other)] if right
+             else [(one, shared), (other, shared)])
+    texts, entries = {}, {}
+    for factor in (shared, one, other):
+        text, level = expr_text(factor, True)
+        texts[factor], entries[factor] = text, [len(text), level]
+    text, entry = layout_distribution(
+        split, *(item for pair in split for factor in pair
+                 for item in (texts[factor], entries[factor])))
+    products = [ast.Infix("*", *pair) for pair in split]
+    total = ast.Infix("+", *products)
+    assert (text, entry[1]) == expr_text(total, True)
+    pending = [(total, entry, 0)]
+    while pending:
+        node, node_entry, at = pending.pop()
+        kids = (node.lhs, node.rhs)
+        assert tuple(node_entry[:2] + node_entry[4:]) \
+            == extent(node.op, kids, node_entry[2:4])
+        assert text[at:at + node_entry[0]] == expr_text(node, True)[0]
+        if node is total:
+            pending += zip(kids, node_entry[2:4],
+                           (at + offset for offset in node_entry[4:]))
+        else:
+            assert node_entry[2:4] == [entries[kid] for kid in kids]
+            for kid, offset in zip(kids, node_entry[4:]):
+                start = at + offset
+                assert text[start:start + len(texts[kid])] == texts[kid]
 
 
 def test_emitter_memory_stays_near_the_text():

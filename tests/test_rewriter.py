@@ -454,29 +454,34 @@ def traced_expand(monkeypatch, n, patches):
 def test_traced_expand_renders_linear_nodes(monkeypatch):
     # each step renders the few nodes it makes and splices them into the
     # line: O(1) frames plus the printed line. Rendering the rebuilt path
-    # from the root instead costs O(depth) nodes a step, about n. The
-    # renderer calls layout once per operator node it makes: the new sum
-    # and its two products, 3 a step (3069 calls at n = 32), and never on
-    # the input, which is rendered whole. Laying out the y-sum again at
-    # each row, or each frame's node again at each step, costs more
+    # from the root instead costs O(depth) nodes a step, about n. A
+    # distribution's sum and two products are laid out in one call, one a
+    # step (1023 calls at n = 32), and the input never, as it is rendered
+    # whole. Laying out the y-sum again at each row, or each frame's node
+    # again at each step, costs more
     n = 32
-    steps, input_nodes = n * n - 1, 4 * n
-    layout = budget(4 * steps + input_nodes, pretty.layout)
-    traced_expand(monkeypatch, n, [(pretty, "layout", layout),
-                                   (algebra, "layout", layout)])
+    steps = n * n - 1
+    distributions = budget(steps, pretty.layout_distribution)
+    layouts = budget(0, pretty.layout)
+    traced_expand(monkeypatch, n, [
+        (module, name, replacement) for module in (pretty, algebra)
+        for name, replacement in (("layout_distribution", distributions),
+                                  ("layout", layouts))])
+    assert distributions.calls == steps
 
 
 def test_traced_expand_lays_out_no_input_node_and_renders_the_input_once(
         monkeypatch):
     # a step lays out only the nodes it made and slices its operands' texts
-    # out of the line: each distribution lays out its sum and two products,
-    # 765 layout calls at n = 16, and no input node or frame's application
-    # is laid out again. The input is rendered whole once, at the first
-    # step, not again at each row, where the y-sum is a factor of every
-    # product
+    # out of the line: each distribution lays out its sum and two products
+    # in one call, 255 calls at n = 16, and no input node or frame's
+    # application is laid out again. The input is rendered whole once, at
+    # the first step, not again at each row, where the y-sum is a factor of
+    # every product
     n = 16
     v = expand_term(n)
-    laid_out = budget(3 * (n * n - 1), pretty.layout)
+    distributions = budget(n * n - 1, pretty.layout_distribution)
+    layouts = budget(0, pretty.layout)
     rendered = []
     render_whole = pretty.expr_text
 
@@ -485,13 +490,14 @@ def test_traced_expand_lays_out_no_input_node_and_renders_the_input_once(
         return render_whole(e, *args)
 
     for module in (pretty, algebra):
-        monkeypatch.setattr(module, "layout", laid_out)
+        monkeypatch.setattr(module, "layout_distribution", distributions)
+        monkeypatch.setattr(module, "layout", layouts)
         monkeypatch.setattr(module, "expr_text", expr_text)
     lines = []
     simplify(v, trace=lines.append)
     monkeypatch.undo()
     assert len(lines) == n * n - 1
-    assert laid_out.calls == 3 * (n * n - 1)
+    assert distributions.calls == n * n - 1
     assert rendered == [v.body]
 
 
